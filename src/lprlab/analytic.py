@@ -1,31 +1,34 @@
 """Closed-form models for location-profile query success and cost.
 
 A node's visited locations, ranked by how often they are visited, follow a
-truncated Zipf law whose rank-1 mass is the node's regularity. Querying the
-top-k ranked locations one after another then succeeds with a probability
-that has a closed form: the rank of the currently occupied location behaves
-like the first success of a sequence of trials whose success probability is
-itself Beta-distributed, which telescopes into a ratio of Beta functions.
+truncated Zipf law whose rank-1 mass is the node's regularity r. Querying
+the top-k ranked locations one after another then succeeds with
+probability F(k; r) = 1 - 1/(k * B(k, 1 - r)): the rank of the occupied
+location is the first success of trials whose success probability is
+Beta(r, 1 - r). `_conditional_cdf` is the one place this formula is written.
 
 Three layers build on each other here:
 
-- zeroth order: constant regularity ``c``, success CDF over k,
-- time dependence: a sinusoidal hour-of-week regularity model,
-- first order: the zeroth-order form averaged over a traffic density on
-  the hour-of-week, evaluated as a midpoint sum over 168 hourly bins.
+- zeroth order: constant regularity ``c``, F(k; c),
+- time dependence: a sinusoidal hour-of-week regularity model R(t),
+- first order: F(k; R(t)) averaged over a traffic density on the
+  hour-of-week as a midpoint sum over 168 hourly bins, memoised per
+  (k, model, density) so that every consumer reads the same values.
 
-On top of the CDF sit the grouping cost model (mean latency factor and mean
-transmission factor of a partition of the top-k candidates into serial
-stages of parallel probes), exhaustive Pareto enumeration over groupings,
-and the break-even comparison against a home-server scheme that pays
-per-movement location updates.
+On top of the first-order CDF sit the grouping cost model (mean latency
+factor and mean transmission factor of a partition of the top-k
+candidates into serial stages of parallel probes, one stage sum for
+both), exhaustive Pareto enumeration over groupings, and the break-even
+comparison against a home-server scheme that pays per-movement location
+updates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_C",
@@ -33,7 +36,6 @@ __all__ = [
     "DEFAULT_C2",
     "DEFAULT_C3",
     "HOURS_PER_WEEK",
-    "ZipfModel",
     "BetaGeometricModel",
     "RegularityModel",
     "TrafficDensity",
@@ -68,7 +70,18 @@ DEFAULT_C3 = 0.657
 
 HOURS_PER_WEEK = 168
 
-_MAX_GROUPING_K = 20  # 2**(k-1) compositions; keeps enumeration tractable
+# 2**(k-1) compositions, scanned pairwise by pareto_front: about a second
+# at k = 14 and about 16x more per +2, so k = 20 takes about an hour.
+_MAX_GROUPING_K = 20
+
+_CURVE_CACHE_SIZE = 1024  # memoised first-order values, one per (k, model, density)
+
+
+def _check_k(k: int, lowest: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < lowest:
+        raise ValueError(f"k must be >= {lowest}, got {k}")
 
 
 def log_beta(a: float, b: float) -> float:
@@ -83,106 +96,37 @@ def log_beta(a: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
-class ZipfModel:
-    """Truncated Zipf location popularity: rank i carries mass c/i.
-
-    With the default ``c`` the masses are taken as-is (they do not sum to 1
-    over any finite truncation; the remainder is the unpredictable visit
-    mass). ``n_truncation`` bounds the ranks that carry candidate mass.
-    """
-
-    c: float = DEFAULT_C
-    n_truncation: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.c < 1:
-            raise ValueError(f"c must be in (0, 1), got {self.c}")
-        if self.n_truncation is not None and self.n_truncation < 1:
-            raise ValueError(f"n_truncation must be >= 1, got {self.n_truncation}")
-
-    def mass(self, rank: int) -> float:
-        """Raw mass c/rank for 1-based rank."""
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        if self.n_truncation is not None and rank > self.n_truncation:
-            return 0.0
-        return self.c / rank
-
-
-@dataclass(frozen=True)
 class BetaGeometricModel:
-    """Success-rank distribution: K ~ Geometric(L), L ~ Beta(a, b).
+    """Success-rank distribution at constant regularity c.
 
-    The default shapes (a, b) = (c, 1 - c) reproduce the Zipf-consistent
-    form exactly: survival(k) = 1 / (k * B(k, 1 - c)). Alternative shapes
-    can be supplied for refitted variants.
+    The rank of the first hit is geometric with a Beta(c, 1 - c) success
+    probability, so its CDF is the module's success formula at r = c.
     """
 
     c: float = DEFAULT_C
-    a: float | None = None
-    b: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.c < 1:
             raise ValueError(f"c must be in (0, 1), got {self.c}")
-        if (self.a is None) != (self.b is None):
-            raise ValueError("a and b must be supplied together")
-        if self.a is not None and (self.a <= 0 or self.b <= 0):
-            raise ValueError(f"shape parameters must be positive, got ({self.a}, {self.b})")
-
-    @property
-    def shape_a(self) -> float:
-        return self.c if self.a is None else self.a
-
-    @property
-    def shape_b(self) -> float:
-        return 1.0 - self.c if self.b is None else self.b
-
-    def survival(self, k: int) -> float:
-        """P(K > k) = B(a, b + k) / B(a, b)."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return 1.0
-        a, b = self.shape_a, self.shape_b
-        return math.exp(log_beta(a, b + k) - log_beta(a, b))
-
-    def cdf(self, k: int) -> float:
-        """P(K <= k), success probability after probing the top k ranks."""
-        return 1.0 - self.survival(k)
 
 
 def zeroth_order_cdf(k: int, model: BetaGeometricModel | None = None) -> float:
     """Success probability after k ranked probes at constant regularity.
 
-    For the Zipf-consistent shapes this is 1 - 1/(k * B(k, 1 - c)). k = 0
-    means no probes and returns 0.
+    This is 1 - 1/(k * B(k, 1 - c)). k = 0 means no probes and returns 0.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return 0.0
-    if model is None:
-        model = BetaGeometricModel()
-    if model.a is None:
-        if k == 1:
-            # B(1, 1 - c) = 1/(1 - c), so the formula collapses to c; skip
-            # the exp/log round trip to keep it exact.
-            return model.c
-        # Canonical form; identical to the survival ratio but written the
-        # way the model is usually quoted.
-        return 1.0 - math.exp(-math.log(k) - log_beta(k, 1.0 - model.c))
-    return model.cdf(k)
+    _check_k(k, 0)
+    c = DEFAULT_C if model is None else model.c
+    if k == 1:
+        # B(1, 1 - c) = 1/(1 - c), so the formula collapses to c; skip
+        # the exp/log round trip to keep it exact.
+        return c
+    return _conditional_cdf(k, c)
 
 
 def zeroth_order_pmf(k: int, model: BetaGeometricModel | None = None) -> float:
     """Probability that probe k is the first success; telescopes from the CDF."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k, 1)
     return zeroth_order_cdf(k, model) - zeroth_order_cdf(k - 1, model)
 
 
@@ -228,6 +172,8 @@ class TrafficDensity:
     )
 
     def __post_init__(self) -> None:
+        # A tuple keeps the density hashable, as the memoised curve needs.
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != HOURS_PER_WEEK:
             raise ValueError(
                 f"density needs {HOURS_PER_WEEK} weights, got {len(self.weights)}"
@@ -235,12 +181,12 @@ class TrafficDensity:
         if any(w < 0 for w in self.weights):
             raise ValueError("density weights must be non-negative")
         total = sum(self.weights)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"density weights must sum to 1, got {total}")
 
-    @classmethod
-    def uniform(cls) -> "TrafficDensity":
-        return cls()
+
+_DEFAULT_MODEL = RegularityModel()
+_UNIFORM_DENSITY = TrafficDensity()
 
 
 def _conditional_cdf(k: int, r: float) -> float:
@@ -254,10 +200,7 @@ def conditional_cdf_at_time(
     k: int, t: float, model: RegularityModel | None = None
 ) -> float:
     """Success probability after k probes for a query arriving at hour t."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_k(k, 0)
     return _conditional_cdf(k, regularity(t, model))
 
 
@@ -271,18 +214,19 @@ def first_order_cdf(
     Averages the conditional CDF over the hour-of-week, evaluating each of
     the 168 hourly bins at its midpoint t + 0.5 and weighting by the traffic
     density. The midpoint sum is the fixed quadrature; quoted values refer
-    to it rather than to the underlying integral.
+    to it rather than to the underlying integral. Each (k, model, density)
+    is summed once; omitted arguments share the entry of the defaults.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return 0.0
-    if model is None:
-        model = RegularityModel()
-    if density is None:
-        density = TrafficDensity.uniform()
+    _check_k(k, 0)
+    return _midpoint_cdf(
+        k,
+        _DEFAULT_MODEL if model is None else model,
+        _UNIFORM_DENSITY if density is None else density,
+    )
+
+
+@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _midpoint_cdf(k: int, model: RegularityModel, density: TrafficDensity) -> float:
     total = 0.0
     for t in range(HOURS_PER_WEEK):
         total += density.weights[t] * _conditional_cdf(k, regularity(t + 0.5, model))
@@ -295,10 +239,7 @@ def first_order_pmf(
     density: TrafficDensity | None = None,
 ) -> float:
     """Probability that probe k is the first success, traffic-weighted."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k, 1)
     return first_order_cdf(k, model, density) - first_order_cdf(k - 1, model, density)
 
 
@@ -386,6 +327,30 @@ def group_try_probability(
     return 1.0 - first_order_cdf(start - 1, model, density)
 
 
+def _stage_costs(
+    sizes: Sequence[int], cdf: Callable[[int], float]
+) -> tuple[float, float]:
+    """(latency, traffic) means of stages probed left to right.
+
+    A stage runs with probability 1 - cdf(start - 1), start being its first
+    rank; it then costs one stage RTT and one probe per candidate.
+    """
+    lat = 0.0
+    traf = 0.0
+    start = 1
+    for size in sizes:
+        p_try = 1.0 - cdf(start - 1)
+        lat += p_try
+        traf += size * p_try
+        start += size
+    return lat, traf
+
+
+def _curve(model: RegularityModel | None, density: TrafficDensity | None):
+    # Calls go through the module global, so a rebound first_order_cdf sees them.
+    return lambda k: first_order_cdf(k, model, density)
+
+
 def mean_latency(
     grouping: Grouping,
     model: RegularityModel | None = None,
@@ -396,10 +361,7 @@ def mean_latency(
     Sum over stages of the probability the stage runs. Misses pay every
     stage; the fully parallel grouping has latency factor 1.
     """
-    return sum(
-        group_try_probability(i, grouping, model, density)
-        for i in range(len(grouping.sizes))
-    )
+    return _stage_costs(grouping.sizes, _curve(model, density))[0]
 
 
 def mean_traffic(
@@ -412,16 +374,13 @@ def mean_traffic(
     Sum over stages of size times the probability the stage runs. Fully
     serial sends the fewest probes, fully parallel sends all k.
     """
-    return sum(
-        size * group_try_probability(i, grouping, model, density)
-        for i, size in enumerate(grouping.sizes)
-    )
+    return _stage_costs(grouping.sizes, _curve(model, density))[1]
 
 
 def enumerate_groupings(k: int) -> list[Grouping]:
     """All ordered stage partitions of k, lexicographic by size tuple.
 
-    There are 2**(k-1) of them; k is capped to keep that in check.
+    There are 2**(k-1) of them; k is capped at _MAX_GROUPING_K.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -457,20 +416,13 @@ def pareto_front(
     broken by fewer stages, then lexicographic sizes. The fully parallel
     grouping (latency 1) is always present.
     """
-    # The stage-start CDF values are shared across groupings; precompute.
-    cdf = [first_order_cdf(i, model, density) for i in range(k + 1)]
-
-    points = []
-    for grouping in enumerate_groupings(k):
-        lat = 0.0
-        traf = 0.0
-        start = 1
-        for size in grouping.sizes:
-            p_try = 1.0 - cdf[start - 1]
-            lat += p_try
-            traf += size * p_try
-            start += size
-        points.append(ParetoPoint(grouping, lat, traf))
+    # One read of the memoised curve per rank, not one per stage of each
+    # of the 2**(k-1) groupings.
+    cdf = [first_order_cdf(i, model, density) for i in range(k)]
+    points = [
+        ParetoPoint(grouping, *_stage_costs(grouping.sizes, cdf.__getitem__))
+        for grouping in enumerate_groupings(k)
+    ]
 
     eps = 1e-12  # tolerate float noise when comparing equal means
     front = []

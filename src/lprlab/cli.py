@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from . import __version__, figures
 from .analytic import (
@@ -33,6 +33,7 @@ from .mobility import MobilityParams, empirical_regularity, generate_trace
 from .profile import write_trace_csv
 from .simnet.scenario import (
     ScenarioConfig,
+    TrialRow,
     aggregate,
     compare_ghls,
     load_scenario,
@@ -47,16 +48,7 @@ ENV_OUT_DIR = "LPRLAB_OUT_DIR"
 
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig7")
 
-_TRIAL_HEADER = (
-    "index",
-    "hour",
-    "true_rank",
-    "reachable",
-    "success",
-    "latency_factor",
-    "transmissions",
-    "update_hops",
-)
+_TRIAL_HEADER = tuple(f.name for f in fields(TrialRow))
 
 _TRACE_FLAGS = {
     "n_users": "--users",
@@ -77,14 +69,7 @@ class RunManifest:
     outputs: tuple[str, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seeds": list(self.seeds),
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -248,16 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trials_path,
         _TRIAL_HEADER,
         (
-            (
-                row.index,
-                row.hour,
-                row.true_rank,
-                int(row.reachable),
-                int(row.success),
-                row.latency_factor,
-                row.transmissions,
-                row.update_hops,
-            )
+            [int(v) if isinstance(v, bool) else v for v in astuple(row)]
             for row in rows
         ),
     )

@@ -61,9 +61,6 @@ class CellGrid:
     def n_cells(self) -> int:
         return self.width * self.height
 
-    def cell_of_index(self, flat: int) -> CellId:
-        return CellId(flat % self.width, flat // self.width)
-
 
 @dataclass(frozen=True)
 class MobilityParams:

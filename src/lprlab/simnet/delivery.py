@@ -160,9 +160,7 @@ def hashed_home_position(
     digest = hashlib.sha256(str(target_id).encode("utf-8")).digest()
     side = grid_cells - 2 * margin
     cell = int.from_bytes(digest[:8], "big") % (side * side)
-    x = margin + cell % side
-    y = margin + cell // side
-    return ((x + 0.5) * cell_size, (y + 0.5) * cell_size)
+    return cell_center(CellId(margin + cell % side, margin + cell // side), cell_size)
 
 
 def build_ghls_binding(

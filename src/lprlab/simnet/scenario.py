@@ -18,7 +18,7 @@ stream: one copy sent to a uniform random cell.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,11 +31,13 @@ from ..analytic import (
     mean_traffic,
     sequential_hit_pmf,
 )
+from ..profile import CellId
 from .delivery import (
     DeliveryOutcome,
     _leg_ttl,
     _round_trip,
     build_ghls_binding,
+    cell_center,
     ghls_deliver,
     ghls_update,
     lpr_deliver,
@@ -117,9 +119,8 @@ class ScenarioConfig:
         return self.grid_cells * self.grid_cells
 
     def cell_center(self, cell_index: int) -> tuple[float, float]:
-        x = cell_index % self.grid_cells
-        y = cell_index // self.grid_cells
-        return ((x + 0.5) * self.cell_size, (y + 0.5) * self.cell_size)
+        cell = CellId(cell_index % self.grid_cells, cell_index // self.grid_cells)
+        return cell_center(cell, self.cell_size)
 
     def eligible_cells(self) -> np.ndarray:
         m = self.cell_margin
@@ -146,7 +147,18 @@ def load_scenario(path: str) -> ScenarioConfig:
     cell_margin; [traffic] trials, n_candidates; [strategy] kind plus
     either grouping (stage sizes joined by '|') or k (fully serial);
     optional [ghls] f_over_r (comma-separated sweep); [seeds] seed.
+    A file configparser cannot read raises ValueError naming the file.
     """
+    try:
+        return _parse_scenario(path)
+    except configparser.Error as exc:
+        where = ""
+        if isinstance(exc, configparser.InterpolationError):
+            where = f"[{exc.section}] {exc.option}: "  # its message names no key
+        raise ValueError(f"bad scenario file {path}: {where}{exc}") from None
+
+
+def _parse_scenario(path: str) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -180,23 +192,20 @@ def load_scenario(path: str) -> ScenarioConfig:
     if parser.has_section("seeds"):
         seed = _get(parser, "seeds", "seed", int, 0)
 
-    try:
-        return ScenarioConfig(
-            n=_get(parser, "topology", "n", int, None),
-            field_size=_get(parser, "topology", "field_size", float, None),
-            radio_range=_get(parser, "topology", "radio_range", float, None),
-            pool_size=_get(parser, "topology", "pool", int, 10),
-            grid_cells=_get(parser, "topology", "grid_cells", int, 12),
-            cell_margin=_get(parser, "topology", "cell_margin", int, 1),
-            trials=_get(parser, "traffic", "trials", int, None),
-            n_candidates=_get(parser, "traffic", "n_candidates", int, None),
-            strategy=kind,
-            grouping=grouping,
-            f_over_r=sweep,
-            seed=seed,
-        )
-    except ValueError:
-        raise
+    return ScenarioConfig(
+        n=_get(parser, "topology", "n", int, None),
+        field_size=_get(parser, "topology", "field_size", float, None),
+        radio_range=_get(parser, "topology", "radio_range", float, None),
+        pool_size=_get(parser, "topology", "pool", int, 10),
+        grid_cells=_get(parser, "topology", "grid_cells", int, 12),
+        cell_margin=_get(parser, "topology", "cell_margin", int, 1),
+        trials=_get(parser, "traffic", "trials", int, None),
+        n_candidates=_get(parser, "traffic", "n_candidates", int, None),
+        strategy=kind,
+        grouping=grouping,
+        f_over_r=sweep,
+        seed=seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -229,22 +238,7 @@ class MetricsRecord:
     mean_update_hops: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "n_success": self.n_success,
-            "n_reachable": self.n_reachable,
-            "delivery_ratio": self.delivery_ratio,
-            "reachability": self.reachability,
-            "ratio_vs_reachability": self.ratio_vs_reachability,
-            "mean_latency_factor": self.mean_latency_factor,
-            "p50_latency_factor": self.p50_latency_factor,
-            "p90_latency_factor": self.p90_latency_factor,
-            "mean_transmissions": self.mean_transmissions,
-            "baseline_rtt": self.baseline_rtt,
-            "traffic_factor": self.traffic_factor,
-            "wander_fraction": self.wander_fraction,
-            "mean_update_hops": self.mean_update_hops,
-        }
+        return asdict(self)
 
 
 def build_pool(config: ScenarioConfig) -> list[Topology]:
@@ -443,20 +437,7 @@ class GhlsComparison:
     n_trials: int
 
     def as_dict(self) -> dict:
-        return {
-            "f_over_r": list(self.f_over_r),
-            "lpr_totals": list(self.lpr_totals),
-            "ghls_totals": list(self.ghls_totals),
-            "crossover": self.crossover,
-            "analytic_crossover": self.analytic_crossover,
-            "s_hat": self.s_hat,
-            "p_hat": self.p_hat,
-            "t_bar": self.t_bar,
-            "lpr_request_cost": self.lpr_request_cost,
-            "ghls_request_cost": self.ghls_request_cost,
-            "update_cost": self.update_cost,
-            "n_trials": self.n_trials,
-        }
+        return asdict(self)
 
 
 def compare_ghls(

@@ -45,10 +45,6 @@ class Topology:
     def n(self) -> int:
         return len(self.positions)
 
-    @property
-    def nodes(self) -> list[tuple[int, tuple[float, float]]]:
-        return [(i, (float(p[0]), float(p[1]))) for i, p in enumerate(self.positions)]
-
     def position(self, u: int) -> tuple[float, float]:
         return float(self.positions[u, 0]), float(self.positions[u, 1])
 

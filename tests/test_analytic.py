@@ -9,15 +9,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lprlab import analytic
 from lprlab.analytic import (
-    BetaGeometricModel,
     GhlsCostModel,
     Grouping,
     RegularityModel,
     TrafficDensity,
-    ZipfModel,
     conditional_cdf_at_time,
     enumerate_groupings,
     first_order_cdf,
@@ -133,41 +133,6 @@ class TestZerothOrder:
             assert k <= 200
         assert k == 73
 
-    def test_general_shapes_reduce_to_canonical(self):
-        canon = BetaGeometricModel()
-        explicit = BetaGeometricModel(a=0.48, b=0.52)
-        for k in range(1, 30):
-            assert zeroth_order_cdf(k, explicit) == pytest.approx(
-                zeroth_order_cdf(k, canon), abs=1e-12
-            )
-
-    def test_refit_shapes_accepted(self):
-        model = BetaGeometricModel(a=0.60, b=0.72)
-        # Rank-1 mass under Beta(a, b) mixing is a / (a + b).
-        assert zeroth_order_cdf(1, model) == pytest.approx(0.60 / 1.32, abs=1e-12)
-        prev = 0.0
-        for k in range(1, 50):
-            cur = zeroth_order_cdf(k, model)
-            assert prev < cur < 1.0
-            prev = cur
-
-    def test_shape_pair_validation(self):
-        with pytest.raises(ValueError):
-            BetaGeometricModel(a=0.6)
-        with pytest.raises(ValueError):
-            BetaGeometricModel(a=-0.1, b=0.5)
-
-    def test_zipf_model_masses(self):
-        z = ZipfModel()
-        assert z.mass(1) == pytest.approx(0.48)
-        assert z.mass(4) == pytest.approx(0.12)
-        truncated = ZipfModel(n_truncation=3)
-        assert truncated.mass(4) == 0.0
-        with pytest.raises(ValueError):
-            z.mass(0)
-        with pytest.raises(ValueError):
-            ZipfModel(c=1.5)
-
 
 class TestRegularity:
     def test_monday_midnight(self):
@@ -269,6 +234,8 @@ class TestFirstOrder:
         bad2 = [1.0 / 167.0] * 168
         with pytest.raises(ValueError):
             TrafficDensity(tuple(bad2))
+        with pytest.raises(ValueError):
+            TrafficDensity((math.nan,) + (1.0 / 167.0,) * 167)
 
     def test_conditional_at_morning_peak(self):
         assert conditional_cdf_at_time(5, 3.0) == pytest.approx(
@@ -512,3 +479,55 @@ class TestGhlsCost:
             ghls_breakeven(0.0, 2.0)
         with pytest.raises(ValueError):
             ghls_breakeven(1.0, 0.9)
+
+
+@st.composite
+def _regularity_models(draw):
+    # |c1| + |c2| stays below min(c3, 1 - c3), so R(t) stays inside (0, 1).
+    c3 = draw(st.floats(0.05, 0.95))
+    room = 0.49 * min(c3, 1.0 - c3)
+    c1 = room * draw(st.floats(-1.0, 1.0))
+    c2 = room * draw(st.floats(-1.0, 1.0))
+    return RegularityModel(c1, c2, c3)
+
+
+_densities = (
+    st.lists(st.integers(0, 1000), min_size=168, max_size=168)
+    .filter(any)
+    .map(lambda w: TrafficDensity(tuple(x / sum(w) for x in w)))
+)
+
+
+def _curve_queries(data, k_max):
+    """Interleaved (k, model, density) draws over a few shared models and
+    densities, so memoised entries are both reused and mixed up."""
+    models = data.draw(
+        st.lists(st.none() | _regularity_models(), min_size=1, max_size=3)
+    )
+    densities = data.draw(st.lists(st.none() | _densities, min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(1, 10))):
+        yield (
+            data.draw(st.integers(0, k_max)),
+            data.draw(st.sampled_from(models)),
+            data.draw(st.sampled_from(densities)),
+        )
+
+
+class TestMemoisedCurve:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_uncached_midpoint_sum(self, data):
+        for k, model, density in _curve_queries(data, 8):
+            weights = (density or TrafficDensity()).weights
+            expected = 0.0
+            for t in range(168):
+                expected += weights[t] * conditional_cdf_at_time(k, t + 0.5, model)
+            assert first_order_cdf(k, model, density).hex() == expected.hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_front_points_match_cost_functions(self, data):
+        for k, model, density in _curve_queries(data, 8):
+            for p in pareto_front(max(k, 1), model, density):
+                assert p.latency == mean_latency(p.grouping, model, density)
+                assert p.traffic == mean_traffic(p.grouping, model, density)

@@ -199,6 +199,25 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.ini"),
                      "--out-dir", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
+        # Files configparser itself rejects: no section header, a repeated
+        # key, and a bare '%' that interpolation cannot parse.
+        malformed = {
+            "no_header.ini": ("n = 5\n", "line: 1"),
+            "duplicate.ini": (
+                "[topology]\nn = 10\nn = 20\n", "option 'n' in section 'topology'"
+            ),
+            "percent.ini": (
+                ORACLE_INI.replace("kind = oracle", "kind = lpr\ngrouping = 2|10%"),
+                "[strategy] grouping",
+            ),
+        }
+        for name, (text, located) in malformed.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert name in err and located in err
         assert not (tmp_path / "trials.csv").exists()
 
 
