@@ -3,10 +3,10 @@
 Subcommands cover the four artifact families: `curves` exports the
 closed-form model curves as CSV, `gen-trace` writes synthetic mobility
 traces, `simulate` runs a delivery scenario from an INI file, and
-`compare-ghls` sweeps the update-to-request ratio against a home-server
-baseline. Every command writes a JSON manifest naming its outputs, and
-re-running a command with the same flags reproduces every output byte
-for byte.
+`compare-ghls` sweeps the same scenario's update-to-request ratio
+against a home-server baseline. Every command writes a JSON manifest
+naming its outputs, and re-running a command with the same flags and
+files reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .analytic import (
     DEFAULT_C2,
     DEFAULT_C3,
     BetaGeometricModel,
-    Grouping,
     RegularityModel,
 )
 from .mobility import MobilityParams, empirical_regularity, generate_trace
@@ -55,6 +54,7 @@ _TRACE_FLAGS = {
     "n_weeks": "--weeks",
     "n_locations": "--locations",
     "unpredictable_floor": "--floor",
+    "seed": "--seed",
 }
 
 
@@ -99,12 +99,15 @@ def _command_params(args: argparse.Namespace) -> dict:
 
 
 def _finish(args: argparse.Namespace, out_dir: str, outputs: list[str],
-            seeds: tuple[int, ...]) -> None:
+            seeds: tuple[int, ...], config: ScenarioConfig | None = None) -> None:
     # The manifest is written last: its presence certifies that every
     # listed output landed completely.
+    parameters = _command_params(args)
+    if config is not None:
+        parameters["config"] = asdict(config)  # the scenario as it ran
     manifest = RunManifest(
         command=args.command,
-        parameters=_command_params(args),
+        parameters=parameters,
         seeds=seeds,
         version=__version__,
         outputs=tuple(outputs),
@@ -219,12 +222,18 @@ def _print_summary(record_dict: dict) -> None:
         print(f"  {key:<{width}}  {value}")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario file with the --seed and --trials overrides applied."""
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.trials is not None:
         config = replace(config, trials=args.trials)
+    return config
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     record, rows = _run_with_jobs(config, args.jobs)
     out_dir = _resolve_out_dir(args.out_dir)
 
@@ -245,31 +254,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"wrote {trials_path} ({len(rows)} rows)")
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
     _print_summary(summary)
-    _finish(args, out_dir, ["trials.csv", "summary.json"], (config.seed,))
+    _finish(args, out_dir, ["trials.csv", "summary.json"], (config.seed,), config)
     return 0
 
 
 def cmd_compare_ghls(args: argparse.Namespace) -> int:
-    if args.fr_steps < 1:
-        raise ValueError(f"--fr-steps must be >= 1, got {args.fr_steps}")
-    if args.fr_max < args.fr_min:
-        raise ValueError("--fr-max must be >= --fr-min")
-    if args.fr_steps == 1:
-        sweep = (args.fr_min,)
-    else:
-        pitch = (args.fr_max - args.fr_min) / (args.fr_steps - 1)
-        sweep = tuple(args.fr_min + i * pitch for i in range(args.fr_steps))
-    config = ScenarioConfig(
-        n=args.n,
-        field_size=args.field_size,
-        radio_range=args.radio_range,
-        trials=args.trials,
-        n_candidates=args.n_candidates,
-        strategy="lpr",
-        grouping=Grouping.parse(args.grouping),
-        f_over_r=sweep,
-        seed=args.seed,
-    )
+    config = _load_config(args)
     comparison = compare_ghls(
         config, runner=lambda cfg: _run_with_jobs(cfg, args.jobs)
     )
@@ -284,7 +274,7 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
         os.path.join(out_dir, "ghls_summary.json"),
         json.dumps(comparison.as_dict(), indent=2, sort_keys=True) + "\n",
     )
-    print(f"wrote {sweep_path} ({len(sweep)} rows)")
+    print(f"wrote {sweep_path} ({len(config.f_over_r)} rows)")
     print(f"wrote {os.path.join(out_dir, 'ghls_summary.json')}")
     cross = comparison.crossover
     print(f"  empirical crossover f/r = {cross:.3f}" if cross is not None
@@ -294,7 +284,8 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
         f"  s_hat {comparison.s_hat:.3f}  p_hat {comparison.p_hat:.3f}  "
         f"t_bar {comparison.t_bar:.3f}"
     )
-    _finish(args, out_dir, ["ghls_sweep.csv", "ghls_summary.json"], (config.seed,))
+    _finish(args, out_dir, ["ghls_sweep.csv", "ghls_summary.json"], (config.seed,),
+            config)
     return 0
 
 
@@ -355,38 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_dir(gen)
     gen.set_defaults(func=cmd_gen_trace)
 
-    sim = sub.add_parser("simulate", help="run a delivery scenario from an INI file")
-    sim.add_argument("scenario", help="scenario INI file")
-    sim.add_argument("--seed", type=int, default=None, help="override [seeds] seed")
-    sim.add_argument("--trials", type=int, default=None,
-                     help="override [traffic] trials")
-    sim.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for trial batches")
-    _add_out_dir(sim)
-    sim.set_defaults(func=cmd_simulate)
-
-    cmp_parser = sub.add_parser(
-        "compare-ghls",
-        help="sweep update rates: profile delivery vs a hashed home server",
-    )
-    cmp_parser.add_argument("--fr-min", type=float, default=0.5)
-    cmp_parser.add_argument("--fr-max", type=float, default=3.0)
-    cmp_parser.add_argument("--fr-steps", type=int, default=6)
-    cmp_parser.add_argument("--grouping", default="1|2|6|3",
-                            help="stage sizes joined by '|'")
-    cmp_parser.add_argument("--trials", type=int, default=2000)
-    cmp_parser.add_argument("--n", type=int, default=280)
-    cmp_parser.add_argument("--field-size", type=float, default=2500.0,
-                            dest="field_size")
-    cmp_parser.add_argument("--radio-range", type=float, default=400.0,
-                            dest="radio_range")
-    cmp_parser.add_argument("--n-candidates", type=int, default=12,
-                            dest="n_candidates")
-    cmp_parser.add_argument("--seed", type=int, default=0)
-    cmp_parser.add_argument("--jobs", type=int, default=1,
-                            help="worker processes for trial batches")
-    _add_out_dir(cmp_parser)
-    cmp_parser.set_defaults(func=cmd_compare_ghls)
+    for name, func, summary in (
+        ("simulate", cmd_simulate, "run a delivery scenario from an INI file"),
+        ("compare-ghls", cmd_compare_ghls,
+         "sweep a scenario's update rates: profile delivery vs a hashed home server"),
+    ):
+        scenario = sub.add_parser(name, help=summary)
+        scenario.add_argument("scenario", help="scenario INI file")
+        scenario.add_argument("--seed", type=int, default=None,
+                              help="override [seeds] seed")
+        scenario.add_argument("--trials", type=int, default=None,
+                              help="override [traffic] trials")
+        scenario.add_argument("--jobs", type=int, default=1,
+                              help="worker processes for trial batches")
+        _add_out_dir(scenario)
+        scenario.set_defaults(func=func)
 
     return parser
 

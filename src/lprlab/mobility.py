@@ -85,6 +85,8 @@ class MobilityParams:
             )
         if self.n_locations > self.grid.n_cells:
             raise ValueError("n_locations exceeds grid cell count")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _slot_rank_cdf(params: MobilityParams) -> np.ndarray:

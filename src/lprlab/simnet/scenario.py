@@ -61,7 +61,6 @@ __all__ = [
 
 _STRATEGIES = ("lpr", "oracle", "ghls")
 _BASELINE_TRIALS = 2000
-_DEFAULT_SWEEP = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class ScenarioConfig:
     n_candidates: int = 12
     strategy: str = "lpr"
     grouping: Grouping | None = None
-    f_over_r: tuple[float, ...] = _DEFAULT_SWEEP
+    f_over_r: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     seed: int = 0
     # Candidate, wander, home, and baseline cells stay this many cells
     # away from the field edge; boundary cells often have no node within
@@ -93,6 +92,8 @@ class ScenarioConfig:
             raise ValueError("grid_cells must be at least 1")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0 <= 2 * self.cell_margin < self.grid_cells:
             raise ValueError("cell_margin must leave at least one eligible cell")
         n_eligible = (self.grid_cells - 2 * self.cell_margin) ** 2
@@ -128,30 +129,51 @@ class ScenarioConfig:
         return (side[:, None] * self.grid_cells + side[None, :]).ravel()
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, conv, default):
-    if not parser.has_option(section, key):
-        if default is not None:
-            return default
-        raise ValueError(f"missing required option [{section}] {key}")
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for [{section}] {key}: {raw!r}") from exc
+def _sweep(raw: str) -> tuple[float, ...]:
+    sweep = tuple(float(part) for part in raw.split(",") if part.strip())
+    if not sweep:
+        raise ValueError("empty sweep")
+    return sweep
+
+
+# Every key a scenario file may hold: (section, key) -> (ScenarioConfig
+# field, converter). A key left out takes the dataclass default.
+_KEYS = {
+    ("topology", "n"): ("n", int),
+    ("topology", "field_size"): ("field_size", float),
+    ("topology", "radio_range"): ("radio_range", float),
+    ("topology", "pool"): ("pool_size", int),
+    ("topology", "grid_cells"): ("grid_cells", int),
+    ("topology", "cell_margin"): ("cell_margin", int),
+    ("traffic", "trials"): ("trials", int),
+    ("traffic", "n_candidates"): ("n_candidates", int),
+    ("strategy", "kind"): ("strategy", lambda raw: raw.strip().lower()),
+    ("strategy", "grouping"): ("grouping", Grouping.parse),
+    ("strategy", "k"): ("grouping", lambda raw: Grouping.serial(int(raw))),
+    ("ghls", "f_over_r"): ("f_over_r", _sweep),
+    ("seeds", "seed"): ("seed", int),
+}
+_REQUIRED = (
+    ("topology", "n"), ("topology", "field_size"), ("topology", "radio_range"),
+    ("traffic", "trials"), ("traffic", "n_candidates"), ("strategy", "kind"),
+)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse a scenario description from an INI file.
+    """Parse a scenario description from a UTF-8 INI file.
 
     Sections: [topology] n, field_size, radio_range, pool, grid_cells,
     cell_margin; [traffic] trials, n_candidates; [strategy] kind plus
     either grouping (stage sizes joined by '|') or k (fully serial);
-    optional [ghls] f_over_r (comma-separated sweep); [seeds] seed.
-    A file configparser cannot read raises ValueError naming the file.
+    [ghls] f_over_r (comma-separated sweep); [seeds] seed. Required:
+    n, field_size, radio_range, trials, n_candidates and kind; every
+    other key, when omitted, takes its ScenarioConfig default. Any other
+    key, and a file configparser cannot read or decode, raises
+    ValueError naming it.
     """
     try:
         return _parse_scenario(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         where = ""
         if isinstance(exc, configparser.InterpolationError):
             where = f"[{exc.section}] {exc.option}: "  # its message names no key
@@ -160,52 +182,30 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def _parse_scenario(path: str) -> ScenarioConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read scenario file: {path}")
-    for section in ("topology", "traffic", "strategy"):
+    for section, _ in _REQUIRED:
         if not parser.has_section(section):
             raise ValueError(f"missing required section [{section}]")
-
-    kind = _get(parser, "strategy", "kind", str, None).strip().lower()
-    grouping = None
-    has_grouping = parser.has_option("strategy", "grouping")
-    has_k = parser.has_option("strategy", "k")
-    if has_grouping and has_k:
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in _KEYS:
+                raise ValueError(f"unknown option [{section}] {key}")
+    for section, key in _REQUIRED:
+        if not parser.has_option(section, key):
+            raise ValueError(f"missing required option [{section}] {key}")
+    if parser.has_option("strategy", "grouping") and parser.has_option("strategy", "k"):
         raise ValueError("give [strategy] grouping or k, not both")
-    if has_grouping:
-        grouping = _get(parser, "strategy", "grouping", Grouping.parse, None)
-    elif has_k:
-        grouping = Grouping.serial(_get(parser, "strategy", "k", int, None))
 
-    sweep: tuple[float, ...] = _DEFAULT_SWEEP
-    if parser.has_option("ghls", "f_over_r"):
-        raw = parser.get("ghls", "f_over_r")
-        try:
-            sweep = tuple(float(part) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise ValueError(f"bad value for [ghls] f_over_r: {raw!r}") from exc
-        if not sweep:
-            raise ValueError("[ghls] f_over_r must list at least one value")
-
-    seed = 0
-    if parser.has_section("seeds"):
-        seed = _get(parser, "seeds", "seed", int, 0)
-
-    return ScenarioConfig(
-        n=_get(parser, "topology", "n", int, None),
-        field_size=_get(parser, "topology", "field_size", float, None),
-        radio_range=_get(parser, "topology", "radio_range", float, None),
-        pool_size=_get(parser, "topology", "pool", int, 10),
-        grid_cells=_get(parser, "topology", "grid_cells", int, 12),
-        cell_margin=_get(parser, "topology", "cell_margin", int, 1),
-        trials=_get(parser, "traffic", "trials", int, None),
-        n_candidates=_get(parser, "traffic", "n_candidates", int, None),
-        strategy=kind,
-        grouping=grouping,
-        f_over_r=sweep,
-        seed=seed,
-    )
+    values = {}
+    for (section, key), (name, conv) in _KEYS.items():
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                values[name] = conv(raw)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    return ScenarioConfig(**values)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,23 @@ kind = oracle
 seed = 5
 """
 
-SMALL_COMPARE = [
-    "--n", "80",
-    "--field-size", "1200",
-    "--radio-range", "300",
-    "--n-candidates", "5",
-    "--trials", "120",
-    "--seed", "5",
-]
+SMALL_COMPARE = """
+[topology]
+n = 80
+field_size = 1200
+radio_range = 300
+
+[traffic]
+trials = 120
+n_candidates = 5
+
+[strategy]
+kind = lpr
+grouping = {grouping}
+
+[seeds]
+seed = 5
+"""
 
 
 def _read(path):
@@ -147,6 +156,9 @@ class TestGenTrace:
         assert main(["gen-trace", "--floor", "0.31",
                      "--out-dir", str(tmp_path)]) == 2
         assert "--floor" in capsys.readouterr().err
+        assert main(["gen-trace", "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -181,7 +193,7 @@ class TestSimulate:
         for name in ("trials.csv", "summary.json"):
             assert _read(seq_dir / name) == _read(par_dir / name)
 
-    def test_trials_and_seed_overrides(self, tmp_path):
+    def test_trials_and_seed_overrides(self, tmp_path, capsys):
         ini = self._ini(tmp_path)
         assert main(["simulate", ini, "--trials", "10", "--seed", "9",
                      "--out-dir", str(tmp_path)]) == 0
@@ -189,6 +201,12 @@ class TestSimulate:
         assert summary["n_trials"] == 10
         manifest = json.loads(_read(tmp_path / "simulate_manifest.json"))
         assert manifest["seeds"] == [9]
+        config = manifest["parameters"]["config"]
+        assert (config["seed"], config["trials"], config["n"]) == (9, 10, 80)
+        capsys.readouterr()
+        assert main(["simulate", ini, "--seed", "-1",
+                     "--out-dir", str(tmp_path / "neg")]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing_section.ini"
@@ -200,7 +218,8 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
         # Files configparser itself rejects: no section header, a repeated
-        # key, and a bare '%' that interpolation cannot parse.
+        # key, a bare '%' that interpolation cannot parse, and bytes that
+        # are not UTF-8.
         malformed = {
             "no_header.ini": ("n = 5\n", "line: 1"),
             "duplicate.ini": (
@@ -210,10 +229,11 @@ class TestSimulate:
                 ORACLE_INI.replace("kind = oracle", "kind = lpr\ngrouping = 2|10%"),
                 "[strategy] grouping",
             ),
+            "latin1.ini": (b"[topology]\nn = 1\xff\n", "position 16"),
         }
         for name, (text, located) in malformed.items():
             path = tmp_path / name
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
             assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
@@ -222,9 +242,14 @@ class TestSimulate:
 
 
 class TestCompareGhls:
+    def _ini(self, tmp_path, grouping, extra=""):
+        path = tmp_path / "compare.ini"
+        path.write_text(SMALL_COMPARE.format(grouping=grouping) + extra)
+        return str(path)
+
     def test_outputs_and_total_structure(self, tmp_path):
-        assert main(["compare-ghls", *SMALL_COMPARE, "--grouping", "2|3",
-                     "--out-dir", str(tmp_path)]) == 0
+        ini = self._ini(tmp_path, "2|3")
+        assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 0
         rows = _csv_rows(tmp_path / "ghls_sweep.csv")
         assert len(rows) == 6
         assert [r["f_over_r"] for r in rows] == ["0.5", "1", "1.5", "2", "2.5", "3"]
@@ -243,21 +268,43 @@ class TestCompareGhls:
     def test_single_copy_never_crosses(self, tmp_path):
         # One candidate means one round trip per request, which the
         # two-leg home-server lookup can never undercut.
-        assert main(["compare-ghls", *SMALL_COMPARE, "--grouping", "1",
-                     "--out-dir", str(tmp_path)]) == 0
+        ini = self._ini(tmp_path, "1")
+        assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 0
         summary = json.loads(_read(tmp_path / "ghls_summary.json"))
         assert summary["t_bar"] == 1.0
         assert summary["analytic_crossover"] == -2.0
         for lpr, ghls in zip(summary["lpr_totals"], summary["ghls_totals"]):
             assert lpr < ghls
 
-    def test_bad_sweep_flags(self, tmp_path, capsys):
-        assert main(["compare-ghls", "--fr-steps", "0",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "--fr-steps" in capsys.readouterr().err
-        assert main(["compare-ghls", "--fr-min", "3", "--fr-max", "1",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "--fr-max" in capsys.readouterr().err
+    def test_bad_sweep_exits_2(self, tmp_path, capsys):
+        for sweep, message in (
+            ("", "bad value for [ghls] f_over_r: ''"),
+            ("1, x", "bad value for [ghls] f_over_r: '1, x'"),
+            ("1, -0.5", "f_over_r values must be non-negative"),
+        ):
+            ini = self._ini(tmp_path, "2|3", f"\n[ghls]\nf_over_r = {sweep}\n")
+            assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not (tmp_path / "ghls_sweep.csv").exists()
+
+    def test_same_scenario_as_simulate(self, tmp_path):
+        ini = self._ini(tmp_path, "2|3", "\n[ghls]\nf_over_r = 0.5, 2\n")
+        sim, seq, par = tmp_path / "sim", tmp_path / "seq", tmp_path / "par"
+        assert main(["simulate", ini, "--seed", "3", "--out-dir", str(sim)]) == 0
+        assert main(["compare-ghls", ini, "--seed", "3", "--out-dir", str(seq)]) == 0
+        assert main(["compare-ghls", ini, "--seed", "3", "--jobs", "2",
+                     "--out-dir", str(par)]) == 0
+        summary = json.loads(_read(sim / "summary.json"))
+        comparison = json.loads(_read(seq / "ghls_summary.json"))
+        assert comparison["lpr_request_cost"] == summary["mean_transmissions"]
+        assert comparison["f_over_r"] == [0.5, 2.0]
+        for name in ("ghls_sweep.csv", "ghls_summary.json"):
+            assert _read(seq / name) == _read(par / name)
+        sim_params = json.loads(_read(sim / "simulate_manifest.json"))["parameters"]
+        cmp_params = json.loads(_read(seq / "compare_ghls_manifest.json"))["parameters"]
+        assert sim_params["config"] == cmp_params["config"]
+        assert cmp_params["config"]["seed"] == 3
 
 
 class TestHarness:

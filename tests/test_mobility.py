@@ -46,6 +46,8 @@ class TestParams:
             MobilityParams(n_locations=1)
         with pytest.raises(ValueError):
             MobilityParams(n_locations=10, grid=CellGrid(3, 3))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            MobilityParams(seed=-1)
         with pytest.raises(ValueError):
             CellGrid(0, 5)
         with pytest.raises(ValueError):

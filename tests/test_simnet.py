@@ -9,6 +9,7 @@ simulation pass.
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -561,6 +562,8 @@ class TestScenarioConfig:
             replace(SMALL, strategy="lpr", grouping=Grouping.serial(13))
         with pytest.raises(ValueError):
             replace(SMALL, f_over_r=(1.0, -0.5))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            replace(SMALL, seed=-3)
 
 
 class TestScenarioFile:
@@ -680,6 +683,29 @@ k = 5
         )
         with pytest.raises(ValueError, match="not both"):
             load_scenario(path)
+
+    def test_unknown_option_rejected(self, tmp_path):
+        base = """
+[topology]
+n = 80
+field_size = 1200
+radio_range = 300
+{topology}
+[traffic]
+trials = 10
+n_candidates = 5
+
+[strategy]
+kind = oracle
+{extra}"""
+        for topology, extra, located in (
+            ("grid_cell = 8\n", "", "[topology] grid_cell"),
+            ("cell_margn = 3\n", "", "[topology] cell_margn"),
+            ("", "\n[seed]\nseed = 9\n", "[seed] seed"),
+        ):
+            path = self._write(tmp_path, base.format(topology=topology, extra=extra))
+            with pytest.raises(ValueError, match=re.escape(f"unknown option {located}")):
+                load_scenario(path)
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
