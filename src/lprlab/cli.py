@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from . import __version__, figures
@@ -33,12 +32,9 @@ from .profile import write_trace_csv
 from .simnet.scenario import (
     ScenarioConfig,
     TrialRow,
-    aggregate,
     compare_ghls,
     load_scenario,
-    measure_baseline,
     run_scenario,
-    run_trials,
 )
 
 __all__ = ["RunManifest", "build_parser", "main"]
@@ -194,26 +190,6 @@ def _verify_trace(traces, params: MobilityParams) -> int:
     return 0 if ok else 1
 
 
-def _chunk_rows(config: ScenarioConfig, lo: int, hi: int):
-    return run_trials(config, range(lo, hi))
-
-
-def _run_with_jobs(config: ScenarioConfig, jobs: int):
-    """run_scenario, with trials split across processes when jobs > 1."""
-    if jobs <= 1 or config.trials < 2:
-        return run_scenario(config)
-    jobs = min(jobs, config.trials)
-    step = -(-config.trials // jobs)
-    bounds = [
-        (lo, min(lo + step, config.trials))
-        for lo in range(0, config.trials, step)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_chunk_rows, config, lo, hi) for lo, hi in bounds]
-        rows = [row for future in futures for row in future.result()]
-    return aggregate(rows, measure_baseline(config)), rows
-
-
 def _print_summary(record_dict: dict) -> None:
     width = max(len(key) for key in record_dict)
     for key, value in record_dict.items():
@@ -223,7 +199,9 @@ def _print_summary(record_dict: dict) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario file with the --seed and --trials overrides applied."""
+    """The scenario file with --seed and --trials applied, once --jobs is valid."""
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -234,7 +212,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    record, rows = _run_with_jobs(config, args.jobs)
+    record, rows = run_scenario(config, args.jobs)
     out_dir = _resolve_out_dir(args.out_dir)
 
     trials_path = os.path.join(out_dir, "trials.csv")
@@ -260,9 +238,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_compare_ghls(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    comparison = compare_ghls(
-        config, runner=lambda cfg: _run_with_jobs(cfg, args.jobs)
-    )
+    comparison = compare_ghls(config, args.jobs)
     out_dir = _resolve_out_dir(args.out_dir)
     sweep_path = os.path.join(out_dir, "ghls_sweep.csv")
     figures.write_csv(
@@ -276,10 +252,9 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
     )
     print(f"wrote {sweep_path} ({len(config.f_over_r)} rows)")
     print(f"wrote {os.path.join(out_dir, 'ghls_summary.json')}")
-    cross = comparison.crossover
-    print(f"  empirical crossover f/r = {cross:.3f}" if cross is not None
-          else "  empirical crossover f/r = n/a")
-    print(f"  analytic crossover  f/r = {comparison.analytic_crossover:.3f}")
+    for label, cross in (("empirical crossover", comparison.crossover),
+                         ("analytic crossover ", comparison.analytic_crossover)):
+        print(f"  {label} f/r = " + ("n/a" if cross is None else f"{cross:.3f}"))
     print(
         f"  s_hat {comparison.s_hat:.3f}  p_hat {comparison.p_hat:.3f}  "
         f"t_bar {comparison.t_bar:.3f}"

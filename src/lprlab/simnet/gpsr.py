@@ -9,7 +9,8 @@ line from the recovery entry point to the destination at a point closer to
 the destination than any previous crossing, and drops the packet if it is
 about to retraverse the first edge of the current face tour. Reaching any
 node strictly closer to the destination than the entry point resumes
-greedy forwarding. A hop budget of 4 * sqrt(n) bounds every route.
+greedy forwarding. A hop budget bounds every route: 4 * sqrt(n) when the
+caller passes no ttl; every simulator leg passes 8n (delivery._leg_ttl).
 
 On a connected topology with a connected planar subgraph this combination
 reaches the node nearest any requested position.

@@ -10,16 +10,18 @@ delivery, and an oracle route to the true cell records whether the
 target was reachable at all.
 
 Trials are independent and fully determined by (config, trial index),
-so work can be split across processes and merged in any order. Traffic
-is normalized by a baseline round trip measured on an independent
-stream: one copy sent to a uniform random cell.
+so work can be split across processes and merged in any order. A run
+builds its topology pool once and passes it to every worker. Traffic is
+normalized by one baseline round trip per run, measured on an
+independent stream: one copy sent to a uniform random cell.
 """
 
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -341,19 +343,13 @@ def _run_one(config: ScenarioConfig, pool: Sequence[Topology], index: int) -> Tr
 
 
 def run_trials(
-    config: ScenarioConfig,
-    indices: Iterable[int],
-    pool: Sequence[Topology] | None = None,
+    config: ScenarioConfig, indices: Iterable[int], pool: Sequence[Topology]
 ) -> list[TrialRow]:
     """Run the given trial indices; any disjoint split merges cleanly."""
-    if pool is None:
-        pool = build_pool(config)
     return [_run_one(config, pool, int(i)) for i in indices]
 
 
-def measure_baseline(
-    config: ScenarioConfig, pool: Sequence[Topology] | None = None
-) -> float | None:
+def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float | None:
     """Mean round-trip transmissions of one copy to a uniform random cell.
 
     Measured on an RNG stream independent of the trial stream, so the
@@ -361,8 +357,6 @@ def measure_baseline(
     """
     if config.trials == 0:
         return None
-    if pool is None:
-        pool = build_pool(config)
     n_probes = min(config.trials, _BASELINE_TRIALS)
     eligible = config.eligible_cells()
     total = 0
@@ -414,11 +408,30 @@ def aggregate(
     )
 
 
-def run_scenario(config: ScenarioConfig) -> tuple[MetricsRecord, list[TrialRow]]:
+def _all_trials(
+    config: ScenarioConfig, pool: Sequence[Topology], jobs: int
+) -> list[TrialRow]:
+    """Every trial of config on pool, in index order, over at most jobs
+    worker processes (never more than the trials or the CPUs)."""
+    workers = min(jobs, config.trials, os.cpu_count() or 1)
+    if workers <= 1:
+        return run_trials(config, range(config.trials), pool)
+    # Imported here: multiprocessing would add ~2 MiB to every serial run.
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = np.array_split(np.arange(config.trials), workers)
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        parts = executor.map(run_trials, [config] * workers, chunks, [pool] * workers)
+        return [row for part in parts for row in part]
+
+
+def run_scenario(
+    config: ScenarioConfig, jobs: int = 1
+) -> tuple[MetricsRecord, list[TrialRow]]:
+    """Summary and trial rows of one scenario run on one topology pool."""
     pool = build_pool(config)
-    rows = run_trials(config, range(config.trials), pool)
-    baseline = measure_baseline(config, pool)
-    return aggregate(rows, baseline), rows
+    rows = _all_trials(config, pool, jobs)
+    return aggregate(rows, measure_baseline(config, pool)), rows
 
 
 @dataclass(frozen=True)
@@ -427,7 +440,7 @@ class GhlsComparison:
     lpr_totals: tuple[float, ...]
     ghls_totals: tuple[float, ...]
     crossover: float | None
-    analytic_crossover: float
+    analytic_crossover: float | None
     s_hat: float
     p_hat: float
     t_bar: float
@@ -440,31 +453,30 @@ class GhlsComparison:
         return asdict(self)
 
 
-def compare_ghls(
-    config: ScenarioConfig,
-    runner: Callable[[ScenarioConfig], tuple[MetricsRecord, list[TrialRow]]]
-    | None = None,
-) -> GhlsComparison:
+def compare_ghls(config: ScenarioConfig, jobs: int = 1) -> GhlsComparison:
     """Paired profile-vs-location-service traffic totals over a rate sweep.
 
     Both strategies see identical trial draws. Totals are transmissions
     per location request with the update rate folded in: the profile
     side pays nothing per update, the service side pays one update route
-    per f/r. The crossover is the f/r where the totals meet. A runner
-    (same contract as run_scenario) lets callers parallelize the trials.
+    per f/r. The crossover is the f/r where the totals meet; either
+    crossover is None where a zero cost leaves it undefined. Both
+    strategies run on one topology pool against one baseline.
     """
     if config.grouping is None:
         raise ValueError("compare_ghls requires a grouping")
     if config.trials == 0:
         raise ValueError("compare_ghls requires at least one trial")
-    run = run_scenario if runner is None else runner
-    lpr_record, _ = run(replace(config, strategy="lpr"))
-    ghls_record, _ = run(replace(config, strategy="ghls"))
+    lpr_config = replace(config, strategy="lpr")
+    ghls_config = replace(config, strategy="ghls")
+    pool = build_pool(config)
+    baseline = measure_baseline(config, pool)
+    lpr_record = aggregate(_all_trials(lpr_config, pool, jobs), baseline)
+    ghls_record = aggregate(_all_trials(ghls_config, pool, jobs), baseline)
     m_lpr = lpr_record.mean_transmissions
     m_ghls = ghls_record.mean_transmissions
     m_update = ghls_record.mean_update_hops
     assert m_lpr is not None and m_ghls is not None and m_update is not None
-    baseline = lpr_record.baseline_rtt
     assert baseline is not None
     s_hat = m_update
     p_hat = baseline / 2.0
@@ -477,7 +489,8 @@ def compare_ghls(
         lpr_totals=lpr_totals,
         ghls_totals=ghls_totals,
         crossover=crossover,
-        analytic_crossover=ghls_breakeven(p_hat / s_hat, t_bar),
+        analytic_crossover=(ghls_breakeven(p_hat / s_hat, t_bar)
+                            if s_hat > 0 and p_hat > 0 else None),
         s_hat=s_hat,
         p_hat=p_hat,
         t_bar=t_bar,

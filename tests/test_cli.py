@@ -13,6 +13,7 @@ import pytest
 from lprlab.analytic import BetaGeometricModel, zeroth_order_cdf
 from lprlab.cli import ENV_OUT_DIR, RunManifest, main
 from lprlab.profile import read_trace_csv
+from lprlab.simnet import scenario
 
 ORACLE_INI = """
 [topology]
@@ -31,6 +32,25 @@ kind = oracle
 
 [seeds]
 seed = 5
+"""
+
+# Six nodes that all hear each other: a leg is 0 or 1 hops, so for some
+# seeds the mean update leg or the mean baseline round trip is 0 hops.
+ZERO_HOP_COMPARE = """
+[topology]
+n = 6
+field_size = 400
+radio_range = 600
+grid_cells = 4
+pool = 1
+
+[traffic]
+trials = 1
+n_candidates = 1
+
+[strategy]
+kind = lpr
+grouping = 1
 """
 
 SMALL_COMPARE = """
@@ -193,6 +213,19 @@ class TestSimulate:
         for name in ("trials.csv", "summary.json"):
             assert _read(seq_dir / name) == _read(par_dir / name)
 
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_pool(config):
+            raise AssertionError("built a pool for a rejected --jobs")
+
+        monkeypatch.setattr(scenario, "build_pool", no_pool)
+        ini = self._ini(tmp_path)
+        for command in ("simulate", "compare-ghls"):
+            for jobs in ("0", "-3"):
+                assert main([command, ini, "--jobs", jobs,
+                             "--out-dir", str(tmp_path)]) == 2
+                err = capsys.readouterr().err
+                assert "--jobs must be at least 1" in err and "Traceback" not in err
+
     def test_trials_and_seed_overrides(self, tmp_path, capsys):
         ini = self._ini(tmp_path)
         assert main(["simulate", ini, "--trials", "10", "--seed", "9",
@@ -275,6 +308,23 @@ class TestCompareGhls:
         assert summary["analytic_crossover"] == -2.0
         for lpr, ghls in zip(summary["lpr_totals"], summary["ghls_totals"]):
             assert lpr < ghls
+
+    def test_zero_hop_costs_leave_analytic_crossover_undefined(
+        self, tmp_path, capsys
+    ):
+        ini = tmp_path / "zero.ini"
+        ini.write_text(ZERO_HOP_COMPARE)
+        # Seed 17: s_hat is 0; seed 10: p_hat is 0.
+        for seed, zero in (("17", "s_hat"), ("10", "p_hat")):
+            out_dir = tmp_path / seed
+            assert main(["compare-ghls", str(ini), "--seed", seed,
+                         "--out-dir", str(out_dir)]) == 0
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            assert "analytic crossover  f/r = n/a" in captured.out
+            summary = json.loads(_read(out_dir / "ghls_summary.json"))
+            assert summary[zero] == 0.0
+            assert summary["analytic_crossover"] is None
 
     def test_bad_sweep_exits_2(self, tmp_path, capsys):
         for sweep, message in (

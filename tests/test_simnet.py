@@ -6,10 +6,14 @@ latency and traffic means, so the whole frontier costs a single
 simulation pass.
 """
 
+import concurrent.futures
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +45,7 @@ from lprlab.simnet import (
     run_scenario,
     topology_from_positions,
 )
+from lprlab.simnet import scenario
 from lprlab.simnet.delivery import _leg_ttl, hashed_home_position
 from lprlab.simnet.scenario import (
     aggregate,
@@ -792,6 +797,87 @@ class TestScenarioRuns:
         assert 1.4 < comp.crossover < 2.6
         assert 1.6 < comp.analytic_crossover < 2.5
         json.dumps(comp.as_dict())
+
+    @staticmethod
+    def _count_calls(monkeypatch, tmp_path, name):
+        """Log each call of scenario.<name> to a file, so that calls made
+        in forked workers are counted as well."""
+        log = tmp_path / f"{name}.calls"
+        log.write_text("")
+        original = getattr(scenario, name)
+
+        def counted(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(scenario, name, counted)
+        return lambda: len(log.read_text().splitlines())
+
+    def test_one_pool_and_one_baseline_per_run(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = self._count_calls(monkeypatch, tmp_path, "build_pool")
+        baselines = self._count_calls(monkeypatch, tmp_path, "measure_baseline")
+        cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
+        for run in (lambda: compare_ghls(cfg), lambda: compare_ghls(cfg, jobs=2),
+                    lambda: run_scenario(SMALL), lambda: run_scenario(SMALL, jobs=2)):
+            before = pools(), baselines()
+            run()
+            assert (pools() - before[0], baselines() - before[1]) == (1, 1)
+
+    def test_jobs_match_serial(self, monkeypatch):
+        # Two CPUs whatever the machine has, so the workers really run.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_scenario(SMALL, jobs=2) == run_scenario(SMALL)
+        one = replace(SMALL, trials=1)
+        assert run_scenario(one, jobs=2) == run_scenario(one)
+        cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
+        assert compare_ghls(cfg, jobs=2) == compare_ghls(cfg)
+
+    def test_worker_count_capped(self, monkeypatch):
+        requested = []
+
+        class InProcessExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", InProcessExecutor
+        )
+        serial = run_scenario(SMALL)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_scenario(SMALL, jobs=64) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        three = replace(SMALL, trials=3)
+        assert run_scenario(three, jobs=64) == run_scenario(three)
+        assert requested == [2, 3]
+
+    def test_serial_run_never_imports_multiprocessing(self):
+        # A fresh interpreter: the serial path must not pay for the
+        # multiprocessing import, which only --jobs above 1 needs.
+        src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
+        code = (
+            "import sys, lprlab.cli\n"
+            "from lprlab.simnet.scenario import ScenarioConfig, run_scenario\n"
+            "run_scenario(ScenarioConfig(n=20, field_size=600, radio_range=300,"
+            " pool_size=1, grid_cells=4, trials=3, n_candidates=2,"
+            " strategy='oracle'))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out == "[]\n"
 
 
 def _leg_tables(config, pool, trials):
