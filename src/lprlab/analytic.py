@@ -50,7 +50,6 @@ __all__ = [
     "first_order_pmf",
     "conditional_cdf_at_time",
     "sequential_hit_pmf",
-    "group_try_probability",
     "mean_latency",
     "mean_traffic",
     "enumerate_groupings",
@@ -285,19 +284,9 @@ class Grouping:
     def k(self) -> int:
         return sum(self.sizes)
 
-    def start_rank(self, g_index: int) -> int:
-        """1-based rank of the first candidate probed by stage g_index."""
-        if not 0 <= g_index < len(self.sizes):
-            raise ValueError(f"stage index out of range: {g_index}")
-        return 1 + sum(self.sizes[:g_index])
-
     @classmethod
     def serial(cls, k: int) -> "Grouping":
         return cls((1,) * k)
-
-    @classmethod
-    def parallel(cls, k: int) -> "Grouping":
-        return cls((k,))
 
     @classmethod
     def parse(cls, text: str) -> "Grouping":
@@ -310,21 +299,6 @@ class Grouping:
 
     def __str__(self) -> str:
         return "|".join(str(s) for s in self.sizes)
-
-
-def group_try_probability(
-    g_index: int,
-    grouping: Grouping,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
-) -> float:
-    """Probability that stage g_index (0-based) is actually probed.
-
-    A stage runs exactly when every earlier rank missed: 1 - cdf(start - 1)
-    where start is the stage's first rank. Stage 0 always runs.
-    """
-    start = grouping.start_rank(g_index)
-    return 1.0 - first_order_cdf(start - 1, model, density)
 
 
 def _stage_costs(

@@ -24,6 +24,7 @@ from .analytic import (
     DEFAULT_C1,
     DEFAULT_C2,
     DEFAULT_C3,
+    HOURS_PER_WEEK,
     BetaGeometricModel,
     RegularityModel,
 )
@@ -113,11 +114,23 @@ def _finish(args: argparse.Namespace, out_dir: str, outputs: list[str],
     print(f"wrote {path}")
 
 
+def _check_regularity(model: RegularityModel) -> None:
+    """Reject flags that put R(t) outside (0, 1) at some hour midpoint."""
+    for hour in range(HOURS_PER_WEEK):
+        r = model(hour + 0.5)
+        if not 0.0 < r < 1.0:
+            raise ValueError(
+                f"--c1 {model.c1:g} --c2 {model.c2:g} --c3 {model.c3:g} give "
+                f"regularity {r:.6g} at hour {hour + 0.5:g}; it must lie in (0, 1)"
+            )
+
+
 def cmd_curves(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out_dir(args.out_dir)
-    selected = _FIGURES if args.fig == "all" else (args.fig,)
     constant = BetaGeometricModel(args.c)
     model = RegularityModel(args.c1, args.c2, args.c3)
+    _check_regularity(model)
+    out_dir = _resolve_out_dir(args.out_dir)
+    selected = _FIGURES if args.fig == "all" else (args.fig,)
     outputs = []
     for name in selected:
         if name == "fig2":

@@ -35,7 +35,6 @@ __all__ = [
     "generate_trace",
     "empirical_regularity",
     "empirical_success_after_k",
-    "empirical_rank_frequencies",
 ]
 
 logger = logging.getLogger(__name__)
@@ -241,23 +240,3 @@ def empirical_success_after_k(
     if total == 0:
         raise ValueError("traces too short to split into train and test halves")
     return hits / total
-
-
-def empirical_rank_frequencies(
-    traces: list[ObservationTrace], n_ranks: int
-) -> np.ndarray:
-    """Pooled visit counts by per-user frequency rank, most visited first.
-
-    Each user's cells are ranked by that user's own visit counts; counts
-    are then summed across users rank by rank. Length is n_ranks, zero
-    padded when a user has fewer distinct cells.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    pooled = np.zeros(n_ranks, dtype=np.int64)
-    for trace in traces:
-        flat = trace.cells[:, 0].astype(np.int64) * (2**21) + trace.cells[:, 1]
-        _, counts = np.unique(flat, return_counts=True)
-        counts = np.sort(counts)[::-1][:n_ranks]
-        pooled[: len(counts)] += counts
-    return pooled

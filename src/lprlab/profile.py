@@ -9,8 +9,8 @@ plain relative frequencies; ranking is what matters downstream, and the
 ranking tie-break (lexicographic cell coordinates) keeps every run
 deterministic.
 
-Profiles are value objects: building and updating return new instances and
-readers never see mutation.
+Profiles are value objects: building returns a new instance and readers
+never see mutation.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ __all__ = [
     "CellId",
     "ObservationTrace",
     "LocationProfile",
-    "ProfileDelta",
     "ProfileFormatError",
     "build_profile",
     "predict",
     "top_k",
-    "apply_update",
     "serialize_profile",
     "deserialize_profile",
     "write_trace_csv",
@@ -148,14 +146,6 @@ class LocationProfile:
             raise ValueError(f"version must be non-negative, got {self.version}")
 
 
-@dataclass(frozen=True)
-class ProfileDelta:
-    """Replacement counts for some contexts, tagged with a new version."""
-
-    version: int
-    counts: dict[ContextKey, dict[CellId, int]]
-
-
 class ProfileFormatError(ValueError):
     """Malformed serialized profile; offset is the failing byte position."""
 
@@ -172,20 +162,6 @@ def _context_level(key: ContextKey) -> int:
     if len(key) == 2:
         return 3
     raise ValueError(f"bad context key {key!r}")
-
-
-def _validate_counts(
-    counts: dict[ContextKey, dict[CellId, int]], order: int, slots_per_week: int
-) -> None:
-    for key, entries in counts.items():
-        level = _context_level(key)
-        if level > order:
-            raise ValueError(f"context {key!r} deeper than profile order {order}")
-        if level >= 1 and not 0 <= key[0] < slots_per_week:
-            raise ValueError(f"slot of week out of range in context {key!r}")
-        for cell, count in entries.items():
-            if count < 0:
-                raise ValueError(f"negative count for {cell} in context {key!r}")
 
 
 def build_profile(
@@ -282,26 +258,6 @@ def top_k(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return [cell for cell, _ in predict(profile, slot_index, prev_cell)[:k]]
-
-
-def apply_update(profile: LocationProfile, delta: ProfileDelta) -> LocationProfile:
-    """Replace the delta's contexts if its version is newer.
-
-    A stale or equal version is rejected by returning the profile
-    unchanged, which makes re-applying the same delta a no-op.
-    """
-    if delta.version <= profile.version:
-        return profile
-    _validate_counts(delta.counts, profile.order, profile.slot_config.slots_per_week)
-    merged = dict(profile.counts)
-    for key, entries in delta.counts.items():
-        merged[key] = dict(entries)
-    return LocationProfile(
-        order=profile.order,
-        version=delta.version,
-        slot_config=profile.slot_config,
-        counts=merged,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +374,14 @@ def deserialize_profile(data: bytes) -> LocationProfile:
             raise ProfileFormatError(f"duplicate context {key!r}", level_pos)
         entries: dict[CellId, int] = {}
         for _ in range(n_entries):
+            entry_pos = r.pos
             x, y, count = r.take(_ENTRY, "entry")
-            entries[CellId(x, y)] = count
+            cell = CellId(x, y)
+            if cell in entries:
+                raise ProfileFormatError(
+                    f"repeated cell {tuple(cell)} in context {key!r}", entry_pos
+                )
+            entries[cell] = count
         counts[key] = entries
     if r.pos != len(r.data):
         raise ProfileFormatError("trailing bytes after last context", r.pos)

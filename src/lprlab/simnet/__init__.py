@@ -1,7 +1,7 @@
 """Static-snapshot MANET simulator.
 
 Unit-disk topologies with Gabriel planarization, greedy/perimeter
-geographic forwarding, a hashed-home-server location service baseline,
+geographic forwarding, a hashed-home-region location service baseline,
 profile-driven first-packet delivery, and scenario orchestration with
 reproducible metrics.
 """
@@ -10,11 +10,8 @@ from .topology import Topology, build_topology, topology_from_positions
 from .gpsr import RouteResult, default_ttl, gpsr_route
 from .delivery import (
     DeliveryOutcome,
-    GhlsBinding,
-    build_ghls_binding,
     candidates_from_profile,
     ghls_deliver,
-    ghls_query,
     ghls_update,
     lpr_deliver,
 )
@@ -36,11 +33,8 @@ __all__ = [
     "default_ttl",
     "gpsr_route",
     "DeliveryOutcome",
-    "GhlsBinding",
-    "build_ghls_binding",
     "candidates_from_profile",
     "ghls_deliver",
-    "ghls_query",
     "ghls_update",
     "lpr_deliver",
     "GhlsComparison",

@@ -9,12 +9,12 @@ succeeds when a reached node lies within the acceptance radius of the
 target's true cell center.
 
 The comparator (ghls_*) is a geographic hash location service: a target
-id hashes to a home cell center, the node closest to that point is the
-target's location server, and the binding is replicated on the nodes of
-the home cell. An update is a one-way route into the home region (within
-the acceptance radius of the home center), and a delivery is a query
-round trip to the home region followed by a data round trip to the bound
-cell, so lookup legs and data legs terminate the same way.
+id hashes to a home cell center (hashed_home_position), and the nodes of
+that home region answer queries for the target's position. An update is
+a one-way route into the home region (within the acceptance radius of the
+home center), and a delivery is a query round trip to the home region
+followed by a data round trip to the target's true position, so lookup
+legs and data legs terminate the same way.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ from .topology import Topology
 
 __all__ = [
     "DeliveryOutcome",
-    "GhlsBinding",
-    "build_ghls_binding",
     "candidates_from_profile",
     "cell_center",
     "ghls_deliver",
-    "ghls_query",
     "ghls_update",
     "hashed_home_position",
     "lpr_deliver",
@@ -46,7 +43,6 @@ class DeliveryOutcome:
     success: bool
     latency_factor: float
     transmissions: int
-    groups_tried: int
 
 
 def _leg_ttl(topology: Topology) -> int:
@@ -133,17 +129,8 @@ def lpr_deliver(
             ):
                 hit = True
         if hit:
-            return DeliveryOutcome(True, float(stage_index), transmissions, stage_index)
-    n_stages = len(grouping.sizes)
-    return DeliveryOutcome(False, float(n_stages), transmissions, n_stages)
-
-
-@dataclass(frozen=True)
-class GhlsBinding:
-    target_id: int
-    home_position: tuple[float, float]
-    server_node: int
-    bound_position: tuple[float, float]
+            return DeliveryOutcome(True, float(stage_index), transmissions)
+    return DeliveryOutcome(False, float(len(grouping.sizes)), transmissions)
 
 
 def hashed_home_position(
@@ -163,73 +150,47 @@ def hashed_home_position(
     return cell_center(CellId(margin + cell % side, margin + cell // side), cell_size)
 
 
-def build_ghls_binding(
-    topology: Topology,
-    target_id: int,
-    bound_position: tuple[float, float],
-    grid_cells: int,
-    cell_size: float,
-    margin: int = 0,
-) -> GhlsBinding:
-    home = hashed_home_position(target_id, grid_cells, cell_size, margin)
-    server = topology.nearest_node(home)
-    return GhlsBinding(target_id, home, server, bound_position)
-
-
 def ghls_update(
     topology: Topology,
     src: int,
-    binding: GhlsBinding,
+    home_position: tuple[float, float],
     acceptance_radius: float,
 ) -> int:
     """One-way location update from src into the home region; returns hops."""
     route = gpsr_route(
         topology,
         src,
-        binding.home_position,
+        home_position,
         acceptance_radius,
         ttl=_leg_ttl(topology),
     )
     return route.hops
 
 
-def ghls_query(
-    topology: Topology,
-    src: int,
-    binding: GhlsBinding,
-    acceptance_radius: float,
-) -> tuple[tuple[float, float] | None, int]:
-    """Round-trip lookup of the bound position from the home region.
-
-    Returns (bound position or None, transmissions).
-    """
-    reached_ok, _, cost = _round_trip(
-        topology, src, binding.home_position, acceptance_radius
-    )
-    if not reached_ok:
-        return None, cost
-    return binding.bound_position, cost
-
-
 def ghls_deliver(
     topology: Topology,
     src: int,
-    binding: GhlsBinding,
+    home_position: tuple[float, float],
     *,
     true_position: tuple[float, float],
     acceptance_radius: float,
 ) -> DeliveryOutcome:
-    """Query the home region, then send data to the bound position.
+    """Query the home region, then send data to the target's position.
 
-    Both legs are round trips. The latency factor is 2.0 (lookup plus
-    data) regardless of outcome, and exactly one group is tried.
+    Both legs are round trips; the data leg runs only if the query reached
+    the home region. The latency factor is 2.0 (lookup plus data)
+    regardless of outcome.
     """
-    position, transmissions = ghls_query(topology, src, binding, acceptance_radius)
-    if position is None:
-        return DeliveryOutcome(False, 2.0, transmissions, 1)
-    reached_ok, reached, cost = _round_trip(topology, src, position, acceptance_radius)
+    reached_ok, _, transmissions = _round_trip(
+        topology, src, home_position, acceptance_radius
+    )
+    if not reached_ok:
+        return DeliveryOutcome(False, 2.0, transmissions)
+    reached_ok, reached, cost = _round_trip(
+        topology, src, true_position, acceptance_radius
+    )
     transmissions += cost
     hit = reached_ok and topology.distance_to(reached, true_position) <= (
         acceptance_radius
     )
-    return DeliveryOutcome(hit, 2.0, transmissions, 1)
+    return DeliveryOutcome(hit, 2.0, transmissions)

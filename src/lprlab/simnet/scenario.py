@@ -38,10 +38,10 @@ from .delivery import (
     DeliveryOutcome,
     _leg_ttl,
     _round_trip,
-    build_ghls_binding,
     cell_center,
     ghls_deliver,
     ghls_update,
+    hashed_home_position,
     lpr_deliver,
 )
 from .gpsr import gpsr_route
@@ -249,7 +249,11 @@ def build_pool(config: ScenarioConfig) -> list[Topology]:
     attempt = 0
     while len(pool) < config.pool_size:
         if attempt >= 10000:
-            raise RuntimeError("could not build enough connected topologies")
+            raise ValueError(
+                f"no {config.pool_size} connected layouts in 10000 attempts at "
+                f"[topology] n = {config.n}, field_size = {config.field_size:g}, "
+                f"radio_range = {config.radio_range:g}"
+            )
         topo = build_topology(
             config.n,
             config.field_size,
@@ -299,7 +303,7 @@ def _run_one(config: ScenarioConfig, pool: Sequence[Topology], index: int) -> Tr
                 topo, oracle_route.path[-1], topo.position(src), 0.0, ttl=_leg_ttl(topo)
             )
             transmissions += resp.hops
-        outcome = DeliveryOutcome(reachable, 1.0, transmissions, 1)
+        outcome = DeliveryOutcome(reachable, 1.0, transmissions)
     elif config.strategy == "lpr":
         assert config.grouping is not None
         positions = [config.cell_center(int(c)) for c in cand_idx]
@@ -312,23 +316,18 @@ def _run_one(config: ScenarioConfig, pool: Sequence[Topology], index: int) -> Tr
             acceptance_radius=radius,
         )
     else:
-        binding = build_ghls_binding(
-            topo,
-            index,
-            true_position,
-            config.grid_cells,
-            config.cell_size,
-            margin=config.cell_margin,
+        home = hashed_home_position(
+            index, config.grid_cells, config.cell_size, config.cell_margin
         )
         outcome = ghls_deliver(
             topo,
             src,
-            binding,
+            home,
             true_position=true_position,
             acceptance_radius=radius,
         )
         updater = int(rng.integers(topo.n))
-        update_hops = ghls_update(topo, updater, binding, radius)
+        update_hops = ghls_update(topo, updater, home, radius)
 
     return TrialRow(
         index=index,

@@ -60,10 +60,6 @@ class Topology:
             float(self.positions[v, 0] - self.positions[u, 0]),
         )
 
-    def nearest_node(self, point: tuple[float, float]) -> int:
-        d = self.positions - np.asarray(point, dtype=float)
-        return int(np.argmin(np.einsum("ij,ij->i", d, d)))
-
     def avg_degree(self) -> float:
         return sum(len(a) for a in self.adjacency) / self.n
 

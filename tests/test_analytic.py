@@ -24,7 +24,6 @@ from lprlab.analytic import (
     first_order_pmf,
     ghls_breakeven,
     ghls_total_cost,
-    group_try_probability,
     knee_point,
     log_beta,
     lpr_total_cost,
@@ -268,9 +267,6 @@ class TestGrouping:
     def test_construction(self):
         g = Grouping((1, 2, 9))
         assert g.k == 12
-        assert g.start_rank(0) == 1
-        assert g.start_rank(1) == 2
-        assert g.start_rank(2) == 4
         assert str(g) == "1|2|9"
 
     def test_parse_roundtrip(self):
@@ -282,22 +278,13 @@ class TestGrouping:
 
     def test_serial_parallel(self):
         assert Grouping.serial(4).sizes == (1, 1, 1, 1)
-        assert Grouping.parallel(4).sizes == (4,)
+        assert Grouping.parse("4") == Grouping((4,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Grouping(())
         with pytest.raises(ValueError):
             Grouping((2, -1))
-
-    def test_try_probability_stage2_serial(self):
-        # Second stage of a fully serial grouping runs when rank 1 missed.
-        g = Grouping.serial(5)
-        assert group_try_probability(1, g) == pytest.approx(1.0 - 0.657, abs=1e-9)
-
-    def test_try_probability_first_stage_always(self):
-        for sizes in [(3,), (1, 2), (2, 2, 1)]:
-            assert group_try_probability(0, Grouping(sizes)) == 1.0
 
     def test_means_for_1_2(self):
         g = Grouping((1, 2))
@@ -306,7 +293,7 @@ class TestGrouping:
 
     def test_parallel_latency_is_one(self):
         for k in (1, 5, 12):
-            g = Grouping.parallel(k)
+            g = Grouping((k,))
             assert mean_latency(g) == pytest.approx(1.0, abs=1e-12)
             assert mean_traffic(g) == pytest.approx(float(k), abs=1e-12)
 

@@ -135,6 +135,19 @@ class TestCurves:
                      "--out-dir", str(tmp_path)]) == 2
         assert "k_max" in capsys.readouterr().err
 
+    def test_regularity_outside_unit_interval_writes_nothing(self, tmp_path, capsys):
+        # The first hour midpoint where R(t) leaves (0, 1) is named.
+        for c3, located in (
+            ("0.95", "regularity 1.06742 at hour 0.5"),
+            ("0.05", "regularity -0.0463179 at hour 9.5"),
+        ):
+            out_dir = tmp_path / c3
+            assert main(["curves", "--c3", c3, "--out-dir", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert f"--c1 0.148 --c2 0.077 --c3 {c3} give {located}" in err
+            assert "Traceback" not in err
+            assert not out_dir.exists()
+
 
 class TestGenTrace:
     def test_deterministic_and_verified(self, tmp_path, capsys):
@@ -225,6 +238,19 @@ class TestSimulate:
                              "--out-dir", str(tmp_path)]) == 2
                 err = capsys.readouterr().err
                 assert "--jobs must be at least 1" in err and "Traceback" not in err
+
+    def test_unconnectable_topology_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "sparse.ini"
+        path.write_text(
+            ORACLE_INI.replace("n = 80", "n = 10")
+            .replace("field_size = 1200", "field_size = 1000")
+            .replace("radio_range = 300", "radio_range = 1")
+        )
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[topology] n = 10, field_size = 1000, radio_range = 1" in err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "trials.csv").exists()
 
     def test_trials_and_seed_overrides(self, tmp_path, capsys):
         ini = self._ini(tmp_path)

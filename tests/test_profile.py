@@ -4,15 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lprlab.profile import (
     CellId,
     LocationProfile,
     ObservationTrace,
-    ProfileDelta,
     ProfileFormatError,
     SlotConfig,
-    apply_update,
     build_profile,
     deserialize_profile,
     predict,
@@ -215,49 +215,6 @@ class TestTopK:
             top_k(p, 5, -1)
 
 
-class TestApplyUpdate:
-    def base(self):
-        return build_profile(trace_of([(5, A), (173, A), (341, B)]), order=1)
-
-    def test_replaces_context(self):
-        p = self.base()
-        delta = ProfileDelta(version=2, counts={(5,): {B: 4}})
-        p2 = apply_update(p, delta)
-        assert p2.version == 2
-        assert predict(p2, 5) == [(B, 1.0)]
-        # Untouched contexts survive.
-        assert predict(p2, 100) == predict(p, 100)
-
-    def test_stale_version_rejected(self):
-        p = self.base()
-        delta = ProfileDelta(version=1, counts={(5,): {B: 4}})
-        assert apply_update(p, delta) is p
-
-    def test_apply_twice_identical(self):
-        p = self.base()
-        delta = ProfileDelta(version=2, counts={(5,): {B: 4}})
-        once = apply_update(p, delta)
-        twice = apply_update(once, delta)
-        assert twice == once
-
-    def test_original_untouched(self):
-        p = self.base()
-        before = predict(p, 5)
-        apply_update(p, ProfileDelta(version=2, counts={(5,): {B: 4}}))
-        assert predict(p, 5) == before
-
-    def test_rejects_deeper_context_than_order(self):
-        p = self.base()
-        delta = ProfileDelta(version=2, counts={(5, A): {B: 1}})
-        with pytest.raises(ValueError):
-            apply_update(p, delta)
-
-    def test_rejects_negative_counts(self):
-        p = self.base()
-        with pytest.raises(ValueError):
-            apply_update(p, ProfileDelta(version=2, counts={(5,): {B: -1}}))
-
-
 class TestSerialization:
     def random_profile(self, seed, order=3):
         rng = random.Random(seed)
@@ -326,6 +283,39 @@ class TestSerialization:
         with pytest.raises(ProfileFormatError) as exc:
             deserialize_profile(bytes(data))
         assert exc.value.offset == 4
+
+    def test_repeated_cell_in_context(self):
+        p = build_profile(trace_of([(5, A), (173, B)]), order=0)
+        data = bytearray(serialize_profile(p))
+        # Header, level byte and entry count, then two 16-byte entries;
+        # the second entry takes the first one's cell.
+        first, second = 21 + 1 + 4, 21 + 1 + 4 + 16
+        data[second : second + 8] = data[first : first + 8]
+        with pytest.raises(ProfileFormatError, match="repeated cell") as exc:
+            deserialize_profile(bytes(data))
+        assert exc.value.offset == second
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        order=st.sampled_from([0, 1, 3]),
+        cut=st.none() | st.integers(0, 10**6),
+        flips=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4
+        ),
+    )
+    def test_mutated_bytes_raise_only_format_errors(self, seed, order, cut, flips):
+        data = bytearray(serialize_profile(self.random_profile(seed, order=order)))
+        if cut is not None:
+            del data[cut % (len(data) + 1) :]
+        for pos, mask in flips:
+            if data:
+                data[pos % len(data)] ^= mask
+        try:
+            p = deserialize_profile(bytes(data))
+        except ProfileFormatError:
+            return
+        assert deserialize_profile(serialize_profile(p)) == p
 
 
 class TestTraceCsv:
