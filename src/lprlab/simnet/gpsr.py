@@ -115,7 +115,13 @@ def gpsr_route(
         raise ValueError("acceptance_radius must be non-negative")
     if ttl is None:
         ttl = default_ttl(topology.n)
-    dest = (float(dest_position[0]), float(dest_position[1]))
+    dx, dy = float(dest_position[0]), float(dest_position[1])
+    dest = (dx, dy)
+    # Hot loop locals: plain-float positions, no distance_to call per
+    # neighbor.
+    xy = topology.xy
+    adjacency = topology.adjacency
+    hypot = math.hypot
 
     x = src
     path = [src]
@@ -130,7 +136,8 @@ def gpsr_route(
     arrival_from: int | None = None
 
     while True:
-        dist_x = topology.distance_to(x, dest)
+        px, py = xy[x]
+        dist_x = hypot(px - dx, py - dy)
         if dist_x <= acceptance_radius:
             return RouteResult(True, path, tuple(steps))
         if len(path) - 1 >= ttl:
@@ -139,8 +146,9 @@ def gpsr_route(
         if greedy:
             best = None
             best_dist = dist_x - _EPS
-            for v in topology.adjacency[x]:
-                d = topology.distance_to(v, dest)
+            for v in adjacency[x]:
+                vx, vy = xy[v]
+                d = hypot(vx - dx, vy - dy)
                 if d < best_dist:
                     best_dist = d
                     best = v
@@ -153,10 +161,10 @@ def gpsr_route(
             if not topology.planar_adjacency[x]:
                 return RouteResult(False, path, tuple(steps))
             greedy = False
-            entry_point = topology.position(x)
+            entry_point = (px, py)
             entry_dist = dist_x
             best_cross_dist = dist_x
-            ref = math.atan2(dest[1] - entry_point[1], dest[0] - entry_point[0])
+            ref = math.atan2(dy - py, dx - px)
             first_edge = None
         else:
             if dist_x < entry_dist - _EPS:
@@ -170,14 +178,13 @@ def gpsr_route(
             return RouteResult(False, path, tuple(steps))
         # Face change: rotate past any edge crossing the entry-to-dest
         # line closer to the destination than all previous crossings.
-        px = topology.position(x)
         rotations = 0
         max_rotations = 2 * len(topology.planar_adjacency[x]) + 2
         while rotations < max_rotations:
-            crossing = _proper_crossing(px, topology.position(nxt), entry_point, dest)
+            crossing = _proper_crossing(xy[x], xy[nxt], entry_point, dest)
             if crossing is None:
                 break
-            cross_dist = math.hypot(crossing[0] - dest[0], crossing[1] - dest[1])
+            cross_dist = hypot(crossing[0] - dx, crossing[1] - dy)
             if cross_dist >= best_cross_dist - _EPS:
                 break
             best_cross_dist = cross_dist

@@ -266,16 +266,26 @@ def build_pool(config: ScenarioConfig) -> list[Topology]:
     return pool
 
 
-def _run_one(config: ScenarioConfig, pool: Sequence[Topology], index: int) -> TrialRow:
+def _run_one(
+    config: ScenarioConfig,
+    pool: Sequence[Topology],
+    index: int,
+    eligible: np.ndarray,
+    hour_pmfs: dict[int, list[float]],
+) -> TrialRow:
+    """One trial; eligible is config.eligible_cells() and hour_pmfs
+    memoises the rank masses by hour across the trials of one call."""
     rng = np.random.default_rng([config.seed, 7, index])
     topo = pool[index % len(pool)]
     src = int(rng.integers(topo.n))
     hour = int(rng.integers(HOURS_PER_WEEK))
-    eligible = config.eligible_cells()
     cand_idx = rng.choice(eligible, size=config.n_candidates, replace=False)
 
-    model = RegularityModel()
-    pmf = sequential_hit_pmf(model(hour + 0.5), config.n_candidates)
+    pmf = hour_pmfs.get(hour)
+    if pmf is None:
+        pmf = hour_pmfs[hour] = sequential_hit_pmf(
+            RegularityModel()(hour + 0.5), config.n_candidates
+        )
     u = float(rng.random())
     true_rank = 0
     cum = 0.0
@@ -345,7 +355,9 @@ def run_trials(
     config: ScenarioConfig, indices: Iterable[int], pool: Sequence[Topology]
 ) -> list[TrialRow]:
     """Run the given trial indices; any disjoint split merges cleanly."""
-    return [_run_one(config, pool, int(i)) for i in indices]
+    eligible = config.eligible_cells()
+    hour_pmfs: dict[int, list[float]] = {}
+    return [_run_one(config, pool, int(i), eligible, hour_pmfs) for i in indices]
 
 
 def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float | None:
@@ -416,10 +428,15 @@ def _all_trials(
     if workers <= 1:
         return run_trials(config, range(config.trials), pool)
     # Imported here: multiprocessing would add ~2 MiB to every serial run.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = np.array_split(np.arange(config.trials), workers)
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    # Spawned, not forked: the parent already runs native threads (numpy's
+    # BLAS pool), and a forked child can inherit one of their held locks.
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    ) as executor:
         parts = executor.map(run_trials, [config] * workers, chunks, [pool] * workers)
         return [row for part in parts for row in part]
 

@@ -3,7 +3,7 @@
 Nodes are points on a square field; two nodes share an edge exactly when
 their distance is within the radio range. Geographic recovery routing
 needs a planar subgraph, built here with the Gabriel rule: an edge
-survives unless some third node sits strictly inside the circle whose
+survives unless some third node sits inside or on the circle whose
 diameter is the edge. Any such witness is necessarily a unit-disk
 neighbor of both endpoints, so only common neighbors need checking, and
 removing the edge leaves a two-hop detour through the witness, which
@@ -30,15 +30,16 @@ class Topology:
     # Planar neighbors ordered counterclockwise by bearing, for the
     # perimeter-mode edge rotation.
     planar_sorted: list[list[tuple[float, int]]] = field(repr=False, default_factory=list)
+    # positions as plain (x, y) floats: the routing hot loop reads these,
+    # since indexing the ndarray yields slow numpy scalars.
+    xy: list[tuple[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.xy = [(x, y) for x, y in self.positions.tolist()]
         if not self.planar_sorted:
             self.planar_sorted = [
-                sorted(
-                    (self.bearing(u, v), v)
-                    for v in self.planar_adjacency[u]
-                )
-                for u in range(len(self.positions))
+                sorted((self.bearing(u, v), v) for v in planar)
+                for u, planar in enumerate(self.planar_adjacency)
             ]
 
     @property
@@ -46,19 +47,15 @@ class Topology:
         return len(self.positions)
 
     def position(self, u: int) -> tuple[float, float]:
-        return float(self.positions[u, 0]), float(self.positions[u, 1])
+        return self.xy[u]
 
     def distance_to(self, u: int, point: tuple[float, float]) -> float:
-        return math.hypot(
-            float(self.positions[u, 0]) - point[0],
-            float(self.positions[u, 1]) - point[1],
-        )
+        x, y = self.xy[u]
+        return math.hypot(x - point[0], y - point[1])
 
     def bearing(self, u: int, v: int) -> float:
-        return math.atan2(
-            float(self.positions[v, 1] - self.positions[u, 1]),
-            float(self.positions[v, 0] - self.positions[u, 0]),
-        )
+        (xu, yu), (xv, yv) = self.xy[u], self.xy[v]
+        return math.atan2(yv - yu, xv - xu)
 
     def avg_degree(self) -> float:
         return sum(len(a) for a in self.adjacency) / self.n
@@ -83,38 +80,68 @@ def _components(adjacency: list[list[int]]) -> int:
     return comps
 
 
+def _unit_disk(positions: np.ndarray, radio_range: float) -> np.ndarray:
+    """(n, n) bool matrix of node pairs within range, diagonal False. A
+    function of its own, so the (n, n, 2) differences are freed before
+    planarization allocates its temporaries."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= radio_range * radio_range
+    np.fill_diagonal(within, False)
+    return within
+
+
+def _split_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
+    """Per-row lists of cols, for (rows, cols) sorted by row."""
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    flat = cols.tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+# Edges tested per vectorized step: bounds the (edges, max degree)
+# temporaries to a few hundred KiB on dense layouts.
+_GABRIEL_CHUNK = 512
+
+
 def _gabriel_subgraph(
-    positions: np.ndarray, adjacency: list[list[int]]
+    positions: np.ndarray, within: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> list[list[int]]:
+    """Sorted planar neighbor lists of the Gabriel subgraph of within,
+    whose nonzero entries are (rows, cols) in row-major order.
+
+    An edge (u, v) goes when some common neighbor w lies in the closed
+    disk with diameter uv. Every neighbor w of u is tested against the
+    edge midpoint at once, a chunk of edges at a time, and masked to the
+    neighbors v shares.
+    """
     n = len(positions)
-    planar: list[list[int]] = [[] for _ in range(n)]
-    neighbor_sets = [set(a) for a in adjacency]
-    for u in range(n):
-        pu = positions[u]
-        for v in adjacency[u]:
-            if v < u:
-                continue
-            pv = positions[v]
-            mid = (pu + pv) / 2.0
-            r2 = float(np.dot(pu - pv, pu - pv)) / 4.0
-            keep = True
-            for w in neighbor_sets[u]:
-                if w == v:
-                    continue
-                if w not in neighbor_sets[v]:
-                    continue
-                dw = positions[w] - mid
-                # Closed disk: cocircular witnesses still remove the
-                # edge, so crossing diagonals of symmetric layouts go.
-                if float(np.dot(dw, dw)) <= r2 + 1e-12:
-                    keep = False
-                    break
-            if keep:
-                planar[u].append(v)
-                planar[v].append(u)
-    for lst in planar:
-        lst.sort()
-    return planar
+    deg = np.bincount(rows, minlength=n)
+    # Neighbor index matrix, padded with -1 past each node's degree.
+    nbr = np.full((n, max(int(deg.max()), 1)), -1, dtype=np.intp)
+    starts = np.cumsum(deg) - deg
+    nbr[rows, np.arange(len(rows)) - starts[rows]] = cols
+
+    eu, ev = np.nonzero(np.triu(within))
+    keep = np.ones(len(eu), dtype=bool)
+    px, py = positions[:, 0], positions[:, 1]
+    for lo in range(0, len(eu), _GABRIEL_CHUNK):
+        u = eu[lo:lo + _GABRIEL_CHUNK]
+        v = ev[lo:lo + _GABRIEL_CHUNK]
+        dx, dy = px[u] - px[v], py[u] - py[v]
+        r2 = (dx * dx + dy * dy) / 4.0
+        mx, my = (px[u] + px[v]) / 2.0, (py[u] + py[v]) / 2.0
+        w = nbr[u]
+        common = (w >= 0) & (w != v[:, None]) & within[v[:, None], w]
+        wx, wy = px[w] - mx[:, None], py[w] - my[:, None]
+        # Closed disk: cocircular witnesses still remove the edge, so
+        # crossing diagonals of symmetric layouts go.
+        inside = common & (wx * wx + wy * wy <= (r2 + 1e-12)[:, None])
+        keep[lo:lo + _GABRIEL_CHUNK] = ~inside.any(axis=1)
+
+    eu, ev = eu[keep], ev[keep]
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    order = np.lexsort((dst, src))
+    return _split_rows(src[order], dst[order], n)
 
 
 def topology_from_positions(positions, radio_range: float) -> Topology:
@@ -128,13 +155,11 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
     if radio_range <= 0:
         raise ValueError("radio_range must be positive")
 
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    within = dist2 <= radio_range * radio_range
-    np.fill_diagonal(within, False)
-    adjacency = [np.flatnonzero(within[u]).tolist() for u in range(n)]
+    within = _unit_disk(positions, radio_range)
+    rows, cols = np.nonzero(within)
+    adjacency = _split_rows(rows, cols, n)
 
-    planar = _gabriel_subgraph(positions, adjacency)
+    planar = _gabriel_subgraph(positions, within, rows, cols)
     connected = _components(adjacency) == 1
     return Topology(
         positions=positions,

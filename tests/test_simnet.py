@@ -87,9 +87,8 @@ def _layouts(draw):
     quadruples exercise the closed-disk witness rule."""
     if draw(st.booleans()):
         side = draw(st.integers(2, 6))
-        lattice = [(float(i % side), float(i // side)) for i in range(side * side)]
         reach = draw(st.sampled_from([1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0)]))
-        return topology_from_positions(lattice, reach + 1e-6)
+        return _lattice(side, reach)
     n = draw(st.integers(3, 60))
     radio = draw(st.floats(100.0, 600.0))
     return build_topology(n, 1000.0, radio, seed=draw(st.integers(0, 2**32 - 1)))
@@ -129,6 +128,58 @@ def _component_count(positions, radio_range):
                 parent[a] = b
                 count -= 1
     return count
+
+
+def _loop_topology(positions, radio_range):
+    """Adjacency, Gabriel planar lists and bearing-sorted planar lists by
+    the original per-edge loop over numpy scalars: the oracle for the
+    vectorized planarization in topology_from_positions."""
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    diff = positions[:, None, :] - positions[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= radio_range * radio_range
+    np.fill_diagonal(within, False)
+    adjacency = [np.flatnonzero(within[u]).tolist() for u in range(n)]
+    planar = [[] for _ in range(n)]
+    neighbor_sets = [set(a) for a in adjacency]
+    for u in range(n):
+        pu = positions[u]
+        for v in adjacency[u]:
+            if v < u:
+                continue
+            pv = positions[v]
+            mid = (pu + pv) / 2.0
+            r2 = float(np.dot(pu - pv, pu - pv)) / 4.0
+            keep = True
+            for w in neighbor_sets[u]:
+                if w == v or w not in neighbor_sets[v]:
+                    continue
+                dw = positions[w] - mid
+                if float(np.dot(dw, dw)) <= r2 + 1e-12:
+                    keep = False
+                    break
+            if keep:
+                planar[u].append(v)
+                planar[v].append(u)
+    for lst in planar:
+        lst.sort()
+    planar_sorted = [
+        sorted((_numpy_bearing(positions, u, v), v) for v in planar[u])
+        for u in range(n)
+    ]
+    return adjacency, planar, planar_sorted
+
+
+def _numpy_bearing(positions, u, v):
+    return math.atan2(
+        float(positions[v, 1] - positions[u, 1]),
+        float(positions[v, 0] - positions[u, 0]),
+    )
+
+
+def _lattice(side, reach):
+    points = [(float(i % side), float(i // side)) for i in range(side * side)]
+    return topology_from_positions(points, reach + 1e-6)
 
 
 class TestTopology:
@@ -200,6 +251,46 @@ class TestTopology:
                     topo.position(a), topo.position(b),
                     topo.position(c), topo.position(d),
                 ) is None
+
+    def test_matches_loop_oracle(self):
+        # README density, sparse (r = 150, mostly disconnected), n = 500,
+        # and square lattices whose cocircular quadruples sit exactly on
+        # the closed-disk boundary.
+        layouts = (
+            [build_topology(280, 2500.0, 400.0, seed=[s, 101, 0]) for s in range(8)]
+            + [build_topology(280, 2500.0, 150.0, seed=s) for s in range(8)]
+            + [build_topology(500, 3000.0, 240.0, seed=s) for s in range(2)]
+            + [
+                _lattice(side, reach)
+                for side in range(2, 9)
+                for reach in (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0)
+            ]
+        )
+        for topo in layouts:
+            adjacency, planar, planar_sorted = _loop_topology(
+                topo.positions, topo.radio_range
+            )
+            assert topo.adjacency == adjacency
+            assert topo.planar_adjacency == planar
+            assert topo.planar_sorted == planar_sorted
+
+    def test_plain_float_geometry_matches_numpy_formulas(self):
+        def bits(x):
+            return float(x).hex()
+
+        rng = random.Random(11)
+        for topo in [build_topology(40, 1000.0, 300.0, seed=s) for s in range(3)] + [
+            _lattice(4, 2.0)
+        ]:
+            p = topo.positions
+            for u in range(topo.n):
+                assert topo.position(u) == (float(p[u, 0]), float(p[u, 1]))
+                point = (rng.uniform(-100.0, 1100.0), rng.uniform(-100.0, 1100.0))
+                assert bits(topo.distance_to(u, point)) == bits(math.hypot(
+                    float(p[u, 0]) - point[0], float(p[u, 1]) - point[1]
+                ))
+                for v in range(topo.n):
+                    assert bits(topo.bearing(u, v)) == bits(_numpy_bearing(p, u, v))
 
     def test_planar_preserves_connectivity(self):
         for seed in range(8):
@@ -356,6 +447,30 @@ class TestGpsr:
                     else:
                         assert topo.distance_to(b, dest) < topo.distance_to(a, dest)
         assert checked_perimeter > 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(_layouts(), st.data())
+    def test_route_invariants(self, topo, data):
+        lo = float(topo.positions.min()) - 1.0
+        hi = float(topo.positions.max()) + 1.0
+        src = data.draw(st.integers(0, topo.n - 1), label="src")
+        dest = (
+            data.draw(st.floats(lo, hi), label="dest x"),
+            data.draw(st.floats(lo, hi), label="dest y"),
+        )
+        radius = data.draw(st.floats(0.0, (hi - lo) / 4.0), label="radius")
+        ttl = data.draw(st.integers(0, 4 * topo.n), label="ttl")
+        route = gpsr_route(topo, src, dest, radius, ttl=ttl)
+        assert route.path[0] == src
+        assert route.hops <= ttl
+        assert len(route.perimeter_steps) == route.hops
+        for a, b, on_perimeter in zip(route.path, route.path[1:], route.perimeter_steps):
+            assert b in topo.adjacency[a]
+            if on_perimeter:
+                assert b in topo.planar_adjacency[a]
+            else:
+                assert topo.distance_to(b, dest) < topo.distance_to(a, dest)
+        assert route.success == (topo.distance_to(route.path[-1], dest) <= radius)
 
     def test_ttl_budget_enforced(self):
         chain = topology_from_positions([(float(i), 0.0) for i in range(30)], 1.5)
@@ -825,25 +940,25 @@ class TestScenarioRuns:
         json.dumps(comp.as_dict())
 
     @staticmethod
-    def _count_calls(monkeypatch, tmp_path, name):
-        """Log each call of scenario.<name> to a file, so that calls made
-        in forked workers are counted as well."""
-        log = tmp_path / f"{name}.calls"
-        log.write_text("")
+    def _count_calls(monkeypatch, name):
+        """Count the calls of scenario.<name> in this process. Spawned
+        workers import scenario afresh, without the patch; they get the
+        pool as an argument and have no path to build_pool or
+        measure_baseline."""
+        calls = []
         original = getattr(scenario, name)
 
         def counted(*args):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            calls.append(args)
             return original(*args)
 
         monkeypatch.setattr(scenario, name, counted)
-        return lambda: len(log.read_text().splitlines())
+        return lambda: len(calls)
 
-    def test_one_pool_and_one_baseline_per_run(self, monkeypatch, tmp_path):
+    def test_one_pool_and_one_baseline_per_run(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pools = self._count_calls(monkeypatch, tmp_path, "build_pool")
-        baselines = self._count_calls(monkeypatch, tmp_path, "measure_baseline")
+        pools = self._count_calls(monkeypatch, "build_pool")
+        baselines = self._count_calls(monkeypatch, "measure_baseline")
         cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
         for run in (lambda: compare_ghls(cfg), lambda: compare_ghls(cfg, jobs=2),
                     lambda: run_scenario(SMALL), lambda: run_scenario(SMALL, jobs=2)):
@@ -864,8 +979,8 @@ class TestScenarioRuns:
         requested = []
 
         class InProcessExecutor:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                requested.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -885,7 +1000,7 @@ class TestScenarioRuns:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         three = replace(SMALL, trials=3)
         assert run_scenario(three, jobs=64) == run_scenario(three)
-        assert requested == [2, 3]
+        assert requested == [(2, "spawn"), (3, "spawn")]
 
     def test_serial_run_never_imports_multiprocessing(self):
         # A fresh interpreter: the serial path must not pay for the
