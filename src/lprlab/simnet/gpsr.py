@@ -58,8 +58,8 @@ def _next_ccw(topology: Topology, x: int, ref_angle: float) -> int | None:
     """
     best = None
     best_delta = math.inf
-    for ang, v in topology.planar_sorted[x]:
-        delta = (ang - ref_angle) % _TWO_PI
+    for v in topology.planar_sorted[x]:
+        delta = (topology.bearing(x, v) - ref_angle) % _TWO_PI
         if delta <= 1e-12:
             delta = _TWO_PI
         if delta < best_delta:
@@ -119,7 +119,7 @@ def gpsr_route(
     dest = (dx, dy)
     # Hot loop locals: plain-float positions, no distance_to call per
     # neighbor.
-    xy = topology.xy
+    xs, ys = topology.xs, topology.ys
     adjacency = topology.adjacency
     hypot = math.hypot
 
@@ -136,7 +136,7 @@ def gpsr_route(
     arrival_from: int | None = None
 
     while True:
-        px, py = xy[x]
+        px, py = xs[x], ys[x]
         dist_x = hypot(px - dx, py - dy)
         if dist_x <= acceptance_radius:
             return RouteResult(True, path, tuple(steps))
@@ -147,8 +147,7 @@ def gpsr_route(
             best = None
             best_dist = dist_x - _EPS
             for v in adjacency[x]:
-                vx, vy = xy[v]
-                d = hypot(vx - dx, vy - dy)
+                d = hypot(xs[v] - dx, ys[v] - dy)
                 if d < best_dist:
                     best_dist = d
                     best = v
@@ -181,7 +180,7 @@ def gpsr_route(
         rotations = 0
         max_rotations = 2 * len(topology.planar_adjacency[x]) + 2
         while rotations < max_rotations:
-            crossing = _proper_crossing(xy[x], xy[nxt], entry_point, dest)
+            crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
             if crossing is None:
                 break
             cross_dist = hypot(crossing[0] - dx, crossing[1] - dy)

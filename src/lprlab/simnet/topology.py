@@ -27,18 +27,22 @@ class Topology:
     adjacency: list[list[int]]
     planar_adjacency: list[list[int]]
     connected: bool
-    # Planar neighbors ordered counterclockwise by bearing, for the
-    # perimeter-mode edge rotation.
-    planar_sorted: list[list[tuple[float, int]]] = field(repr=False, default_factory=list)
-    # positions as plain (x, y) floats: the routing hot loop reads these,
-    # since indexing the ndarray yields slow numpy scalars.
-    xy: list[tuple[float, float]] = field(init=False, repr=False, compare=False)
+    # Planar neighbors ordered counterclockwise by bearing (equal bearings
+    # by index), for the perimeter-mode edge rotation. Bearings are
+    # recomputed on use, not stored: perimeter hops are rare, and a
+    # (bearing, node) tuple per entry held memory on every pooled topology.
+    planar_sorted: list[list[int]] = field(repr=False, default_factory=list)
+    # positions as two lists of plain floats: the routing hot loop reads
+    # these, since indexing the ndarray yields slow numpy scalars.
+    xs: list[float] = field(init=False, repr=False, compare=False)
+    ys: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.xy = [(x, y) for x, y in self.positions.tolist()]
+        self.xs = self.positions[:, 0].tolist()
+        self.ys = self.positions[:, 1].tolist()
         if not self.planar_sorted:
             self.planar_sorted = [
-                sorted((self.bearing(u, v), v) for v in planar)
+                sorted(planar, key=lambda v, u=u: (self.bearing(u, v), v))
                 for u, planar in enumerate(self.planar_adjacency)
             ]
 
@@ -47,15 +51,14 @@ class Topology:
         return len(self.positions)
 
     def position(self, u: int) -> tuple[float, float]:
-        return self.xy[u]
+        return self.xs[u], self.ys[u]
 
     def distance_to(self, u: int, point: tuple[float, float]) -> float:
-        x, y = self.xy[u]
-        return math.hypot(x - point[0], y - point[1])
+        return math.hypot(self.xs[u] - point[0], self.ys[u] - point[1])
 
     def bearing(self, u: int, v: int) -> float:
-        (xu, yu), (xv, yv) = self.xy[u], self.xy[v]
-        return math.atan2(yv - yu, xv - xu)
+        xs, ys = self.xs, self.ys
+        return math.atan2(ys[v] - ys[u], xs[v] - xs[u])
 
     def avg_degree(self) -> float:
         return sum(len(a) for a in self.adjacency) / self.n

@@ -164,7 +164,7 @@ def _loop_topology(positions, radio_range):
     for lst in planar:
         lst.sort()
     planar_sorted = [
-        sorted((_numpy_bearing(positions, u, v), v) for v in planar[u])
+        [v for _, v in sorted((_numpy_bearing(positions, u, v), v) for v in planar[u])]
         for u in range(n)
     ]
     return adjacency, planar, planar_sorted
@@ -370,6 +370,22 @@ class TestTopology:
         assert connected / 40 > 0.95
 
 
+def _assert_route_ok(topo, route, src, dest, radius, ttl):
+    """Every hop is a link, a perimeter hop a planar link, a greedy hop
+    strictly closer to dest; the route keeps to ttl and succeeds exactly
+    when it ends within radius of dest."""
+    assert route.path[0] == src
+    assert route.hops <= ttl
+    assert len(route.perimeter_steps) == route.hops
+    for a, b, on_perimeter in zip(route.path, route.path[1:], route.perimeter_steps):
+        assert b in topo.adjacency[a]
+        if on_perimeter:
+            assert b in topo.planar_adjacency[a]
+        else:
+            assert topo.distance_to(b, dest) < topo.distance_to(a, dest)
+    assert route.success == (topo.distance_to(route.path[-1], dest) <= radius)
+
+
 class TestGpsr:
     def test_straight_chain_all_greedy(self):
         topo = topology_from_positions([(float(i), 0.0) for i in range(6)], 1.5)
@@ -437,15 +453,8 @@ class TestGpsr:
                     continue
                 dest = tuple(topo.position(d))
                 route = gpsr_route(topo, s, dest, ttl=10 * topo.n)
-                assert len(route.perimeter_steps) == route.hops
-                for i, on_perimeter in enumerate(route.perimeter_steps):
-                    a, b = route.path[i], route.path[i + 1]
-                    assert b in topo.adjacency[a]
-                    if on_perimeter:
-                        assert b in topo.planar_adjacency[a]
-                        checked_perimeter += 1
-                    else:
-                        assert topo.distance_to(b, dest) < topo.distance_to(a, dest)
+                _assert_route_ok(topo, route, s, dest, 0.0, 10 * topo.n)
+                checked_perimeter += route.perimeter_hops
         assert checked_perimeter > 0
 
     @settings(max_examples=120, deadline=None)
@@ -461,16 +470,7 @@ class TestGpsr:
         radius = data.draw(st.floats(0.0, (hi - lo) / 4.0), label="radius")
         ttl = data.draw(st.integers(0, 4 * topo.n), label="ttl")
         route = gpsr_route(topo, src, dest, radius, ttl=ttl)
-        assert route.path[0] == src
-        assert route.hops <= ttl
-        assert len(route.perimeter_steps) == route.hops
-        for a, b, on_perimeter in zip(route.path, route.path[1:], route.perimeter_steps):
-            assert b in topo.adjacency[a]
-            if on_perimeter:
-                assert b in topo.planar_adjacency[a]
-            else:
-                assert topo.distance_to(b, dest) < topo.distance_to(a, dest)
-        assert route.success == (topo.distance_to(route.path[-1], dest) <= radius)
+        _assert_route_ok(topo, route, src, dest, radius, ttl)
 
     def test_ttl_budget_enforced(self):
         chain = topology_from_positions([(float(i), 0.0) for i in range(30)], 1.5)
@@ -858,6 +858,31 @@ kind = oracle
             load_scenario(str(tmp_path / "nope.ini"))
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand ProcessPoolExecutor in with a double that maps in this
+    process, so that patches of scenario also reach the work of the
+    workers. Returns the (max_workers, start method) of each pool asked
+    for."""
+    requested = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers, mp_context):
+            requested.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    return requested
+
+
 class TestScenarioRuns:
     def test_zero_trials(self):
         record, rows = run_scenario(replace(SMALL, trials=0))
@@ -941,10 +966,8 @@ class TestScenarioRuns:
 
     @staticmethod
     def _count_calls(monkeypatch, name):
-        """Count the calls of scenario.<name> in this process. Spawned
-        workers import scenario afresh, without the patch; they get the
-        pool as an argument and have no path to build_pool or
-        measure_baseline."""
+        """Count the calls of scenario.<name>; with the in-process pool
+        this includes the calls a worker would make."""
         calls = []
         original = getattr(scenario, name)
 
@@ -955,7 +978,7 @@ class TestScenarioRuns:
         monkeypatch.setattr(scenario, name, counted)
         return lambda: len(calls)
 
-    def test_one_pool_and_one_baseline_per_run(self, monkeypatch):
+    def test_one_pool_and_one_baseline_per_run(self, monkeypatch, in_process_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pools = self._count_calls(monkeypatch, "build_pool")
         baselines = self._count_calls(monkeypatch, "measure_baseline")
@@ -965,6 +988,9 @@ class TestScenarioRuns:
             before = pools(), baselines()
             run()
             assert (pools() - before[0], baselines() - before[1]) == (1, 1)
+        # The --jobs 2 runs went through the pool: compare_ghls once per
+        # strategy, run_scenario once.
+        assert in_process_pool == [(2, "spawn")] * 3
 
     def test_jobs_match_serial(self, monkeypatch):
         # Two CPUs whatever the machine has, so the workers really run.
@@ -975,32 +1001,14 @@ class TestScenarioRuns:
         cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
         assert compare_ghls(cfg, jobs=2) == compare_ghls(cfg)
 
-    def test_worker_count_capped(self, monkeypatch):
-        requested = []
-
-        class InProcessExecutor:
-            def __init__(self, max_workers, mp_context):
-                requested.append((max_workers, mp_context.get_start_method()))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", InProcessExecutor
-        )
+    def test_worker_count_capped(self, monkeypatch, in_process_pool):
         serial = run_scenario(SMALL)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert run_scenario(SMALL, jobs=64) == serial
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         three = replace(SMALL, trials=3)
         assert run_scenario(three, jobs=64) == run_scenario(three)
-        assert requested == [(2, "spawn"), (3, "spawn")]
+        assert in_process_pool == [(2, "spawn"), (3, "spawn")]
 
     def test_serial_run_never_imports_multiprocessing(self):
         # A fresh interpreter: the serial path must not pay for the
