@@ -18,7 +18,7 @@ Three layers build on each other here:
 On top of the first-order CDF sit the grouping cost model (mean latency
 factor and mean transmission factor of a partition of the top-k
 candidates into serial stages of parallel probes, one stage sum for
-both), exhaustive Pareto enumeration over groupings, and the break-even
+both), the exact Pareto front over groupings, and the break-even
 comparison against a home-server scheme that pays per-movement location
 updates.
 """
@@ -69,8 +69,8 @@ DEFAULT_C3 = 0.657
 
 HOURS_PER_WEEK = 168
 
-# 2**(k-1) compositions, scanned pairwise by pareto_front: about a second
-# at k = 14 and about 16x more per +2, so k = 20 takes about an hour.
+# Largest k of enumerate_groupings (2**(k-1) compositions) and of
+# pareto_front, which shares the check.
 _MAX_GROUPING_K = 20
 
 _CURVE_CACHE_SIZE = 1024  # memoised first-order values, one per (k, model, density)
@@ -351,15 +351,19 @@ def mean_traffic(
     return _stage_costs(grouping.sizes, _curve(model, density))[1]
 
 
+def _check_grouping_k(k: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= _MAX_GROUPING_K:
+        raise ValueError(f"k must be in [1, {_MAX_GROUPING_K}], got {k}")
+
+
 def enumerate_groupings(k: int) -> list[Grouping]:
     """All ordered stage partitions of k, lexicographic by size tuple.
 
     There are 2**(k-1) of them; k is capped at _MAX_GROUPING_K.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= _MAX_GROUPING_K:
-        raise ValueError(f"k must be in [1, {_MAX_GROUPING_K}], got {k}")
+    _check_grouping_k(k)
 
     def compose(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -378,6 +382,29 @@ class ParetoPoint(NamedTuple):
     traffic: float
 
 
+_Label = tuple[float, float, tuple[int, ...]]  # (latency, traffic, sizes so far)
+
+
+def _minimal_labels(labels: list[_Label], margin: float) -> list[_Label]:
+    """Labels that no other label beats: <= on both means and lower by
+    more than margin on one. Sorted by (latency, traffic), every label a
+    candidate could be beaten by comes before it."""
+    labels.sort(key=lambda lab: (lab[0], lab[1]))
+    kept = []
+    far_min = math.inf  # least traffic among labels[:j], all below lat - margin
+    j = 0
+    for i, (lat, traf, sizes) in enumerate(labels):
+        while labels[j][0] < lat - margin:
+            far_min = min(far_min, labels[j][1])
+            j += 1
+        if far_min <= traf:
+            continue
+        if any(labels[m][1] < traf - margin for m in range(j, i)):
+            continue
+        kept.append((lat, traf, sizes))
+    return kept
+
+
 def pareto_front(
     k: int,
     model: RegularityModel | None = None,
@@ -389,16 +416,37 @@ def pareto_front(
     means and strictly better on one. Sorted by latency ascending; ties
     broken by fewer stages, then lexicographic sizes. The fully parallel
     grouping (latency 1) is always present.
+
+    Label-setting over start ranks (a bi-objective shortest path, Martins
+    1984): a stage's cost depends only on its start rank and size, and
+    the stage sums are added left to right as in _stage_costs, so the
+    same suffix added to two partial groupings keeps their order in each
+    mean. A partial grouping is dropped when another one at the same start
+    rank is <= on both means and lower by more than 2 * eps on one: float
+    rounding over at most _MAX_GROUPING_K stages closes that gap by far
+    less than eps, so each completion of it stays dominated, and whatever
+    it dominated is dominated by the completion that replaced it. The
+    eps scan over the survivors is then the scan over all groupings.
     """
-    # One read of the memoised curve per rank, not one per stage of each
-    # of the 2**(k-1) groupings.
+    _check_grouping_k(k)
+    eps = 1e-12  # tolerate float noise when comparing equal means
+    # One read of the memoised curve per rank.
     cdf = [first_order_cdf(i, model, density) for i in range(k)]
+    # labels[s]: partial groupings that cover ranks 1..s-1
+    labels: list[list[_Label]] = [[] for _ in range(k + 2)]
+    labels[1].append((0.0, 0.0, ()))
+    for start in range(1, k + 1):
+        p_try = 1.0 - cdf[start - 1]
+        for lat, traf, sizes in _minimal_labels(labels[start], 2 * eps):
+            for size in range(1, k - start + 2):
+                labels[start + size].append(
+                    (lat + p_try, traf + size * p_try, (*sizes, size))
+                )
     points = [
-        ParetoPoint(grouping, *_stage_costs(grouping.sizes, cdf.__getitem__))
-        for grouping in enumerate_groupings(k)
+        ParetoPoint(Grouping(sizes), lat, traf)
+        for lat, traf, sizes in _minimal_labels(labels[k + 1], 2 * eps)
     ]
 
-    eps = 1e-12  # tolerate float noise when comparing equal means
     front = []
     for p in points:
         dominated = False

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import HOURS_PER_WEEK, RegularityModel, regularity, sequential_hit_pmf
-from .profile import CellId, ObservationTrace, SlotConfig, build_profile, top_k
+from .profile import ObservationTrace, SlotConfig, _cell_ranks
 
 __all__ = [
     "CellGrid",
@@ -221,22 +221,45 @@ def empirical_success_after_k(
     total = 0
     for trace in traces:
         split = len(trace) // 2
-        if split == 0 or split == len(trace):
+        if split == 0:
             continue
-        train = ObservationTrace(
-            trace.node_id, trace.slots[:split], trace.cells[:split]
-        )
-        prof = build_profile(train, order=1, slot_config=slot_config)
-        top_by_sow: dict[int, set[CellId]] = {}
-        test_slots = trace.slots[split:]
-        test_cells = trace.cells[split:]
-        for i in range(len(test_slots)):
-            sow = int(test_slots[i]) % spw
-            if sow not in top_by_sow:
-                top_by_sow[sow] = set(top_k(prof, sow, k))
-            cell = CellId(int(test_cells[i, 0]), int(test_cells[i, 1]))
-            hits += cell in top_by_sow[sow]
-            total += 1
+        hits += _held_out_hits(trace, split, k, spw)
+        total += len(trace) - split
     if total == 0:
         raise ValueError("traces too short to split into train and test halves")
     return hits / total
+
+
+def _held_out_hits(trace: ObservationTrace, split: int, k: int, spw: int) -> int:
+    """Observations from split on whose cell is in the top k of an order-1
+    profile of the records before split.
+
+    The top k of a slot of week rank its training cells by count, then by
+    (x, y); a slot with no training data falls back to the marginal, as
+    `top_k` does.
+    """
+    cells, cell = _cell_ranks(trace.cells)  # cell indices follow (x, y) order
+    n_cells = len(cells)
+    sow = trace.slots % spw
+    train_sow, test_sow = sow[:split], sow[split:]
+    train_cell, test_cell = cell[:split], cell[split:]
+
+    keys, counts = np.unique(train_sow * n_cells + train_cell, return_counts=True)
+    key_sow = keys // n_cells
+    order = np.lexsort((keys, -counts, key_sow))
+    # Rank of each entry within its slot of week; entries of a slot are
+    # contiguous in `order` because the slot is the primary sort key.
+    ranked_sow = key_sow[order]
+    first = np.searchsorted(ranked_sow, ranked_sow)
+    top_keys = np.sort(keys[order][np.arange(len(order)) - first < k])
+
+    marginal, marginal_counts = np.unique(train_cell, return_counts=True)
+    marginal_top = np.zeros(n_cells, dtype=bool)
+    marginal_top[marginal[np.lexsort((marginal, -marginal_counts))[:k]]] = True
+
+    test_keys = test_sow * n_cells + test_cell
+    at = np.minimum(np.searchsorted(top_keys, test_keys), len(top_keys) - 1)
+    in_slot_top = top_keys[at] == test_keys
+    trained = np.bincount(train_sow, minlength=spw) > 0
+    hit = np.where(trained[test_sow], in_slot_top, marginal_top[test_cell])
+    return int(np.count_nonzero(hit))

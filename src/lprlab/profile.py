@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -164,6 +165,24 @@ def _context_level(key: ContextKey) -> int:
     raise ValueError(f"bad context key {key!r}")
 
 
+def _cell_ranks(cells: np.ndarray) -> tuple[list[CellId], np.ndarray]:
+    """Distinct cells of an (n, 2) int32 array in (x, y) order, and each
+    row's index into them.
+
+    Counting keys are built from these indices, not from coordinates, so
+    no int32 coordinate can overflow them.
+    """
+    pairs = np.ascontiguousarray(cells, dtype=np.int32)
+    # One int64 per row, to find the distinct rows; they are then ranked
+    # by (x, y).
+    distinct, index = np.unique(pairs.view(np.int64).ravel(), return_inverse=True)
+    xy = distinct.view(np.int32).reshape(-1, 2)
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return [CellId(x, y) for x, y in xy[order].tolist()], rank[index]
+
+
 def build_profile(
     trace: ObservationTrace,
     order: int = 1,
@@ -174,38 +193,43 @@ def build_profile(
     An empty trace yields an empty profile that predicts nothing. The
     order-3 context pairs each observation with the cell of the
     immediately preceding record, so the first record feeds only the
-    lower-order contexts.
+    lower-order contexts. Contexts and their cells are stored in sorted
+    order.
     """
     if order not in _ALLOWED_ORDERS:
         raise ValueError(f"order must be one of {_ALLOWED_ORDERS}, got {order}")
     if slot_config is None:
         slot_config = SlotConfig()
-    spw = slot_config.slots_per_week
-
-    marginal: dict[CellId, int] = {}
-    by_slot: dict[ContextKey, dict[CellId, int]] = {}
-    by_slot_prev: dict[ContextKey, dict[CellId, int]] = {}
-
-    slots = trace.slots
-    cells = trace.cells
-    prev_cell: CellId | None = None
-    for i in range(len(slots)):
-        cell = CellId(int(cells[i, 0]), int(cells[i, 1]))
-        marginal[cell] = marginal.get(cell, 0) + 1
-        if order >= 1:
-            sow = int(slots[i]) % spw
-            entries = by_slot.setdefault((sow,), {})
-            entries[cell] = entries.get(cell, 0) + 1
-            if order == 3 and prev_cell is not None:
-                entries3 = by_slot_prev.setdefault((sow, prev_cell), {})
-                entries3[cell] = entries3.get(cell, 0) + 1
-        prev_cell = cell
-
     counts: dict[ContextKey, dict[CellId, int]] = {}
-    if marginal:
-        counts[()] = marginal
-    counts.update(by_slot)
-    counts.update(by_slot_prev)
+    if len(trace) == 0:
+        return LocationProfile(order=order, version=1, slot_config=slot_config, counts=counts)
+
+    cells, cell = _cell_ranks(trace.cells)
+    n_cells = len(cells)
+    cell_ids, cell_counts = np.unique(cell, return_counts=True)
+    counts[()] = {
+        cells[c]: n for c, n in zip(cell_ids.tolist(), cell_counts.tolist())
+    }
+    if order >= 1:
+        sow = trace.slots % slot_config.slots_per_week
+        keys, key_counts = np.unique(sow * n_cells + cell, return_counts=True)
+        for key, n in zip(keys.tolist(), key_counts.tolist()):
+            s, c = divmod(key, n_cells)
+            counts.setdefault((s,), {})[cells[c]] = n
+    if order == 3 and len(cell) > 1:
+        # Number each (slot of week, previous cell) context first, so the
+        # context-and-cell key stays below len(trace) * n_cells.
+        contexts, context = np.unique(
+            sow[1:] * n_cells + cell[:-1], return_inverse=True
+        )
+        keys, key_counts = np.unique(context * n_cells + cell[1:], return_counts=True)
+        context_keys = [
+            (s, cells[c])
+            for s, c in (divmod(key, n_cells) for key in contexts.tolist())
+        ]
+        for key, n in zip(keys.tolist(), key_counts.tolist()):
+            ctx, c = divmod(key, n_cells)
+            counts.setdefault(context_keys[ctx], {})[cells[c]] = n
     return LocationProfile(order=order, version=1, slot_config=slot_config, counts=counts)
 
 
@@ -396,39 +420,77 @@ def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "slot_index", "cell_x", "cell_y"])
         for trace in traces:
-            for i in range(len(trace)):
-                writer.writerow(
-                    [
-                        trace.node_id,
-                        int(trace.slots[i]),
-                        int(trace.cells[i, 0]),
-                        int(trace.cells[i, 1]),
-                    ]
+            writer.writerows(
+                zip(
+                    repeat(trace.node_id),
+                    trace.slots.tolist(),
+                    trace.cells[:, 0].tolist(),
+                    trace.cells[:, 1].tolist(),
                 )
+            )
 
 
 def read_trace_csv(path: str) -> list[ObservationTrace]:
-    """Traces grouped by node in file order; validates per-node slot order."""
-    grouped: dict[str, list[tuple[int, int, int]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0] == "node_id":
-                continue
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                node, slot, x, y = row[0], int(row[1]), int(row[2]), int(row[3])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            grouped.setdefault(node, []).append((slot, x, y))
-    traces = []
-    for node, rows in grouped.items():
-        slots = np.array([r[0] for r in rows], dtype=np.int64)
-        cells = np.array([(r[1], r[2]) for r in rows], dtype=np.int32).reshape(
-            len(rows), 2
+    """Traces grouped by node in file order.
+
+    Every malformed row raises ValueError naming its line: a wrong field
+    count, a non-integer, a cell coordinate outside int32, a negative slot,
+    a slot that does not follow the node's previous one, or bytes that are
+    not UTF-8.
+    """
+    # Per node: slots and interleaved (x, y), in flat lists; a tuple per
+    # row would double the peak memory of reading a large trace.
+    grouped: dict[str, tuple[list[int], list[int]]] = {}
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if lineno == 1 and row and row[0] == "node_id":
+                    continue
+                if not row:
+                    continue
+                slots, cells = grouped.setdefault(row[0], ([], []))
+                slot, x, y = _trace_row(row, lineno, slots[-1] if slots else None)
+                slots.append(slot)
+                cells.extend((x, y))
+    except csv.Error as exc:
+        raise ValueError(f"line {lineno + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        # The decoder reads ahead, so find the bad byte in the whole file.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: not UTF-8: {exc.reason}") from None
+        raise
+    return [
+        ObservationTrace(
+            node,
+            np.array(slots, dtype=np.int64),
+            np.array(cells, dtype=np.int32).reshape(-1, 2),
         )
-        traces.append(ObservationTrace(node, slots, cells))
-    return traces
+        for node, (slots, cells) in grouped.items()
+    ]
+
+
+def _trace_row(row: list[str], lineno: int, last_slot: int | None) -> tuple[int, int, int]:
+    """(slot, x, y) of one CSV row, after its node's last slot."""
+    if len(row) != 4:
+        raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
+    try:
+        slot, x, y = int(row[1]), int(row[2]), int(row[3])
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    if not 0 <= slot < 2**63:
+        raise ValueError(f"line {lineno}: slot index {slot} is outside [0, 2**63)")
+    if last_slot is not None and slot <= last_slot:
+        raise ValueError(
+            f"line {lineno}: slot {slot} of {row[0]} does not follow its slot "
+            f"{last_slot}; slot indices must be strictly increasing"
+        )
+    for name, value in (("cell_x", x), ("cell_y", y)):
+        if not -(2**31) <= value < 2**31:
+            raise ValueError(f"line {lineno}: {name} {value} is outside int32")
+    return slot, x, y

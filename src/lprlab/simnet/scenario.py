@@ -266,15 +266,22 @@ def build_pool(config: ScenarioConfig) -> list[Topology]:
     return pool
 
 
+def _cell_centers(config: ScenarioConfig) -> list[tuple[float, float]]:
+    """config.cell_center of every cell index, looked up by each trial."""
+    return [config.cell_center(i) for i in range(config.n_cells)]
+
+
 def _run_one(
     config: ScenarioConfig,
     pool: Sequence[Topology],
     index: int,
     eligible: np.ndarray,
+    centers: Sequence[tuple[float, float]],
     hour_pmfs: dict[int, list[float]],
 ) -> TrialRow:
-    """One trial; eligible is config.eligible_cells() and hour_pmfs
-    memoises the rank masses by hour across the trials of one call."""
+    """One trial; eligible is config.eligible_cells(), centers is
+    _cell_centers(config), and hour_pmfs memoises the rank masses by hour
+    across the trials of one call."""
     rng = np.random.default_rng([config.seed, 7, index])
     topo = pool[index % len(pool)]
     src = int(rng.integers(topo.n))
@@ -299,7 +306,7 @@ def _run_one(
     else:
         outside = np.setdiff1d(eligible, cand_idx)
         true_cell = int(rng.choice(outside))
-    true_position = config.cell_center(true_cell)
+    true_position = centers[true_cell]
     radius = config.cell_size
 
     oracle_route = gpsr_route(topo, src, true_position, radius, ttl=_leg_ttl(topo))
@@ -316,7 +323,7 @@ def _run_one(
         outcome = DeliveryOutcome(reachable, 1.0, transmissions)
     elif config.strategy == "lpr":
         assert config.grouping is not None
-        positions = [config.cell_center(int(c)) for c in cand_idx]
+        positions = [centers[c] for c in cand_idx.tolist()]
         outcome = lpr_deliver(
             topo,
             src,
@@ -356,8 +363,11 @@ def run_trials(
 ) -> list[TrialRow]:
     """Run the given trial indices; any disjoint split merges cleanly."""
     eligible = config.eligible_cells()
+    centers = _cell_centers(config)
     hour_pmfs: dict[int, list[float]] = {}
-    return [_run_one(config, pool, int(i), eligible, hour_pmfs) for i in indices]
+    return [
+        _run_one(config, pool, int(i), eligible, centers, hour_pmfs) for i in indices
+    ]
 
 
 def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float | None:
@@ -370,15 +380,14 @@ def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float 
         return None
     n_probes = min(config.trials, _BASELINE_TRIALS)
     eligible = config.eligible_cells()
+    centers = _cell_centers(config)
     total = 0
     for b in range(n_probes):
         rng = np.random.default_rng([config.seed, 13, b])
         topo = pool[b % len(pool)]
         src = int(rng.integers(topo.n))
         cell = int(eligible[rng.integers(len(eligible))])
-        _, _, cost = _round_trip(
-            topo, src, config.cell_center(cell), config.cell_size
-        )
+        _, _, cost = _round_trip(topo, src, centers[cell], config.cell_size)
         total += cost
     return total / n_probes
 

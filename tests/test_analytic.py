@@ -518,3 +518,75 @@ class TestMemoisedCurve:
             for p in pareto_front(max(k, 1), model, density):
                 assert p.latency == mean_latency(p.grouping, model, density)
                 assert p.traffic == mean_traffic(p.grouping, model, density)
+
+
+def _brute_force_front(k, model=None, density=None):
+    """pareto_front by enumeration: score all 2**(k-1) groupings, then
+    keep those no other grouping dominates beyond eps. Test oracle for
+    the label-setting front."""
+    cdf = [first_order_cdf(i, model, density) for i in range(k)]
+    points = []
+    for grouping in enumerate_groupings(k):
+        lat = traf = 0.0
+        start = 1
+        for size in grouping.sizes:
+            p_try = 1.0 - cdf[start - 1]
+            lat += p_try
+            traf += size * p_try
+            start += size
+        points.append(analytic.ParetoPoint(grouping, lat, traf))
+    eps = 1e-12
+    front = [
+        p
+        for p in points
+        if not any(
+            q.latency <= p.latency + eps
+            and q.traffic <= p.traffic + eps
+            and (q.latency < p.latency - eps or q.traffic < p.traffic - eps)
+            for q in points
+        )
+    ]
+    front.sort(key=lambda p: (p.latency, len(p.grouping.sizes), p.grouping.sizes))
+    return front
+
+
+def _hex_points(front):
+    return [(p.grouping.sizes, p.latency.hex(), p.traffic.hex()) for p in front]
+
+
+class TestLabelSettingFront:
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_matches_enumeration_default_model(self, k):
+        assert _hex_points(pareto_front(k)) == _hex_points(_brute_force_front(k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        model=st.none() | _regularity_models(),
+        density=st.none() | _densities,
+    )
+    def test_matches_enumeration_random_models(self, k, model, density):
+        assert _hex_points(pareto_front(k, model, density)) == _hex_points(
+            _brute_force_front(k, model, density)
+        )
+
+    @settings(max_examples=2, deadline=None)
+    @given(model=_regularity_models(), density=_densities)
+    def test_matches_enumeration_k14_random_models(self, model, density):
+        assert _hex_points(pareto_front(14, model, density)) == _hex_points(
+            _brute_force_front(14, model, density)
+        )
+
+    def test_k_range_shared_with_enumeration(self):
+        for k in (0, 21, 2.0, True):
+            for func in (pareto_front, enumerate_groupings):
+                with pytest.raises(ValueError, match="k must be"):
+                    func(k)
+
+    def test_largest_k_front(self):
+        front = pareto_front(20)
+        assert front[0].grouping.sizes == (20,)
+        assert front[-1].grouping.sizes == (1,) * 20
+        lats = [p.latency for p in front]
+        assert lats == sorted(lats)
+        assert all(p.grouping.k == 20 for p in front)

@@ -130,6 +130,12 @@ class TestCurves:
             main(["curves", "--fig", "fig9", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("k", ["0", "21"])
+    def test_front_k_out_of_range(self, tmp_path, capsys, k):
+        assert main(["curves", "--fig", "fig7", "--k", k,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"k must be in [1, 20], got {k}" in capsys.readouterr().err
+
     def test_bad_k_max(self, tmp_path, capsys):
         assert main(["curves", "--fig", "fig2", "--k-max", "0",
                      "--out-dir", str(tmp_path)]) == 2

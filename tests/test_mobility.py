@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lprlab.analytic import (
     RegularityModel,
@@ -24,7 +26,15 @@ from lprlab.mobility import (
     empirical_success_after_k,
     generate_trace,
 )
-from lprlab.profile import ObservationTrace, SlotConfig, read_trace_csv, write_trace_csv
+from lprlab.profile import (
+    CellId,
+    ObservationTrace,
+    SlotConfig,
+    build_profile,
+    read_trace_csv,
+    top_k,
+    write_trace_csv,
+)
 
 
 def _rank_frequencies(traces, n_ranks):
@@ -284,3 +294,78 @@ class TestProfileConvergence:
             half_width = 2.576 * math.sqrt(target * (1 - target) / totals[s])
             inside += abs(hits[s] / totals[s] - target) <= half_width
         assert inside >= 0.94 * spw
+
+
+def _loop_success_after_k(traces, k, slot_config=None):
+    """empirical_success_after_k as a per-observation loop over top_k
+    sets: test oracle for the array-ranked version."""
+    slot_config = slot_config or SlotConfig()
+    spw = slot_config.slots_per_week
+    hits = total = 0
+    for trace in traces:
+        split = len(trace) // 2
+        if split == 0:
+            continue
+        train = ObservationTrace(trace.node_id, trace.slots[:split], trace.cells[:split])
+        prof = build_profile(train, order=1, slot_config=slot_config)
+        top_by_sow = {}
+        for i in range(split, len(trace)):
+            sow = int(trace.slots[i]) % spw
+            if sow not in top_by_sow:
+                top_by_sow[sow] = set(top_k(prof, sow, k))
+            hits += CellId(int(trace.cells[i, 0]), int(trace.cells[i, 1])) in top_by_sow[sow]
+            total += 1
+    return hits / total
+
+
+@st.composite
+def _trace_sets(draw):
+    """A few traces over a small cell palette. Wide slot gaps leave slots of
+    week with no training data, and the palette is drawn from a
+    neighbourhood or from the whole int32 range."""
+    coordinate = draw(
+        st.sampled_from([st.integers(-2, 2), st.integers(-(2**31), 2**31 - 1)])
+    )
+    palette = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8))
+    traces = []
+    for user in range(draw(st.integers(1, 3))):
+        gaps = draw(st.lists(st.integers(1, 400), min_size=2, max_size=60))
+        slots = np.cumsum([draw(st.integers(0, 10**6))] + gaps[:-1])
+        cells = [draw(st.sampled_from(palette)) for _ in slots]
+        traces.append(
+            ObservationTrace(f"u{user}", slots, np.array(cells, dtype=np.int32))
+        )
+    return traces
+
+
+class TestArrayRankedSuccess:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        traces=_trace_sets(),
+        k=st.integers(1, 10),
+        slot_duration=st.sampled_from([1, 10, 60, 1440]),
+    )
+    def test_matches_loop(self, traces, k, slot_duration):
+        slot_config = SlotConfig(slot_duration)
+        got = empirical_success_after_k(traces, k, slot_config)
+        assert got.hex() == _loop_success_after_k(traces, k, slot_config).hex()
+
+    def test_untrained_slot_and_k_above_distinct_cells(self):
+        # Slot of week 3 is only in the held-out half, so it falls back to
+        # the marginal; k = 5 exceeds the 2 distinct training cells.
+        trace = ObservationTrace.from_records(
+            "u", [(0, (1, 1)), (1, (2, 2)), (2, (1, 1)), (3, (9, 9)), (171, (2, 2)),
+                  (172, (1, 1))]
+        )
+        for k in (1, 2, 5):
+            got = empirical_success_after_k([trace], k)
+            assert got.hex() == _loop_success_after_k([trace], k).hex()
+        assert empirical_success_after_k([trace], 5) == 2 / 3
+
+    def test_matches_loop_on_generated_traces(self):
+        traces = generate_trace(MobilityParams(n_users=3, n_weeks=20, seed=5))
+        for k in (1, 5, 12, 60):
+            assert (
+                empirical_success_after_k(traces, k).hex()
+                == _loop_success_after_k(traces, k).hex()
+            )

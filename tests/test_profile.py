@@ -1,6 +1,11 @@
 """Location profile build/query/serialize tests."""
 
+import csv
+import io
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +323,20 @@ class TestSerialization:
         assert deserialize_profile(serialize_profile(p)) == p
 
 
+_csv_numbers = st.sampled_from(
+    ["-1", "0", "4", "10", "x", "", "1.5", "99999999999"]
+    + [str(v) for b in (31, 63) for v in (2**b - 1, 2**b, -(2**b), -(2**b) - 1)]
+)
+# Rows of four fields, whose numbers may be out of order or out of range,
+# and rows of any field count.
+_csv_lines = st.one_of(
+    st.tuples(st.sampled_from(["u0", "u1", "u9"]), *[_csv_numbers] * 3).map(",".join),
+    st.lists(_csv_numbers | st.sampled_from(["u0", '"', "\r"]), max_size=6).map(
+        ",".join
+    ),
+)
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         t1 = trace_of([(5, A), (8, B), (200, C)], node="alpha")
@@ -350,3 +369,162 @@ class TestTraceCsv:
         path.write_text("n0,5,1,1\nn0,5,2,2\n")
         with pytest.raises(ValueError):
             read_trace_csv(str(path))
+
+    def test_write_matches_row_by_row_writer(self, tmp_path):
+        traces = [
+            trace_of([(5, A), (8, CellId(-(2**31), 2**31 - 1)), (2**40, C)], node="a,b"),
+            trace_of([], node="empty"),
+            trace_of([(1, C)], node="beta"),
+        ]
+        path = tmp_path / "t.csv"
+        write_trace_csv(traces, str(path))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["node_id", "slot_index", "cell_x", "cell_y"])
+        for trace in traces:
+            for slot, (x, y) in trace.records:
+                writer.writerow([trace.node_id, slot, x, y])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("u1,1,99999999999,2", "line 3: cell_x 99999999999 is outside int32"),
+            ("u1,1,2,-2147483649", "line 3: cell_y -2147483649 is outside int32"),
+            ("u1,-1,2,2", "line 3: slot index -1 is outside"),
+            ("u1,9223372036854775808,2,2", "line 3: slot index 9223372036854775808 is"),
+            ("u0,5,2,2", "line 3: slot 5 of u0 does not follow its slot 7"),
+            ("u0,7,2,2", "line 3: slot 7 of u0 does not follow its slot 7"),
+        ],
+    )
+    def test_rejected_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"node_id,slot_index,cell_x,cell_y\nu0,7,1,1\n{row}\nu2,1,1,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(str(path))
+        assert str(exc.value).startswith(message)
+
+    def test_non_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = b"".join(b"u0,%d,1,1\n" % slot for slot in range(3000))
+        path.write_bytes(b"node_id,slot_index,cell_x,cell_y\n" + rows + b"u\xff,1,1,1\n")
+        with pytest.raises(ValueError, match="^line 3002: not UTF-8"):
+            read_trace_csv(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.none() | st.integers(0, 10**6),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+        inserts=st.lists(st.tuples(st.integers(0, 10**6), _csv_lines), max_size=3),
+    )
+    def test_mutated_csv_raises_only_located_value_errors(
+        self, tmp_path_factory, cut, flips, inserts
+    ):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_trace_csv(
+            [trace_of([(1, A), (5, B), (9, C)], node="u0"),
+             trace_of([(2, C), (3, CellId(-5, 2**31 - 1))], node="u1")],
+            str(path),
+        )
+        data = bytearray(path.read_bytes())
+        for pos, text in inserts:
+            lines = data.split(b"\n")
+            lines.insert(pos % (len(lines) + 1), text.encode("utf-8"))
+            data = bytearray(b"\n".join(lines))
+        if cut is not None:
+            del data[cut % (len(data) + 1) :]
+        for pos, mask in flips:
+            if data:
+                data[pos % len(data)] ^= mask
+        path.write_bytes(bytes(data))
+        try:
+            traces = read_trace_csv(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith("line "), exc
+            return
+        for trace in traces:
+            assert np.all(np.diff(trace.slots) > 0) and np.all(trace.slots >= 0)
+
+
+def _loop_build_profile(trace, order=1, slot_config=None):
+    """build_profile as a per-record loop over dicts: test oracle for the
+    array-counted version."""
+    slot_config = slot_config or SlotConfig()
+    spw = slot_config.slots_per_week
+    marginal, by_slot, by_slot_prev = {}, {}, {}
+    prev_cell = None
+    for i in range(len(trace.slots)):
+        cell = CellId(int(trace.cells[i, 0]), int(trace.cells[i, 1]))
+        marginal[cell] = marginal.get(cell, 0) + 1
+        if order >= 1:
+            sow = int(trace.slots[i]) % spw
+            entries = by_slot.setdefault((sow,), {})
+            entries[cell] = entries.get(cell, 0) + 1
+            if order == 3 and prev_cell is not None:
+                entries3 = by_slot_prev.setdefault((sow, prev_cell), {})
+                entries3[cell] = entries3.get(cell, 0) + 1
+        prev_cell = cell
+    counts = {(): marginal} if marginal else {}
+    counts.update(by_slot)
+    counts.update(by_slot_prev)
+    return LocationProfile(order=order, version=1, slot_config=slot_config, counts=counts)
+
+
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+
+
+@st.composite
+def _traces(draw, max_size=40):
+    """Traces with few distinct cells (so counts and ties pile up), drawn
+    from a small neighbourhood or from the whole int32 range."""
+    coordinate = draw(st.sampled_from([st.integers(-2, 2), _INT32]))
+    palette = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6))
+    gaps = draw(st.lists(st.integers(1, 3000), max_size=max_size))
+    first = draw(st.integers(0, 10**9))
+    records = []
+    slot = first
+    for gap in gaps:
+        records.append((slot, CellId(*draw(st.sampled_from(palette)))))
+        slot += gap
+    return trace_of(records)
+
+
+_SLOT_CONFIGS = st.sampled_from([1, 10, 60, 1440, 10080]).map(SlotConfig)
+
+
+class TestArrayCountedProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=_traces(), order=st.sampled_from([0, 1, 3]), slot_config=_SLOT_CONFIGS)
+    def test_matches_loop(self, trace, order, slot_config):
+        got = build_profile(trace, order=order, slot_config=slot_config)
+        expected = _loop_build_profile(trace, order, slot_config)
+        assert got == expected
+        assert serialize_profile(got) == serialize_profile(expected)
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_empty_and_single_record(self, order):
+        for records in ([], [(7, CellId(-(2**31), 2**31 - 1))]):
+            trace = trace_of(records)
+            got = build_profile(trace, order=order)
+            expected = _loop_build_profile(trace, order)
+            assert got == expected
+            assert serialize_profile(got) == serialize_profile(expected)
+
+
+def test_statistics_leave_numpy_ma_unimported():
+    # A bare np.unique (one without return_counts or return_inverse)
+    # imports numpy.ma, about 1.3 MiB of peak memory, to check for masked
+    # input.
+    code = (
+        "import sys\n"
+        "from lprlab import mobility, profile\n"
+        "traces = mobility.generate_trace(mobility.MobilityParams(n_users=2, n_weeks=2))\n"
+        "for order in (0, 1, 3):\n"
+        "    profile.build_profile(traces[0], order=order)\n"
+        "mobility.empirical_success_after_k(traces, 3)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
