@@ -125,24 +125,30 @@ def _check_regularity(model: RegularityModel) -> None:
             )
 
 
+def _curve_rows(name: str, args: argparse.Namespace, constant: BetaGeometricModel,
+                model: RegularityModel) -> tuple[list[str], list[tuple]]:
+    if name == "fig2":
+        return figures.success_cdf_rows(args.k_max, constant)
+    if name == "fig3":
+        return figures.time_averaged_rows(args.k_max, model)
+    if name == "fig4":
+        return figures.first_try_pmf_rows(args.k_max, constant)
+    if name == "fig5":
+        return figures.retry_pmf_rows(args.k_max, model)
+    return figures.grouping_front_rows(args.k, model)
+
+
 def cmd_curves(args: argparse.Namespace) -> int:
     constant = BetaGeometricModel(args.c)
     model = RegularityModel(args.c1, args.c2, args.c3)
     _check_regularity(model)
-    out_dir = _resolve_out_dir(args.out_dir)
     selected = _FIGURES if args.fig == "all" else (args.fig,)
+    # Every family is computed before the first write, so a rejected flag
+    # leaves no partial output set behind.
+    tables = {name: _curve_rows(name, args, constant, model) for name in selected}
+    out_dir = _resolve_out_dir(args.out_dir)
     outputs = []
-    for name in selected:
-        if name == "fig2":
-            header, rows = figures.success_cdf_rows(args.k_max, constant)
-        elif name == "fig3":
-            header, rows = figures.time_averaged_rows(args.k_max, model)
-        elif name == "fig4":
-            header, rows = figures.first_try_pmf_rows(args.k_max, constant)
-        elif name == "fig5":
-            header, rows = figures.retry_pmf_rows(args.k_max, model)
-        else:
-            header, rows = figures.grouping_front_rows(args.k, model)
+    for name, (header, rows) in tables.items():
         filename = f"{name}.csv"
         figures.write_csv(os.path.join(out_dir, filename), header, rows)
         outputs.append(filename)

@@ -19,7 +19,7 @@ import csv
 import struct
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,26 +95,11 @@ class ObservationTrace:
         self.slots = slots
         self.cells = cells
 
-    @classmethod
-    def from_records(
-        cls, node_id: str, records: Iterable[tuple[int, CellId]]
-    ) -> "ObservationTrace":
-        records = list(records)
-        slots = np.array([slot for slot, _ in records], dtype=np.int64)
-        cells = np.array(
-            [(cell[0], cell[1]) for _, cell in records], dtype=np.int32
-        ).reshape(len(records), 2)
-        return cls(node_id, slots, cells)
-
     def __len__(self) -> int:
         return len(self.slots)
 
     def record(self, i: int) -> tuple[int, CellId]:
         return int(self.slots[i]), CellId(int(self.cells[i, 0]), int(self.cells[i, 1]))
-
-    @property
-    def records(self) -> list[tuple[int, CellId]]:
-        return [self.record(i) for i in range(len(self))]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObservationTrace):

@@ -9,12 +9,12 @@ succeeds when a reached node lies within the acceptance radius of the
 target's true cell center.
 
 The comparator (ghls_*) is a geographic hash location service: a target
-id hashes to a home cell center (hashed_home_position), and the nodes of
-that home region answer queries for the target's position. An update is
-a one-way route into the home region (within the acceptance radius of the
-home center), and a delivery is a query round trip to the home region
-followed by a data round trip to the target's true position, so lookup
-legs and data legs terminate the same way.
+id hashes to one of the scenario's eligible cells (hashed_home_index),
+and the nodes of that home region answer queries for the target's
+position. An update is a one-way route into the home region (within the
+acceptance radius of the home center), and a delivery is a query round
+trip to the home region followed by a data round trip to the target's
+true position, so lookup legs and data legs terminate the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "cell_center",
     "ghls_deliver",
     "ghls_update",
-    "hashed_home_position",
+    "hashed_home_index",
     "lpr_deliver",
 ]
 
@@ -133,21 +133,15 @@ def lpr_deliver(
     return DeliveryOutcome(False, float(len(grouping.sizes)), transmissions)
 
 
-def hashed_home_position(
-    target_id: object, grid_cells: int, cell_size: float, margin: int = 0
-) -> tuple[float, float]:
-    """Deterministic hash of a target id to a home cell center.
+def hashed_home_index(target_id: object, n: int) -> int:
+    """Deterministic hash of a target id to an index in range(n).
 
-    Hashing onto the same cell-center lattice that data packets are
-    addressed to keeps lookup legs and data legs identically
-    distributed. A margin restricts homes to interior cells.
+    The scenario indexes its eligible cells with it, so home centers lie
+    on the same cell-center lattice that data packets are addressed to
+    and lookup legs and data legs are identically distributed.
     """
-    if not 0 <= 2 * margin < grid_cells:
-        raise ValueError("margin must leave at least one eligible cell")
     digest = hashlib.sha256(str(target_id).encode("utf-8")).digest()
-    side = grid_cells - 2 * margin
-    cell = int.from_bytes(digest[:8], "big") % (side * side)
-    return cell_center(CellId(margin + cell % side, margin + cell // side), cell_size)
+    return int.from_bytes(digest[:8], "big") % n
 
 
 def ghls_update(

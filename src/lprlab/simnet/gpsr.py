@@ -54,11 +54,12 @@ def _next_ccw(topology: Topology, x: int, ref_angle: float) -> int | None:
 
     The rotation is over (0, 2*pi]: an exactly-aligned edge counts as a
     full turn, so a dead-end node bounces the packet back along its only
-    edge.
+    edge. The scan keeps the first minimum of the index-sorted planar
+    list, so equal turns resolve by node index.
     """
     best = None
     best_delta = math.inf
-    for v in topology.planar_sorted[x]:
+    for v in topology.planar_adjacency[x]:
         delta = (topology.bearing(x, v) - ref_angle) % _TWO_PI
         if delta <= 1e-12:
             delta = _TWO_PI

@@ -19,6 +19,7 @@ independent stream: one copy sent to a uniform random cell.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
@@ -41,7 +42,7 @@ from .delivery import (
     cell_center,
     ghls_deliver,
     ghls_update,
-    hashed_home_position,
+    hashed_home_index,
     lpr_deliver,
 )
 from .gpsr import gpsr_route
@@ -86,7 +87,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.field_size <= 0 or self.radio_range <= 0:
+        # Chained comparisons also reject nan and inf: a non-finite size
+        # fails every layout attempt, and a non-finite rate sweeps nan.
+        if not (0 < self.field_size < math.inf and 0 < self.radio_range < math.inf):
             raise ValueError("field_size and radio_range must be positive")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
@@ -110,7 +113,7 @@ class ScenarioConfig:
                 raise ValueError("lpr strategy requires a grouping")
             if self.grouping.k > self.n_candidates:
                 raise ValueError("grouping covers more ranks than n_candidates")
-        if any(f < 0 for f in self.f_over_r):
+        if not all(0 <= f < math.inf for f in self.f_over_r):
             raise ValueError("f_over_r values must be non-negative")
 
     @property
@@ -120,10 +123,6 @@ class ScenarioConfig:
     @property
     def n_cells(self) -> int:
         return self.grid_cells * self.grid_cells
-
-    def cell_center(self, cell_index: int) -> tuple[float, float]:
-        cell = CellId(cell_index % self.grid_cells, cell_index // self.grid_cells)
-        return cell_center(cell, self.cell_size)
 
     def eligible_cells(self) -> np.ndarray:
         m = self.cell_margin
@@ -267,8 +266,11 @@ def build_pool(config: ScenarioConfig) -> list[Topology]:
 
 
 def _cell_centers(config: ScenarioConfig) -> list[tuple[float, float]]:
-    """config.cell_center of every cell index, looked up by each trial."""
-    return [config.cell_center(i) for i in range(config.n_cells)]
+    """Center of every cell index (row-major over the grid), looked up by
+    each trial."""
+    g = config.grid_cells
+    return [cell_center(CellId(i % g, i // g), config.cell_size)
+            for i in range(config.n_cells)]
 
 
 def _run_one(
@@ -333,9 +335,7 @@ def _run_one(
             acceptance_radius=radius,
         )
     else:
-        home = hashed_home_position(
-            index, config.grid_cells, config.cell_size, config.cell_margin
-        )
+        home = centers[eligible[hashed_home_index(index, len(eligible))]]
         outcome = ghls_deliver(
             topo,
             src,

@@ -27,11 +27,6 @@ class Topology:
     adjacency: list[list[int]]
     planar_adjacency: list[list[int]]
     connected: bool
-    # Planar neighbors ordered counterclockwise by bearing (equal bearings
-    # by index), for the perimeter-mode edge rotation. Bearings are
-    # recomputed on use, not stored: perimeter hops are rare, and a
-    # (bearing, node) tuple per entry held memory on every pooled topology.
-    planar_sorted: list[list[int]] = field(repr=False, default_factory=list)
     # positions as two lists of plain floats: the routing hot loop reads
     # these, since indexing the ndarray yields slow numpy scalars.
     xs: list[float] = field(init=False, repr=False, compare=False)
@@ -40,11 +35,6 @@ class Topology:
     def __post_init__(self) -> None:
         self.xs = self.positions[:, 0].tolist()
         self.ys = self.positions[:, 1].tolist()
-        if not self.planar_sorted:
-            self.planar_sorted = [
-                sorted(planar, key=lambda v, u=u: (self.bearing(u, v), v))
-                for u, planar in enumerate(self.planar_adjacency)
-            ]
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ observable without spawning an interpreter.
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -136,6 +137,13 @@ class TestCurves:
                      "--out-dir", str(tmp_path)]) == 2
         assert f"k must be in [1, 20], got {k}" in capsys.readouterr().err
 
+    def test_front_k_rejected_before_any_write(self, tmp_path, capsys):
+        # fig2-fig5 would be valid; the fig7 k is checked before they land.
+        assert main(["curves", "--fig", "all", "--k", "21",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "k must be in [1, 20], got 21" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_bad_k_max(self, tmp_path, capsys):
         assert main(["curves", "--fig", "fig2", "--k-max", "0",
                      "--out-dir", str(tmp_path)]) == 2
@@ -257,6 +265,35 @@ class TestSimulate:
         assert "[topology] n = 10, field_size = 1000, radio_range = 1" in err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "trials.csv").exists()
+
+    def test_non_finite_values_exit_2_at_once(self, tmp_path, capsys, monkeypatch):
+        def no_pool(config):
+            raise AssertionError("built a pool for a rejected scenario")
+
+        monkeypatch.setattr(scenario, "build_pool", no_pool)
+        for key, value, message in (
+            ("radio_range = 300", "nan", "must be positive"),
+            ("radio_range = 300", "inf", "must be positive"),
+            ("field_size = 1200", "inf", "must be positive"),
+            ("field_size = 1200", "nan", "must be positive"),
+            ("[seeds]", "nan", "must be non-negative"),
+            ("[seeds]", "inf", "must be non-negative"),
+        ):
+            if key == "[seeds]":
+                sweep = f"[ghls]\nf_over_r = 1.0, {value}\n\n"
+                text = ORACLE_INI.replace(key, sweep + key)
+            else:
+                text = ORACLE_INI.replace(key, f"{key.split(' =')[0]} = {value}")
+            path = tmp_path / "scenario.ini"
+            path.write_text(text)
+            for command in ("simulate", "compare-ghls"):
+                start = time.perf_counter()
+                assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+                assert time.perf_counter() - start < 1.0
+                err = capsys.readouterr().err
+                assert message in err and "Traceback" not in err
+        assert not (tmp_path / "trials.csv").exists()
+        assert not (tmp_path / "ghls_sweep.csv").exists()
 
     def test_trials_and_seed_overrides(self, tmp_path, capsys):
         ini = self._ini(tmp_path)

@@ -35,6 +35,7 @@ from lprlab.profile import (
     top_k,
     write_trace_csv,
 )
+from trace_records import trace_from_records
 
 
 def _rank_frequencies(traces, n_ranks):
@@ -171,7 +172,7 @@ class TestEmpiricalRegularity:
         assert er.mean() == pytest.approx(0.657, abs=0.02)
 
     def test_empty_slots_are_nan(self):
-        t = ObservationTrace.from_records("n", [(0, (1, 1)), (1, (1, 1))])
+        t = trace_from_records("n", [(0, (1, 1)), (1, (1, 1))])
         er = empirical_regularity([t])
         assert er[0] == 1.0
         assert math.isnan(er[5])
@@ -181,7 +182,7 @@ class TestEmpiricalRegularity:
             empirical_regularity([])
 
     def test_custom_slot_config(self):
-        t = ObservationTrace.from_records("n", [(i, (1, 1)) for i in range(2016)])
+        t = trace_from_records("n", [(i, (1, 1)) for i in range(2016)])
         er = empirical_regularity([t], SlotConfig(10))
         assert er.shape == (1008,)
         assert np.allclose(er, 1.0)
@@ -232,7 +233,7 @@ class TestSuccessAfterK:
             empirical_success_after_k(traces, 0)
         with pytest.raises(ValueError):
             empirical_success_after_k([], 3)
-        short = ObservationTrace.from_records("n", [(0, (1, 1))])
+        short = trace_from_records("n", [(0, (1, 1))])
         with pytest.raises(ValueError):
             empirical_success_after_k([short], 3)
 
@@ -353,7 +354,7 @@ class TestArrayRankedSuccess:
     def test_untrained_slot_and_k_above_distinct_cells(self):
         # Slot of week 3 is only in the held-out half, so it falls back to
         # the marginal; k = 5 exceeds the 2 distinct training cells.
-        trace = ObservationTrace.from_records(
+        trace = trace_from_records(
             "u", [(0, (1, 1)), (1, (2, 2)), (2, (1, 1)), (3, (9, 9)), (171, (2, 2)),
                   (172, (1, 1))]
         )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from lprlab.profile import (
     CellId,
     LocationProfile,
-    ObservationTrace,
     ProfileFormatError,
     SlotConfig,
     build_profile,
@@ -26,6 +25,7 @@ from lprlab.profile import (
     top_k,
     write_trace_csv,
 )
+from trace_records import records_of, trace_from_records
 
 A = CellId(3, 4)
 B = CellId(7, 1)
@@ -33,7 +33,7 @@ C = CellId(0, 0)
 
 
 def trace_of(records, node="n0"):
-    return ObservationTrace.from_records(node, records)
+    return trace_from_records(node, records)
 
 
 class TestTypes:
@@ -61,7 +61,7 @@ class TestTypes:
         t = trace_of([(5, A), (8, B)])
         assert len(t) == 2
         assert t.record(1) == (8, B)
-        assert t.records == [(5, A), (8, B)]
+        assert records_of(t) == [(5, A), (8, B)]
 
     def test_cell_ordering_is_lexicographic(self):
         assert sorted([B, A, C]) == [C, A, B]
@@ -382,7 +382,7 @@ class TestTraceCsv:
         writer = csv.writer(expected)
         writer.writerow(["node_id", "slot_index", "cell_x", "cell_y"])
         for trace in traces:
-            for slot, (x, y) in trace.records:
+            for slot, (x, y) in records_of(trace):
                 writer.writerow([trace.node_id, slot, x, y])
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 

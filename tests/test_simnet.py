@@ -7,6 +7,7 @@ simulation pass.
 """
 
 import concurrent.futures
+import hashlib
 import itertools
 import json
 import math
@@ -46,8 +47,8 @@ from lprlab.simnet import (
     topology_from_positions,
 )
 from lprlab.simnet import scenario
-from lprlab.simnet.delivery import _leg_ttl, hashed_home_position
-from lprlab.simnet.gpsr import _proper_crossing
+from lprlab.simnet.delivery import _leg_ttl, cell_center, hashed_home_index
+from lprlab.simnet.gpsr import _next_ccw, _proper_crossing
 from lprlab.simnet.scenario import (
     aggregate,
     build_pool,
@@ -131,9 +132,9 @@ def _component_count(positions, radio_range):
 
 
 def _loop_topology(positions, radio_range):
-    """Adjacency, Gabriel planar lists and bearing-sorted planar lists by
-    the original per-edge loop over numpy scalars: the oracle for the
-    vectorized planarization in topology_from_positions."""
+    """Adjacency and Gabriel planar lists by the original per-edge loop
+    over numpy scalars: the oracle for the vectorized planarization in
+    topology_from_positions."""
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
     diff = positions[:, None, :] - positions[None, :, :]
@@ -163,11 +164,38 @@ def _loop_topology(positions, radio_range):
                 planar[v].append(u)
     for lst in planar:
         lst.sort()
-    planar_sorted = [
-        [v for _, v in sorted((_numpy_bearing(positions, u, v), v) for v in planar[u])]
-        for u in range(n)
-    ]
-    return adjacency, planar, planar_sorted
+    return adjacency, planar
+
+
+def _sorted_next_ccw(topology, x, ref_angle):
+    """The perimeter rotation as it scanned planar neighbors sorted by
+    (bearing, index): the oracle for _next_ccw's index-order scan."""
+    best = None
+    best_delta = math.inf
+    ordered = sorted(topology.planar_adjacency[x], key=lambda v: (topology.bearing(x, v), v))
+    for v in ordered:
+        delta = (topology.bearing(x, v) - ref_angle) % (2.0 * math.pi)
+        if delta <= 1e-12:
+            delta = 2.0 * math.pi
+        if delta < best_delta:
+            best_delta = delta
+            best = v
+    return best
+
+
+def _assert_rotation_matches_oracle(topo, angles):
+    """_next_ccw and the sorted-scan oracle pick the same neighbor from
+    every node, for the given reference angles and for each neighbor's
+    exact bearing and the floats next to it, which take the aligned
+    (delta <= 1e-12) branch."""
+    for x in range(topo.n):
+        refs = list(angles)
+        for v in range(topo.n):
+            if v != x:
+                b = topo.bearing(x, v)
+                refs += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
+        for ref in refs:
+            assert _next_ccw(topo, x, ref) == _sorted_next_ccw(topo, x, ref)
 
 
 def _numpy_bearing(positions, u, v):
@@ -267,12 +295,25 @@ class TestTopology:
             ]
         )
         for topo in layouts:
-            adjacency, planar, planar_sorted = _loop_topology(
-                topo.positions, topo.radio_range
-            )
+            adjacency, planar = _loop_topology(topo.positions, topo.radio_range)
             assert topo.adjacency == adjacency
             assert topo.planar_adjacency == planar
-            assert topo.planar_sorted == planar_sorted
+
+    @settings(max_examples=60, deadline=None)
+    @given(_layouts(), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6))
+    def test_rotation_matches_bearing_sorted_oracle(self, topo, angles):
+        _assert_rotation_matches_oracle(topo, angles)
+
+    def test_rotation_matches_bearing_sorted_oracle_on_lattices(self):
+        # Every lattice of test_matches_loop_oracle, beyond the sides and
+        # reaches _layouts() draws; reference angles at multiples of pi/4
+        # meet the axis and diagonal bearings exactly.
+        rng = random.Random(3)
+        for side in range(2, 9):
+            for reach in (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0):
+                angles = [rng.uniform(-math.pi, math.pi) for _ in range(4)]
+                angles += [k * math.pi / 4.0 for k in range(-4, 5)]
+                _assert_rotation_matches_oracle(_lattice(side, reach), angles)
 
     def test_plain_float_geometry_matches_numpy_formulas(self):
         def bits(x):
@@ -498,6 +539,17 @@ class TestGpsr:
             gpsr_route(topo, 0, VOID_DEST, acceptance_radius=-1.0)
 
 
+def _hashed_home(target_id, grid_cells, cell_size, margin):
+    """The ghls home center of a target, as _run_one looks it up."""
+    config = ScenarioConfig(
+        field_size=grid_cells * cell_size, grid_cells=grid_cells,
+        cell_margin=margin, n_candidates=1, strategy="oracle",
+    )
+    eligible = config.eligible_cells()
+    centers = scenario._cell_centers(config)
+    return centers[eligible[hashed_home_index(target_id, len(eligible))]]
+
+
 @pytest.fixture(scope="module")
 def topo():
     topo = build_topology(120, 1000.0, 250.0, seed=2)
@@ -610,18 +662,36 @@ class TestDelivery:
     def test_hashed_home_is_deterministic_and_interior(self):
         for margin in (0, 1, 2):
             for target in (0, 7, "abc"):
-                a = hashed_home_position(target, 12, 100.0, margin=margin)
-                b = hashed_home_position(target, 12, 100.0, margin=margin)
-                assert a == b
+                a = _hashed_home(target, 12, 100.0, margin)
+                assert a == _hashed_home(target, 12, 100.0, margin)
                 for coord in a:
                     assert margin * 100.0 < coord < (12 - margin) * 100.0
-        assert hashed_home_position(0, 12, 100.0) != hashed_home_position(1, 12, 100.0)
-        with pytest.raises(ValueError):
-            hashed_home_position(0, 4, 100.0, margin=2)
+        assert hashed_home_index(0, 100) != hashed_home_index(1, 100)
+        assert _hashed_home(0, 12, 100.0, 0) != _hashed_home(1, 12, 100.0, 0)
+        for n in (1, 2, 7, 100):
+            assert all(0 <= hashed_home_index(t, n) < n for t in range(200))
+
+    def test_hashed_home_matches_centered_margin_formula(self):
+        # The home center as it was computed before the scenario indexed
+        # its eligible cells with the hash: own margin and side arithmetic.
+        def margin_home(target_id, grid_cells, cell_size, margin):
+            digest = hashlib.sha256(str(target_id).encode("utf-8")).digest()
+            side = grid_cells - 2 * margin
+            cell = int.from_bytes(digest[:8], "big") % (side * side)
+            return cell_center(
+                CellId(margin + cell % side, margin + cell // side), cell_size
+            )
+
+        for grid_cells, margin in ((2, 0), (4, 1), (7, 2), (12, 0), (12, 1), (12, 3)):
+            cell = 2500.0 / grid_cells
+            for target in itertools.chain(range(300), ("abc", "u7")):
+                assert _hashed_home(target, grid_cells, cell, margin) == margin_home(
+                    target, grid_cells, cell, margin
+                )
 
     def test_ghls_server_answers_its_own_lookup(self, topo):
         cell = 100.0
-        home = hashed_home_position(7, 10, cell, margin=1)
+        home = _hashed_home(7, 10, cell, 1)
         server = min(range(topo.n), key=lambda u: topo.distance_to(u, home))
         assert topo.distance_to(server, home) <= cell
         bound = (430.0, 610.0)
@@ -636,7 +706,7 @@ class TestDelivery:
     def test_ghls_delivery_accounting(self, topo):
         cell = 100.0
         bound = tuple(topo.position(40))
-        home = hashed_home_position(3, 10, cell, margin=1)
+        home = _hashed_home(3, 10, cell, 1)
         src = 110
         out = ghls_deliver(
             topo, src, home, true_position=bound, acceptance_radius=cell
@@ -679,7 +749,10 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(strategy="oracle")
         assert cfg.cell_size == pytest.approx(2500.0 / 12)
         assert cfg.n_cells == 144
-        assert cfg.cell_center(0) == pytest.approx((cfg.cell_size / 2,) * 2)
+        centers = scenario._cell_centers(cfg)
+        assert centers[0] == pytest.approx((cfg.cell_size / 2,) * 2)
+        for i, center in enumerate(centers):
+            assert center == cell_center(CellId(i % 12, i // 12), cfg.cell_size)
 
     def test_eligible_cells_respect_margin(self):
         cfg = replace(SMALL, grid_cells=6, cell_margin=1)
@@ -710,6 +783,43 @@ class TestScenarioConfig:
             replace(SMALL, f_over_r=(1.0, -0.5))
         with pytest.raises(ValueError, match="seed must be non-negative"):
             replace(SMALL, seed=-3)
+
+    def test_non_finite_values_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be positive"):
+                replace(SMALL, radio_range=value)
+            with pytest.raises(ValueError, match="must be positive"):
+                replace(SMALL, field_size=value)
+            with pytest.raises(ValueError, match="must be non-negative"):
+                replace(SMALL, f_over_r=(1.0, value))
+
+
+_FUZZ_INI = """
+[topology]
+n = 80
+field_size = 1200
+radio_range = 300
+pool = 2
+grid_cells = 8
+cell_margin = 1
+
+[traffic]
+trials = 40
+n_candidates = 5
+
+[strategy]
+kind = lpr
+grouping = 2|3
+
+[ghls]
+f_over_r = 0.5, 1.5, 2.5
+
+[seeds]
+seed = 11
+"""
+_FUZZ_VALUES = [
+    b"nan", b"inf", b"-inf", b"-1", b"0", b"1e3", b"2||3", b"%(x)s", b"\xff\xfe", b"",
+]
 
 
 class TestScenarioFile:
@@ -856,6 +966,45 @@ kind = oracle
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             load_scenario(str(tmp_path / "nope.ini"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["drop", "duplicate", "blank", "value"]),
+                st.integers(0, 10**6),
+                st.sampled_from(_FUZZ_VALUES),
+            ),
+            max_size=4,
+        )
+    )
+    def test_mutated_file_loads_finite_or_raises_value_error(
+        self, tmp_path_factory, edits
+    ):
+        # Sizes stay small: every int key rejects '1e3', so no mutant asks
+        # for a huge pool or grid.
+        lines = _FUZZ_INI.encode().split(b"\n")
+        for kind, pos, value in edits:
+            i = pos % len(lines)
+            if kind == "drop":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            elif kind == "blank":
+                lines[i] = b""
+            elif b" = " in lines[i]:
+                lines[i] = lines[i].split(b" = ")[0] + b" = " + value
+            if not lines:
+                lines = [b""]
+        path = tmp_path_factory.mktemp("ini") / "scenario.ini"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            cfg = load_scenario(str(path))
+        except ValueError:
+            return
+        for value in (cfg.field_size, cfg.radio_range):
+            assert 0 < value < math.inf
+        assert all(0 <= f < math.inf for f in cfg.f_over_r)
 
 
 @pytest.fixture
@@ -1032,6 +1181,7 @@ class TestScenarioRuns:
 def _leg_tables(config, pool, trials):
     """Replay the scenario draws, recording one round trip per rank."""
     eligible = config.eligible_cells()
+    centers = scenario._cell_centers(config)
     model = RegularityModel()
     radius = config.cell_size
     nc = config.n_candidates
@@ -1058,10 +1208,10 @@ def _leg_tables(config, pool, trials):
             true_cell = int(cand[true_rank - 1])
         else:
             true_cell = int(rng.choice(np.setdiff1d(eligible, cand)))
-        true_pos = config.cell_center(true_cell)
+        true_pos = centers[true_cell]
         for rank in range(nc):
             reached_ok, reached, cost = _round_trip(
-                topo, src, config.cell_center(int(cand[rank])), radius
+                topo, src, centers[int(cand[rank])], radius
             )
             costs[index, rank] = cost
             hits[index, rank] = (
