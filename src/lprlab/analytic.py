@@ -11,9 +11,9 @@ Three layers build on each other here:
 
 - zeroth order: constant regularity ``c``, F(k; c),
 - time dependence: a sinusoidal hour-of-week regularity model R(t),
-- first order: F(k; R(t)) averaged over a traffic density on the
-  hour-of-week as a midpoint sum over 168 hourly bins, memoised per
-  (k, model, density) so that every consumer reads the same values.
+- first order: F(k; R(t)) averaged over the hour-of-week, every hour
+  weighted alike, as a midpoint sum over 168 hourly bins, memoised per
+  (k, model) so that every consumer reads the same values.
 
 On top of the first-order CDF sit the grouping cost model (mean latency
 factor and mean transmission factor of a partition of the top-k
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "HOURS_PER_WEEK",
     "BetaGeometricModel",
     "RegularityModel",
-    "TrafficDensity",
     "Grouping",
     "ParetoPoint",
     "GhlsCostModel",
@@ -73,7 +72,7 @@ HOURS_PER_WEEK = 168
 # pareto_front, which shares the check.
 _MAX_GROUPING_K = 20
 
-_CURVE_CACHE_SIZE = 1024  # memoised first-order values, one per (k, model, density)
+_CURVE_CACHE_SIZE = 1024  # memoised first-order values, one per (k, model)
 
 
 def _check_k(k: int, lowest: int) -> None:
@@ -158,34 +157,7 @@ def regularity(t: float, model: RegularityModel | None = None) -> float:
     )
 
 
-@dataclass(frozen=True)
-class TrafficDensity:
-    """Query arrival density over the 168 hour-of-week bins.
-
-    Weights must be non-negative and sum to 1 within 1e-9. The default is
-    uniform: queries are equally likely at any hour.
-    """
-
-    weights: tuple[float, ...] = field(
-        default_factory=lambda: (1.0 / HOURS_PER_WEEK,) * HOURS_PER_WEEK
-    )
-
-    def __post_init__(self) -> None:
-        # A tuple keeps the density hashable, as the memoised curve needs.
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != HOURS_PER_WEEK:
-            raise ValueError(
-                f"density needs {HOURS_PER_WEEK} weights, got {len(self.weights)}"
-            )
-        if any(w < 0 for w in self.weights):
-            raise ValueError("density weights must be non-negative")
-        total = sum(self.weights)
-        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError(f"density weights must sum to 1, got {total}")
-
-
 _DEFAULT_MODEL = RegularityModel()
-_UNIFORM_DENSITY = TrafficDensity()
 
 
 def _conditional_cdf(k: int, r: float) -> float:
@@ -203,43 +175,32 @@ def conditional_cdf_at_time(
     return _conditional_cdf(k, regularity(t, model))
 
 
-def first_order_cdf(
-    k: int,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
-) -> float:
-    """Traffic-weighted success probability after k ranked probes.
+def first_order_cdf(k: int, model: RegularityModel | None = None) -> float:
+    """Hour-of-week averaged success probability after k ranked probes.
 
     Averages the conditional CDF over the hour-of-week, evaluating each of
-    the 168 hourly bins at its midpoint t + 0.5 and weighting by the traffic
-    density. The midpoint sum is the fixed quadrature; quoted values refer
-    to it rather than to the underlying integral. Each (k, model, density)
-    is summed once; omitted arguments share the entry of the defaults.
+    the 168 hourly bins at its midpoint t + 0.5 and weighting every bin
+    alike. The midpoint sum is the fixed quadrature; quoted values refer
+    to it rather than to the underlying integral. Each (k, model) is
+    summed once; an omitted model shares the entry of the default.
     """
     _check_k(k, 0)
-    return _midpoint_cdf(
-        k,
-        _DEFAULT_MODEL if model is None else model,
-        _UNIFORM_DENSITY if density is None else density,
-    )
+    return _midpoint_cdf(k, _DEFAULT_MODEL if model is None else model)
 
 
 @functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
-def _midpoint_cdf(k: int, model: RegularityModel, density: TrafficDensity) -> float:
+def _midpoint_cdf(k: int, model: RegularityModel) -> float:
+    weight = 1.0 / HOURS_PER_WEEK
     total = 0.0
     for t in range(HOURS_PER_WEEK):
-        total += density.weights[t] * _conditional_cdf(k, regularity(t + 0.5, model))
+        total += weight * _conditional_cdf(k, regularity(t + 0.5, model))
     return total
 
 
-def first_order_pmf(
-    k: int,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
-) -> float:
-    """Probability that probe k is the first success, traffic-weighted."""
+def first_order_pmf(k: int, model: RegularityModel | None = None) -> float:
+    """Probability that probe k is the first success, hour-of-week averaged."""
     _check_k(k, 1)
-    return first_order_cdf(k, model, density) - first_order_cdf(k - 1, model, density)
+    return first_order_cdf(k, model) - first_order_cdf(k - 1, model)
 
 
 def sequential_hit_pmf(r: float, n: int) -> list[float]:
@@ -320,35 +281,27 @@ def _stage_costs(
     return lat, traf
 
 
-def _curve(model: RegularityModel | None, density: TrafficDensity | None):
+def _curve(model: RegularityModel | None):
     # Calls go through the module global, so a rebound first_order_cdf sees them.
-    return lambda k: first_order_cdf(k, model, density)
+    return lambda k: first_order_cdf(k, model)
 
 
-def mean_latency(
-    grouping: Grouping,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
-) -> float:
+def mean_latency(grouping: Grouping, model: RegularityModel | None = None) -> float:
     """Expected number of serial stages paid, in units of one stage RTT.
 
     Sum over stages of the probability the stage runs. Misses pay every
     stage; the fully parallel grouping has latency factor 1.
     """
-    return _stage_costs(grouping.sizes, _curve(model, density))[0]
+    return _stage_costs(grouping.sizes, _curve(model))[0]
 
 
-def mean_traffic(
-    grouping: Grouping,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
-) -> float:
+def mean_traffic(grouping: Grouping, model: RegularityModel | None = None) -> float:
     """Expected number of candidate probes sent, in units of one probe.
 
     Sum over stages of size times the probability the stage runs. Fully
     serial sends the fewest probes, fully parallel sends all k.
     """
-    return _stage_costs(grouping.sizes, _curve(model, density))[1]
+    return _stage_costs(grouping.sizes, _curve(model))[1]
 
 
 def _check_grouping_k(k: int) -> None:
@@ -405,11 +358,7 @@ def _minimal_labels(labels: list[_Label], margin: float) -> list[_Label]:
     return kept
 
 
-def pareto_front(
-    k: int,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
-) -> list[ParetoPoint]:
+def pareto_front(k: int, model: RegularityModel | None = None) -> list[ParetoPoint]:
     """Non-dominated (latency, traffic) groupings for top-k probing.
 
     A point is kept when no other grouping is at least as good on both
@@ -431,7 +380,7 @@ def pareto_front(
     _check_grouping_k(k)
     eps = 1e-12  # tolerate float noise when comparing equal means
     # One read of the memoised curve per rank.
-    cdf = [first_order_cdf(i, model, density) for i in range(k)]
+    cdf = [first_order_cdf(i, model) for i in range(k)]
     # labels[s]: partial groupings that cover ranks 1..s-1
     labels: list[list[_Label]] = [[] for _ in range(k + 2)]
     labels[1].append((0.0, 0.0, ()))

@@ -12,12 +12,7 @@ import os
 from typing import Iterable, Sequence
 
 from . import analytic
-from .analytic import (
-    HOURS_PER_WEEK,
-    BetaGeometricModel,
-    RegularityModel,
-    TrafficDensity,
-)
+from .analytic import HOURS_PER_WEEK, BetaGeometricModel, RegularityModel
 
 __all__ = [
     "success_cdf_rows",
@@ -73,11 +68,9 @@ def trough_hour(model: RegularityModel | None = None) -> int:
 
 
 def time_averaged_rows(
-    k_max: int = 50,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
+    k_max: int = 50, model: RegularityModel | None = None
 ) -> tuple[list[str], list[tuple]]:
-    """Traffic-averaged success next to the best-hour and worst-hour curves.
+    """Hour-of-week averaged success next to the best-hour and worst-hour curves.
 
     The night column conditions on the regularity peak, the day column on
     the trough; both evaluate at the bin midpoint like the average itself.
@@ -91,7 +84,7 @@ def time_averaged_rows(
         rows.append(
             (
                 k,
-                analytic.first_order_cdf(k, model, density),
+                analytic.first_order_cdf(k, model),
                 analytic.conditional_cdf_at_time(k, t_night, model),
                 analytic.conditional_cdf_at_time(k, t_day, model),
             )
@@ -110,25 +103,21 @@ def first_try_pmf_rows(
 
 
 def retry_pmf_rows(
-    k_max: int = 50,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
+    k_max: int = 50, model: RegularityModel | None = None
 ) -> tuple[list[str], list[tuple]]:
-    """Traffic-averaged first-success mass over the probe rank."""
+    """Hour-of-week averaged first-success mass over the probe rank."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    rows = [(k, analytic.first_order_pmf(k, model, density)) for k in range(1, k_max + 1)]
+    rows = [(k, analytic.first_order_pmf(k, model)) for k in range(1, k_max + 1)]
     return ["k", "first_success_pmf"], rows
 
 
 def grouping_front_rows(
-    k: int,
-    model: RegularityModel | None = None,
-    density: TrafficDensity | None = None,
+    k: int, model: RegularityModel | None = None
 ) -> tuple[list[str], list[tuple]]:
     """Pareto front of probe groupings: success, means, and stage sizes."""
-    front = analytic.pareto_front(k, model, density)
-    success = analytic.first_order_cdf(k, model, density)
+    front = analytic.pareto_front(k, model)
+    success = analytic.first_order_cdf(k, model)
     rows = [
         (success, p.latency, p.traffic, str(p.grouping))
         for p in front

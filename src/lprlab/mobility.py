@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import HOURS_PER_WEEK, RegularityModel, regularity, sequential_hit_pmf
-from .profile import ObservationTrace, SlotConfig, _cell_ranks
+from .profile import ObservationTrace, _cell_ranks
 
 __all__ = [
     "CellGrid",
@@ -158,97 +158,78 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     return traces
 
 
-def _modal_hits_per_slot(
-    trace: ObservationTrace, slot_config: SlotConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot-of-week: observations matching this user's modal cell, and totals."""
-    spw = slot_config.slots_per_week
-    sow = (trace.slots % spw).astype(np.int64)
-    rows = np.column_stack(
-        [sow, trace.cells[:, 0].astype(np.int64), trace.cells[:, 1].astype(np.int64)]
-    )
-    urows, counts = np.unique(rows, axis=0, return_counts=True)
-    slot_col = urows[:, 0]
-    hits = np.zeros(spw, dtype=np.int64)
-    np.maximum.at(hits, slot_col, counts)  # modal cell count per slot
-    totals = np.bincount(sow, minlength=spw).astype(np.int64)
-    hits[totals == 0] = 0
-    return hits, totals
+def _modal_hits_per_slot(trace: ObservationTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Per hour of week: observations at this user's modal cell of that
+    hour, and all observations."""
+    cells, cell = _cell_ranks(trace.cells)
+    n_cells = len(cells)
+    sow = trace.slots % HOURS_PER_WEEK
+    keys, counts = np.unique(sow * n_cells + cell, return_counts=True)
+    hits = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
+    np.maximum.at(hits, keys // n_cells, counts)  # modal cell count per hour
+    return hits, np.bincount(sow, minlength=HOURS_PER_WEEK)
 
 
-def empirical_regularity(
-    traces: list[ObservationTrace], slot_config: SlotConfig | None = None
-) -> np.ndarray:
-    """Fraction of observations at the user's modal cell, per slot of week.
+def empirical_regularity(traces: list[ObservationTrace]) -> np.ndarray:
+    """Fraction of observations at the user's modal cell, per hour of week.
 
-    Slots with no observations at all come back as NaN.
+    Hours with no observations at all come back as NaN.
     """
     if not traces:
         raise ValueError("need at least one trace")
-    if slot_config is None:
-        slot_config = SlotConfig()
-    spw = slot_config.slots_per_week
-    hits = np.zeros(spw, dtype=np.int64)
-    totals = np.zeros(spw, dtype=np.int64)
+    hits = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
+    totals = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
     for trace in traces:
-        h, t = _modal_hits_per_slot(trace, slot_config)
+        h, t = _modal_hits_per_slot(trace)
         hits += h
         totals += t
     with np.errstate(invalid="ignore"):
         return np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
 
 
-def empirical_success_after_k(
-    traces: list[ObservationTrace],
-    k: int,
-    slot_config: SlotConfig | None = None,
-) -> float:
+def empirical_success_after_k(traces: list[ObservationTrace], k: int) -> float:
     """Held-out success rate of top-k prediction from per-user profiles.
 
     The first half of each trace trains an order-1 profile; the second
     half is scored: an observation counts as a hit when its cell is among
-    the profile's top k for that slot of week.
+    the profile's top k for that hour of week.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not traces:
         raise ValueError("need at least one trace")
-    if slot_config is None:
-        slot_config = SlotConfig()
-    spw = slot_config.slots_per_week
-
     hits = 0
     total = 0
     for trace in traces:
         split = len(trace) // 2
         if split == 0:
             continue
-        hits += _held_out_hits(trace, split, k, spw)
+        hits += _held_out_hits(trace, split, k)
         total += len(trace) - split
     if total == 0:
         raise ValueError("traces too short to split into train and test halves")
     return hits / total
 
 
-def _held_out_hits(trace: ObservationTrace, split: int, k: int, spw: int) -> int:
+def _held_out_hits(trace: ObservationTrace, split: int, k: int) -> int:
     """Observations from split on whose cell is in the top k of an order-1
     profile of the records before split.
 
-    The top k of a slot of week rank its training cells by count, then by
-    (x, y); a slot with no training data falls back to the marginal, as
+    The top k of an hour of week rank its training cells by count, then by
+    (x, y); an hour with no training data falls back to the marginal, as
     `top_k` does.
     """
     cells, cell = _cell_ranks(trace.cells)  # cell indices follow (x, y) order
     n_cells = len(cells)
-    sow = trace.slots % spw
+    sow = trace.slots % HOURS_PER_WEEK
     train_sow, test_sow = sow[:split], sow[split:]
     train_cell, test_cell = cell[:split], cell[split:]
 
     keys, counts = np.unique(train_sow * n_cells + train_cell, return_counts=True)
     key_sow = keys // n_cells
     order = np.lexsort((keys, -counts, key_sow))
-    # Rank of each entry within its slot of week; entries of a slot are
-    # contiguous in `order` because the slot is the primary sort key.
+    # Rank of each entry within its hour of week; entries of an hour are
+    # contiguous in `order` because the hour is the primary sort key.
     ranked_sow = key_sow[order]
     first = np.searchsorted(ranked_sow, ranked_sow)
     top_keys = np.sort(keys[order][np.arange(len(order)) - first < k])
@@ -260,6 +241,6 @@ def _held_out_hits(trace: ObservationTrace, split: int, k: int, spw: int) -> int
     test_keys = test_sow * n_cells + test_cell
     at = np.minimum(np.searchsorted(top_keys, test_keys), len(top_keys) - 1)
     in_slot_top = top_keys[at] == test_keys
-    trained = np.bincount(train_sow, minlength=spw) > 0
+    trained = np.bincount(train_sow, minlength=HOURS_PER_WEEK) > 0
     hit = np.where(trained[test_sow], in_slot_top, marginal_top[test_cell])
     return int(np.count_nonzero(hit))

@@ -1,8 +1,10 @@
 """Per-node location profiles: variable-order context predictors.
 
 A profile counts which grid cell a node occupied, keyed by progressively
-more specific contexts: nothing (order 0), the slot of the week (order 1),
-or the slot of the week plus the previously observed cell (order 3). A
+more specific contexts: nothing (order 0), the hour of the week (order 1),
+or the hour of the week plus the previously observed cell (order 3). Slot
+indices count hours, so slot s falls in hour of week s % HOURS_PER_WEEK,
+the week clock of the analytic models and the trace generator too. A
 query walks from the most specific context that has data down to the
 marginal, escape-style, with no blending between levels. Confidences are
 plain relative frequencies; ranking is what matters downstream, and the
@@ -23,9 +25,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .analytic import HOURS_PER_WEEK
+
 __all__ = [
-    "MINUTES_PER_WEEK",
-    "SlotConfig",
     "CellId",
     "ObservationTrace",
     "LocationProfile",
@@ -39,8 +41,6 @@ __all__ = [
     "read_trace_csv",
 ]
 
-MINUTES_PER_WEEK = 10080
-
 _ALLOWED_ORDERS = (0, 1, 3)
 
 
@@ -51,29 +51,8 @@ class CellId(NamedTuple):
     y: int
 
 
-@dataclass(frozen=True)
-class SlotConfig:
-    """Time discretization: minutes per slot, derived slots per week."""
-
-    slot_duration: int = 60
-
-    def __post_init__(self) -> None:
-        if self.slot_duration < 1 or MINUTES_PER_WEEK % self.slot_duration != 0:
-            raise ValueError(
-                f"slot duration must divide {MINUTES_PER_WEEK} minutes, "
-                f"got {self.slot_duration}"
-            )
-
-    @property
-    def slots_per_week(self) -> int:
-        return MINUTES_PER_WEEK // self.slot_duration
-
-    def slot_of_week(self, slot_index: int) -> int:
-        return slot_index % self.slots_per_week
-
-
 class ObservationTrace:
-    """Time-ordered (slot_index, cell) observations for one node.
+    """Time-ordered (hourly slot_index, cell) observations for one node.
 
     Backed by flat arrays so multi-week traces for whole populations stay
     cheap. Slot indices must be strictly increasing: at most one
@@ -113,8 +92,8 @@ class ObservationTrace:
 
 # Context keys inside a profile's counts map:
 #   ()                    order-0 marginal
-#   (slot_of_week,)       order-1
-#   (slot_of_week, cell)  order-3
+#   (hour_of_week,)       order-1
+#   (hour_of_week, cell)  order-3
 ContextKey = tuple
 
 
@@ -122,7 +101,6 @@ ContextKey = tuple
 class LocationProfile:
     order: int
     version: int
-    slot_config: SlotConfig
     counts: dict[ContextKey, dict[CellId, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -168,11 +146,7 @@ def _cell_ranks(cells: np.ndarray) -> tuple[list[CellId], np.ndarray]:
     return [CellId(x, y) for x, y in xy[order].tolist()], rank[index]
 
 
-def build_profile(
-    trace: ObservationTrace,
-    order: int = 1,
-    slot_config: SlotConfig | None = None,
-) -> LocationProfile:
+def build_profile(trace: ObservationTrace, order: int = 1) -> LocationProfile:
     """Count context occurrences over a trace; version starts at 1.
 
     An empty trace yields an empty profile that predicts nothing. The
@@ -183,11 +157,9 @@ def build_profile(
     """
     if order not in _ALLOWED_ORDERS:
         raise ValueError(f"order must be one of {_ALLOWED_ORDERS}, got {order}")
-    if slot_config is None:
-        slot_config = SlotConfig()
     counts: dict[ContextKey, dict[CellId, int]] = {}
     if len(trace) == 0:
-        return LocationProfile(order=order, version=1, slot_config=slot_config, counts=counts)
+        return LocationProfile(order=order, version=1, counts=counts)
 
     cells, cell = _cell_ranks(trace.cells)
     n_cells = len(cells)
@@ -196,13 +168,13 @@ def build_profile(
         cells[c]: n for c, n in zip(cell_ids.tolist(), cell_counts.tolist())
     }
     if order >= 1:
-        sow = trace.slots % slot_config.slots_per_week
+        sow = trace.slots % HOURS_PER_WEEK
         keys, key_counts = np.unique(sow * n_cells + cell, return_counts=True)
         for key, n in zip(keys.tolist(), key_counts.tolist()):
             s, c = divmod(key, n_cells)
             counts.setdefault((s,), {})[cells[c]] = n
     if order == 3 and len(cell) > 1:
-        # Number each (slot of week, previous cell) context first, so the
+        # Number each (hour of week, previous cell) context first, so the
         # context-and-cell key stays below len(trace) * n_cells.
         contexts, context = np.unique(
             sow[1:] * n_cells + cell[:-1], return_inverse=True
@@ -215,7 +187,7 @@ def build_profile(
         for key, n in zip(keys.tolist(), key_counts.tolist()):
             ctx, c = divmod(key, n_cells)
             counts.setdefault(context_keys[ctx], {})[cells[c]] = n
-    return LocationProfile(order=order, version=1, slot_config=slot_config, counts=counts)
+    return LocationProfile(order=order, version=1, counts=counts)
 
 
 def _ranked(entries: dict[CellId, int]) -> list[tuple[CellId, float]]:
@@ -237,7 +209,7 @@ def predict(
     pair was seen, then (slot,), then the marginal. Unknown contexts all
     the way down yield an empty list, never an error.
     """
-    sow = profile.slot_config.slot_of_week(slot_index)
+    sow = slot_index % HOURS_PER_WEEK
     if profile.order == 3 and prev_cell is not None:
         entries = profile.counts.get((sow, prev_cell))
         if entries:
@@ -273,15 +245,17 @@ def top_k(
 # Binary container
 #
 # Little-endian throughout:
-#   magic "LPRF" | u16 format version (=1) | u8 order | u16 slot duration
+#   magic "LPRF" | u16 format version (=1) | u8 order
+#   | u16 slot duration in minutes (always 60: slots are hours)
 #   | u64 profile version | u32 context count
-# then per context, sorted by (level, slot, prev cell):
-#   u8 level (0|1|3) | [u16 slot] | [i32 prev_x, i32 prev_y]
+# then per context, sorted by (level, hour of week, prev cell):
+#   u8 level (0|1|3) | [u16 hour of week] | [i32 prev_x, i32 prev_y]
 #   | u32 entry count | entries sorted by cell: i32 x | i32 y | u64 count
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LPRF"
 _FORMAT_VERSION = 1
+_SLOT_MINUTES = 60
 _HEADER = struct.Struct("<4sHBHQI")
 _ENTRY = struct.Struct("<iiQ")
 _U8 = struct.Struct("<B")
@@ -306,7 +280,7 @@ def serialize_profile(profile: LocationProfile) -> bytes:
         _MAGIC,
         _FORMAT_VERSION,
         profile.order,
-        profile.slot_config.slot_duration,
+        _SLOT_MINUTES,
         profile.version,
         len(profile.counts),
     )
@@ -347,10 +321,10 @@ def deserialize_profile(data: bytes) -> LocationProfile:
         raise ProfileFormatError(f"unsupported format version {fmt}", 4)
     if order not in _ALLOWED_ORDERS:
         raise ProfileFormatError(f"bad order {order}", 6)
-    try:
-        slot_config = SlotConfig(duration)
-    except ValueError as exc:
-        raise ProfileFormatError(str(exc), 7) from None
+    if duration != _SLOT_MINUTES:
+        raise ProfileFormatError(
+            f"slot duration must be {_SLOT_MINUTES} minutes, got {duration}", 7
+        )
 
     counts: dict[ContextKey, dict[CellId, int]] = {}
     for _ in range(n_contexts):
@@ -366,8 +340,8 @@ def deserialize_profile(data: bytes) -> LocationProfile:
         if level >= 1:
             slot_pos = r.pos
             (slot,) = r.take(_U16, "context slot")
-            if slot >= slot_config.slots_per_week:
-                raise ProfileFormatError(f"slot of week {slot} out of range", slot_pos)
+            if slot >= HOURS_PER_WEEK:
+                raise ProfileFormatError(f"hour of week {slot} out of range", slot_pos)
             key = (slot,)
         if level == 3:
             px, py = r.take(_I32X2, "context cell")
@@ -394,9 +368,7 @@ def deserialize_profile(data: bytes) -> LocationProfile:
         counts[key] = entries
     if r.pos != len(r.data):
         raise ProfileFormatError("trailing bytes after last context", r.pos)
-    return LocationProfile(
-        order=order, version=version, slot_config=slot_config, counts=counts
-    )
+    return LocationProfile(order=order, version=version, counts=counts)
 
 
 def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:

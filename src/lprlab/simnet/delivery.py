@@ -180,11 +180,6 @@ def ghls_deliver(
     )
     if not reached_ok:
         return DeliveryOutcome(False, 2.0, transmissions)
-    reached_ok, reached, cost = _round_trip(
-        topology, src, true_position, acceptance_radius
-    )
-    transmissions += cost
-    hit = reached_ok and topology.distance_to(reached, true_position) <= (
-        acceptance_radius
-    )
-    return DeliveryOutcome(hit, 2.0, transmissions)
+    # The data leg succeeds only within acceptance_radius of the target.
+    hit, _, cost = _round_trip(topology, src, true_position, acceptance_radius)
+    return DeliveryOutcome(hit, 2.0, transmissions + cost)

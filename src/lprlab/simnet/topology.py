@@ -145,8 +145,10 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
     n = len(positions)
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if radio_range <= 0:
-        raise ValueError("radio_range must be positive")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    if not 0 < radio_range < math.inf:
+        raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
 
     within = _unit_disk(positions, radio_range)
     rows, cols = np.nonzero(within)
@@ -173,8 +175,8 @@ def build_topology(
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if field_size <= 0:
-        raise ValueError("field_size and radio_range must be positive")
+    if not 0 < field_size < math.inf:
+        raise ValueError(f"field_size must be positive and finite, got {field_size}")
     rng = np.random.default_rng(seed)
     positions = rng.random((n, 2)) * field_size
     return topology_from_positions(positions, radio_range)

@@ -17,7 +17,6 @@ from lprlab.analytic import (
     GhlsCostModel,
     Grouping,
     RegularityModel,
-    TrafficDensity,
     conditional_cdf_at_time,
     enumerate_groupings,
     first_order_cdf,
@@ -213,28 +212,6 @@ class TestFirstOrder:
             assert first_order_cdf(k, flat) == pytest.approx(
                 zeroth_order_cdf(k), abs=1e-12
             )
-
-    def test_point_mass_density_matches_conditional(self):
-        weights = [0.0] * 168
-        weights[37] = 1.0
-        spike = TrafficDensity(tuple(weights))
-        for k in (1, 3, 8):
-            assert first_order_cdf(k, density=spike) == pytest.approx(
-                conditional_cdf_at_time(k, 37.5), abs=1e-12
-            )
-
-    def test_density_validation(self):
-        with pytest.raises(ValueError):
-            TrafficDensity((0.5, 0.5))
-        bad = [1.0 / 168.0] * 168
-        bad[0] = -bad[0]
-        with pytest.raises(ValueError):
-            TrafficDensity(tuple(bad))
-        bad2 = [1.0 / 167.0] * 168
-        with pytest.raises(ValueError):
-            TrafficDensity(tuple(bad2))
-        with pytest.raises(ValueError):
-            TrafficDensity((math.nan,) + (1.0 / 167.0,) * 167)
 
     def test_conditional_at_morning_peak(self):
         assert conditional_cdf_at_time(5, 3.0) == pytest.approx(
@@ -478,53 +455,40 @@ def _regularity_models(draw):
     return RegularityModel(c1, c2, c3)
 
 
-_densities = (
-    st.lists(st.integers(0, 1000), min_size=168, max_size=168)
-    .filter(any)
-    .map(lambda w: TrafficDensity(tuple(x / sum(w) for x in w)))
-)
-
-
 def _curve_queries(data, k_max):
-    """Interleaved (k, model, density) draws over a few shared models and
-    densities, so memoised entries are both reused and mixed up."""
+    """Interleaved (k, model) draws over a few shared models, so memoised
+    entries are both reused and mixed up."""
     models = data.draw(
         st.lists(st.none() | _regularity_models(), min_size=1, max_size=3)
     )
-    densities = data.draw(st.lists(st.none() | _densities, min_size=1, max_size=3))
     for _ in range(data.draw(st.integers(1, 10))):
-        yield (
-            data.draw(st.integers(0, k_max)),
-            data.draw(st.sampled_from(models)),
-            data.draw(st.sampled_from(densities)),
-        )
+        yield data.draw(st.integers(0, k_max)), data.draw(st.sampled_from(models))
 
 
 class TestMemoisedCurve:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_uncached_midpoint_sum(self, data):
-        for k, model, density in _curve_queries(data, 8):
-            weights = (density or TrafficDensity()).weights
+        for k, model in _curve_queries(data, 8):
             expected = 0.0
             for t in range(168):
-                expected += weights[t] * conditional_cdf_at_time(k, t + 0.5, model)
-            assert first_order_cdf(k, model, density).hex() == expected.hex()
+                expected += (1.0 / 168) * conditional_cdf_at_time(k, t + 0.5, model)
+            assert first_order_cdf(k, model).hex() == expected.hex()
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_front_points_match_cost_functions(self, data):
-        for k, model, density in _curve_queries(data, 8):
-            for p in pareto_front(max(k, 1), model, density):
-                assert p.latency == mean_latency(p.grouping, model, density)
-                assert p.traffic == mean_traffic(p.grouping, model, density)
+        for k, model in _curve_queries(data, 8):
+            for p in pareto_front(max(k, 1), model):
+                assert p.latency == mean_latency(p.grouping, model)
+                assert p.traffic == mean_traffic(p.grouping, model)
 
 
-def _brute_force_front(k, model=None, density=None):
+def _brute_force_front(k, model=None):
     """pareto_front by enumeration: score all 2**(k-1) groupings, then
     keep those no other grouping dominates beyond eps. Test oracle for
     the label-setting front."""
-    cdf = [first_order_cdf(i, model, density) for i in range(k)]
+    cdf = [first_order_cdf(i, model) for i in range(k)]
     points = []
     for grouping in enumerate_groupings(k):
         lat = traf = 0.0
@@ -560,21 +524,17 @@ class TestLabelSettingFront:
         assert _hex_points(pareto_front(k)) == _hex_points(_brute_force_front(k))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        k=st.integers(1, 12),
-        model=st.none() | _regularity_models(),
-        density=st.none() | _densities,
-    )
-    def test_matches_enumeration_random_models(self, k, model, density):
-        assert _hex_points(pareto_front(k, model, density)) == _hex_points(
-            _brute_force_front(k, model, density)
+    @given(k=st.integers(1, 12), model=st.none() | _regularity_models())
+    def test_matches_enumeration_random_models(self, k, model):
+        assert _hex_points(pareto_front(k, model)) == _hex_points(
+            _brute_force_front(k, model)
         )
 
     @settings(max_examples=2, deadline=None)
-    @given(model=_regularity_models(), density=_densities)
-    def test_matches_enumeration_k14_random_models(self, model, density):
-        assert _hex_points(pareto_front(14, model, density)) == _hex_points(
-            _brute_force_front(14, model, density)
+    @given(model=_regularity_models())
+    def test_matches_enumeration_k14_random_models(self, model):
+        assert _hex_points(pareto_front(14, model)) == _hex_points(
+            _brute_force_front(14, model)
         )
 
     def test_k_range_shared_with_enumeration(self):

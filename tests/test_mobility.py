@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lprlab.analytic import (
@@ -22,6 +22,7 @@ from lprlab.analytic import (
 from lprlab.mobility import (
     CellGrid,
     MobilityParams,
+    _modal_hits_per_slot,
     empirical_regularity,
     empirical_success_after_k,
     generate_trace,
@@ -29,7 +30,6 @@ from lprlab.mobility import (
 from lprlab.profile import (
     CellId,
     ObservationTrace,
-    SlotConfig,
     build_profile,
     read_trace_csv,
     top_k,
@@ -181,12 +181,6 @@ class TestEmpiricalRegularity:
         with pytest.raises(ValueError):
             empirical_regularity([])
 
-    def test_custom_slot_config(self):
-        t = trace_from_records("n", [(i, (1, 1)) for i in range(2016)])
-        er = empirical_regularity([t], SlotConfig(10))
-        assert er.shape == (1008,)
-        assert np.allclose(er, 1.0)
-
 
 class TestSuccessAfterK:
     def test_matches_curves_at_moderate_scale(self):
@@ -297,18 +291,17 @@ class TestProfileConvergence:
         assert inside >= 0.94 * spw
 
 
-def _loop_success_after_k(traces, k, slot_config=None):
+def _loop_success_after_k(traces, k):
     """empirical_success_after_k as a per-observation loop over top_k
     sets: test oracle for the array-ranked version."""
-    slot_config = slot_config or SlotConfig()
-    spw = slot_config.slots_per_week
+    spw = 168
     hits = total = 0
     for trace in traces:
         split = len(trace) // 2
         if split == 0:
             continue
         train = ObservationTrace(trace.node_id, trace.slots[:split], trace.cells[:split])
-        prof = build_profile(train, order=1, slot_config=slot_config)
+        prof = build_profile(train, order=1)
         top_by_sow = {}
         for i in range(split, len(trace)):
             sow = int(trace.slots[i]) % spw
@@ -341,15 +334,10 @@ def _trace_sets(draw):
 
 class TestArrayRankedSuccess:
     @settings(max_examples=200, deadline=None)
-    @given(
-        traces=_trace_sets(),
-        k=st.integers(1, 10),
-        slot_duration=st.sampled_from([1, 10, 60, 1440]),
-    )
-    def test_matches_loop(self, traces, k, slot_duration):
-        slot_config = SlotConfig(slot_duration)
-        got = empirical_success_after_k(traces, k, slot_config)
-        assert got.hex() == _loop_success_after_k(traces, k, slot_config).hex()
+    @given(traces=_trace_sets(), k=st.integers(1, 10))
+    def test_matches_loop(self, traces, k):
+        got = empirical_success_after_k(traces, k)
+        assert got.hex() == _loop_success_after_k(traces, k).hex()
 
     def test_untrained_slot_and_k_above_distinct_cells(self):
         # Slot of week 3 is only in the held-out half, so it falls back to
@@ -370,3 +358,60 @@ class TestArrayRankedSuccess:
                 empirical_success_after_k(traces, k).hex()
                 == _loop_success_after_k(traces, k).hex()
             )
+
+
+def _unique_rows_modal_hits(trace):
+    """_modal_hits_per_slot over distinct (hour, x, y) rows: test oracle
+    for the version that counts hour * n_cells + cell keys."""
+    sow = (trace.slots % 168).astype(np.int64)
+    rows = np.column_stack(
+        [sow, trace.cells[:, 0].astype(np.int64), trace.cells[:, 1].astype(np.int64)]
+    )
+    urows, counts = np.unique(rows, axis=0, return_counts=True)
+    hits = np.zeros(168, dtype=np.int64)
+    np.maximum.at(hits, urows[:, 0], counts)
+    totals = np.bincount(sow, minlength=168).astype(np.int64)
+    hits[totals == 0] = 0
+    return hits, totals
+
+
+_EXTREME_INT32 = st.sampled_from([-(2**31), -(2**31) + 1, -1, 0, 2**31 - 2, 2**31 - 1])
+
+
+@st.composite
+def _modal_traces(draw):
+    """Empty, one-record and longer traces over a small cell palette whose
+    coordinates come from a neighbourhood, the int32 extremes or anywhere
+    in int32."""
+    coordinate = draw(
+        st.sampled_from(
+            [st.integers(-2, 2), _EXTREME_INT32, st.integers(-(2**31), 2**31 - 1)]
+        )
+    )
+    palette = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6))
+    gaps = draw(st.lists(st.integers(1, 400), max_size=80))
+    slots = np.cumsum([draw(st.integers(0, 10**9))] + gaps)[: len(gaps)]
+    cells = np.array([draw(st.sampled_from(palette)) for _ in slots], dtype=np.int32)
+    return ObservationTrace("u", slots, cells.reshape(-1, 2))
+
+
+class TestModalHits:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=_modal_traces())
+    @example(trace=trace_from_records("u", []))
+    @example(trace=trace_from_records("u", [(7, (-(2**31), 2**31 - 1))]))
+    def test_matches_unique_rows(self, trace):
+        hits, totals = _modal_hits_per_slot(trace)
+        expected_hits, expected_totals = _unique_rows_modal_hits(trace)
+        assert np.array_equal(hits, expected_hits)
+        assert np.array_equal(totals, expected_totals)
+        assert hits.shape == totals.shape == (168,)
+        assert totals.sum() == len(trace)
+
+    def test_matches_unique_rows_on_generated_traces(self):
+        for seed in range(3):
+            for trace in generate_trace(MobilityParams(n_users=2, n_weeks=8, seed=seed)):
+                hits, totals = _modal_hits_per_slot(trace)
+                expected_hits, expected_totals = _unique_rows_modal_hits(trace)
+                assert np.array_equal(hits, expected_hits)
+                assert np.array_equal(totals, expected_totals)

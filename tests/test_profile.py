@@ -16,7 +16,6 @@ from lprlab.profile import (
     CellId,
     LocationProfile,
     ProfileFormatError,
-    SlotConfig,
     build_profile,
     deserialize_profile,
     predict,
@@ -38,18 +37,21 @@ def trace_of(records, node="n0"):
 
 class TestTypes:
     def test_slot_config_default(self):
-        cfg = SlotConfig()
-        assert cfg.slots_per_week == 168
-        assert cfg.slot_of_week(169) == 1
-
-    def test_slot_config_ten_minutes(self):
-        assert SlotConfig(10).slots_per_week == 1008
+        # Slots are hours: slot 169 is hour 1 of the second week.
+        p = build_profile(trace_of([(1, A), (2, B), (167, C)]), order=1)
+        assert predict(p, 169) == [(A, 1.0)]
+        assert predict(p, 169 + 168 * 5) == [(A, 1.0)]
+        assert predict(p, 335) == [(C, 1.0)]
 
     def test_slot_config_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            SlotConfig(11)
-        with pytest.raises(ValueError):
-            SlotConfig(0)
+        # The header's u16 slot duration (byte 7) is always 60 minutes.
+        data = serialize_profile(build_profile(trace_of([(1, A)]), order=1))
+        assert data[7:9] == (60).to_bytes(2, "little")
+        for duration in (0, 10, 11, 1440):
+            bad = data[:7] + duration.to_bytes(2, "little") + data[9:]
+            with pytest.raises(ProfileFormatError, match="slot duration") as exc:
+                deserialize_profile(bad)
+            assert exc.value.offset == 7
 
     def test_trace_requires_increasing_slots(self):
         with pytest.raises(ValueError):
@@ -68,9 +70,9 @@ class TestTypes:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            LocationProfile(order=2, version=1, slot_config=SlotConfig())
+            LocationProfile(order=2, version=1)
         with pytest.raises(ValueError):
-            LocationProfile(order=1, version=-1, slot_config=SlotConfig())
+            LocationProfile(order=1, version=-1)
 
 
 class TestBuildAndPredict:
@@ -172,7 +174,6 @@ class TestBuildAndPredict:
             slot += 1
             records.append((slot, CellId(rng.randint(0, 2), rng.randint(0, 2))))
         p = build_profile(trace_of(records), order=3)
-        spw = p.slot_config.slots_per_week
         for key, entries in p.counts.items():
             if len(key) != 2:
                 continue
@@ -446,18 +447,16 @@ class TestTraceCsv:
             assert np.all(np.diff(trace.slots) > 0) and np.all(trace.slots >= 0)
 
 
-def _loop_build_profile(trace, order=1, slot_config=None):
+def _loop_build_profile(trace, order=1):
     """build_profile as a per-record loop over dicts: test oracle for the
     array-counted version."""
-    slot_config = slot_config or SlotConfig()
-    spw = slot_config.slots_per_week
     marginal, by_slot, by_slot_prev = {}, {}, {}
     prev_cell = None
     for i in range(len(trace.slots)):
         cell = CellId(int(trace.cells[i, 0]), int(trace.cells[i, 1]))
         marginal[cell] = marginal.get(cell, 0) + 1
         if order >= 1:
-            sow = int(trace.slots[i]) % spw
+            sow = int(trace.slots[i]) % 168
             entries = by_slot.setdefault((sow,), {})
             entries[cell] = entries.get(cell, 0) + 1
             if order == 3 and prev_cell is not None:
@@ -467,7 +466,7 @@ def _loop_build_profile(trace, order=1, slot_config=None):
     counts = {(): marginal} if marginal else {}
     counts.update(by_slot)
     counts.update(by_slot_prev)
-    return LocationProfile(order=order, version=1, slot_config=slot_config, counts=counts)
+    return LocationProfile(order=order, version=1, counts=counts)
 
 
 _INT32 = st.integers(-(2**31), 2**31 - 1)
@@ -489,15 +488,12 @@ def _traces(draw, max_size=40):
     return trace_of(records)
 
 
-_SLOT_CONFIGS = st.sampled_from([1, 10, 60, 1440, 10080]).map(SlotConfig)
-
-
 class TestArrayCountedProfile:
     @settings(max_examples=300, deadline=None)
-    @given(trace=_traces(), order=st.sampled_from([0, 1, 3]), slot_config=_SLOT_CONFIGS)
-    def test_matches_loop(self, trace, order, slot_config):
-        got = build_profile(trace, order=order, slot_config=slot_config)
-        expected = _loop_build_profile(trace, order, slot_config)
+    @given(trace=_traces(), order=st.sampled_from([0, 1, 3]))
+    def test_matches_loop(self, trace, order):
+        got = build_profile(trace, order=order)
+        expected = _loop_build_profile(trace, order)
         assert got == expected
         assert serialize_profile(got) == serialize_profile(expected)
 

@@ -373,6 +373,17 @@ class TestTopology:
             topology_from_positions([(0.0, 0.0), (1.0, 0.0)], 0.0)
         with pytest.raises(ValueError):
             topology_from_positions(np.zeros((3, 3)), 1.0)
+        line = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="radio_range"):
+                topology_from_positions(line, value)
+            with pytest.raises(ValueError, match="field_size"):
+                build_topology(5, value, 1.0)
+            with pytest.raises(ValueError, match="radio_range"):
+                build_topology(5, 100.0, value)
+            for coord in ((value, 0.0), (0.0, value)):
+                with pytest.raises(ValueError, match="finite"):
+                    topology_from_positions([*line, coord], 5.0)
 
     def test_eight_neighbor_density_connectivity(self):
         # 500 nodes on a square field, at the radius giving eight
