@@ -218,9 +218,7 @@ def _print_summary(record_dict: dict) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario file with --seed and --trials applied, once --jobs is valid."""
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
+    """The scenario file with --seed and --trials applied."""
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -231,7 +229,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    record, rows = run_scenario(config, args.jobs)
+    record, rows = run_scenario(config)
     out_dir = _resolve_out_dir(args.out_dir)
 
     trials_path = os.path.join(out_dir, "trials.csv")
@@ -257,7 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_compare_ghls(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    comparison = compare_ghls(config, args.jobs)
+    comparison = compare_ghls(config)
     out_dir = _resolve_out_dir(args.out_dir)
     sweep_path = os.path.join(out_dir, "ghls_sweep.csv")
     figures.write_csv(
@@ -351,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="override [seeds] seed")
         scenario.add_argument("--trials", type=int, default=None,
                               help="override [traffic] trials")
-        scenario.add_argument("--jobs", type=int, default=1,
-                              help="worker processes for trial batches")
         _add_out_dir(scenario)
         scenario.set_defaults(func=func)
 

@@ -8,13 +8,7 @@ reproducible metrics.
 
 from .topology import Topology, build_topology, topology_from_positions
 from .gpsr import RouteResult, default_ttl, gpsr_route
-from .delivery import (
-    DeliveryOutcome,
-    candidates_from_profile,
-    ghls_deliver,
-    ghls_update,
-    lpr_deliver,
-)
+from .delivery import DeliveryOutcome, candidates_from_profile, lpr_deliver
 from .scenario import (
     GhlsComparison,
     MetricsRecord,
@@ -34,8 +28,6 @@ __all__ = [
     "gpsr_route",
     "DeliveryOutcome",
     "candidates_from_profile",
-    "ghls_deliver",
-    "ghls_update",
     "lpr_deliver",
     "GhlsComparison",
     "MetricsRecord",

@@ -1,40 +1,56 @@
 """Delivery strategies on top of geographic routing.
 
 Two ways to find a moving target are modeled. Profile-guided delivery
-(lpr_deliver) sends copies of a message to ranked candidate cells, one
+(lpr_waves) sends copies of a message to ranked candidate cells, one
 stage of a grouping at a time; every copy travels to its candidate cell
 and the node reached there sends a response back to the source, so each
 copy costs a round trip whether or not the target was found. Delivery
 succeeds when a reached node lies within the acceptance radius of the
 target's true cell center.
 
-The comparator (ghls_*) is a geographic hash location service: a target
+The comparator (ghls_waves) is a geographic hash location service: a target
 id hashes to one of the scenario's eligible cells (hashed_home_index),
 and the nodes of that home region answer queries for the target's
 position. An update is a one-way route into the home region (within the
 acceptance radius of the home center), and a delivery is a query round
 trip to the home region followed by a data round trip to the target's
 true position, so lookup legs and data legs terminate the same way.
+
+Both strategies run a batch of trials at once, as a fixed sequence of
+waves, and every wave routes all of its legs together (route_wave,
+which groups them by topology for gpsr.route_legs). A round trip is a
+forward wave, then a wave of responses from the copies that arrived.
+Profile-guided delivery runs, for each stage while some trial is still
+open, the forward copies, their responses and the hit check; trials
+that hit drop out. The location service runs the query round trips,
+then the data round trips of the queries that arrived, then the
+updates. Trials never interact, so a trial's outcome does not depend
+on the batch it runs in; lpr_deliver is the batch of one.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..analytic import Grouping
 from ..profile import CellId, LocationProfile, top_k
-from .gpsr import gpsr_route
+from .gpsr import route_legs
 from .topology import Topology
 
 __all__ = [
     "DeliveryOutcome",
     "candidates_from_profile",
     "cell_center",
-    "ghls_deliver",
-    "ghls_update",
+    "ghls_waves",
     "hashed_home_index",
     "lpr_deliver",
+    "lpr_waves",
+    "round_trips",
+    "route_wave",
 ]
 
 
@@ -69,25 +85,108 @@ def candidates_from_profile(
     return [cell_center(c, cell_size) for c in cells]
 
 
-def _round_trip(
-    topology: Topology,
-    src: int,
-    position: tuple[float, float],
+def route_wave(
+    pool: Sequence[Topology],
+    topo_ids: np.ndarray,
+    src: np.ndarray,
+    dest: np.ndarray,
     acceptance_radius: float,
-) -> tuple[bool, int, int]:
-    """Forward to a position and, if reached, respond back to src.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route leg i on pool[topo_ids[i]] from node src[i] toward position
+    dest[i] (an (n, 2) array), with the delivery hop budget.
 
-    Returns (reached, reached_node, transmissions). A failed forward leg
-    charges only its own hops; a response leg is charged even if it fails.
+    Returns the arrays (success, end node, hops).
     """
-    ttl = _leg_ttl(topology)
-    fwd = gpsr_route(topology, src, position, acceptance_radius, ttl=ttl)
-    hops = fwd.hops
-    if not fwd.success:
-        return False, fwd.path[-1], hops
-    reached = fwd.path[-1]
-    resp = gpsr_route(topology, reached, topology.position(src), 0.0, ttl=ttl)
-    return True, reached, hops + resp.hops
+    success = np.zeros(len(src), dtype=bool)
+    end = np.zeros(len(src), dtype=np.intp)
+    hops = np.zeros(len(src), dtype=np.int64)
+    for t in np.flatnonzero(np.bincount(topo_ids, minlength=len(pool))).tolist():
+        legs = np.flatnonzero(topo_ids == t)
+        success[legs], end[legs], hops[legs], _ = route_legs(
+            pool[t], src[legs], dest[legs], acceptance_radius, _leg_ttl(pool[t])
+        )
+    return success, end, hops
+
+
+def round_trips(
+    pool: Sequence[Topology],
+    topo_ids: np.ndarray,
+    src: np.ndarray,
+    dest: np.ndarray,
+    acceptance_radius: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward each leg to its position and, where reached, respond back
+    to its source node: route_wave's legs, then a wave of responses.
+
+    Returns the arrays (reached, reached node, transmissions). A failed
+    forward leg charges only its own hops; a response leg is charged even
+    if it fails.
+    """
+    reached, end, transmissions = route_wave(
+        pool, topo_ids, src, dest, acceptance_radius
+    )
+    back = np.flatnonzero(reached)
+    home = np.empty((len(back), 2))
+    for t, topology in enumerate(pool):
+        legs = topo_ids[back] == t
+        home[legs] = topology.positions[src[back][legs]]
+    _, _, resp_hops = route_wave(pool, topo_ids[back], end[back], home, 0.0)
+    transmissions[back] += resp_hops
+    return reached, end, transmissions
+
+
+def lpr_waves(
+    pool: Sequence[Topology],
+    topo_ids: np.ndarray,
+    src: np.ndarray,
+    candidates: np.ndarray,
+    places: np.ndarray,
+    grouping: Grouping,
+    true_positions: np.ndarray,
+    acceptance_radius: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage-by-stage delivery for a batch of trials: trial i runs on
+    pool[topo_ids[i]] from node src[i], with ranked candidate positions
+    places[candidates[i]] (candidates is a (trials, >= grouping.k) index
+    array into the (m, 2) array places) and target position
+    true_positions[i].
+
+    Stage s sends one copy to each of its candidates in parallel; all
+    copies of an attempted stage are charged (round trip on reaching the
+    candidate area, forward hops only otherwise). The first stage in
+    which some reached node lies within acceptance_radius of the true
+    position ends the delivery with latency factor equal to that stage's
+    1-based index; if no stage hits, the latency factor is the number of
+    stages. Returns the arrays (success, latency factor, transmissions).
+    """
+    n_trials = len(src)
+    success = np.zeros(n_trials, dtype=bool)
+    latency = np.full(n_trials, float(len(grouping.sizes)))
+    transmissions = np.zeros(n_trials, dtype=np.int64)
+    open_trials = np.arange(n_trials)
+    rank = 0
+    for stage_index, size in enumerate(grouping.sizes, start=1):
+        if not open_trials.size:
+            break
+        trial = np.repeat(open_trials, size)
+        ranks = np.tile(np.arange(rank, rank + size), len(open_trials))
+        rank += size
+        reached, end, cost = round_trips(
+            pool, topo_ids[trial], src[trial], places[candidates[trial, ranks]],
+            acceptance_radius,
+        )
+        np.add.at(transmissions, trial, cost)
+        hit = np.zeros(n_trials, dtype=bool)
+        for i in np.flatnonzero(reached).tolist():
+            t = int(trial[i])
+            if pool[topo_ids[t]].distance_to(
+                int(end[i]), tuple(true_positions[t].tolist())
+            ) <= acceptance_radius:
+                hit[t] = True
+        success[hit] = True
+        latency[hit] = float(stage_index)
+        open_trials = open_trials[~hit[open_trials]]
+    return success, latency, transmissions
 
 
 def lpr_deliver(
@@ -99,38 +198,17 @@ def lpr_deliver(
     true_position: tuple[float, float],
     acceptance_radius: float,
 ) -> DeliveryOutcome:
-    """Stage-by-stage delivery to ranked candidate positions.
-
-    Stage i sends one copy to each of its candidates in parallel; all
-    copies of an attempted stage are charged (round trip on reaching the
-    candidate area, forward hops only otherwise). The first stage in
-    which some reached node lies within acceptance_radius of
-    true_position ends the delivery with latency factor equal to that
-    stage's 1-based index; if no stage hits, the latency factor is the
-    number of stages.
-    """
+    """lpr_waves for one trial."""
     if len(candidate_positions) < grouping.k:
         raise ValueError(
             f"need {grouping.k} candidate positions, got {len(candidate_positions)}"
         )
-    transmissions = 0
-    rank = 0
-    for stage_index, size in enumerate(grouping.sizes, start=1):
-        hit = False
-        for _ in range(size):
-            pos = candidate_positions[rank]
-            rank += 1
-            reached_ok, reached, cost = _round_trip(
-                topology, src, pos, acceptance_radius
-            )
-            transmissions += cost
-            if reached_ok and topology.distance_to(reached, true_position) <= (
-                acceptance_radius
-            ):
-                hit = True
-        if hit:
-            return DeliveryOutcome(True, float(stage_index), transmissions)
-    return DeliveryOutcome(False, float(len(grouping.sizes)), transmissions)
+    success, latency, transmissions = lpr_waves(
+        [topology], np.zeros(1, dtype=np.intp), np.array([src]),
+        np.arange(grouping.k)[None, :], np.array(candidate_positions, dtype=float),
+        grouping, np.array([true_position], dtype=float), acceptance_radius,
+    )
+    return DeliveryOutcome(bool(success[0]), float(latency[0]), int(transmissions[0]))
 
 
 def hashed_home_index(target_id: object, n: int) -> int:
@@ -144,42 +222,34 @@ def hashed_home_index(target_id: object, n: int) -> int:
     return int.from_bytes(digest[:8], "big") % n
 
 
-def ghls_update(
-    topology: Topology,
-    src: int,
-    home_position: tuple[float, float],
+def ghls_waves(
+    pool: Sequence[Topology],
+    topo_ids: np.ndarray,
+    src: np.ndarray,
+    homes: np.ndarray,
+    true_positions: np.ndarray,
     acceptance_radius: float,
-) -> int:
-    """One-way location update from src into the home region; returns hops."""
-    route = gpsr_route(
-        topology,
-        src,
-        home_position,
-        acceptance_radius,
-        ttl=_leg_ttl(topology),
-    )
-    return route.hops
+    updaters: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Location-service delivery for a batch of trials on
+    pool[topo_ids[i]]: query trial i's home region homes[i] from src[i],
+    then send data to true_positions[i], then update the home region
+    from node updaters[i].
 
-
-def ghls_deliver(
-    topology: Topology,
-    src: int,
-    home_position: tuple[float, float],
-    *,
-    true_position: tuple[float, float],
-    acceptance_radius: float,
-) -> DeliveryOutcome:
-    """Query the home region, then send data to the target's position.
-
-    Both legs are round trips; the data leg runs only if the query reached
-    the home region. The latency factor is 2.0 (lookup plus data)
-    regardless of outcome.
+    Query and data legs are round trips; the data leg runs only if the
+    query reached the home region, and succeeds only within
+    acceptance_radius of the target. An update is a one-way route into
+    the home region. Returns the arrays (success, transmissions, update
+    hops); the latency factor is 2.0 (lookup plus data) regardless.
     """
-    reached_ok, _, transmissions = _round_trip(
-        topology, src, home_position, acceptance_radius
+    queried, _, transmissions = round_trips(
+        pool, topo_ids, src, homes, acceptance_radius
     )
-    if not reached_ok:
-        return DeliveryOutcome(False, 2.0, transmissions)
-    # The data leg succeeds only within acceptance_radius of the target.
-    hit, _, cost = _round_trip(topology, src, true_position, acceptance_radius)
-    return DeliveryOutcome(hit, 2.0, transmissions + cost)
+    success = np.zeros(len(src), dtype=bool)
+    sent = np.flatnonzero(queried)
+    success[sent], _, data_cost = round_trips(
+        pool, topo_ids[sent], src[sent], true_positions[sent], acceptance_radius
+    )
+    transmissions[sent] += data_cost
+    _, _, update_hops = route_wave(pool, topo_ids, updaters, homes, acceptance_radius)
+    return success, transmissions, update_hops

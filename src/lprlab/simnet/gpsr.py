@@ -14,6 +14,23 @@ caller passes no ttl; every simulator leg passes 8n (delivery._leg_ttl).
 
 On a connected topology with a connected planar subgraph this combination
 reaches the node nearest any requested position.
+
+Legs are routed in batches (route_legs). Every leg of a batch on one
+topology advances one greedy hop per lockstep numpy step, which scores
+the neighbours of all the legs' current nodes at once through the
+topology's padded neighbour matrix. A leg at a local minimum hands its
+node and remaining hop budget to the scalar perimeter walker, which
+hands it back to the batch once greedy forwarding resumes; GPSR carries
+no state out of greedy mode, so a leg takes the same route in any batch.
+gpsr_route is the batch of one, and records its path.
+
+The batch measures distances as absolute values of complex differences,
+which can differ from math.hypot by up to 2 ulps (np.hypot by 1). So a
+step whose decision rests on a near-tie (best against runner-up
+neighbour, best against the progress threshold, or distance against the
+acceptance radius, within a relative 1e-12) has that leg's distances
+recomputed with math.hypot before it decides. Every route is therefore
+the one math.hypot distances give.
 """
 
 from __future__ import annotations
@@ -21,12 +38,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .topology import Topology
 
-__all__ = ["RouteResult", "default_ttl", "gpsr_route"]
+__all__ = ["RouteResult", "default_ttl", "gpsr_route", "route_legs"]
 
 _EPS = 1e-9
 _TWO_PI = 2.0 * math.pi
+# Relative gap under which a greedy decision is recomputed with
+# math.hypot: about 4,500 ulps, far above the 2 ulps the batch's
+# distances may differ by.
+_NEAR = 1e-12
+# Legs per lockstep step: bounds the (legs, max degree) temporaries to
+# a few hundred KiB.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -97,6 +123,178 @@ def _proper_crossing(
     return None
 
 
+def _perimeter(
+    topology: Topology,
+    x: int,
+    dx: float,
+    dy: float,
+    radius: float,
+    budget: int,
+    trail: list[int] | None,
+) -> tuple[bool | None, int, int]:
+    """Perimeter mode from the local minimum x, for at most budget hops.
+
+    Returns (outcome, node, hops): outcome True (arrived within radius)
+    or False (dropped) ends the leg at node; None hands node back to
+    greedy forwarding. trail, when given, receives each node visited.
+    """
+    xs, ys = topology.xs, topology.ys
+    planar = topology.planar_adjacency
+    if not planar[x]:
+        return False, x, 0
+    hypot = math.hypot
+    dest = (dx, dy)
+    px, py = xs[x], ys[x]
+    # Entry point and distance, best crossing distance, and the first
+    # edge of the current face tour.
+    entry_point = (px, py)
+    entry_dist = best_cross_dist = hypot(px - dx, py - dy)
+    first_edge: tuple[int, int] | None = None
+    ref = math.atan2(dy - py, dx - px)
+    hops = 0
+    while True:
+        nxt = _next_ccw(topology, x, ref)
+        assert nxt is not None  # x has a planar edge: entered or arrived by one
+        # Face change: rotate past any edge crossing the entry-to-dest
+        # line closer to the destination than all previous crossings.
+        rotations = 0
+        max_rotations = 2 * len(planar[x]) + 2
+        while rotations < max_rotations:
+            crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
+            if crossing is None:
+                break
+            cross_dist = hypot(crossing[0] - dx, crossing[1] - dy)
+            if cross_dist >= best_cross_dist - _EPS:
+                break
+            best_cross_dist = cross_dist
+            first_edge = None  # new face: restart tour accounting
+            nxt = _next_ccw(topology, x, topology.bearing(x, nxt))
+            rotations += 1
+
+        if first_edge is None:
+            first_edge = (x, nxt)
+        elif (x, nxt) == first_edge:
+            # Completed a full face tour without progress: unreachable.
+            return False, x, hops
+
+        arrival_from, x = x, nxt
+        hops += 1
+        if trail is not None:
+            trail.append(x)
+        px, py = xs[x], ys[x]
+        dist_x = hypot(px - dx, py - dy)
+        if dist_x <= radius:
+            return True, x, hops
+        if hops >= budget:
+            return False, x, hops
+        if dist_x < entry_dist - _EPS:
+            return None, x, hops
+        ref = topology.bearing(x, arrival_from)
+
+
+def _exact_step(
+    topology: Topology, x: int, row: np.ndarray, dx: float, dy: float
+) -> tuple[float, int, float]:
+    """math.hypot distance to (dx, dy) of x, and the first of its
+    neighbor slots in row (padded with -1) closest to (dx, dy), with its
+    distance."""
+    xs, ys = topology.xs, topology.ys
+    hypot = math.hypot
+    d = [hypot(xs[v] - dx, ys[v] - dy) if v >= 0 else math.inf for v in row.tolist()]
+    best = min(d)
+    return hypot(xs[x] - dx, ys[x] - dy), d.index(best), best
+
+
+def route_legs(
+    topology: Topology,
+    src,
+    dest,
+    acceptance_radius: float,
+    ttl: int,
+    trails: list[tuple[list[int], list[bool]]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Route leg i from node src[i] toward position dest[i], all legs in
+    lockstep, each with hop budget ttl; success within acceptance_radius.
+
+    Returns the arrays (success, end node, hops, perimeter hops). trails,
+    when given, holds one (path, perimeter flags) pair of lists per leg,
+    and each hop appends its node and whether it was a perimeter hop.
+    """
+    src = np.asarray(src, dtype=np.intp)
+    dest = np.ascontiguousarray(dest, dtype=float).reshape(-1, 2)
+    n_legs = len(src)
+    success = np.zeros(n_legs, dtype=bool)
+    end = src.copy()
+    hops = np.zeros(n_legs, dtype=np.int64)
+    perimeter = np.zeros(n_legs, dtype=np.int64)
+    # Points as complex numbers, whose abs is a hypot within 2 ulps (and
+    # twice as fast as np.hypot), plus one node at infinity for the
+    # matrix's -1 padding to index: a padded slot is never the closest.
+    points = np.vstack([topology.positions, [math.inf, math.inf]]).view(complex)[:, 0]
+    targets = dest.view(complex)[:, 0]
+    nbr = topology.neighbors
+    radius = acceptance_radius
+
+    for lo in range(0, n_legs, _CHUNK):
+        active = np.arange(lo, min(lo + _CHUNK, n_legs))
+        while active.size:
+            x = end[active]
+            target = targets[active]
+            row = nbr[x]
+            dist = np.abs(points[x] - target)
+            offsets = points[row]
+            offsets -= target[:, None]  # in place: one (legs, degree) temporary
+            d = np.abs(offsets)
+            rows = np.arange(len(d))
+            col = d.argmin(axis=1)
+            best = d[rows, col]
+            d[rows, col] = math.inf
+            second = d.min(axis=1)
+            # Decisions within tol of a boundary are taken on math.hypot
+            # distances. A leg at distance 0 has arrived either way.
+            tol = _NEAR * (dist + _EPS)
+            near = ((np.abs(dist - radius) <= tol) & (dist > 0)) | (dist > radius) & (
+                (second <= best + tol) | (np.abs(best - (dist - _EPS)) <= tol)
+            )
+            for r in np.flatnonzero(near).tolist():
+                dist[r], col[r], best[r] = _exact_step(
+                    topology, int(x[r]), row[r], *dest[active[r]].tolist()
+                )
+
+            arrived = dist <= radius
+            going = ~arrived & (hops[active] < ttl)
+            moves = going & (best < dist - _EPS)
+            success[active[arrived]] = True
+            moved = active[moves]
+            end[moved] = row[moves, col[moves]]
+            hops[moved] += 1
+            if trails is not None:
+                for i, v in zip(moved.tolist(), end[moved].tolist()):
+                    trails[i][0].append(v)
+                    trails[i][1].append(False)
+
+            # Local minima: walk the perimeter, then rejoin or finish.
+            keep = moves
+            for r in np.flatnonzero(going & ~moves).tolist():
+                i = int(active[r])
+                outcome, node, walked = _perimeter(
+                    topology, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
+                    radius, ttl - int(hops[i]),
+                    None if trails is None else trails[i][0],
+                )
+                end[i] = node
+                hops[i] += walked
+                perimeter[i] += walked
+                if trails is not None:
+                    trails[i][1].extend([True] * walked)
+                if outcome is None:
+                    keep[r] = True
+                else:
+                    success[i] = outcome
+            active = active[keep]
+    return success, end, hops, perimeter
+
+
 def gpsr_route(
     topology: Topology,
     src: int,
@@ -116,89 +314,8 @@ def gpsr_route(
         raise ValueError("acceptance_radius must be non-negative")
     if ttl is None:
         ttl = default_ttl(topology.n)
-    dx, dy = float(dest_position[0]), float(dest_position[1])
-    dest = (dx, dy)
-    # Hot loop locals: plain-float positions, no distance_to call per
-    # neighbor.
-    xs, ys = topology.xs, topology.ys
-    adjacency = topology.adjacency
-    hypot = math.hypot
-
-    x = src
-    path = [src]
-    steps: list[bool] = []
-    greedy = True
-    # Perimeter state: entry distance, best crossing distance, first edge
-    # of the current face tour, and the arrival edge's reverse bearing.
-    entry_dist = math.inf
-    best_cross_dist = math.inf
-    entry_point = (0.0, 0.0)
-    first_edge: tuple[int, int] | None = None
-    arrival_from: int | None = None
-
-    while True:
-        px, py = xs[x], ys[x]
-        dist_x = hypot(px - dx, py - dy)
-        if dist_x <= acceptance_radius:
-            return RouteResult(True, path, tuple(steps))
-        if len(path) - 1 >= ttl:
-            return RouteResult(False, path, tuple(steps))
-
-        if greedy:
-            best = None
-            best_dist = dist_x - _EPS
-            for v in adjacency[x]:
-                d = hypot(xs[v] - dx, ys[v] - dy)
-                if d < best_dist:
-                    best_dist = d
-                    best = v
-            if best is not None:
-                path.append(best)
-                steps.append(False)
-                x = best
-                continue
-            # Local minimum: enter perimeter mode.
-            if not topology.planar_adjacency[x]:
-                return RouteResult(False, path, tuple(steps))
-            greedy = False
-            entry_point = (px, py)
-            entry_dist = dist_x
-            best_cross_dist = dist_x
-            ref = math.atan2(dy - py, dx - px)
-            first_edge = None
-        else:
-            if dist_x < entry_dist - _EPS:
-                greedy = True
-                continue
-            assert arrival_from is not None
-            ref = topology.bearing(x, arrival_from)
-
-        nxt = _next_ccw(topology, x, ref)
-        if nxt is None:
-            return RouteResult(False, path, tuple(steps))
-        # Face change: rotate past any edge crossing the entry-to-dest
-        # line closer to the destination than all previous crossings.
-        rotations = 0
-        max_rotations = 2 * len(topology.planar_adjacency[x]) + 2
-        while rotations < max_rotations:
-            crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
-            if crossing is None:
-                break
-            cross_dist = hypot(crossing[0] - dx, crossing[1] - dy)
-            if cross_dist >= best_cross_dist - _EPS:
-                break
-            best_cross_dist = cross_dist
-            first_edge = None  # new face: restart tour accounting
-            nxt = _next_ccw(topology, x, topology.bearing(x, nxt))
-            rotations += 1
-
-        if first_edge is None:
-            first_edge = (x, nxt)
-        elif (x, nxt) == first_edge:
-            # Completed a full face tour without progress: unreachable.
-            return RouteResult(False, path, tuple(steps))
-
-        arrival_from = x
-        path.append(nxt)
-        steps.append(True)
-        x = nxt
+    trail: tuple[list[int], list[bool]] = ([src], [])
+    success, _, _, _ = route_legs(
+        topology, [src], [dest_position], acceptance_radius, ttl, [trail]
+    )
+    return RouteResult(bool(success[0]), trail[0], tuple(trail[1]))

@@ -10,17 +10,27 @@ delivery, and an oracle route to the true cell records whether the
 target was reachable at all.
 
 Trials are independent and fully determined by (config, trial index),
-so work can be split across processes and merged in any order. A run
-builds its topology pool once and passes it to every worker. Traffic is
-normalized by one baseline round trip per run, measured on an
-independent stream: one copy sent to a uniform random cell.
+so any split of the indices over run_trials calls merges cleanly. A
+run builds its topology pool once, and its traffic is normalized by one
+baseline round trip per run, measured on an independent stream: one
+copy sent to a uniform random cell.
+
+run_trials computes a batch of trials as a fixed sequence of waves, each
+routing all of its legs together (delivery.route_wave):
+1. every trial draws its randomness, in index order, from its own
+   stream (the ghls updater included), since no routing consumes any;
+2. the oracle legs, plus their responses for the oracle strategy;
+3. lpr: for each stage while some trial is open, the forward copies,
+   the responses of the copies that arrived, and the hit check;
+4. ghls: the query round trips, the data round trips, the updates.
+The baseline probes likewise draw first, then run one forward wave and
+one response wave.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
@@ -36,16 +46,13 @@ from ..analytic import (
 )
 from ..profile import CellId
 from .delivery import (
-    DeliveryOutcome,
-    _leg_ttl,
-    _round_trip,
     cell_center,
-    ghls_deliver,
-    ghls_update,
+    ghls_waves,
     hashed_home_index,
-    lpr_deliver,
+    lpr_waves,
+    round_trips,
+    route_wave,
 )
-from .gpsr import gpsr_route
 from .topology import Topology, build_topology
 
 __all__ = [
@@ -64,6 +71,11 @@ __all__ = [
 
 _STRATEGIES = ("lpr", "oracle", "ghls")
 _BASELINE_TRIALS = 2000
+# Size bounds that keep a run's arrays within a few tens of MiB: a layout
+# attempt holds (n, n, 2) float offsets, and a run tabulates the centre
+# of every one of the grid_cells**2 cells.
+_MAX_NODES = 2048
+_MAX_GRID_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.n > _MAX_NODES:
+            raise ValueError(
+                f"[topology] n = {self.n} is above {_MAX_NODES}: each layout "
+                f"attempt holds an (n, n, 2) array of pairwise offsets, 16*n**2 bytes"
+            )
         # Chained comparisons also reject nan and inf: a non-finite size
         # fails every layout attempt, and a non-finite rate sweeps nan.
         if not (0 < self.field_size < math.inf and 0 < self.radio_range < math.inf):
@@ -95,6 +112,12 @@ class ScenarioConfig:
             raise ValueError("pool_size must be at least 1")
         if self.grid_cells < 1:
             raise ValueError("grid_cells must be at least 1")
+        if self.grid_cells > _MAX_GRID_CELLS:
+            raise ValueError(
+                f"[topology] grid_cells = {self.grid_cells} is above "
+                f"{_MAX_GRID_CELLS}: a run tabulates the centre of each of the "
+                f"grid_cells**2 cells"
+            )
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.seed < 0:
@@ -265,108 +288,96 @@ def build_pool(config: ScenarioConfig) -> list[Topology]:
     return pool
 
 
-def _cell_centers(config: ScenarioConfig) -> list[tuple[float, float]]:
-    """Center of every cell index (row-major over the grid), looked up by
-    each trial."""
+def _cell_centers(config: ScenarioConfig) -> np.ndarray:
+    """(n_cells, 2) array of the center of every cell index (row-major
+    over the grid), looked up by each trial."""
+    i = np.arange(config.n_cells)
     g = config.grid_cells
-    return [cell_center(CellId(i % g, i // g), config.cell_size)
-            for i in range(config.n_cells)]
-
-
-def _run_one(
-    config: ScenarioConfig,
-    pool: Sequence[Topology],
-    index: int,
-    eligible: np.ndarray,
-    centers: Sequence[tuple[float, float]],
-    hour_pmfs: dict[int, list[float]],
-) -> TrialRow:
-    """One trial; eligible is config.eligible_cells(), centers is
-    _cell_centers(config), and hour_pmfs memoises the rank masses by hour
-    across the trials of one call."""
-    rng = np.random.default_rng([config.seed, 7, index])
-    topo = pool[index % len(pool)]
-    src = int(rng.integers(topo.n))
-    hour = int(rng.integers(HOURS_PER_WEEK))
-    cand_idx = rng.choice(eligible, size=config.n_candidates, replace=False)
-
-    pmf = hour_pmfs.get(hour)
-    if pmf is None:
-        pmf = hour_pmfs[hour] = sequential_hit_pmf(
-            RegularityModel()(hour + 0.5), config.n_candidates
-        )
-    u = float(rng.random())
-    true_rank = 0
-    cum = 0.0
-    for i, mass in enumerate(pmf, start=1):
-        cum += mass
-        if u < cum:
-            true_rank = i
-            break
-    if true_rank > 0:
-        true_cell = int(cand_idx[true_rank - 1])
-    else:
-        outside = np.setdiff1d(eligible, cand_idx)
-        true_cell = int(rng.choice(outside))
-    true_position = centers[true_cell]
-    radius = config.cell_size
-
-    oracle_route = gpsr_route(topo, src, true_position, radius, ttl=_leg_ttl(topo))
-    reachable = oracle_route.success
-    update_hops = -1
-
-    if config.strategy == "oracle":
-        transmissions = oracle_route.hops
-        if reachable:
-            resp = gpsr_route(
-                topo, oracle_route.path[-1], topo.position(src), 0.0, ttl=_leg_ttl(topo)
-            )
-            transmissions += resp.hops
-        outcome = DeliveryOutcome(reachable, 1.0, transmissions)
-    elif config.strategy == "lpr":
-        assert config.grouping is not None
-        positions = [centers[c] for c in cand_idx.tolist()]
-        outcome = lpr_deliver(
-            topo,
-            src,
-            positions,
-            config.grouping,
-            true_position=true_position,
-            acceptance_radius=radius,
-        )
-    else:
-        home = centers[eligible[hashed_home_index(index, len(eligible))]]
-        outcome = ghls_deliver(
-            topo,
-            src,
-            home,
-            true_position=true_position,
-            acceptance_radius=radius,
-        )
-        updater = int(rng.integers(topo.n))
-        update_hops = ghls_update(topo, updater, home, radius)
-
-    return TrialRow(
-        index=index,
-        hour=hour,
-        true_rank=true_rank,
-        reachable=reachable,
-        success=outcome.success,
-        latency_factor=outcome.latency_factor,
-        transmissions=outcome.transmissions,
-        update_hops=update_hops,
-    )
+    return np.stack(cell_center(CellId(i % g, i // g), config.cell_size), axis=1)
 
 
 def run_trials(
     config: ScenarioConfig, indices: Iterable[int], pool: Sequence[Topology]
 ) -> list[TrialRow]:
-    """Run the given trial indices; any disjoint split merges cleanly."""
+    """Run the given trial indices; any disjoint split merges cleanly.
+
+    Every trial's draws come first, in index order, each from its own
+    stream; then the trials' legs run as waves (see the module
+    docstring), which consume no randomness.
+    """
+    indices = [int(i) for i in indices]
     eligible = config.eligible_cells()
     centers = _cell_centers(config)
+    # Rank masses by hour, memoised across the trials of this call.
     hour_pmfs: dict[int, list[float]] = {}
+    n_trials = len(indices)
+    topo_ids = np.array([i % len(pool) for i in indices], dtype=np.intp)
+    src = np.zeros(n_trials, dtype=np.intp)
+    updaters = np.zeros(n_trials, dtype=np.intp)
+    cand = np.zeros((n_trials, config.n_candidates), dtype=np.int32)
+    true_cells = np.zeros(n_trials, dtype=np.intp)
+    hours, true_ranks = [], []
+    for t, index in enumerate(indices):
+        rng = np.random.default_rng([config.seed, 7, index])
+        n_nodes = pool[topo_ids[t]].n
+        src[t] = rng.integers(n_nodes)
+        hour = int(rng.integers(HOURS_PER_WEEK))
+        cand[t] = cand_idx = rng.choice(eligible, size=config.n_candidates, replace=False)
+
+        pmf = hour_pmfs.get(hour)
+        if pmf is None:
+            pmf = hour_pmfs[hour] = sequential_hit_pmf(
+                RegularityModel()(hour + 0.5), config.n_candidates
+            )
+        u = float(rng.random())
+        true_rank = 0
+        cum = 0.0
+        for i, mass in enumerate(pmf, start=1):
+            cum += mass
+            if u < cum:
+                true_rank = i
+                break
+        if true_rank > 0:
+            true_cells[t] = cand_idx[true_rank - 1]
+        else:
+            # eligible is sorted and unique, so this is the sorted set
+            # of non-candidate cells.
+            true_cells[t] = rng.choice(eligible[~np.isin(eligible, cand_idx)])
+        if config.strategy == "ghls":
+            updaters[t] = rng.integers(n_nodes)
+        hours.append(hour)
+        true_ranks.append(true_rank)
+
+    true_positions = centers[true_cells]
+    radius = config.cell_size
+    latency = np.ones(n_trials)
+    update_hops = np.full(n_trials, -1, dtype=np.int64)
+    if config.strategy == "oracle":
+        reachable, _, transmissions = round_trips(
+            pool, topo_ids, src, true_positions, radius
+        )
+        success = reachable
+    else:
+        reachable, _, _ = route_wave(pool, topo_ids, src, true_positions, radius)
+        if config.strategy == "lpr":
+            assert config.grouping is not None
+            success, latency, transmissions = lpr_waves(
+                pool, topo_ids, src, cand, centers, config.grouping,
+                true_positions, radius,
+            )
+        else:
+            homes = centers[[eligible[hashed_home_index(i, len(eligible))] for i in indices]]
+            latency = np.full(n_trials, 2.0)
+            success, transmissions, update_hops = ghls_waves(
+                pool, topo_ids, src, homes, true_positions, radius, updaters
+            )
+
     return [
-        _run_one(config, pool, int(i), eligible, centers, hour_pmfs) for i in indices
+        TrialRow(*fields)
+        for fields in zip(
+            indices, hours, true_ranks, reachable.tolist(), success.tolist(),
+            latency.tolist(), transmissions.tolist(), update_hops.tolist(),
+        )
     ]
 
 
@@ -374,22 +385,39 @@ def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float 
     """Mean round-trip transmissions of one copy to a uniform random cell.
 
     Measured on an RNG stream independent of the trial stream, so the
-    normalization never reuses scenario randomness.
+    normalization never reuses scenario randomness. Every probe draws
+    first; the round trips then run as one pair of waves.
     """
     if config.trials == 0:
         return None
     n_probes = min(config.trials, _BASELINE_TRIALS)
     eligible = config.eligible_cells()
     centers = _cell_centers(config)
-    total = 0
+    topo_ids = np.arange(n_probes) % len(pool)
+    src = np.zeros(n_probes, dtype=np.intp)
+    cells = np.zeros(n_probes, dtype=np.intp)
     for b in range(n_probes):
         rng = np.random.default_rng([config.seed, 13, b])
-        topo = pool[b % len(pool)]
-        src = int(rng.integers(topo.n))
-        cell = int(eligible[rng.integers(len(eligible))])
-        _, _, cost = _round_trip(topo, src, centers[cell], config.cell_size)
-        total += cost
-    return total / n_probes
+        src[b] = rng.integers(pool[topo_ids[b]].n)
+        cells[b] = eligible[rng.integers(len(eligible))]
+    _, _, cost = round_trips(pool, topo_ids, src, centers[cells], config.cell_size)
+    return int(cost.sum()) / n_probes
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """np.percentile(values, q) by its default linear method, bit for
+    bit, given the values sorted; numpy's own call imports numpy.ma."""
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    if virtual < last:
+        lo = math.floor(virtual)
+        a, b = ordered[lo], ordered[lo + 1]
+    else:  # numpy takes both neighbours at index -1, and gamma from it
+        lo = -1
+        a = b = ordered[-1]
+    gamma = virtual - lo
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def aggregate(
@@ -405,6 +433,7 @@ def aggregate(
     reachability = n_reachable / n
     ratio = delivery / reachability if reachability > 0 else None
     latencies = np.array([r.latency_factor for r in rows], dtype=float)
+    ordered = sorted(latencies.tolist())
     mean_tx = float(np.mean([r.transmissions for r in rows]))
     traffic = None
     if baseline_rtt is not None and baseline_rtt > 0:
@@ -418,8 +447,8 @@ def aggregate(
         reachability=reachability,
         ratio_vs_reachability=ratio,
         mean_latency_factor=float(latencies.mean()),
-        p50_latency_factor=float(np.percentile(latencies, 50)),
-        p90_latency_factor=float(np.percentile(latencies, 90)),
+        p50_latency_factor=_percentile(ordered, 50),
+        p90_latency_factor=_percentile(ordered, 90),
         mean_transmissions=mean_tx,
         baseline_rtt=baseline_rtt,
         traffic_factor=traffic,
@@ -428,34 +457,10 @@ def aggregate(
     )
 
 
-def _all_trials(
-    config: ScenarioConfig, pool: Sequence[Topology], jobs: int
-) -> list[TrialRow]:
-    """Every trial of config on pool, in index order, over at most jobs
-    worker processes (never more than the trials or the CPUs)."""
-    workers = min(jobs, config.trials, os.cpu_count() or 1)
-    if workers <= 1:
-        return run_trials(config, range(config.trials), pool)
-    # Imported here: multiprocessing would add ~2 MiB to every serial run.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = np.array_split(np.arange(config.trials), workers)
-    # Spawned, not forked: the parent already runs native threads (numpy's
-    # BLAS pool), and a forked child can inherit one of their held locks.
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-    ) as executor:
-        parts = executor.map(run_trials, [config] * workers, chunks, [pool] * workers)
-        return [row for part in parts for row in part]
-
-
-def run_scenario(
-    config: ScenarioConfig, jobs: int = 1
-) -> tuple[MetricsRecord, list[TrialRow]]:
+def run_scenario(config: ScenarioConfig) -> tuple[MetricsRecord, list[TrialRow]]:
     """Summary and trial rows of one scenario run on one topology pool."""
     pool = build_pool(config)
-    rows = _all_trials(config, pool, jobs)
+    rows = run_trials(config, range(config.trials), pool)
     return aggregate(rows, measure_baseline(config, pool)), rows
 
 
@@ -478,7 +483,7 @@ class GhlsComparison:
         return asdict(self)
 
 
-def compare_ghls(config: ScenarioConfig, jobs: int = 1) -> GhlsComparison:
+def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     """Paired profile-vs-location-service traffic totals over a rate sweep.
 
     Both strategies see identical trial draws. Totals are transmissions
@@ -496,8 +501,9 @@ def compare_ghls(config: ScenarioConfig, jobs: int = 1) -> GhlsComparison:
     ghls_config = replace(config, strategy="ghls")
     pool = build_pool(config)
     baseline = measure_baseline(config, pool)
-    lpr_record = aggregate(_all_trials(lpr_config, pool, jobs), baseline)
-    ghls_record = aggregate(_all_trials(ghls_config, pool, jobs), baseline)
+    trials = range(config.trials)
+    lpr_record = aggregate(run_trials(lpr_config, trials, pool), baseline)
+    ghls_record = aggregate(run_trials(ghls_config, trials, pool), baseline)
     m_lpr = lpr_record.mean_transmissions
     m_ghls = ghls_record.mean_transmissions
     m_update = ghls_record.mean_update_hops

@@ -8,6 +8,11 @@ diameter is the edge. Any such witness is necessarily a unit-disk
 neighbor of both endpoints, so only common neighbors need checking, and
 removing the edge leaves a two-hop detour through the witness, which
 keeps connected graphs connected.
+
+Each topology also keeps its neighbour lists as one padded (n, max
+degree) index matrix, filled with -1 past each node's degree: the
+planarization tests a chunk of edges against it at once, and greedy
+routing scores a batch of legs' neighbours in one numpy step.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ class Topology:
     adjacency: list[list[int]]
     planar_adjacency: list[list[int]]
     connected: bool
+    # adjacency as an (n, max degree) int32 matrix padded with -1
+    neighbors: np.ndarray = field(repr=False, compare=False)
     # positions as two lists of plain floats: the routing hot loop reads
     # these, since indexing the ndarray yields slow numpy scalars.
     xs: list[float] = field(init=False, repr=False, compare=False)
@@ -83,6 +90,16 @@ def _unit_disk(positions: np.ndarray, radio_range: float) -> np.ndarray:
     return within
 
 
+def _neighbor_matrix(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Per-row cols of (rows, cols) sorted by row, as an (n, max degree)
+    int32 matrix padded with -1."""
+    deg = np.bincount(rows, minlength=n)
+    nbr = np.full((n, max(int(deg.max()), 1)), -1, dtype=np.int32)
+    starts = np.cumsum(deg) - deg
+    nbr[rows, np.arange(len(rows)) - starts[rows]] = cols
+    return nbr
+
+
 def _split_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
     """Per-row lists of cols, for (rows, cols) sorted by row."""
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
@@ -96,10 +113,10 @@ _GABRIEL_CHUNK = 512
 
 
 def _gabriel_subgraph(
-    positions: np.ndarray, within: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    positions: np.ndarray, within: np.ndarray, nbr: np.ndarray
 ) -> list[list[int]]:
     """Sorted planar neighbor lists of the Gabriel subgraph of within,
-    whose nonzero entries are (rows, cols) in row-major order.
+    whose rows nbr lists as a -1 padded neighbor matrix.
 
     An edge (u, v) goes when some common neighbor w lies in the closed
     disk with diameter uv. Every neighbor w of u is tested against the
@@ -107,12 +124,6 @@ def _gabriel_subgraph(
     neighbors v shares.
     """
     n = len(positions)
-    deg = np.bincount(rows, minlength=n)
-    # Neighbor index matrix, padded with -1 past each node's degree.
-    nbr = np.full((n, max(int(deg.max()), 1)), -1, dtype=np.intp)
-    starts = np.cumsum(deg) - deg
-    nbr[rows, np.arange(len(rows)) - starts[rows]] = cols
-
     eu, ev = np.nonzero(np.triu(within))
     keep = np.ones(len(eu), dtype=bool)
     px, py = positions[:, 0], positions[:, 1]
@@ -153,8 +164,9 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
     within = _unit_disk(positions, radio_range)
     rows, cols = np.nonzero(within)
     adjacency = _split_rows(rows, cols, n)
+    nbr = _neighbor_matrix(rows, cols, n)
 
-    planar = _gabriel_subgraph(positions, within, rows, cols)
+    planar = _gabriel_subgraph(positions, within, nbr)
     connected = _components(adjacency) == 1
     return Topology(
         positions=positions,
@@ -162,6 +174,7 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
         adjacency=adjacency,
         planar_adjacency=planar,
         connected=connected,
+        neighbors=nbr,
     )
 
 

@@ -230,28 +230,14 @@ class TestSimulate:
         assert manifest["outputs"] == ["trials.csv", "summary.json"]
         assert manifest["seeds"] == [5]
 
-    def test_reruns_and_jobs_are_identical(self, tmp_path):
+    def test_reruns_are_identical(self, tmp_path):
         ini = self._ini(tmp_path)
-        seq_dir = tmp_path / "seq"
-        par_dir = tmp_path / "par"
-        assert main(["simulate", ini, "--out-dir", str(seq_dir)]) == 0
-        assert main(["simulate", ini, "--out-dir", str(par_dir),
-                     "--jobs", "3"]) == 0
+        first_dir = tmp_path / "first"
+        second_dir = tmp_path / "second"
+        assert main(["simulate", ini, "--out-dir", str(first_dir)]) == 0
+        assert main(["simulate", ini, "--out-dir", str(second_dir)]) == 0
         for name in ("trials.csv", "summary.json"):
-            assert _read(seq_dir / name) == _read(par_dir / name)
-
-    def test_jobs_below_one_exit_2(self, tmp_path, capsys, monkeypatch):
-        def no_pool(config):
-            raise AssertionError("built a pool for a rejected --jobs")
-
-        monkeypatch.setattr(scenario, "build_pool", no_pool)
-        ini = self._ini(tmp_path)
-        for command in ("simulate", "compare-ghls"):
-            for jobs in ("0", "-3"):
-                assert main([command, ini, "--jobs", jobs,
-                             "--out-dir", str(tmp_path)]) == 2
-                err = capsys.readouterr().err
-                assert "--jobs must be at least 1" in err and "Traceback" not in err
+            assert _read(first_dir / name) == _read(second_dir / name)
 
     def test_unconnectable_topology_exit_2(self, tmp_path, capsys):
         path = tmp_path / "sparse.ini"
@@ -292,6 +278,29 @@ class TestSimulate:
                 assert time.perf_counter() - start < 1.0
                 err = capsys.readouterr().err
                 assert message in err and "Traceback" not in err
+        assert not (tmp_path / "trials.csv").exists()
+        assert not (tmp_path / "ghls_sweep.csv").exists()
+
+    def test_oversized_scenario_exits_2_at_once(self, tmp_path, capsys, monkeypatch):
+        # Sizes whose arrays would far exceed memory are refused before
+        # any layout is built, naming the key and the bound's reason.
+        def no_pool(config):
+            raise AssertionError("built a pool for an oversized scenario")
+
+        monkeypatch.setattr(scenario, "build_pool", no_pool)
+        for old, new, reason in (
+            ("n = 80", "n = 10000000000", "(n, n, 2) array"),
+            ("grid_cells = 8", "grid_cells = 100000", "grid_cells**2 cells"),
+        ):
+            path = tmp_path / "scenario.ini"
+            path.write_text(ORACLE_INI.replace(old, new))
+            for command in ("simulate", "compare-ghls"):
+                start = time.perf_counter()
+                assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+                assert time.perf_counter() - start < 1.0
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Traceback" not in err
+                assert f"[topology] {new}" in err and reason in err
         assert not (tmp_path / "trials.csv").exists()
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
@@ -409,17 +418,13 @@ class TestCompareGhls:
 
     def test_same_scenario_as_simulate(self, tmp_path):
         ini = self._ini(tmp_path, "2|3", "\n[ghls]\nf_over_r = 0.5, 2\n")
-        sim, seq, par = tmp_path / "sim", tmp_path / "seq", tmp_path / "par"
+        sim, seq = tmp_path / "sim", tmp_path / "seq"
         assert main(["simulate", ini, "--seed", "3", "--out-dir", str(sim)]) == 0
         assert main(["compare-ghls", ini, "--seed", "3", "--out-dir", str(seq)]) == 0
-        assert main(["compare-ghls", ini, "--seed", "3", "--jobs", "2",
-                     "--out-dir", str(par)]) == 0
         summary = json.loads(_read(sim / "summary.json"))
         comparison = json.loads(_read(seq / "ghls_summary.json"))
         assert comparison["lpr_request_cost"] == summary["mean_transmissions"]
         assert comparison["f_over_r"] == [0.5, 2.0]
-        for name in ("ghls_sweep.csv", "ghls_summary.json"):
-            assert _read(seq / name) == _read(par / name)
         sim_params = json.loads(_read(sim / "simulate_manifest.json"))["parameters"]
         cmp_params = json.loads(_read(seq / "compare_ghls_manifest.json"))["parameters"]
         assert sim_params["config"] == cmp_params["config"]

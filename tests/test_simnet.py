@@ -6,7 +6,6 @@ latency and traffic means, so the whole frontier costs a single
 simulation pass.
 """
 
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -33,13 +32,12 @@ from lprlab.analytic import (
 )
 from lprlab.profile import CellId, ObservationTrace, build_profile
 from lprlab.simnet import (
+    DeliveryOutcome,
     ScenarioConfig,
     build_topology,
     candidates_from_profile,
     compare_ghls,
     default_ttl,
-    ghls_deliver,
-    ghls_update,
     gpsr_route,
     load_scenario,
     lpr_deliver,
@@ -47,8 +45,15 @@ from lprlab.simnet import (
     topology_from_positions,
 )
 from lprlab.simnet import scenario
-from lprlab.simnet.delivery import _leg_ttl, cell_center, hashed_home_index
-from lprlab.simnet.gpsr import _next_ccw, _proper_crossing
+from lprlab.simnet.delivery import (
+    _leg_ttl,
+    cell_center,
+    ghls_waves,
+    hashed_home_index,
+    round_trips,
+    route_wave,
+)
+from lprlab.simnet.gpsr import RouteResult, _next_ccw, _proper_crossing, route_legs
 from lprlab.simnet.scenario import (
     aggregate,
     build_pool,
@@ -438,6 +443,128 @@ def _assert_route_ok(topo, route, src, dest, radius, ttl):
     assert route.success == (topo.distance_to(route.path[-1], dest) <= radius)
 
 
+def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
+    """One leg at a time: the scalar greedy loop, with perimeter mode
+    inline, as gpsr_route ran before legs were batched. The oracle for
+    route_legs and gpsr_route."""
+    eps = 1e-9
+    dx, dy = float(dest_position[0]), float(dest_position[1])
+    dest = (dx, dy)
+    xs, ys = topology.xs, topology.ys
+    x = src
+    path = [src]
+    steps = []
+    greedy = True
+    entry_dist = math.inf
+    best_cross_dist = math.inf
+    entry_point = (0.0, 0.0)
+    first_edge = None
+    arrival_from = None
+
+    while True:
+        px, py = xs[x], ys[x]
+        dist_x = math.hypot(px - dx, py - dy)
+        if dist_x <= acceptance_radius:
+            return RouteResult(True, path, tuple(steps))
+        if len(path) - 1 >= ttl:
+            return RouteResult(False, path, tuple(steps))
+
+        if greedy:
+            best = None
+            best_dist = dist_x - eps
+            for v in topology.adjacency[x]:
+                d = math.hypot(xs[v] - dx, ys[v] - dy)
+                if d < best_dist:
+                    best_dist = d
+                    best = v
+            if best is not None:
+                path.append(best)
+                steps.append(False)
+                x = best
+                continue
+            if not topology.planar_adjacency[x]:
+                return RouteResult(False, path, tuple(steps))
+            greedy = False
+            entry_point = (px, py)
+            entry_dist = dist_x
+            best_cross_dist = dist_x
+            ref = math.atan2(dy - py, dx - px)
+            first_edge = None
+        else:
+            if dist_x < entry_dist - eps:
+                greedy = True
+                continue
+            ref = topology.bearing(x, arrival_from)
+
+        nxt = _next_ccw(topology, x, ref)
+        if nxt is None:
+            return RouteResult(False, path, tuple(steps))
+        rotations = 0
+        max_rotations = 2 * len(topology.planar_adjacency[x]) + 2
+        while rotations < max_rotations:
+            crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
+            if crossing is None:
+                break
+            cross_dist = math.hypot(crossing[0] - dx, crossing[1] - dy)
+            if cross_dist >= best_cross_dist - eps:
+                break
+            best_cross_dist = cross_dist
+            first_edge = None
+            nxt = _next_ccw(topology, x, topology.bearing(x, nxt))
+            rotations += 1
+
+        if first_edge is None:
+            first_edge = (x, nxt)
+        elif (x, nxt) == first_edge:
+            return RouteResult(False, path, tuple(steps))
+
+        arrival_from = x
+        path.append(nxt)
+        steps.append(True)
+        x = nxt
+
+
+def _assert_batch_matches_scalar(topo, legs, radius, ttl, single_every=1):
+    """route_legs on all legs at once, and gpsr_route on every
+    single_every-th leg, give the scalar oracle's route: the same
+    success, end node, hops and perimeter hops, and for gpsr_route the
+    same path and hop flags."""
+    success, end, hops, perimeter = route_legs(
+        topo, [s for s, _ in legs], [d for _, d in legs], radius, ttl
+    )
+    for i, (s, dest) in enumerate(legs):
+        want = _scalar_gpsr_route(topo, s, dest, radius, ttl)
+        got = (bool(success[i]), int(end[i]), int(hops[i]), int(perimeter[i]))
+        assert got == (want.success, want.path[-1], want.hops, want.perimeter_hops), (
+            s, dest, radius, ttl)
+        if i % single_every == 0:
+            assert gpsr_route(topo, s, dest, radius, ttl=ttl) == want
+
+
+def _nudged(point, dx, dy):
+    """point moved by dx and dy ulps (each -1, 0 or 1) per coordinate."""
+    return tuple(
+        float(np.nextafter(c, math.copysign(math.inf, step))) if step else c
+        for c, step in zip(point, (dx, dy))
+    )
+
+
+def _tie_destinations(topo):
+    """Node positions, the midpoints of links and the lattice points
+    between nodes (exact distance ties on lattices), each also nudged by
+    one ulp, the near-ties that np.hypot and math.hypot may order
+    differently."""
+    points = [topo.position(u) for u in range(topo.n)]
+    for u in range(topo.n):
+        for v in topo.adjacency[u]:
+            if u < v:
+                points.append(tuple((np.array(topo.position(u)) + topo.position(v)) / 2))
+    out = []
+    for p in points:
+        out += [p, _nudged(p, 1, 0), _nudged(p, -1, 1), _nudged(p, 0, -1)]
+    return out
+
+
 class TestGpsr:
     def test_straight_chain_all_greedy(self):
         topo = topology_from_positions([(float(i), 0.0) for i in range(6)], 1.5)
@@ -540,6 +667,75 @@ class TestGpsr:
         full = gpsr_route(chain, 0, (29.0, 0.0), ttl=29)
         assert full.success and full.hops == 29
 
+    @settings(max_examples=150, deadline=None)
+    @given(_layouts(), st.data())
+    def test_batched_router_matches_scalar_oracle(self, topo, data):
+        lo = float(topo.positions.min()) - 1.0
+        hi = float(topo.positions.max()) + 1.0
+        ties = _tie_destinations(topo)
+        legs = []
+        for _ in range(data.draw(st.integers(1, 24), label="legs")):
+            src = data.draw(st.integers(0, topo.n - 1), label="src")
+            if data.draw(st.booleans(), label="tie"):
+                dest = data.draw(st.sampled_from(ties), label="tie dest")
+            else:
+                dest = (data.draw(st.floats(lo, hi), label="dest x"),
+                        data.draw(st.floats(lo, hi), label="dest y"))
+            legs.append((src, dest))
+        # A radius exactly at some node's distance from a destination puts
+        # that node on the acceptance boundary.
+        node = data.draw(st.integers(0, topo.n - 1), label="boundary node")
+        radius = data.draw(st.one_of(
+            st.just(0.0),
+            st.floats(0.0, (hi - lo) / 4.0),
+            st.just(topo.distance_to(node, legs[0][1])),
+        ), label="radius")
+        ttl = data.draw(st.integers(0, 4 * topo.n), label="ttl")
+        _assert_batch_matches_scalar(topo, legs, radius, ttl)
+
+    def test_greedy_step_one_ulp_under_the_progress_threshold(self):
+        # By math.hypot, node 1 is one ulp closer to the destination than
+        # the progress threshold of node 0, so greedy takes the hop; a
+        # hypot one ulp off would see a local minimum at node 0.
+        dest = (float.fromhex("0x1.8de7009553606p+2"), float.fromhex("0x1.41d2794be2662p+2"))
+        near = (float.fromhex("0x1.c55004c6ad7bdp-4"), float.fromhex("-0x1.1218d157b7c63p-3"))
+        topo = topology_from_positions([(0.0, 0.0), near], 1.0)
+        threshold = topo.distance_to(0, dest) - 1e-9
+        assert topo.distance_to(1, dest) == np.nextafter(threshold, 0.0)
+        _assert_batch_matches_scalar(topo, [(0, dest)], 0.0, 16)
+        route = gpsr_route(topo, 0, dest, ttl=16)
+        assert route.path[:2] == [0, 1] and route.perimeter_steps[0] is False
+
+    def test_batched_router_matches_scalar_oracle_on_lattices(self):
+        # Every source to every tie destination: lattices put many
+        # neighbours at exactly equal distances from lattice points and
+        # link midpoints, and the one-ulp nudges make near-ties.
+        for side in range(2, 6):
+            for reach in (1.0, math.sqrt(2.0), 2.0):
+                topo = _lattice(side, reach)
+                legs = [(s, d) for s in range(topo.n) for d in _tie_destinations(topo)]
+                for radius in (0.0, 0.5, 1.0):
+                    _assert_batch_matches_scalar(
+                        topo, legs, radius, 8 * topo.n, single_every=17
+                    )
+
+    def test_batched_router_matches_scalar_oracle_on_scenario_legs(self):
+        # Scenario-like legs on README-density layouts, more than one
+        # chunk of them at once: sources at random, destinations at cell
+        # centres, a cell-size acceptance radius, and responses (radius
+        # 0) back to node positions.
+        rng = np.random.default_rng(5)
+        for seed in range(2):
+            topo = build_topology(280, 2500.0, 400.0, seed=[seed, 101, 0])
+            cells = (rng.integers(1, 11, size=(1500, 2)) + 0.5) * (2500.0 / 12)
+            legs = [(int(s), tuple(c)) for s, c in zip(rng.integers(280, size=1500), cells)]
+            _assert_batch_matches_scalar(
+                topo, legs, 2500.0 / 12, 8 * topo.n, single_every=5
+            )
+            backs = [(int(s), topo.position(int(d)))
+                     for s, d in rng.integers(280, size=(1200, 2))]
+            _assert_batch_matches_scalar(topo, backs, 0.0, 8 * topo.n, single_every=5)
+
     def test_validation(self):
         topo = _void_topology()
         with pytest.raises(ValueError):
@@ -558,7 +754,26 @@ def _hashed_home(target_id, grid_cells, cell_size, margin):
     )
     eligible = config.eligible_cells()
     centers = scenario._cell_centers(config)
-    return centers[eligible[hashed_home_index(target_id, len(eligible))]]
+    return tuple(centers[eligible[hashed_home_index(target_id, len(eligible))]].tolist())
+
+
+def _one(*values):
+    """Batch-of-one arguments for the wave functions of delivery."""
+    return [np.array([v]) for v in values]
+
+
+def ghls_deliver(topo, src, home, *, true_position, acceptance_radius):
+    """ghls_waves for one trial, as DeliveryOutcome fields; its update
+    leg is not charged here."""
+    success, tx, _ = ghls_waves(
+        [topo], *_one(0, src, home, true_position), acceptance_radius, np.array([src])
+    )
+    return DeliveryOutcome(bool(success[0]), 2.0, int(tx[0]))
+
+
+def ghls_update(topo, src, home, radius):
+    """Hops of one location update leg."""
+    return int(route_wave([topo], *_one(0, src, home), radius)[2][0])
 
 
 @pytest.fixture(scope="module")
@@ -762,8 +977,8 @@ class TestScenarioConfig:
         assert cfg.n_cells == 144
         centers = scenario._cell_centers(cfg)
         assert centers[0] == pytest.approx((cfg.cell_size / 2,) * 2)
-        for i, center in enumerate(centers):
-            assert center == cell_center(CellId(i % 12, i // 12), cfg.cell_size)
+        for i, center in enumerate(centers.tolist()):
+            assert tuple(center) == cell_center(CellId(i % 12, i // 12), cfg.cell_size)
 
     def test_eligible_cells_respect_margin(self):
         cfg = replace(SMALL, grid_cells=6, cell_margin=1)
@@ -794,6 +1009,11 @@ class TestScenarioConfig:
             replace(SMALL, f_over_r=(1.0, -0.5))
         with pytest.raises(ValueError, match="seed must be non-negative"):
             replace(SMALL, seed=-3)
+        assert replace(SMALL, n=2048, grid_cells=256).n == 2048
+        with pytest.raises(ValueError, match=re.escape("[topology] n = 2049 is above 2048")):
+            replace(SMALL, n=2049)
+        with pytest.raises(ValueError, match=re.escape("[topology] grid_cells = 257")):
+            replace(SMALL, grid_cells=257)
 
     def test_non_finite_values_rejected(self):
         for value in (math.nan, math.inf, -math.inf):
@@ -1018,31 +1238,6 @@ kind = oracle
         assert all(0 <= f < math.inf for f in cfg.f_over_r)
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Stand ProcessPoolExecutor in with a double that maps in this
-    process, so that patches of scenario also reach the work of the
-    workers. Returns the (max_workers, start method) of each pool asked
-    for."""
-    requested = []
-
-    class InProcessExecutor:
-        def __init__(self, max_workers, mp_context):
-            requested.append((max_workers, mp_context.get_start_method()))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
-    return requested
-
-
 class TestScenarioRuns:
     def test_zero_trials(self):
         record, rows = run_scenario(replace(SMALL, trials=0))
@@ -1075,6 +1270,17 @@ class TestScenarioRuns:
                 assert other == pytest.approx(value, rel=1e-12)
             else:
                 assert other == value
+
+    @pytest.mark.parametrize("strategy", ["lpr", "oracle", "ghls"])
+    def test_one_index_per_call_matches_single_pass(self, strategy):
+        # The benchmark tracer runs run_trials once per trial index: the
+        # waves of one-trial batches must give the rows of one batch.
+        cfg = replace(SMALL, strategy=strategy, grouping=Grouping((2, 3)),
+                      n_candidates=5, trials=60)
+        pool = build_pool(cfg)
+        rows = run_trials(cfg, range(cfg.trials), pool)
+        assert [row for i in range(cfg.trials) for row in run_trials(cfg, [i], pool)] == rows
+        assert run_trials(cfg, [], pool) == []
 
     def test_oracle_latency_and_ratio(self):
         record, rows = run_scenario(replace(SMALL, trials=120))
@@ -1126,8 +1332,7 @@ class TestScenarioRuns:
 
     @staticmethod
     def _count_calls(monkeypatch, name):
-        """Count the calls of scenario.<name>; with the in-process pool
-        this includes the calls a worker would make."""
+        """Count the calls of scenario.<name>."""
         calls = []
         original = getattr(scenario, name)
 
@@ -1138,41 +1343,18 @@ class TestScenarioRuns:
         monkeypatch.setattr(scenario, name, counted)
         return lambda: len(calls)
 
-    def test_one_pool_and_one_baseline_per_run(self, monkeypatch, in_process_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_one_pool_and_one_baseline_per_run(self, monkeypatch):
         pools = self._count_calls(monkeypatch, "build_pool")
         baselines = self._count_calls(monkeypatch, "measure_baseline")
         cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
-        for run in (lambda: compare_ghls(cfg), lambda: compare_ghls(cfg, jobs=2),
-                    lambda: run_scenario(SMALL), lambda: run_scenario(SMALL, jobs=2)):
+        for run in (lambda: compare_ghls(cfg), lambda: run_scenario(SMALL)):
             before = pools(), baselines()
             run()
             assert (pools() - before[0], baselines() - before[1]) == (1, 1)
-        # The --jobs 2 runs went through the pool: compare_ghls once per
-        # strategy, run_scenario once.
-        assert in_process_pool == [(2, "spawn")] * 3
-
-    def test_jobs_match_serial(self, monkeypatch):
-        # Two CPUs whatever the machine has, so the workers really run.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert run_scenario(SMALL, jobs=2) == run_scenario(SMALL)
-        one = replace(SMALL, trials=1)
-        assert run_scenario(one, jobs=2) == run_scenario(one)
-        cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
-        assert compare_ghls(cfg, jobs=2) == compare_ghls(cfg)
-
-    def test_worker_count_capped(self, monkeypatch, in_process_pool):
-        serial = run_scenario(SMALL)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert run_scenario(SMALL, jobs=64) == serial
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        three = replace(SMALL, trials=3)
-        assert run_scenario(three, jobs=64) == run_scenario(three)
-        assert in_process_pool == [(2, "spawn"), (3, "spawn")]
 
     def test_serial_run_never_imports_multiprocessing(self):
-        # A fresh interpreter: the serial path must not pay for the
-        # multiprocessing import, which only --jobs above 1 needs.
+        # A fresh interpreter: a run must not pay for the multiprocessing
+        # import, about 2 MiB, which nothing in it needs.
         src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
         code = (
             "import sys, lprlab.cli\n"
@@ -1189,6 +1371,46 @@ class TestScenarioRuns:
         assert out == "[]\n"
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        # + 0.0 turns -0.0 into 0.0: numpy's partition leaves equal
+        # signed zeros in no set order, and latency factors are >= 1.
+        st.one_of(st.integers(1, 12).map(float), st.floats(-1e6, 1e6).map(lambda v: v + 0.0)),
+        min_size=1, max_size=80,
+    ),
+    st.sampled_from([0, 10, 25, 50, 75, 90, 100]),
+)
+def test_percentile_is_numpy_linear_method_bit_for_bit(values, q):
+    # Small integers, as latency factors are, make ties.
+    expected = float(np.percentile(np.array(values), q))
+    assert scenario._percentile(sorted(values), q).hex() == expected.hex()
+
+
+def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
+    # np.setdiff1d and np.percentile import numpy.ma, about 1.3 MiB of
+    # peak memory. Trials with 2 of 16 cells as candidates wander often.
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(
+        "[topology]\nn = 40\nfield_size = 800\nradio_range = 300\npool = 1\n"
+        "grid_cells = 6\n[traffic]\ntrials = 40\nn_candidates = 2\n"
+        "[strategy]\nkind = lpr\ngrouping = 1|1\n"
+    )
+    code = (
+        "import sys\n"
+        "from lprlab.cli import main\n"
+        f"assert main(['simulate', {str(ini)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, timeout=120)
+    rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+    assert any(row.split(",")[2] == "0" for row in rows)  # some target wandered
+
+
 def _leg_tables(config, pool, trials):
     """Replay the scenario draws, recording one round trip per rank."""
     eligible = config.eligible_cells()
@@ -1198,12 +1420,14 @@ def _leg_tables(config, pool, trials):
     nc = config.n_candidates
     hits = np.zeros((trials, nc), dtype=bool)
     costs = np.zeros((trials, nc), dtype=np.int64)
-    from lprlab.simnet.delivery import _round_trip
+    src = np.zeros(trials, dtype=np.intp)
+    cands = np.zeros((trials, nc), dtype=np.intp)
+    true_positions = []
 
     for index in range(trials):
         rng = np.random.default_rng([config.seed, 7, index])
         topo = pool[index % len(pool)]
-        src = int(rng.integers(topo.n))
+        src[index] = rng.integers(topo.n)
         hour = int(rng.integers(168))
         cand = rng.choice(eligible, size=nc, replace=False)
         pmf = sequential_hit_pmf(model(hour + 0.5), nc)
@@ -1219,15 +1443,20 @@ def _leg_tables(config, pool, trials):
             true_cell = int(cand[true_rank - 1])
         else:
             true_cell = int(rng.choice(np.setdiff1d(eligible, cand)))
-        true_pos = centers[true_cell]
-        for rank in range(nc):
-            reached_ok, reached, cost = _round_trip(
-                topo, src, centers[int(cand[rank])], radius
-            )
-            costs[index, rank] = cost
-            hits[index, rank] = (
-                reached_ok and topo.distance_to(reached, true_pos) <= radius
-            )
+        true_positions.append(centers[true_cell])
+        cands[index] = cand
+    # One round trip per (trial, rank), all in one pair of waves.
+    trial = np.repeat(np.arange(trials), nc)
+    topo_ids = trial % len(pool)
+    reached_ok, reached, cost = round_trips(
+        pool, topo_ids, src[trial], centers[cands.ravel()], radius
+    )
+    costs[:] = cost.reshape(trials, nc)
+    for leg in np.flatnonzero(reached_ok).tolist():
+        index = leg // nc
+        hits[index, leg % nc] = pool[topo_ids[leg]].distance_to(
+            int(reached[leg]), true_positions[index]
+        ) <= radius
     return hits, costs
 
 
