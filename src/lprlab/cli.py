@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from . import __version__, figures
 from .analytic import (
@@ -30,21 +31,15 @@ from .analytic import (
 )
 from .mobility import MobilityParams, empirical_regularity, generate_trace
 from .profile import write_trace_csv
-from .simnet.scenario import (
-    ScenarioConfig,
-    TrialRow,
-    compare_ghls,
-    load_scenario,
-    run_scenario,
-)
+
+if TYPE_CHECKING:
+    from .simnet.scenario import ScenarioConfig
 
 __all__ = ["RunManifest", "build_parser", "main"]
 
 ENV_OUT_DIR = "LPRLAB_OUT_DIR"
 
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig7")
-
-_TRIAL_HEADER = tuple(f.name for f in fields(TrialRow))
 
 _TRACE_FLAGS = {
     "n_users": "--users",
@@ -219,6 +214,10 @@ def _print_summary(record_dict: dict) -> None:
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     """The scenario file with --seed and --trials applied."""
+    # The simulator is imported by the commands that run it only, so
+    # `curves` and `gen-trace` never load it.
+    from .simnet.scenario import load_scenario
+
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -228,6 +227,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simnet.scenario import TrialRow, run_scenario
+
     config = _load_config(args)
     record, rows = run_scenario(config)
     out_dir = _resolve_out_dir(args.out_dir)
@@ -235,7 +236,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trials_path = os.path.join(out_dir, "trials.csv")
     figures.write_csv(
         trials_path,
-        _TRIAL_HEADER,
+        tuple(f.name for f in fields(TrialRow)),
         (
             [int(v) if isinstance(v, bool) else v for v in astuple(row)]
             for row in rows
@@ -254,6 +255,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_ghls(args: argparse.Namespace) -> int:
+    from .simnet.scenario import compare_ghls
+
     config = _load_config(args)
     comparison = compare_ghls(config)
     out_dir = _resolve_out_dir(args.out_dir)

@@ -12,15 +12,19 @@ ranking tie-break (lexicographic cell coordinates) keeps every run
 deterministic.
 
 Profiles are value objects: building returns a new instance and readers
-never see mutation.
+never see mutation. The rule is load-bearing: `predict` memoises each
+context's ranking on the profile, so counts changed after a query would
+leave stale rankings behind. Derive a changed profile with
+`dataclasses.replace`, which starts with an empty memo.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -102,6 +106,10 @@ class LocationProfile:
     order: int
     version: int
     counts: dict[ContextKey, dict[CellId, int]] = field(default_factory=dict)
+    # Each queried context's ranking, filled by `predict`; callers get copies.
+    _rankings: dict[ContextKey, tuple[tuple[CellId, float], ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.order not in _ALLOWED_ORDERS:
@@ -190,12 +198,23 @@ def build_profile(trace: ObservationTrace, order: int = 1) -> LocationProfile:
     return LocationProfile(order=order, version=1, counts=counts)
 
 
-def _ranked(entries: dict[CellId, int]) -> list[tuple[CellId, float]]:
+def _ranked(entries: dict[CellId, int]) -> tuple[tuple[CellId, float], ...]:
     total = sum(entries.values())
     if total == 0:
-        return []
+        return ()
     items = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(cell, count / total) for cell, count in items if count > 0]
+    return tuple((cell, count / total) for cell, count in items if count > 0)
+
+
+def _ranking(profile: LocationProfile, key: ContextKey) -> tuple[tuple[CellId, float], ...]:
+    """The context's memoised ranking; empty when the profile lacks it."""
+    ranked = profile._rankings.get(key)
+    if ranked is None:
+        entries = profile.counts.get(key)
+        if not entries:
+            return ()
+        ranked = profile._rankings[key] = _ranked(entries)
+    return ranked
 
 
 def predict(
@@ -203,7 +222,7 @@ def predict(
     slot_index: int,
     prev_cell: CellId | None = None,
 ) -> list[tuple[CellId, float]]:
-    """Ranked (cell, confidence) for a query slot.
+    """Ranked (cell, confidence) for a query slot, as a new list.
 
     Uses the deepest context with data: (slot, prev) for order-3 when the
     pair was seen, then (slot,), then the marginal. Unknown contexts all
@@ -211,21 +230,14 @@ def predict(
     """
     sow = slot_index % HOURS_PER_WEEK
     if profile.order == 3 and prev_cell is not None:
-        entries = profile.counts.get((sow, prev_cell))
-        if entries:
-            ranked = _ranked(entries)
-            if ranked:
-                return ranked
+        ranked = _ranking(profile, (sow, prev_cell))
+        if ranked:
+            return list(ranked)
     if profile.order >= 1:
-        entries = profile.counts.get((sow,))
-        if entries:
-            ranked = _ranked(entries)
-            if ranked:
-                return ranked
-    entries = profile.counts.get(())
-    if entries:
-        return _ranked(entries)
-    return []
+        ranked = _ranking(profile, (sow,))
+        if ranked:
+            return list(ranked)
+    return list(_ranking(profile, ()))
 
 
 def top_k(
@@ -311,6 +323,20 @@ class _Reader:
         return vals
 
 
+_new_tuple = tuple.__new__
+
+
+def _raise_repeated_cell(block: memoryview, key: ContextKey, start: int) -> None:
+    """Report the first entry of a context's block whose cell came earlier."""
+    seen: set[tuple[int, int]] = set()
+    for i, (x, y, _) in enumerate(_ENTRY.iter_unpack(block)):
+        if (x, y) in seen:
+            raise ProfileFormatError(
+                f"repeated cell {(x, y)} in context {key!r}", start + i * _ENTRY.size
+            )
+        seen.add((x, y))
+
+
 def deserialize_profile(data: bytes) -> LocationProfile:
     """Parse a serialized profile; malformed input raises ProfileFormatError."""
     r = _Reader(data)
@@ -327,6 +353,7 @@ def deserialize_profile(data: bytes) -> LocationProfile:
         )
 
     counts: dict[ContextKey, dict[CellId, int]] = {}
+    view = memoryview(data)
     for _ in range(n_contexts):
         level_pos = r.pos
         (level,) = r.take(_U8, "context level")
@@ -355,16 +382,16 @@ def deserialize_profile(data: bytes) -> LocationProfile:
             )
         if key in counts:
             raise ProfileFormatError(f"duplicate context {key!r}", level_pos)
-        entries: dict[CellId, int] = {}
-        for _ in range(n_entries):
-            entry_pos = r.pos
-            x, y, count = r.take(_ENTRY, "entry")
-            cell = CellId(x, y)
-            if cell in entries:
-                raise ProfileFormatError(
-                    f"repeated cell {tuple(cell)} in context {key!r}", entry_pos
-                )
-            entries[cell] = count
+        start = r.pos
+        r.pos += n_entries * _ENTRY.size
+        block = view[start : r.pos]
+        # tuple.__new__ is what CellId(x, y) runs, without its Python frame.
+        entries = {
+            _new_tuple(CellId, (x, y)): count
+            for x, y, count in _ENTRY.iter_unpack(block)
+        }
+        if len(entries) != n_entries:
+            _raise_repeated_cell(block, key, start)
         counts[key] = entries
     if r.pos != len(r.data):
         raise ProfileFormatError("trailing bytes after last context", r.pos)
@@ -377,14 +404,129 @@ def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "slot_index", "cell_x", "cell_y"])
         for trace in traces:
-            writer.writerows(
-                zip(
-                    repeat(trace.node_id),
-                    trace.slots.tolist(),
-                    trace.cells[:, 0].tolist(),
-                    trace.cells[:, 1].tolist(),
-                )
+            # The csv module quotes the node id once, into a row template
+            # whose %-escaped id stays quoted as the module would quote it
+            # ('%' is no csv special character).
+            template = io.StringIO()
+            csv.writer(template).writerow(
+                [trace.node_id.replace("%", "%%"), "%d", "%d", "%d"]
             )
+            fields = np.column_stack((trace.slots, trace.cells)).ravel().tolist()
+            fh.write((template.getvalue() * len(trace)) % tuple(fields))
+
+
+# Rows per chunk of a trace CSV: the reader holds one chunk of row lists.
+_CSV_CHUNK = 4096
+
+
+class _TraceColumns:
+    """The rows of a trace CSV read so far: each node's slots and cells as
+    int arrays, one pair per chunk it has rows in, and its last slot."""
+
+    def __init__(self) -> None:
+        self.nodes: dict[str, int] = {}  # node id -> code, in file order
+        self.parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # by code
+        self.last: list[int] = []  # by code; -1 before the node's first row
+
+    def add(self, rows: list[list[str]], first_line: int) -> None:
+        """Check and store a chunk of rows; the first is on first_line.
+
+        The checks run on columns. A chunk that fails one, or holds a
+        blank row, is replayed row by row through `_trace_row`, which
+        raises the located error at its first bad row.
+        """
+        if first_line == 1 and rows and rows[0] and rows[0][0] == "node_id":
+            rows, first_line = rows[1:], 2
+        if not rows:
+            return
+        columns = self._columns(rows) if set(map(len, rows)) == {4} else None
+        if columns is None or not self._store(*columns):
+            self._replay(rows, first_line)
+
+    def _code(self, node_id: str) -> int:
+        code = self.nodes.setdefault(node_id, len(self.nodes))
+        if code == len(self.parts):
+            self.parts.append([])
+            self.last.append(-1)
+        return code
+
+    def _columns(self, rows: list[list[str]]):
+        """(codes, slots, cells) of rows of 4 fields, or None when a field
+        is not an integer or is out of range."""
+        node_ids, slot_col, x_col, y_col = zip(*rows)
+        try:
+            slots = list(map(int, slot_col))
+            xs = list(map(int, x_col))
+            ys = list(map(int, y_col))
+        except ValueError:
+            return None
+        if not (
+            0 <= min(slots) and max(slots) < 2**63
+            and -(2**31) <= min(xs) and max(xs) < 2**31
+            and -(2**31) <= min(ys) and max(ys) < 2**31
+        ):
+            return None
+        for node_id in dict.fromkeys(node_ids):
+            self._code(node_id)
+        codes = np.fromiter(map(self.nodes.__getitem__, node_ids), np.intp, len(rows))
+        cells = np.empty((len(rows), 2), dtype=np.int32)
+        cells[:, 0] = xs
+        cells[:, 1] = ys
+        return codes, np.array(slots, dtype=np.int64), cells
+
+    def _store(self, codes: np.ndarray, slots: np.ndarray, cells: np.ndarray) -> bool:
+        """Append each node's rows, in file order, if every slot follows its
+        node's previous one; False, storing nothing, if one does not."""
+        order = np.argsort(codes, kind="stable")
+        codes, slots = codes[order], slots[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        ends = np.append(starts[1:], len(codes))
+        nodes = codes[starts].tolist()
+        rising = np.diff(slots) > 0
+        rising[starts[1:] - 1] = True  # where one node's rows end
+        if not rising.all() or any(
+            first <= self.last[node]
+            for node, first in zip(nodes, slots[starts].tolist())
+        ):
+            return False
+        cells = cells[order]
+        for node, a, b, last in zip(
+            nodes, starts.tolist(), ends.tolist(), slots[ends - 1].tolist()
+        ):
+            self.parts[node].append((slots[a:b], cells[a:b]))
+            self.last[node] = last
+        return True
+
+    def _replay(self, rows: list[list[str]], first_line: int) -> None:
+        codes, slots, cells = [], [], []
+        last: dict[int, int] = {}  # slots of this chunk, over self.last
+        for lineno, row in enumerate(rows, start=first_line):
+            if not row:
+                continue
+            code = self._code(row[0])
+            prev = last.get(code, self.last[code])
+            slot, x, y = _trace_row(row, lineno, None if prev < 0 else prev)
+            last[code] = slot
+            codes.append(code)
+            slots.append(slot)
+            cells.extend((x, y))
+        if codes:
+            self._store(
+                np.array(codes),
+                np.array(slots, dtype=np.int64),
+                np.array(cells, dtype=np.int32).reshape(-1, 2),
+            )
+
+    def traces(self) -> list[ObservationTrace]:
+        """Traces grouped by node, in the order nodes first appear."""
+        return [
+            ObservationTrace(
+                node,
+                np.concatenate([s for s, _ in parts]),
+                np.concatenate([c for _, c in parts]),
+            )
+            for node, parts in zip(self.nodes, self.parts)
+        ]
 
 
 def read_trace_csv(path: str) -> list[ObservationTrace]:
@@ -393,26 +535,33 @@ def read_trace_csv(path: str) -> list[ObservationTrace]:
     Every malformed row raises ValueError naming its line: a wrong field
     count, a non-integer, a cell coordinate outside int32, a negative slot,
     a slot that does not follow the node's previous one, or bytes that are
-    not UTF-8.
+    not UTF-8. The reader holds one chunk of row lists at a time, plus int
+    arrays of the rows before it; rows are checked a chunk at a time, so
+    the first bad row is still the one reported.
     """
-    # Per node: slots and interleaved (x, y), in flat lists; a tuple per
-    # row would double the peak memory of reading a large trace.
-    grouped: dict[str, tuple[list[int], list[int]]] = {}
-    lineno = 0
+    columns = _TraceColumns()
+    rows: list[list[str]] = []
+    lineno = 0  # CSV rows before `rows`
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 and row and row[0] == "node_id":
-                    continue
-                if not row:
-                    continue
-                slots, cells = grouped.setdefault(row[0], ([], []))
-                slot, x, y = _trace_row(row, lineno, slots[-1] if slots else None)
-                slots.append(slot)
-                cells.extend((x, y))
+            reader = csv.reader(fh)
+            while True:
+                rows.extend(islice(reader, _CSV_CHUNK))
+                if not rows:
+                    break
+                columns.add(rows, lineno + 1)
+                lineno += len(rows)
+                rows = []
     except csv.Error as exc:
-        raise ValueError(f"line {lineno + 1}: {exc}") from None
-    except UnicodeDecodeError:
+        error: ValueError = ValueError(f"line {lineno + len(rows) + 1}: {exc}")
+    except UnicodeDecodeError as exc:
+        error = exc
+    else:
+        return columns.traces()
+    # The rows the reader gave before it failed come first; extend() kept
+    # them.
+    columns.add(rows, lineno + 1)
+    if isinstance(error, UnicodeDecodeError):
         # The decoder reads ahead, so find the bad byte in the whole file.
         with open(path, "rb") as fh:
             data = fh.read()
@@ -421,15 +570,7 @@ def read_trace_csv(path: str) -> list[ObservationTrace]:
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ValueError(f"line {line}: not UTF-8: {exc.reason}") from None
-        raise
-    return [
-        ObservationTrace(
-            node,
-            np.array(slots, dtype=np.int64),
-            np.array(cells, dtype=np.int32).reshape(-1, 2),
-        )
-        for node, (slots, cells) in grouped.items()
-    ]
+    raise error
 
 
 def _trace_row(row: list[str], lineno: int, last_slot: int | None) -> tuple[int, int, int]:

@@ -7,6 +7,8 @@ observable without spawning an interpreter.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -457,3 +459,22 @@ class TestHarness:
         parsed = json.loads(text)
         assert list(parsed) == sorted(parsed)
         assert parsed["seeds"] == [3]
+
+    def test_curves_and_gen_trace_leave_the_simulator_unimported(self, tmp_path):
+        # The commands that need no simulator do not pay for importing it.
+        out = str(tmp_path)
+        code = (
+            "import sys\n"
+            "from lprlab.cli import main\n"
+            f"assert main(['curves', '--k-max', '8', '--out-dir', {out!r}]) == 0\n"
+            f"assert main(['gen-trace', '--users', '2', '--weeks', '1', '--verify',"
+            f" '--out-dir', {out!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m.startswith('lprlab.simnet')]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True, timeout=120)
+        assert (tmp_path / "fig7.csv").exists() and (tmp_path / "trace.csv").exists()

@@ -1,17 +1,20 @@
 """Location profile build/query/serialize tests."""
 
 import csv
+import dataclasses
 import io
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lprlab import profile as profile_module
 from lprlab.profile import (
     CellId,
     LocationProfile,
@@ -24,6 +27,7 @@ from lprlab.profile import (
     top_k,
     write_trace_csv,
 )
+from profile_oracles import deserialize_entries, predict_unmemoised, read_trace_csv_rows
 from trace_records import records_of, trace_from_records
 
 A = CellId(3, 4)
@@ -36,14 +40,14 @@ def trace_of(records, node="n0"):
 
 
 class TestTypes:
-    def test_slot_config_default(self):
+    def test_slots_are_hours(self):
         # Slots are hours: slot 169 is hour 1 of the second week.
         p = build_profile(trace_of([(1, A), (2, B), (167, C)]), order=1)
         assert predict(p, 169) == [(A, 1.0)]
         assert predict(p, 169 + 168 * 5) == [(A, 1.0)]
         assert predict(p, 335) == [(C, 1.0)]
 
-    def test_slot_config_rejects_non_divisor(self):
+    def test_slot_duration_is_60_minutes(self):
         # The header's u16 slot duration (byte 7) is always 60 minutes.
         data = serialize_profile(build_profile(trace_of([(1, A)]), order=1))
         assert data[7:9] == (60).to_bytes(2, "little")
@@ -318,10 +322,42 @@ class TestSerialization:
             if data:
                 data[pos % len(data)] ^= mask
         try:
-            p = deserialize_profile(bytes(data))
-        except ProfileFormatError:
+            expected = deserialize_entries(bytes(data))
+        except ProfileFormatError as exc:
+            with pytest.raises(ProfileFormatError) as got:
+                deserialize_profile(bytes(data))
+            assert str(got.value) == str(exc)
+            assert got.value.offset == exc.offset
             return
+        p = deserialize_profile(bytes(data))
+        assert p == expected
         assert deserialize_profile(serialize_profile(p)) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        copies=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(1, 6)), min_size=1, max_size=3
+        ),
+    )
+    def test_repeated_cells_match_entry_by_entry_reader(self, seed, copies):
+        # 8 bytes copied 16*k bytes further on: where both are cells of one
+        # context, the cell repeats, and the block reader must report the
+        # first repeat at the oracle's offset.
+        data = bytearray(serialize_profile(self.random_profile(seed)))
+        for pos, stride in copies:
+            first = 21 + pos % max(1, len(data) - 21)
+            second = first + 16 * stride
+            if second + 8 <= len(data):
+                data[second : second + 8] = data[first : first + 8]
+        try:
+            expected = deserialize_entries(bytes(data))
+        except ProfileFormatError as exc:
+            with pytest.raises(ProfileFormatError) as got:
+                deserialize_profile(bytes(data))
+            assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+            return
+        assert deserialize_profile(bytes(data)) == expected
 
 
 _csv_numbers = st.sampled_from(
@@ -376,6 +412,10 @@ class TestTraceCsv:
             trace_of([(5, A), (8, CellId(-(2**31), 2**31 - 1)), (2**40, C)], node="a,b"),
             trace_of([], node="empty"),
             trace_of([(1, C)], node="beta"),
+            trace_of([(2, A), (3, B)], node="100%d %s%%"),
+            trace_of([(4, B)], node='say "hi"'),
+            trace_of([(5, C), (6, A)], node="two\nlines"),
+            trace_of([(7, A)], node=""),
         ]
         path = tmp_path / "t.csv"
         write_trace_csv(traces, str(path))
@@ -417,9 +457,10 @@ class TestTraceCsv:
         cut=st.none() | st.integers(0, 10**6),
         flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
         inserts=st.lists(st.tuples(st.integers(0, 10**6), _csv_lines), max_size=3),
+        chunk=st.sampled_from([1, 2, 3, 4096]),
     )
     def test_mutated_csv_raises_only_located_value_errors(
-        self, tmp_path_factory, cut, flips, inserts
+        self, tmp_path_factory, cut, flips, inserts, chunk
     ):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         write_trace_csv(
@@ -439,12 +480,85 @@ class TestTraceCsv:
                 data[pos % len(data)] ^= mask
         path.write_bytes(bytes(data))
         try:
-            traces = read_trace_csv(str(path))
+            expected = read_trace_csv_rows(str(path))
         except ValueError as exc:
             assert str(exc).startswith("line "), exc
+            with mock.patch.object(profile_module, "_CSV_CHUNK", chunk):
+                with pytest.raises(ValueError) as got:
+                    read_trace_csv(str(path))
+            assert str(got.value) == str(exc)
             return
+        with mock.patch.object(profile_module, "_CSV_CHUNK", chunk):
+            traces = read_trace_csv(str(path))
+        assert traces == expected
         for trace in traces:
             assert np.all(np.diff(trace.slots) > 0) and np.all(trace.slots >= 0)
+
+    @staticmethod
+    def _interleaved_rows(n_rows):
+        """Rows of three nodes taking turns, as the writer would emit them."""
+        return [f"u{i % 3},{i // 3 * 2 + 1},{i % 7 - 3},{i % 5}" for i in range(n_rows)]
+
+    def test_chunked_read_matches_row_by_row_reader(self, tmp_path):
+        # Three chunks and a part, nodes interleaved, with a blank line and
+        # a quoted node id spanning two lines in the second chunk.
+        rows = self._interleaved_rows(3 * 4096 + 100)
+        rows[5000] = ""
+        rows[6000] = '"u\n9",1,2,3'
+        path = tmp_path / "long.csv"
+        path.write_text("node_id,slot_index,cell_x,cell_y\n" + "\n".join(rows) + "\n")
+        got = read_trace_csv(str(path))
+        assert got == read_trace_csv_rows(str(path))
+        assert [t.node_id for t in got] == ["u0", "u1", "u2", "u\n9"]
+        assert sum(len(t) for t in got) == len(rows) - 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("u1,1,2,2", "slot 1 of u1 does not follow its slot"),
+            ("u2,99999999,2,x", "invalid literal for int()"),
+            ("u0,99999999,2,2147483648", "cell_y 2147483648 is outside int32"),
+            ("u0,99999999,2", "expected 4 fields, got 3"),
+        ],
+    )
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, row, message):
+        rows = self._interleaved_rows(2 * 4096 + 1000)
+        rows[9000] = row
+        path = tmp_path / "long.csv"
+        path.write_text("node_id,slot_index,cell_x,cell_y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(str(path))
+        assert str(exc.value).startswith(f"line 9002: {message}")
+        with pytest.raises(ValueError) as oracle:
+            read_trace_csv_rows(str(path))
+        assert str(exc.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("bad_index", [None, 4096 + 10])
+    def test_csv_error_is_reported_after_earlier_rows_of_its_chunk(self, tmp_path, bad_index):
+        # The reader stops mid-chunk on a field over the csv module's size
+        # limit; a bad row before it in the same chunk is still the error.
+        rows = self._interleaved_rows(4096 + 200)
+        rows[4096 + 150] = "u0," + "9" * 200_000 + ",1,1"
+        if bad_index is not None:
+            rows[bad_index] = "u1,1,1,1"
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(str(path))
+        with pytest.raises(ValueError) as oracle:
+            read_trace_csv_rows(str(path))
+        assert str(exc.value) == str(oracle.value)
+        expected = (
+            "line 4247: field larger than field limit" if bad_index is None
+            else f"line {bad_index + 1}: slot 1 of u1 does not follow"
+        )
+        assert str(exc.value).startswith(expected)
+
+    def test_header_only_and_empty_files(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for text in ("", "node_id,slot_index,cell_x,cell_y\n", "\n\n"):
+            path.write_text(text)
+            assert read_trace_csv(str(path)) == []
 
 
 def _loop_build_profile(trace, order=1):
@@ -505,6 +619,66 @@ class TestArrayCountedProfile:
             expected = _loop_build_profile(trace, order)
             assert got == expected
             assert serialize_profile(got) == serialize_profile(expected)
+
+
+class TestPredictMemo:
+    def profile(self):
+        records = [(s, [A, B, C][s * 7 % 3]) for s in range(1, 400, 2)]
+        return build_profile(trace_of(records), order=3)
+
+    def test_mutating_an_answer_leaves_the_next_one(self):
+        p = self.profile()
+        first = predict(p, 9, A)
+        expected = list(first)
+        first.clear()
+        again = predict(p, 9, A)
+        again.append((C, 9.9))
+        assert predict(p, 9, A) == expected == predict_unmemoised(p, 9, A)
+        assert top_k(p, 9, 2, A) == [cell for cell, _ in expected[:2]]
+
+    def test_equality_repr_and_bytes_ignore_the_memo(self):
+        queried, fresh = self.profile(), self.profile()
+        for slot in range(0, 168, 5):
+            predict(queried, slot, B)
+        assert queried._rankings and not fresh._rankings
+        assert queried == fresh
+        assert repr(queried) == repr(fresh)
+        assert "_rankings" not in repr(queried)
+        assert serialize_profile(queried) == serialize_profile(fresh)
+
+    def test_replace_starts_with_an_empty_memo(self):
+        p = self.profile()
+        assert predict(p, 5) == predict_unmemoised(p, 5)
+        counts = {(): {C: 1}, (5,): {B: 2, A: 1}}
+        q = dataclasses.replace(p, counts=counts)
+        assert q._rankings == {}
+        assert predict(q, 5) == [(B, 2 / 3), (A, 1 / 3)]
+        assert predict(q, 6) == [(C, 1.0)]
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p, _rankings={})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trace=_traces(max_size=60),
+        order=st.sampled_from([0, 1, 3]),
+        queries=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.none() | st.integers(0, 5),
+                st.integers(0, 8),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_query_sequence_matches_unmemoised_predict(self, trace, order, queries):
+        p = build_profile(trace, order=order)
+        # Previous cells from the trace itself, so order-3 contexts hit.
+        cells = [CellId(int(x), int(y)) for x, y in trace.cells.tolist()] or [A]
+        for slot, prev, k in queries:
+            prev_cell = None if prev is None else cells[prev % len(cells)]
+            expected = predict_unmemoised(p, slot, prev_cell)
+            assert predict(p, slot, prev_cell) == expected
+            assert top_k(p, slot, k, prev_cell) == [cell for cell, _ in expected[:k]]
 
 
 def test_statistics_leave_numpy_ma_unimported():
