@@ -184,7 +184,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 def _verify_trace(traces, params: MobilityParams) -> int:
     """Compare per-hour modal-cell frequency against the model curve."""
     empirical = empirical_regularity(traces)
-    model = params.regularity_model
+    model = RegularityModel()
     samples = params.n_users * params.n_weeks
     worst_z = 0.0
     worst = (0.0, 1.0)

@@ -21,44 +21,25 @@ arbitrary traces, used to validate generated data against the models.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import HOURS_PER_WEEK, RegularityModel, regularity, sequential_hit_pmf
+from .analytic import HOURS_PER_WEEK, regularity, sequential_hit_pmf
 from .profile import ObservationTrace, _cell_ranks
 
 __all__ = [
-    "CellGrid",
+    "GRID_SIDE",
     "MobilityParams",
     "generate_trace",
     "empirical_regularity",
     "empirical_success_after_k",
 ]
 
-logger = logging.getLogger(__name__)
-
-_MIN_REGULARITY = 1e-9
-
-
-@dataclass(frozen=True)
-class CellGrid:
-    """Rectangular cell grid; cell_size is meters per cell edge."""
-
-    width: int = 50
-    height: int = 50
-    cell_size: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"grid dimensions must be positive, got {self.width}x{self.height}")
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
-
-    @property
-    def n_cells(self) -> int:
-        return self.width * self.height
+# Traces are drawn on a GRID_SIDE x GRID_SIDE grid of cells, with cell
+# (x, y) at flat index y * GRID_SIDE + x.
+GRID_SIDE = 50
+_GRID_CELLS = GRID_SIDE * GRID_SIDE
 
 
 @dataclass(frozen=True)
@@ -66,9 +47,7 @@ class MobilityParams:
     n_users: int = 40
     n_weeks: int = 6
     n_locations: int = 40  # home cells per user; k <= 12 is far from truncation
-    regularity_model: RegularityModel = field(default_factory=RegularityModel)
     unpredictable_floor: float = 0.07
-    grid: CellGrid = field(default_factory=CellGrid)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,7 +61,7 @@ class MobilityParams:
             raise ValueError(
                 f"unpredictable_floor must be in [0, 0.3], got {self.unpredictable_floor}"
             )
-        if self.n_locations > self.grid.n_cells:
+        if self.n_locations > _GRID_CELLS:
             raise ValueError("n_locations exceeds grid cell count")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -102,24 +81,15 @@ def _slot_rank_cdf(params: MobilityParams) -> np.ndarray:
     """
     n = params.n_locations
     floor = params.unpredictable_floor
-    floor_per_cell = floor / params.grid.n_cells
+    floor_per_cell = floor / _GRID_CELLS
     table = np.empty((HOURS_PER_WEEK, n))
-    clamped = 0
     for t in range(HOURS_PER_WEEK):
-        r = regularity(t + 0.5, params.regularity_model) - floor_per_cell
-        if not _MIN_REGULARITY <= r <= 1.0 - _MIN_REGULARITY:
-            clamped += 1
-            r = min(max(r, _MIN_REGULARITY), 1.0 - _MIN_REGULARITY)
-        masses = np.array(sequential_hit_pmf(r, n))
-        if floor < 1.0:
-            masses /= 1.0 - floor
+        # Inside [0.528, 0.881] for every hour and every allowed floor.
+        r = regularity(t + 0.5) - floor_per_cell
+        masses = np.array(sequential_hit_pmf(r, n)) / (1.0 - floor)
         cum = np.minimum(np.cumsum(masses), 1.0)
         cum[-1] = 1.0
         table[t] = cum
-    if clamped:
-        logger.warning(
-            "regularity target out of (0, 1) for %d hours; clamped", clamped
-        )
     return table
 
 
@@ -130,7 +100,6 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     from the seed independently, so any parallel or reordered execution
     yields identical traces.
     """
-    grid = params.grid
     n_slots = params.n_weeks * HOURS_PER_WEEK
     rank_cdf = _slot_rank_cdf(params)
     sow = np.arange(n_slots, dtype=np.int64) % HOURS_PER_WEEK
@@ -139,19 +108,17 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     traces = []
     for user in range(params.n_users):
         rng = np.random.default_rng([params.seed, user])
-        home_flat = rng.choice(grid.n_cells, size=params.n_locations, replace=False)
+        home_flat = rng.choice(_GRID_CELLS, size=params.n_locations, replace=False)
         branch = rng.random(n_slots)
         rank_u = rng.random(n_slots)
-        wander_flat = rng.integers(0, grid.n_cells, size=n_slots)
+        wander_flat = rng.integers(0, _GRID_CELLS, size=n_slots)
 
         ranks = (rank_u[:, None] >= slot_cdf).sum(axis=1)  # 0-based rank index
         flat = home_flat[ranks]
         unpredictable = branch < params.unpredictable_floor
         flat = np.where(unpredictable, wander_flat, flat)
 
-        cells = np.column_stack([flat % grid.width, flat // grid.width]).astype(
-            np.int32
-        )
+        cells = np.column_stack([flat % GRID_SIDE, flat // GRID_SIDE]).astype(np.int32)
         traces.append(
             ObservationTrace(f"u{user:04d}", np.arange(n_slots, dtype=np.int64), cells)
         )

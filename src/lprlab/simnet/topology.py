@@ -9,9 +9,10 @@ neighbor of both endpoints, so only common neighbors need checking, and
 removing the edge leaves a two-hop detour through the witness, which
 keeps connected graphs connected.
 
-Each topology also keeps its neighbour lists as one padded (n, max
+Each topology keeps its unit-disk neighbour lists as one padded (n, max
 degree) index matrix, filled with -1 past each node's degree: the
-planarization tests a chunk of edges against it at once, and greedy
+planarization tests a chunk of edges against it at once, the
+connectivity search expands a whole frontier at once, and greedy
 routing scores a batch of legs' neighbours in one numpy step.
 """
 
@@ -25,19 +26,19 @@ import numpy as np
 __all__ = ["Topology", "build_topology", "topology_from_positions"]
 
 
-@dataclass
+@dataclass(eq=False)
 class Topology:
     positions: np.ndarray  # (n, 2) meters
     radio_range: float
-    adjacency: list[list[int]]
     planar_adjacency: list[list[int]]
     connected: bool
-    # adjacency as an (n, max degree) int32 matrix padded with -1
-    neighbors: np.ndarray = field(repr=False, compare=False)
+    # unit-disk neighbours in ascending order, as an (n, max degree)
+    # int32 matrix padded with -1
+    neighbors: np.ndarray = field(repr=False)
     # positions as two lists of plain floats: the routing hot loop reads
     # these, since indexing the ndarray yields slow numpy scalars.
-    xs: list[float] = field(init=False, repr=False, compare=False)
-    ys: list[float] = field(init=False, repr=False, compare=False)
+    xs: list[float] = field(init=False, repr=False)
+    ys: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.xs = self.positions[:, 0].tolist()
@@ -58,26 +59,22 @@ class Topology:
         return math.atan2(ys[v] - ys[u], xs[v] - xs[u])
 
     def avg_degree(self) -> float:
-        return sum(len(a) for a in self.adjacency) / self.n
+        return int(np.count_nonzero(self.neighbors >= 0)) / self.n
 
 
-def _components(adjacency: list[list[int]]) -> int:
-    n = len(adjacency)
-    seen = [False] * n
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-    return comps
+def _is_connected(nbr: np.ndarray) -> bool:
+    """Whether node 0 reaches every node of the -1 padded neighbour
+    matrix nbr, by a breadth-first search one frontier at a time."""
+    seen = np.zeros(len(nbr), dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        reached = nbr[frontier].ravel()
+        frontier = np.zeros_like(seen)
+        frontier[reached[reached >= 0]] = True
+        frontier &= ~seen
+    return bool(seen.all())
 
 
 def _unit_disk(positions: np.ndarray, radio_range: float) -> np.ndarray:
@@ -162,18 +159,12 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
         raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
 
     within = _unit_disk(positions, radio_range)
-    rows, cols = np.nonzero(within)
-    adjacency = _split_rows(rows, cols, n)
-    nbr = _neighbor_matrix(rows, cols, n)
-
-    planar = _gabriel_subgraph(positions, within, nbr)
-    connected = _components(adjacency) == 1
+    nbr = _neighbor_matrix(*np.nonzero(within), n)
     return Topology(
         positions=positions,
         radio_range=radio_range,
-        adjacency=adjacency,
-        planar_adjacency=planar,
-        connected=connected,
+        planar_adjacency=_gabriel_subgraph(positions, within, nbr),
+        connected=_is_connected(nbr),
         neighbors=nbr,
     )
 

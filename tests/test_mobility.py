@@ -5,7 +5,7 @@ closed-form models; sample sizes are chosen so sampling noise sits well
 inside the asserted tolerances.
 """
 
-import logging
+import hashlib
 import math
 
 import numpy as np
@@ -14,13 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lprlab.analytic import (
-    RegularityModel,
     first_order_cdf,
     regularity,
     sequential_hit_pmf,
 )
 from lprlab.mobility import (
-    CellGrid,
+    GRID_SIDE,
     MobilityParams,
     _modal_hits_per_slot,
     empirical_regularity,
@@ -53,7 +52,7 @@ class TestParams:
         p = MobilityParams()
         assert p.n_locations == 40
         assert p.unpredictable_floor == 0.07
-        assert p.grid.n_cells == 2500
+        assert GRID_SIDE == 50
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,14 +63,11 @@ class TestParams:
             MobilityParams(n_locations=0)
         with pytest.raises(ValueError):
             MobilityParams(n_locations=1)
-        with pytest.raises(ValueError):
-            MobilityParams(n_locations=10, grid=CellGrid(3, 3))
+        with pytest.raises(ValueError, match="exceeds grid cell count"):
+            MobilityParams(n_locations=2501)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             MobilityParams(seed=-1)
-        with pytest.raises(ValueError):
-            CellGrid(0, 5)
-        with pytest.raises(ValueError):
-            CellGrid(5, 5, cell_size=0.0)
+        MobilityParams(n_locations=2500)
 
 
 class TestGenerateTrace:
@@ -100,13 +96,10 @@ class TestGenerateTrace:
         assert small == large[:2]
 
     def test_cells_within_grid(self):
-        grid = CellGrid(9, 7)
-        traces = generate_trace(
-            MobilityParams(n_users=3, n_weeks=3, n_locations=5, grid=grid, seed=3)
-        )
+        traces = generate_trace(MobilityParams(n_users=3, n_weeks=3, seed=3))
         for t in traces:
-            assert t.cells[:, 0].min() >= 0 and t.cells[:, 0].max() < 9
-            assert t.cells[:, 1].min() >= 0 and t.cells[:, 1].max() < 7
+            assert t.cells[:, 0].min() >= 0 and t.cells[:, 0].max() < 50
+            assert t.cells[:, 1].min() >= 0 and t.cells[:, 1].max() < 50
 
     def test_two_locations_no_floor_stay_home(self):
         traces = generate_trace(
@@ -135,14 +128,30 @@ class TestGenerateTrace:
         expected = params.unpredictable_floor * (1 - params.n_locations / 2500)
         assert outside / total == pytest.approx(expected, abs=0.01)
 
-    def test_clamps_out_of_range_regularity(self, caplog):
-        hot = RegularityModel(c1=0.0, c2=0.0, c3=1.5)
-        with caplog.at_level(logging.WARNING, logger="lprlab.mobility"):
-            traces = generate_trace(
-                MobilityParams(n_users=1, n_weeks=1, regularity_model=hot, seed=0)
-            )
-        assert any("clamped" in r.message for r in caplog.records)
-        assert len(traces[0]) == 168
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            (
+                MobilityParams(seed=3),
+                "ca43dcf8b59fe731e590cf9b113a10c565fc587801b5509b0f584ec1abe3d785",
+            ),
+            (
+                MobilityParams(unpredictable_floor=0),
+                "26bfbc30a97736b550ce191adccd0ae24551f34f055cdf200f188e10c8a2a67d",
+            ),
+            (
+                MobilityParams(n_locations=2),
+                "0348b789c4ebc44001f9ee3f4bae16d7ce6555711e5cb66d9d7ff574e758943a",
+            ),
+        ],
+        ids=["seed3", "no-floor", "two-locations"],
+    )
+    def test_pinned_trace_digest(self, tmp_path, params, digest):
+        # SHA-256 of the CSV bytes, pinned so any change to the generated
+        # traces shows here.
+        path = tmp_path / "gen.csv"
+        write_trace_csv(generate_trace(params), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_trace_csv_interop(self, tmp_path):
         traces = generate_trace(MobilityParams(n_users=3, n_weeks=1, seed=21))
@@ -239,7 +248,7 @@ class TestRankFrequencies:
         params = MobilityParams(n_users=20, n_weeks=200, seed=11)
         n = params.n_locations
         floor = params.unpredictable_floor
-        per_cell = floor / params.grid.n_cells
+        per_cell = floor / (GRID_SIDE * GRID_SIDE)
         masses = np.zeros(n)
         for t in range(168):
             r = regularity(t + 0.5) - per_cell

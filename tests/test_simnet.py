@@ -6,6 +6,7 @@ latency and traffic means, so the whole frontier costs a single
 simulation pass.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -98,6 +99,14 @@ def _layouts(draw):
     n = draw(st.integers(3, 60))
     radio = draw(st.floats(100.0, 600.0))
     return build_topology(n, 1000.0, radio, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@functools.lru_cache(maxsize=16)
+def _neighbor_lists(topo):
+    """Each node's unit-disk neighbours in ascending order, read from the
+    padded topo.neighbors matrix. Cached per topology, which compares by
+    identity; callers must not mutate the lists."""
+    return [[v for v in row if v >= 0] for row in topo.neighbors.tolist()]
 
 
 def _connected_topologies(sizes, seeds, field, radio):
@@ -218,20 +227,20 @@ def _lattice(side, reach):
 class TestTopology:
     def test_collinear_short_range_is_path(self):
         topo = topology_from_positions([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.5)
-        assert [sorted(a) for a in topo.adjacency] == [[1], [0, 2], [1]]
+        assert [sorted(a) for a in _neighbor_lists(topo)] == [[1], [0, 2], [1]]
         assert [sorted(a) for a in topo.planar_adjacency] == [[1], [0, 2], [1]]
         assert topo.connected
 
     def test_collinear_long_range_drops_spanned_link(self):
         # The middle node sits inside the long link's diameter disk.
         topo = topology_from_positions([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 2.5)
-        assert [sorted(a) for a in topo.adjacency] == [[1, 2], [0, 2], [0, 1]]
+        assert [sorted(a) for a in _neighbor_lists(topo)] == [[1, 2], [0, 2], [0, 1]]
         assert [sorted(a) for a in topo.planar_adjacency] == [[1], [0, 2], [1]]
 
     def test_unit_square_diagonals_removed(self):
         corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         topo = topology_from_positions(corners, math.sqrt(2.0) + 1e-6)
-        assert all(len(a) == 3 for a in topo.adjacency)
+        assert all(len(a) == 3 for a in _neighbor_lists(topo))
         # Sides survive, crossing diagonals do not.
         assert [sorted(a) for a in topo.planar_adjacency] == [
             [1, 2],
@@ -245,7 +254,7 @@ class TestTopology:
         # every dropped link has one.
         for seed in range(6):
             topo = build_topology(30, 1000.0, 320.0, seed=seed)
-            full = [set(a) for a in topo.adjacency]
+            full = [set(a) for a in _neighbor_lists(topo)]
             planar = [set(a) for a in topo.planar_adjacency]
             for u in range(topo.n):
                 assert planar[u] <= full[u]
@@ -275,7 +284,7 @@ class TestTopology:
         edges = []
         for u in range(topo.n):
             for v in topo.planar_adjacency[u]:
-                assert v in topo.adjacency[u]
+                assert v in _neighbor_lists(topo)[u]
                 if u < v:
                     edges.append((u, v))
         for (a, b), (c, d) in itertools.combinations(edges, 2):
@@ -301,7 +310,7 @@ class TestTopology:
         )
         for topo in layouts:
             adjacency, planar = _loop_topology(topo.positions, topo.radio_range)
-            assert topo.adjacency == adjacency
+            assert _neighbor_lists(topo) == adjacency
             assert topo.planar_adjacency == planar
 
     @settings(max_examples=60, deadline=None)
@@ -356,12 +365,35 @@ class TestTopology:
     def test_disconnected_flag(self):
         assert not _two_clusters().connected
 
+    @settings(max_examples=80, deadline=None)
+    @given(_layouts())
+    def test_connected_matches_union_find(self, topo):
+        assert topo.connected == (_component_count(topo.positions, topo.radio_range) == 1)
+
+    def test_connected_matches_union_find_on_sparse_layouts(self):
+        # At this range 12 of the 30 seeds connect, so the search meets
+        # both answers, and disconnected layouts with several components.
+        flags = []
+        for seed in range(30):
+            topo = build_topology(40, 1000.0, 220.0, seed=seed)
+            assert topo.connected == (_component_count(topo.positions, 220.0) == 1)
+            flags.append(topo.connected)
+        assert 0 < sum(flags) < len(flags)
+
+    def test_equality_is_identity(self):
+        # Comparing the positions arrays field by field would raise.
+        a = build_topology(40, 1000.0, 250.0, seed=3)
+        b = build_topology(40, 1000.0, 250.0, seed=3)
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
     def test_build_is_deterministic_per_seed(self):
         a = build_topology(40, 1000.0, 250.0, seed=3)
         b = build_topology(40, 1000.0, 250.0, seed=3)
         c = build_topology(40, 1000.0, 250.0, seed=4)
         assert np.array_equal(a.positions, b.positions)
-        assert a.adjacency == b.adjacency
+        assert _neighbor_lists(a) == _neighbor_lists(b)
         assert a.planar_adjacency == b.planar_adjacency
         assert not np.array_equal(a.positions, c.positions)
 
@@ -435,7 +467,7 @@ def _assert_route_ok(topo, route, src, dest, radius, ttl):
     assert route.hops <= ttl
     assert len(route.perimeter_steps) == route.hops
     for a, b, on_perimeter in zip(route.path, route.path[1:], route.perimeter_steps):
-        assert b in topo.adjacency[a]
+        assert b in _neighbor_lists(topo)[a]
         if on_perimeter:
             assert b in topo.planar_adjacency[a]
         else:
@@ -472,7 +504,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         if greedy:
             best = None
             best_dist = dist_x - eps
-            for v in topology.adjacency[x]:
+            for v in _neighbor_lists(topology)[x]:
                 d = math.hypot(xs[v] - dx, ys[v] - dy)
                 if d < best_dist:
                     best_dist = d
@@ -556,7 +588,7 @@ def _tie_destinations(topo):
     differently."""
     points = [topo.position(u) for u in range(topo.n)]
     for u in range(topo.n):
-        for v in topo.adjacency[u]:
+        for v in _neighbor_lists(topo)[u]:
             if u < v:
                 points.append(tuple((np.array(topo.position(u)) + topo.position(v)) / 2))
     out = []
@@ -588,7 +620,7 @@ class TestGpsr:
         # the destination than it does.
         d1 = topo.distance_to(1, VOID_DEST)
         assert all(
-            topo.distance_to(v, VOID_DEST) > d1 for v in topo.adjacency[1]
+            topo.distance_to(v, VOID_DEST) > d1 for v in _neighbor_lists(topo)[1]
         )
         route = gpsr_route(topo, 0, VOID_DEST)
         assert route.success
