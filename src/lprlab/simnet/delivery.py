@@ -38,7 +38,7 @@ import numpy as np
 
 from ..analytic import Grouping
 from ..profile import CellId, LocationProfile, top_k
-from .gpsr import route_legs
+from .gpsr import _EPS, _NEAR, route_legs
 from .topology import Topology
 
 __all__ = [
@@ -108,6 +108,39 @@ def route_wave(
     return success, end, hops
 
 
+def _positions(pool: Sequence[Topology], topo_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(len(nodes), 2) array of the position of node nodes[i] on
+    pool[topo_ids[i]]."""
+    out = np.empty((len(nodes), 2))
+    for t in np.flatnonzero(np.bincount(topo_ids, minlength=len(pool))).tolist():
+        legs = topo_ids == t
+        out[legs] = pool[t].positions[nodes[legs]]
+    return out
+
+
+def _within(
+    pool: Sequence[Topology],
+    topo_ids: np.ndarray,
+    nodes: np.ndarray,
+    points: np.ndarray,
+    radius: float,
+) -> np.ndarray:
+    """Whether node nodes[i] of pool[topo_ids[i]] lies within radius of
+    position points[i], by Topology.distance_to's math.hypot distance.
+
+    np.hypot can differ from math.hypot by an ulp, so distances within
+    a relative gpsr._NEAR of the radius are recomputed with math.hypot.
+    """
+    offset = _positions(pool, topo_ids, nodes) - points
+    dist = np.hypot(offset[:, 0], offset[:, 1])
+    inside = dist <= radius
+    for i in np.flatnonzero(np.abs(dist - radius) <= _NEAR * (dist + _EPS)).tolist():
+        inside[i] = pool[topo_ids[i]].distance_to(
+            int(nodes[i]), tuple(points[i].tolist())
+        ) <= radius
+    return inside
+
+
 def round_trips(
     pool: Sequence[Topology],
     topo_ids: np.ndarray,
@@ -126,10 +159,7 @@ def round_trips(
         pool, topo_ids, src, dest, acceptance_radius
     )
     back = np.flatnonzero(reached)
-    home = np.empty((len(back), 2))
-    for t, topology in enumerate(pool):
-        legs = topo_ids[back] == t
-        home[legs] = topology.positions[src[back][legs]]
+    home = _positions(pool, topo_ids[back], src[back])
     _, _, resp_hops = route_wave(pool, topo_ids[back], end[back], home, 0.0)
     transmissions[back] += resp_hops
     return reached, end, transmissions
@@ -176,13 +206,11 @@ def lpr_waves(
             acceptance_radius,
         )
         np.add.at(transmissions, trial, cost)
+        arrived = np.flatnonzero(reached)
+        t = trial[arrived]
         hit = np.zeros(n_trials, dtype=bool)
-        for i in np.flatnonzero(reached).tolist():
-            t = int(trial[i])
-            if pool[topo_ids[t]].distance_to(
-                int(end[i]), tuple(true_positions[t].tolist())
-            ) <= acceptance_radius:
-                hit[t] = True
+        hit[t[_within(pool, topo_ids[t], end[arrived], true_positions[t],
+                      acceptance_radius)]] = True
         success[hit] = True
         latency[hit] = float(stage_index)
         open_trials = open_trials[~hit[open_trials]]

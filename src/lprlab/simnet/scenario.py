@@ -18,7 +18,9 @@ copy sent to a uniform random cell.
 run_trials computes a batch of trials as a fixed sequence of waves, each
 routing all of its legs together (delivery.route_wave):
 1. every trial draws its randomness, in index order, from its own
-   stream (the ghls updater included), since no routing consumes any;
+   stream (the ghls updater included), since no routing consumes any:
+   trial i's stream is the one seeded [seed, 7, i], and _streams seeds
+   all of a batch's streams in one vectorized pass;
 2. the oracle legs, plus their responses for the oracle strategy;
 3. lpr: for each stage while some trial is open, the forward copies,
    the responses of the copies that arrived, and the hit check;
@@ -32,7 +34,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +78,10 @@ _BASELINE_TRIALS = 2000
 # of every one of the grid_cells**2 cells.
 _MAX_NODES = 2048
 _MAX_GRID_CELLS = 256
+# Stream tags: trial i draws from the stream seeded [seed, 7, i], and
+# baseline probe b from [seed, 13, b].
+_TRIAL_TAG = 7
+_BASELINE_TAG = 13
 
 
 @dataclass(frozen=True)
@@ -296,6 +302,123 @@ def _cell_centers(config: ScenarioConfig) -> np.ndarray:
     return np.stack(cell_center(CellId(i % g, i // g), config.cell_size), axis=1)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Streams whose 128-bit states are formed from one .tolist() at a time:
+# with all 2,000 of a run's at once, the Python ints alone raised the
+# run's peak RSS by about 0.4 MiB.
+_STATE_CHUNK = 16
+
+
+def _words(x: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int; 0 is [0]."""
+    out = [x & _MASK32]
+    while x := x >> 32:
+        out.append(x & _MASK32)
+    return out
+
+
+def _seed_sequence_words(entropy: list) -> Iterator:
+    """The 8 uint32 words SeedSequence(entropy).generate_state(8) gives,
+    in order, for entropy words that are each an int shared by all
+    streams or a uint32 array with one word per stream; a result word is
+    an array as soon as an array went into it."""
+    entropy = entropy + [0] * (4 - len(entropy))
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * 0x931E8875 & _MASK32
+        v = v * h & _MASK32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hb = 0x8B51F9DD
+    for i in range(8):
+        v = pool[i % 4] ^ hb
+        hb = hb * 0x58F38DED & _MASK32
+        v = v * hb & _MASK32
+        yield v ^ v >> 16
+
+
+def _streams(seed: int, tag: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """For each index in turn, one reused Generator re-stated to draw
+    exactly what np.random.default_rng([seed, tag, index]) would draw;
+    finish with it before taking the next. A negative index raises
+    ValueError, as default_rng does.
+
+    The start states of all the streams come from one pass of numpy's
+    SeedSequence recipe (all arithmetic mod 2**32 unless noted) as array
+    arithmetic over every index at once:
+    - Words: seed, tag and index each split into little-endian uint32
+      words (0 gives one word, 0), concatenated.
+    - hashmix(v): v ^= h; h = h*0x931E8875; v = v*h; v ^= v >> 16, with
+      h starting at 0x43B0D7E5 and carried across every call in order.
+    - mix(x, y): r = 0xCA01F9DD*x - 0x4973F715*y; return r ^ (r >> 16).
+    - Pool: pool[i] = hashmix(word i, or 0) for i < 4; then for each
+      src, dst in 0..3 with src != dst, pool[dst] = mix(pool[dst],
+      hashmix(pool[src])); then for each word beyond the fourth and each
+      dst, pool[dst] = mix(pool[dst], hashmix(word)).
+    - Output words: for i in 0..7, v = pool[i % 4] ^ hb; hb =
+      hb*0x58F38DED; v = v*hb; v ^= v >> 16, with hb starting at
+      0x8B51F9DD; then u64[j] = u32[2j] | u32[2j+1] << 32.
+    - PCG64 state (mod 2**128): initstate = u64[0] << 64 | u64[1], inc =
+      (u64[2] << 64 | u64[3]) << 1 | 1, and state = (inc + initstate) *
+      0x2360ED051FC65DA44385DF649FCCF645 + inc.
+    - Re-state: bit generator state {state, inc} with has_uint32 = 0, so
+      no half-used 32-bit buffer leaks from one stream into the next.
+    Indices are grouped by their word count, which changes the mix. A
+    group of one index is mixed in Python ints: numpy's per-operation
+    overhead would make its 170 one-element operations ten times slower
+    than default_rng.
+    """
+    indices = [int(i) for i in indices]
+    if indices and min(indices) < 0:
+        raise ValueError(f"stream index {min(indices)} is negative")
+    widths = [max(1, (i.bit_length() + 31) // 32) for i in indices]
+    u32 = np.empty((len(indices), 8), dtype="<u4")
+    fixed = _words(seed) + _words(tag)
+    for width in set(widths):
+        where = [t for t, w in enumerate(widths) if w == width]
+        if len(where) == 1:
+            index_words = _words(indices[where[0]])
+        else:
+            index_words = [
+                np.fromiter((indices[t] >> s & _MASK32 for t in where), np.uint32, len(where))
+                for s in range(0, 32 * width, 32)
+            ]
+        for i, word in enumerate(_seed_sequence_words(fixed + index_words)):
+            u32[where, i] = word
+    u64 = u32.view("<u8")
+
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for lo in range(0, len(indices), _STATE_CHUNK):
+        for hi0, lo0, hi1, lo1 in u64[lo:lo + _STATE_CHUNK].tolist():
+            inc = ((hi1 << 64 | lo1) << 1 | 1) & _MASK128
+            state = ((inc + (hi0 << 64 | lo0)) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def run_trials(
     config: ScenarioConfig, indices: Iterable[int], pool: Sequence[Topology]
 ) -> list[TrialRow]:
@@ -317,8 +440,7 @@ def run_trials(
     cand = np.zeros((n_trials, config.n_candidates), dtype=np.int32)
     true_cells = np.zeros(n_trials, dtype=np.intp)
     hours, true_ranks = [], []
-    for t, index in enumerate(indices):
-        rng = np.random.default_rng([config.seed, 7, index])
+    for t, rng in enumerate(_streams(config.seed, _TRIAL_TAG, indices)):
         n_nodes = pool[topo_ids[t]].n
         src[t] = rng.integers(n_nodes)
         hour = int(rng.integers(HOURS_PER_WEEK))
@@ -396,8 +518,7 @@ def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float 
     topo_ids = np.arange(n_probes) % len(pool)
     src = np.zeros(n_probes, dtype=np.intp)
     cells = np.zeros(n_probes, dtype=np.intp)
-    for b in range(n_probes):
-        rng = np.random.default_rng([config.seed, 13, b])
+    for b, rng in enumerate(_streams(config.seed, _BASELINE_TAG, range(n_probes))):
         src[b] = rng.integers(pool[topo_ids[b]].n)
         cells[b] = eligible[rng.integers(len(eligible))]
     _, _, cost = round_trips(pool, topo_ids, src, centers[cells], config.cell_size)

@@ -48,6 +48,7 @@ from lprlab.simnet import (
 from lprlab.simnet import scenario
 from lprlab.simnet.delivery import (
     _leg_ttl,
+    _within,
     cell_center,
     ghls_waves,
     hashed_home_index,
@@ -815,6 +816,52 @@ def topo():
     return topo
 
 
+@settings(max_examples=120, deadline=None)
+@given(_layouts(), st.data())
+def test_within_matches_distance_loop(topo, data):
+    n_legs = data.draw(st.integers(1, 16))
+    nodes = np.array(data.draw(st.lists(st.integers(0, topo.n - 1),
+                                        min_size=n_legs, max_size=n_legs)))
+    coord = st.floats(-200.0, 1200.0)
+    points = np.array(data.draw(st.lists(st.tuples(coord, coord),
+                                         min_size=n_legs, max_size=n_legs)))
+    # A radius exactly at one leg's math.hypot distance, an ulp to either
+    # side, or anywhere; copies of a leg make more exact ties.
+    tie = data.draw(st.integers(0, n_legs - 1))
+    nodes[: n_legs // 2] = nodes[tie]
+    points[: n_legs // 2] = points[tie]
+    d = topo.distance_to(int(nodes[tie]), tuple(points[tie].tolist()))
+    radius = data.draw(st.sampled_from(
+        [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), 0.0]) | st.floats(0.0, 1500.0))
+    expected = [
+        topo.distance_to(int(u), tuple(p)) <= radius
+        for u, p in zip(nodes.tolist(), points.tolist())
+    ]
+    pool = [_void_topology(), topo]
+    inside = _within(pool, np.ones(n_legs, dtype=np.intp), nodes, points, radius)
+    assert inside.tolist() == expected
+
+
+def test_within_decides_ulp_ties_by_math_hypot():
+    # Points where np.hypot and math.hypot disagree by an ulp, each with
+    # the acceptance radius exactly at its math.hypot distance.
+    topo = build_topology(30, 1000.0, 400.0, seed=4)
+    rng = np.random.default_rng(8)
+    nodes = rng.integers(topo.n, size=4000)
+    points = rng.uniform(-100.0, 1100.0, size=(4000, 2))
+    offset = topo.positions[nodes] - points
+    exact = np.array([math.hypot(x, y) for x, y in offset.tolist()])
+    split = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) != exact)[:20]
+    assert split.size == 20
+    for i in split.tolist():
+        for radius in (exact[i], math.nextafter(exact[i], 0.0)):
+            inside = _within([topo], np.zeros(1, dtype=np.intp), nodes[i:i + 1],
+                             points[i:i + 1], radius)
+            assert inside.tolist() == [
+                topo.distance_to(int(nodes[i]), tuple(points[i].tolist())) <= radius
+            ]
+
+
 class TestDelivery:
     def _round_trip_recount(self, topo, src, position, radius):
         # Independent re-derivation of the charging rule: forward hops
@@ -1314,6 +1361,22 @@ class TestScenarioRuns:
         assert [row for i in range(cfg.trials) for row in run_trials(cfg, [i], pool)] == rows
         assert run_trials(cfg, [], pool) == []
 
+    @pytest.mark.parametrize("strategy", ["lpr", "ghls"])
+    def test_reordered_indices_give_single_pass_rows_in_that_order(self, strategy):
+        cfg = replace(SMALL, strategy=strategy, grouping=Grouping((2, 3)),
+                      n_candidates=5, trials=30)
+        pool = build_pool(cfg)
+        rows = run_trials(cfg, range(cfg.trials), pool)
+        reversed_order = list(range(cfg.trials))[::-1]
+        interleaved = list(range(0, cfg.trials, 2)) + list(range(1, cfg.trials, 2))
+        for order in (reversed_order, interleaved):
+            assert run_trials(cfg, order, pool) == [rows[i] for i in order]
+
+    def test_negative_trial_index_rejected(self):
+        pool = build_pool(SMALL)
+        with pytest.raises(ValueError, match="negative"):
+            run_trials(SMALL, [0, -1], pool)
+
     def test_oracle_latency_and_ratio(self):
         record, rows = run_scenario(replace(SMALL, trials=120))
         assert record.mean_latency_factor == 1.0
@@ -1401,6 +1464,58 @@ class TestScenarioRuns:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out == "[]\n"
+
+
+def _mixed_draws(rng):
+    return [
+        int(rng.integers(280)),
+        int(rng.integers(168)),
+        rng.choice(100, 12, replace=False).tolist(),
+        float(rng.random()),
+        int(rng.integers(2**40)),
+    ]
+
+
+# Indices whose word count differs (2**32 - 1 is one uint32 word, 2**32
+# two), and so does the SeedSequence mix.
+_EDGE_INDICES = [0, 2**32 - 1, 2**32]
+
+
+class TestStreams:
+    """scenario._streams against its oracle, one default_rng per index."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**96 - 1),
+        st.sampled_from([7, 13]),
+        st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**40)), max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_default_rng_per_index(self, seed, tag, drawn, shuffler):
+        indices = drawn + _EDGE_INDICES + drawn[:2]  # repeats, mixed widths
+        shuffler.shuffle(indices)
+        for index, rng in zip(indices, scenario._streams(seed, tag, indices), strict=True):
+            oracle = np.random.default_rng([seed, tag, index])
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert _mixed_draws(rng) == _mixed_draws(oracle)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, 2**96 - 1, 2**130])
+    def test_long_entropy_runs_the_extra_mixing(self, seed):
+        # seed 2**70 is three words, so [seed, tag, index] is at least
+        # five: more words than SeedSequence's pool of four.
+        indices = [3, 2**64 + 7, 2**100, *_EDGE_INDICES]
+        for index, rng in zip(indices, scenario._streams(seed, 13, indices), strict=True):
+            oracle = np.random.default_rng([seed, 13, index])
+            assert _mixed_draws(rng) == _mixed_draws(oracle)
+
+    def test_half_used_32_bit_buffer_does_not_carry_over(self):
+        indices = list(range(6))
+        for index, rng in zip(indices, scenario._streams(5, 7, indices), strict=True):
+            oracle = np.random.default_rng([5, 7, index])
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            odd = rng.integers(2**32, size=3, dtype=np.uint32)
+            assert odd.tolist() == oracle.integers(2**32, size=3, dtype=np.uint32).tolist()
+            assert rng.bit_generator.state["has_uint32"] == 1
 
 
 @settings(max_examples=300, deadline=None)
