@@ -126,16 +126,6 @@ class ProfileFormatError(ValueError):
         self.offset = offset
 
 
-def _context_level(key: ContextKey) -> int:
-    if key == ():
-        return 0
-    if len(key) == 1:
-        return 1
-    if len(key) == 2:
-        return 3
-    raise ValueError(f"bad context key {key!r}")
-
-
 def _cell_ranks(cells: np.ndarray) -> tuple[list[CellId], np.ndarray]:
     """Distinct cells of an (n, 2) int32 array in (x, y) order, and each
     row's index into them.
@@ -277,12 +267,14 @@ _I32X2 = struct.Struct("<ii")
 
 
 def _context_sort_key(key: ContextKey) -> tuple:
-    level = _context_level(key)
-    if level == 0:
+    """(level byte, slot, x, y) of a context key, in serialization order."""
+    if key == ():
         return (0, 0, 0, 0)
-    if level == 1:
+    if len(key) == 1:
         return (1, key[0], 0, 0)
-    return (3, key[0], key[1][0], key[1][1])
+    if len(key) == 2:
+        return (3, key[0], key[1][0], key[1][1])
+    raise ValueError(f"bad context key {key!r}")
 
 
 def serialize_profile(profile: LocationProfile) -> bytes:
@@ -297,12 +289,12 @@ def serialize_profile(profile: LocationProfile) -> bytes:
         len(profile.counts),
     )
     for key in sorted(profile.counts, key=_context_sort_key):
-        level = _context_level(key)
+        level, slot, x, y = _context_sort_key(key)
         out += _U8.pack(level)
         if level >= 1:
-            out += _U16.pack(key[0])
+            out += _U16.pack(slot)
         if level == 3:
-            out += _I32X2.pack(key[1][0], key[1][1])
+            out += _I32X2.pack(x, y)
         entries = profile.counts[key]
         out += _U32.pack(len(entries))
         for cell in sorted(entries):

@@ -17,9 +17,9 @@ trip to the home region followed by a data round trip to the target's
 true position, so lookup legs and data legs terminate the same way.
 
 Both strategies run a batch of trials at once, as a fixed sequence of
-waves, and every wave routes all of its legs together (route_wave,
-which groups them by topology for gpsr.route_legs). A round trip is a
-forward wave, then a wave of responses from the copies that arrived.
+waves on one graph (a scenario's pool of layouts), and every wave routes
+all of its legs in one gpsr.route_legs call. A round trip is a forward
+wave, then a wave of responses from the copies that arrived.
 Profile-guided delivery runs, for each stage while some trial is still
 open, the forward copies, their responses and the hit check; trials
 that hit drop out. The location service runs the query round trips,
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "lpr_deliver",
     "lpr_waves",
     "round_trips",
-    "route_wave",
 ]
 
 
@@ -61,12 +59,12 @@ class DeliveryOutcome:
     transmissions: int
 
 
-def _leg_ttl(topology: Topology) -> int:
-    # Delivery legs get a hop budget that never truncates a face tour;
-    # 8n is several times the longest tour seen on connected graphs,
-    # while the per-packet default of about 4*sqrt(n) cuts off roughly
-    # 2% of legitimate perimeter recoveries at n = 50.
-    return 8 * topology.n
+def _leg_ttl(n: int) -> int:
+    # Delivery legs on layouts of n nodes get a hop budget that never
+    # truncates a face tour; 8n is several times the longest tour seen on
+    # connected graphs, while the per-packet default of about 4*sqrt(n)
+    # cuts off roughly 2% of legitimate perimeter recoveries at n = 50.
+    return 8 * n
 
 
 def cell_center(cell: CellId, cell_size: float) -> tuple[float, float]:
@@ -85,89 +83,44 @@ def candidates_from_profile(
     return [cell_center(c, cell_size) for c in cells]
 
 
-def route_wave(
-    pool: Sequence[Topology],
-    topo_ids: np.ndarray,
-    src: np.ndarray,
-    dest: np.ndarray,
-    acceptance_radius: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route leg i on pool[topo_ids[i]] from node src[i] toward position
-    dest[i] (an (n, 2) array), with the delivery hop budget.
-
-    Returns the arrays (success, end node, hops).
-    """
-    success = np.zeros(len(src), dtype=bool)
-    end = np.zeros(len(src), dtype=np.intp)
-    hops = np.zeros(len(src), dtype=np.int64)
-    for t in np.flatnonzero(np.bincount(topo_ids, minlength=len(pool))).tolist():
-        legs = np.flatnonzero(topo_ids == t)
-        success[legs], end[legs], hops[legs], _ = route_legs(
-            pool[t], src[legs], dest[legs], acceptance_radius, _leg_ttl(pool[t])
-        )
-    return success, end, hops
-
-
-def _positions(pool: Sequence[Topology], topo_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(len(nodes), 2) array of the position of node nodes[i] on
-    pool[topo_ids[i]]."""
-    out = np.empty((len(nodes), 2))
-    for t in np.flatnonzero(np.bincount(topo_ids, minlength=len(pool))).tolist():
-        legs = topo_ids == t
-        out[legs] = pool[t].positions[nodes[legs]]
-    return out
-
-
 def _within(
-    pool: Sequence[Topology],
-    topo_ids: np.ndarray,
-    nodes: np.ndarray,
-    points: np.ndarray,
-    radius: float,
+    graph: Topology, nodes: np.ndarray, points: np.ndarray, radius: float
 ) -> np.ndarray:
-    """Whether node nodes[i] of pool[topo_ids[i]] lies within radius of
-    position points[i], by Topology.distance_to's math.hypot distance.
+    """Whether node nodes[i] of graph lies within radius of position
+    points[i], by Topology.distance_to's math.hypot distance.
 
     np.hypot can differ from math.hypot by an ulp, so distances within
     a relative gpsr._NEAR of the radius are recomputed with math.hypot.
     """
-    offset = _positions(pool, topo_ids, nodes) - points
+    offset = graph.positions[nodes] - points
     dist = np.hypot(offset[:, 0], offset[:, 1])
     inside = dist <= radius
     for i in np.flatnonzero(np.abs(dist - radius) <= _NEAR * (dist + _EPS)).tolist():
-        inside[i] = pool[topo_ids[i]].distance_to(
-            int(nodes[i]), tuple(points[i].tolist())
-        ) <= radius
+        inside[i] = graph.distance_to(int(nodes[i]), tuple(points[i].tolist())) <= radius
     return inside
 
 
 def round_trips(
-    pool: Sequence[Topology],
-    topo_ids: np.ndarray,
-    src: np.ndarray,
-    dest: np.ndarray,
-    acceptance_radius: float,
+    graph: Topology, ttl: int, src: np.ndarray, dest: np.ndarray, acceptance_radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward each leg to its position and, where reached, respond back
-    to its source node: route_wave's legs, then a wave of responses.
+    """A wave of legs from node src[i] of graph to position dest[i], then
+    one of responses back to src[i] from the legs that arrived; every leg
+    has hop budget ttl.
 
     Returns the arrays (reached, reached node, transmissions). A failed
     forward leg charges only its own hops; a response leg is charged even
     if it fails.
     """
-    reached, end, transmissions = route_wave(
-        pool, topo_ids, src, dest, acceptance_radius
-    )
+    reached, end, transmissions, _ = route_legs(graph, src, dest, acceptance_radius, ttl)
     back = np.flatnonzero(reached)
-    home = _positions(pool, topo_ids[back], src[back])
-    _, _, resp_hops = route_wave(pool, topo_ids[back], end[back], home, 0.0)
+    _, _, resp_hops, _ = route_legs(graph, end[back], graph.positions[src[back]], 0.0, ttl)
     transmissions[back] += resp_hops
     return reached, end, transmissions
 
 
 def lpr_waves(
-    pool: Sequence[Topology],
-    topo_ids: np.ndarray,
+    graph: Topology,
+    ttl: int,
     src: np.ndarray,
     candidates: np.ndarray,
     places: np.ndarray,
@@ -175,11 +128,11 @@ def lpr_waves(
     true_positions: np.ndarray,
     acceptance_radius: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage-by-stage delivery for a batch of trials: trial i runs on
-    pool[topo_ids[i]] from node src[i], with ranked candidate positions
+    """Stage-by-stage delivery for a batch of trials: trial i runs from
+    node src[i] of graph, with ranked candidate positions
     places[candidates[i]] (candidates is a (trials, >= grouping.k) index
     array into the (m, 2) array places) and target position
-    true_positions[i].
+    true_positions[i]. Every leg has hop budget ttl.
 
     Stage s sends one copy to each of its candidates in parallel; all
     copies of an attempted stage are charged (round trip on reaching the
@@ -202,15 +155,13 @@ def lpr_waves(
         ranks = np.tile(np.arange(rank, rank + size), len(open_trials))
         rank += size
         reached, end, cost = round_trips(
-            pool, topo_ids[trial], src[trial], places[candidates[trial, ranks]],
-            acceptance_radius,
+            graph, ttl, src[trial], places[candidates[trial, ranks]], acceptance_radius
         )
         np.add.at(transmissions, trial, cost)
         arrived = np.flatnonzero(reached)
         t = trial[arrived]
         hit = np.zeros(n_trials, dtype=bool)
-        hit[t[_within(pool, topo_ids[t], end[arrived], true_positions[t],
-                      acceptance_radius)]] = True
+        hit[t[_within(graph, end[arrived], true_positions[t], acceptance_radius)]] = True
         success[hit] = True
         latency[hit] = float(stage_index)
         open_trials = open_trials[~hit[open_trials]]
@@ -232,7 +183,7 @@ def lpr_deliver(
             f"need {grouping.k} candidate positions, got {len(candidate_positions)}"
         )
     success, latency, transmissions = lpr_waves(
-        [topology], np.zeros(1, dtype=np.intp), np.array([src]),
+        topology, _leg_ttl(topology.n), np.array([src]),
         np.arange(grouping.k)[None, :], np.array(candidate_positions, dtype=float),
         grouping, np.array([true_position], dtype=float), acceptance_radius,
     )
@@ -251,16 +202,16 @@ def hashed_home_index(target_id: object, n: int) -> int:
 
 
 def ghls_waves(
-    pool: Sequence[Topology],
-    topo_ids: np.ndarray,
+    graph: Topology,
+    ttl: int,
     src: np.ndarray,
     homes: np.ndarray,
     true_positions: np.ndarray,
     acceptance_radius: float,
     updaters: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Location-service delivery for a batch of trials on
-    pool[topo_ids[i]]: query trial i's home region homes[i] from src[i],
+    """Location-service delivery for a batch of trials on graph, with legs
+    of hop budget ttl: query trial i's home region homes[i] from src[i],
     then send data to true_positions[i], then update the home region
     from node updaters[i].
 
@@ -270,14 +221,12 @@ def ghls_waves(
     the home region. Returns the arrays (success, transmissions, update
     hops); the latency factor is 2.0 (lookup plus data) regardless.
     """
-    queried, _, transmissions = round_trips(
-        pool, topo_ids, src, homes, acceptance_radius
-    )
+    queried, _, transmissions = round_trips(graph, ttl, src, homes, acceptance_radius)
     success = np.zeros(len(src), dtype=bool)
     sent = np.flatnonzero(queried)
     success[sent], _, data_cost = round_trips(
-        pool, topo_ids[sent], src[sent], true_positions[sent], acceptance_radius
+        graph, ttl, src[sent], true_positions[sent], acceptance_radius
     )
     transmissions[sent] += data_cost
-    _, _, update_hops = route_wave(pool, topo_ids, updaters, homes, acceptance_radius)
+    _, _, update_hops, _ = route_legs(graph, updaters, homes, acceptance_radius, ttl)
     return success, transmissions, update_hops

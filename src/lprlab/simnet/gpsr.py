@@ -10,7 +10,7 @@ the destination than any previous crossing, and drops the packet if it is
 about to retraverse the first edge of the current face tour. Reaching any
 node strictly closer to the destination than the entry point resumes
 greedy forwarding. A hop budget bounds every route: 4 * sqrt(n) when the
-caller passes no ttl; every simulator leg passes 8n (delivery._leg_ttl).
+caller passes no ttl; simulator legs get 8 per layout node (_leg_ttl).
 
 On a connected topology with a connected planar subgraph this combination
 reaches the node nearest any requested position.
@@ -50,9 +50,9 @@ _TWO_PI = 2.0 * math.pi
 # math.hypot: about 4,500 ulps, far above the 2 ulps the batch's
 # distances may differ by.
 _NEAR = 1e-12
-# Legs per lockstep step: bounds the (legs, max degree) temporaries to
-# a few hundred KiB.
-_CHUNK = 1024
+# Legs per lockstep step: bounds the (legs, max degree) temporaries.
+# 1024 took fewer steps but raised a README-scenario run's peak RSS 2 MiB.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)

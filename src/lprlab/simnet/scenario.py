@@ -1,22 +1,23 @@
 """Randomized delivery scenarios and their aggregate metrics.
 
-A scenario draws, per trial, a topology from a small pre-built pool, a
-source node, an hour of the week, a ranked list of candidate cells, and
-the target's true cell. The true cell equals the rank-i candidate with
-the probability that rank i is the first hit under the time-of-day
-regularity model; with the leftover probability the target is in a
-uniform non-candidate cell. A configured strategy then attempts
-delivery, and an oracle route to the true cell records whether the
-target was reachable at all.
+A scenario draws, per trial, a source node on one layout of a small
+pre-built pool (layout i mod pool_size for trial i), an hour of the
+week, a ranked list of candidate cells, and the target's true cell. The
+true cell equals the rank-i candidate with the probability that rank i
+is the first hit under the time-of-day regularity model; with the
+leftover probability the target is in a uniform non-candidate cell. A
+configured strategy then attempts delivery, and an oracle route to the
+true cell records whether the target was reachable at all.
 
-Trials are independent and fully determined by (config, trial index),
-so any split of the indices over run_trials calls merges cleanly. A
-run builds its topology pool once, and its traffic is normalized by one
-baseline round trip per run, measured on an independent stream: one
-copy sent to a uniform random cell.
+Trials are independent and fully determined by (config, trial index), so
+any split of the indices over run_trials calls merges cleanly. A run
+builds its pool once, as one graph with the layouts as its components
+(build_pool), and its traffic is normalized by one baseline round trip
+per run, measured on an independent stream: one copy sent to a uniform
+random cell.
 
 run_trials computes a batch of trials as a fixed sequence of waves, each
-routing all of its legs together (delivery.route_wave):
+routing all of its legs in one gpsr.route_legs call on that graph:
 1. every trial draws its randomness, in index order, from its own
    stream (the ghls updater included), since no routing consumes any:
    trial i's stream is the one seeded [seed, 7, i], and _streams seeds
@@ -32,6 +33,7 @@ one response wave.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -48,14 +50,15 @@ from ..analytic import (
 )
 from ..profile import CellId
 from .delivery import (
+    _leg_ttl,
     cell_center,
     ghls_waves,
     hashed_home_index,
     lpr_waves,
     round_trips,
-    route_wave,
 )
-from .topology import Topology, build_topology
+from .gpsr import route_legs
+from .topology import Topology, _disjoint_union, build_topology
 
 __all__ = [
     "GhlsComparison",
@@ -271,27 +274,37 @@ class MetricsRecord:
         return asdict(self)
 
 
-def build_pool(config: ScenarioConfig) -> list[Topology]:
-    """Deterministic pool of connected topologies for a scenario."""
-    pool: list[Topology] = []
-    attempt = 0
-    while len(pool) < config.pool_size:
-        if attempt >= 10000:
-            raise ValueError(
-                f"no {config.pool_size} connected layouts in 10000 attempts at "
-                f"[topology] n = {config.n}, field_size = {config.field_size:g}, "
-                f"radio_range = {config.radio_range:g}"
+def build_pool(config: ScenarioConfig) -> Topology:
+    """Deterministic pool of connected layouts for a scenario, as one
+    graph: node u of layout i is node i * n + u."""
+
+    def connected_layouts() -> Iterator[Topology]:
+        for attempt in range(10000):
+            topo = build_topology(
+                config.n,
+                config.field_size,
+                config.radio_range,
+                seed=[config.seed, 101, attempt],
             )
-        topo = build_topology(
-            config.n,
-            config.field_size,
-            config.radio_range,
-            seed=[config.seed, 101, attempt],
+            if topo.connected:
+                yield topo
+        raise ValueError(
+            f"no {config.pool_size} connected layouts in 10000 attempts at "
+            f"[topology] n = {config.n}, field_size = {config.field_size:g}, "
+            f"radio_range = {config.radio_range:g}"
         )
-        attempt += 1
-        if topo.connected:
-            pool.append(topo)
-    return pool
+
+    return _disjoint_union(itertools.islice(connected_layouts(), config.pool_size))
+
+
+def _layout_starts(
+    config: ScenarioConfig, pool: Topology, indices: Iterable[int]
+) -> np.ndarray:
+    """First pool node of each index's layout, layout i mod pool_size."""
+    if pool.n != config.pool_size * config.n:
+        raise ValueError(f"pool has {pool.n} nodes, not the pool_size * n = "
+                         f"{config.pool_size * config.n} of this scenario")
+    return np.array([i % config.pool_size * config.n for i in indices], dtype=np.intp)
 
 
 def _cell_centers(config: ScenarioConfig) -> np.ndarray:
@@ -420,7 +433,7 @@ def _streams(seed: int, tag: int, indices: Sequence[int]) -> Iterator[np.random.
 
 
 def run_trials(
-    config: ScenarioConfig, indices: Iterable[int], pool: Sequence[Topology]
+    config: ScenarioConfig, indices: Iterable[int], pool: Topology
 ) -> list[TrialRow]:
     """Run the given trial indices; any disjoint split merges cleanly.
 
@@ -429,20 +442,18 @@ def run_trials(
     docstring), which consume no randomness.
     """
     indices = [int(i) for i in indices]
+    src = _layout_starts(config, pool, indices)
     eligible = config.eligible_cells()
     centers = _cell_centers(config)
     # Rank masses by hour, memoised across the trials of this call.
     hour_pmfs: dict[int, list[float]] = {}
     n_trials = len(indices)
-    topo_ids = np.array([i % len(pool) for i in indices], dtype=np.intp)
-    src = np.zeros(n_trials, dtype=np.intp)
-    updaters = np.zeros(n_trials, dtype=np.intp)
+    updaters = src.copy()
     cand = np.zeros((n_trials, config.n_candidates), dtype=np.int32)
     true_cells = np.zeros(n_trials, dtype=np.intp)
     hours, true_ranks = [], []
     for t, rng in enumerate(_streams(config.seed, _TRIAL_TAG, indices)):
-        n_nodes = pool[topo_ids[t]].n
-        src[t] = rng.integers(n_nodes)
+        src[t] += rng.integers(config.n)
         hour = int(rng.integers(HOURS_PER_WEEK))
         cand[t] = cand_idx = rng.choice(eligible, size=config.n_candidates, replace=False)
 
@@ -466,32 +477,30 @@ def run_trials(
             # of non-candidate cells.
             true_cells[t] = rng.choice(eligible[~np.isin(eligible, cand_idx)])
         if config.strategy == "ghls":
-            updaters[t] = rng.integers(n_nodes)
+            updaters[t] += rng.integers(config.n)
         hours.append(hour)
         true_ranks.append(true_rank)
 
     true_positions = centers[true_cells]
     radius = config.cell_size
+    ttl = _leg_ttl(config.n)
     latency = np.ones(n_trials)
     update_hops = np.full(n_trials, -1, dtype=np.int64)
     if config.strategy == "oracle":
-        reachable, _, transmissions = round_trips(
-            pool, topo_ids, src, true_positions, radius
-        )
+        reachable, _, transmissions = round_trips(pool, ttl, src, true_positions, radius)
         success = reachable
     else:
-        reachable, _, _ = route_wave(pool, topo_ids, src, true_positions, radius)
+        reachable, _, _, _ = route_legs(pool, src, true_positions, radius, ttl)
         if config.strategy == "lpr":
             assert config.grouping is not None
             success, latency, transmissions = lpr_waves(
-                pool, topo_ids, src, cand, centers, config.grouping,
-                true_positions, radius,
+                pool, ttl, src, cand, centers, config.grouping, true_positions, radius
             )
         else:
             homes = centers[[eligible[hashed_home_index(i, len(eligible))] for i in indices]]
             latency = np.full(n_trials, 2.0)
             success, transmissions, update_hops = ghls_waves(
-                pool, topo_ids, src, homes, true_positions, radius, updaters
+                pool, ttl, src, homes, true_positions, radius, updaters
             )
 
     return [
@@ -503,25 +512,24 @@ def run_trials(
     ]
 
 
-def measure_baseline(config: ScenarioConfig, pool: Sequence[Topology]) -> float | None:
+def measure_baseline(config: ScenarioConfig, pool: Topology) -> float | None:
     """Mean round-trip transmissions of one copy to a uniform random cell.
 
     Measured on an RNG stream independent of the trial stream, so the
     normalization never reuses scenario randomness. Every probe draws
     first; the round trips then run as one pair of waves.
     """
-    if config.trials == 0:
-        return None
     n_probes = min(config.trials, _BASELINE_TRIALS)
+    src = _layout_starts(config, pool, range(n_probes))
+    if n_probes == 0:
+        return None
     eligible = config.eligible_cells()
     centers = _cell_centers(config)
-    topo_ids = np.arange(n_probes) % len(pool)
-    src = np.zeros(n_probes, dtype=np.intp)
     cells = np.zeros(n_probes, dtype=np.intp)
     for b, rng in enumerate(_streams(config.seed, _BASELINE_TAG, range(n_probes))):
-        src[b] = rng.integers(pool[topo_ids[b]].n)
+        src[b] += rng.integers(config.n)
         cells[b] = eligible[rng.integers(len(eligible))]
-    _, _, cost = round_trips(pool, topo_ids, src, centers[cells], config.cell_size)
+    _, _, cost = round_trips(pool, _leg_ttl(config.n), src, centers[cells], config.cell_size)
     return int(cost.sum()) / n_probes
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -102,6 +103,31 @@ def _split_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     flat = cols.tolist()
     return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _disjoint_union(layouts: Iterable[Topology]) -> Topology:
+    """The layouts as the components of one topology: node u of a layout
+    becomes u plus the node count of the layouts before it. Layouts are
+    taken one at a time, keeping only their offset links."""
+    positions, blocks, planar = [], [], []
+    n = 0
+    for layout in layouts:
+        positions.append(layout.positions)
+        blocks.append(np.where(layout.neighbors >= 0, layout.neighbors + n, -1))
+        planar += [[v + n for v in row] for row in layout.planar_adjacency]
+        n += layout.n
+    nbr = np.full((n, max(b.shape[1] for b in blocks)), -1, dtype=np.int32)
+    start = 0
+    for block in blocks:
+        nbr[start:start + len(block), :block.shape[1]] = block
+        start += len(block)
+    return Topology(
+        positions=np.concatenate(positions),
+        radio_range=layout.radio_range,
+        planar_adjacency=planar,
+        connected=_is_connected(nbr),
+        neighbors=nbr,
+    )
 
 
 # Edges tested per vectorized step: bounds the (edges, max degree)

@@ -4,6 +4,7 @@ Commands run in-process through main() so exit codes and stderr are
 observable without spawning an interpreter.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -72,6 +73,27 @@ grouping = {grouping}
 
 [seeds]
 seed = 5
+"""
+
+# Three layouts in one pool, so trials on different layouts share a wave.
+PINNED_INI = """
+[topology]
+n = 60
+field_size = 1000
+radio_range = 280
+pool = 3
+grid_cells = 8
+
+[traffic]
+trials = 90
+n_candidates = 5
+
+[strategy]
+kind = {kind}
+grouping = 2|3
+
+[seeds]
+seed = 9
 """
 
 
@@ -431,6 +453,39 @@ class TestCompareGhls:
         cmp_params = json.loads(_read(seq / "compare_ghls_manifest.json"))["parameters"]
         assert sim_params["config"] == cmp_params["config"]
         assert cmp_params["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "command, kind, digests",
+    [
+        ("simulate", "lpr", {
+            "trials.csv": "2b477e6986de2e7ef98c47f640160e11be0c97e6702833a0e0c336a8c3da6e15",
+            "summary.json": "a08f48fe4e4a5dd54691e68f663f4db18cb040f602f716899c3bc19f4203c215",
+        }),
+        ("simulate", "oracle", {
+            "trials.csv": "1d8699c34754d7fbc830eb67d1cf276b89cecd1292f1b40e5227074faa9ee01c",
+            "summary.json": "1c557be41bf433c6c7d997cbd859012d5477949ae700cdb47259ec76f6c2b080",
+        }),
+        ("simulate", "ghls", {
+            "trials.csv": "a6851e672b059fdec4ee1d8d8ac3049bfc6c249211c843e3d328eb458371ff3c",
+            "summary.json": "33d42d1d576ea2c7adf0e77f9e322a9e3aabbda1eb244e084360e8308f292b9f",
+        }),
+        ("compare-ghls", "lpr", {
+            "ghls_sweep.csv": "6522ba5ce8dd86b2dad7dde5b0cab918dfb64f56f2725bee47935c287e8ed0af",
+            "ghls_summary.json":
+                "300d1b937aa86ae9318263e5a647d4eacafcc6a63affdb8fd182ecba0a635d33",
+        }),
+    ],
+    ids=["simulate-lpr", "simulate-oracle", "simulate-ghls", "compare-ghls"],
+)
+def test_pinned_output_digests(tmp_path, command, kind, digests):
+    # SHA-256 of each output's bytes, pinned so any change to what the
+    # simulator writes shows here.
+    ini = tmp_path / "pinned.ini"
+    ini.write_text(PINNED_INI.format(kind=kind))
+    assert main([command, str(ini), "--out-dir", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256(_read(tmp_path / name)).hexdigest() for name in digests}
+    assert got == digests
 
 
 class TestHarness:

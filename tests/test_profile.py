@@ -256,6 +256,12 @@ class TestSerialization:
         p = self.random_profile(7)
         assert serialize_profile(p) == serialize_profile(p)
 
+    @pytest.mark.parametrize("key", [(1, A, 2), (1, A, 2, 3)])
+    def test_malformed_context_key_rejected(self, key):
+        p = LocationProfile(order=3, version=0, counts={(): {A: 1}, key: {B: 2}})
+        with pytest.raises(ValueError, match="bad context key"):
+            serialize_profile(p)
+
     def test_bad_magic(self):
         data = bytearray(serialize_profile(self.random_profile(1)))
         data[0] = ord("X")

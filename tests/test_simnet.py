@@ -53,7 +53,6 @@ from lprlab.simnet.delivery import (
     ghls_waves,
     hashed_home_index,
     round_trips,
-    route_wave,
 )
 from lprlab.simnet.gpsr import RouteResult, _next_ccw, _proper_crossing, route_legs
 from lprlab.simnet.scenario import (
@@ -62,6 +61,7 @@ from lprlab.simnet.scenario import (
     measure_baseline,
     run_trials,
 )
+from lprlab.simnet.topology import _disjoint_union
 
 # A gap in the middle of the field: node 1 faces the destination but
 # both rim nodes sit farther from it, so greedy strands there and only
@@ -598,6 +598,63 @@ def _tie_destinations(topo):
     return out
 
 
+class TestDisjointUnion:
+    """A pool of layouts is one graph: routes on it are the layouts' own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_layouts(), _layouts(), st.data())
+    def test_routes_on_the_union_are_each_layouts_own(self, a, b, data):
+        union = _disjoint_union([a, b])
+        starts = (0, a.n)
+        assert union.n == a.n + b.n
+        assert union.positions.tolist() == a.positions.tolist() + b.positions.tolist()
+        for layout, start in zip((a, b), starts):
+            for u in range(layout.n):
+                assert _neighbor_lists(union)[start + u] == [
+                    start + v for v in _neighbor_lists(layout)[u]]
+                assert union.planar_adjacency[start + u] == [
+                    start + v for v in layout.planar_adjacency[u]]
+                # No link crosses into the other layout.
+                assert all(start <= v < start + layout.n
+                           for v in _neighbor_lists(union)[start + u]
+                           + union.planar_adjacency[start + u])
+        # Legs of both layouts, interleaved in one batch; a destination
+        # beyond every node of a layout strands greedy forwarding at a
+        # local minimum, which hands the leg to perimeter mode.
+        lo = float(union.positions.min()) - 1.0
+        hi = float(union.positions.max()) + 1.0
+        coord = st.floats(lo, hi)
+        beyond = (lo - (hi - lo), hi + (hi - lo))
+        legs = [(which, data.draw(st.integers(0, (a, b)[which].n - 1)), beyond)
+                for which in (0, 1)]
+        for _ in range(data.draw(st.integers(0, 16))):
+            which = data.draw(st.integers(0, 1))
+            node = data.draw(st.integers(0, (a, b)[which].n - 1))
+            legs.append((which, node, data.draw(st.tuples(coord, coord))))
+        legs = data.draw(st.permutations(legs))
+        radius = data.draw(st.just(0.0) | st.floats(0.0, (hi - lo) / 4.0))
+        ttl = data.draw(st.integers(0, 4 * max(a.n, b.n)))
+        success, end, hops, perimeter = route_legs(
+            union, [starts[w] + u for w, u, _ in legs], [d for _, _, d in legs],
+            radius, ttl,
+        )
+        for i, (which, node, dest) in enumerate(legs):
+            alone = route_legs((a, b)[which], [node], [dest], radius, ttl)
+            assert (bool(success[i]), int(end[i]) - starts[which], int(hops[i]),
+                    int(perimeter[i])) == tuple(int(x[0]) for x in alone)
+            if dest == beyond:
+                assert not success[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_layouts(), _layouts())
+    def test_connected_only_as_one_connected_layout(self, a, b):
+        alone = _disjoint_union([a])
+        assert alone.connected == a.connected
+        assert alone.neighbors.tolist() == a.neighbors.tolist()
+        assert alone.planar_adjacency == a.planar_adjacency
+        assert not _disjoint_union([a, b]).connected
+
+
 class TestGpsr:
     def test_straight_chain_all_greedy(self):
         topo = topology_from_positions([(float(i), 0.0) for i in range(6)], 1.5)
@@ -799,14 +856,15 @@ def ghls_deliver(topo, src, home, *, true_position, acceptance_radius):
     """ghls_waves for one trial, as DeliveryOutcome fields; its update
     leg is not charged here."""
     success, tx, _ = ghls_waves(
-        [topo], *_one(0, src, home, true_position), acceptance_radius, np.array([src])
+        topo, _leg_ttl(topo.n), *_one(src, home, true_position), acceptance_radius,
+        np.array([src]),
     )
     return DeliveryOutcome(bool(success[0]), 2.0, int(tx[0]))
 
 
 def ghls_update(topo, src, home, radius):
     """Hops of one location update leg."""
-    return int(route_wave([topo], *_one(0, src, home), radius)[2][0])
+    return int(route_legs(topo, *_one(src, home), radius, _leg_ttl(topo.n))[2][0])
 
 
 @pytest.fixture(scope="module")
@@ -837,8 +895,9 @@ def test_within_matches_distance_loop(topo, data):
         topo.distance_to(int(u), tuple(p)) <= radius
         for u, p in zip(nodes.tolist(), points.tolist())
     ]
-    pool = [_void_topology(), topo]
-    inside = _within(pool, np.ones(n_legs, dtype=np.intp), nodes, points, radius)
+    # topo as the second layout of a two-layout graph.
+    graph = _disjoint_union([_void_topology(), topo])
+    inside = _within(graph, nodes + len(VOID_POSITIONS), points, radius)
     assert inside.tolist() == expected
 
 
@@ -855,8 +914,7 @@ def test_within_decides_ulp_ties_by_math_hypot():
     assert split.size == 20
     for i in split.tolist():
         for radius in (exact[i], math.nextafter(exact[i], 0.0)):
-            inside = _within([topo], np.zeros(1, dtype=np.intp), nodes[i:i + 1],
-                             points[i:i + 1], radius)
+            inside = _within(topo, nodes[i:i + 1], points[i:i + 1], radius)
             assert inside.tolist() == [
                 topo.distance_to(int(nodes[i]), tuple(points[i].tolist())) <= radius
             ]
@@ -867,7 +925,7 @@ class TestDelivery:
         # Independent re-derivation of the charging rule: forward hops
         # always count, the response leg only runs after a reached
         # forward and is charged even if it fails.
-        ttl = _leg_ttl(topo)
+        ttl = _leg_ttl(topo.n)
         fwd = gpsr_route(topo, src, position, radius, ttl=ttl)
         if not fwd.success:
             return False, fwd.path[-1], fwd.hops
@@ -1377,6 +1435,17 @@ class TestScenarioRuns:
         with pytest.raises(ValueError, match="negative"):
             run_trials(SMALL, [0, -1], pool)
 
+    @pytest.mark.parametrize("other", [replace(SMALL, pool_size=3), replace(SMALL, n=81)],
+                             ids=["pool_size", "n"])
+    def test_pool_of_another_scenario_rejected(self, other):
+        pool = build_pool(SMALL)
+        message = re.escape(
+            f"pool has 160 nodes, not the pool_size * n = {other.pool_size * other.n} ")
+        with pytest.raises(ValueError, match=message):
+            run_trials(other, range(3), pool)
+        with pytest.raises(ValueError, match=message):
+            measure_baseline(other, pool)
+
     def test_oracle_latency_and_ratio(self):
         record, rows = run_scenario(replace(SMALL, trials=120))
         assert record.mean_latency_factor == 1.0
@@ -1573,8 +1642,7 @@ def _leg_tables(config, pool, trials):
 
     for index in range(trials):
         rng = np.random.default_rng([config.seed, 7, index])
-        topo = pool[index % len(pool)]
-        src[index] = rng.integers(topo.n)
+        src[index] = rng.integers(config.n) + index % config.pool_size * config.n
         hour = int(rng.integers(168))
         cand = rng.choice(eligible, size=nc, replace=False)
         pmf = sequential_hit_pmf(model(hour + 0.5), nc)
@@ -1594,14 +1662,13 @@ def _leg_tables(config, pool, trials):
         cands[index] = cand
     # One round trip per (trial, rank), all in one pair of waves.
     trial = np.repeat(np.arange(trials), nc)
-    topo_ids = trial % len(pool)
     reached_ok, reached, cost = round_trips(
-        pool, topo_ids, src[trial], centers[cands.ravel()], radius
+        pool, _leg_ttl(config.n), src[trial], centers[cands.ravel()], radius
     )
     costs[:] = cost.reshape(trials, nc)
     for leg in np.flatnonzero(reached_ok).tolist():
         index = leg // nc
-        hits[index, leg % nc] = pool[topo_ids[leg]].distance_to(
+        hits[index, leg % nc] = pool.distance_to(
             int(reached[leg]), true_positions[index]
         ) <= radius
     return hits, costs
