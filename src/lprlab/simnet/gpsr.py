@@ -15,14 +15,17 @@ caller passes no ttl; simulator legs get 8 per layout node (_leg_ttl).
 On a connected topology with a connected planar subgraph this combination
 reaches the node nearest any requested position.
 
-Legs are routed in batches (route_legs). Every leg of a batch on one
-topology advances one greedy hop per lockstep numpy step, which scores
-the neighbours of all the legs' current nodes at once through the
-topology's padded neighbour matrix. A leg at a local minimum hands its
-node and remaining hop budget to the scalar perimeter walker, which
-hands it back to the batch once greedy forwarding resumes; GPSR carries
-no state out of greedy mode, so a leg takes the same route in any batch.
-gpsr_route is the batch of one, and records its path.
+Legs are routed in batches (route_legs). A batch's legs share a fixed
+number of slots, and every leg in a slot advances one greedy hop per
+lockstep numpy step, which scores the neighbours of all the slotted
+legs' current nodes at once through the topology's padded neighbour
+matrix. After each step the slots of the legs that finished take the
+next waiting legs, so every step but the last few runs full. A leg at a
+local minimum hands its node and remaining hop budget to the scalar
+perimeter walker, which hands it back to its slot once greedy
+forwarding resumes; GPSR carries no state out of greedy mode, so a leg
+takes the same route in any batch and any slot. gpsr_route is the batch
+of one, and records its path.
 
 The batch measures distances as absolute values of complex differences,
 which can differ from math.hypot by up to 2 ulps (np.hypot by 1). So a
@@ -50,9 +53,12 @@ _TWO_PI = 2.0 * math.pi
 # math.hypot: about 4,500 ulps, far above the 2 ulps the batch's
 # distances may differ by.
 _NEAR = 1e-12
-# Legs per lockstep step: bounds the (legs, max degree) temporaries.
-# 1024 took fewer steps but raised a README-scenario run's peak RSS 2 MiB.
-_CHUNK = 256
+# Lockstep slots: they bound the (legs, max degree) temporaries of a
+# step. Refilling, not the slot count, sets the step count: slots freed
+# by finished legs take waiting legs at once, so steps run full until
+# the batch drains. 1024 slots raised a README-scenario run's peak RSS
+# by 2 MiB.
+_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -235,63 +241,68 @@ def route_legs(
     nbr = topology.neighbors
     radius = acceptance_radius
 
-    for lo in range(0, n_legs, _CHUNK):
-        active = np.arange(lo, min(lo + _CHUNK, n_legs))
-        while active.size:
-            x = end[active]
-            target = targets[active]
-            row = nbr[x]
-            dist = np.abs(points[x] - target)
-            offsets = points[row]
-            offsets -= target[:, None]  # in place: one (legs, degree) temporary
-            d = np.abs(offsets)
-            rows = np.arange(len(d))
-            col = d.argmin(axis=1)
-            best = d[rows, col]
-            d[rows, col] = math.inf
-            second = d.min(axis=1)
-            # Decisions within tol of a boundary are taken on math.hypot
-            # distances. A leg at distance 0 has arrived either way.
-            tol = _NEAR * (dist + _EPS)
-            near = ((np.abs(dist - radius) <= tol) & (dist > 0)) | (dist > radius) & (
-                (second <= best + tol) | (np.abs(best - (dist - _EPS)) <= tol)
+    # Slots hold the legs active[i]; waiting is the first leg not yet slotted.
+    waiting = min(_SLOTS, n_legs)
+    active = np.arange(waiting)
+    while active.size:
+        x = end[active]
+        target = targets[active]
+        row = nbr.take(x, axis=0)
+        dist = np.abs(points.take(x) - target)
+        offsets = points.take(row)
+        offsets -= target[:, None]  # in place: one (legs, degree) temporary
+        d = np.abs(offsets)
+        rows = np.arange(len(d))
+        col = d.argmin(axis=1)
+        best = d[rows, col]
+        d[rows, col] = math.inf
+        second = d.min(axis=1)
+        # Decisions within tol of a boundary are taken on math.hypot
+        # distances. A leg at distance 0 has arrived either way.
+        tol = _NEAR * (dist + _EPS)
+        near = ((np.abs(dist - radius) <= tol) & (dist > 0)) | (dist > radius) & (
+            (second <= best + tol) | (np.abs(best - (dist - _EPS)) <= tol)
+        )
+        for r in np.flatnonzero(near).tolist():
+            dist[r], col[r], best[r] = _exact_step(
+                topology, int(x[r]), row[r], *dest[active[r]].tolist()
             )
-            for r in np.flatnonzero(near).tolist():
-                dist[r], col[r], best[r] = _exact_step(
-                    topology, int(x[r]), row[r], *dest[active[r]].tolist()
-                )
 
-            arrived = dist <= radius
-            going = ~arrived & (hops[active] < ttl)
-            moves = going & (best < dist - _EPS)
-            success[active[arrived]] = True
-            moved = active[moves]
-            end[moved] = row[moves, col[moves]]
-            hops[moved] += 1
+        arrived = dist <= radius
+        going = ~arrived & (hops[active] < ttl)
+        moves = going & (best < dist - _EPS)
+        success[active[arrived]] = True
+        moved = active[moves]
+        end[moved] = row[moves, col[moves]]
+        hops[moved] += 1
+        if trails is not None:
+            for i, v in zip(moved.tolist(), end[moved].tolist()):
+                trails[i][0].append(v)
+                trails[i][1].append(False)
+
+        # Local minima: walk the perimeter, then rejoin or finish.
+        keep = moves
+        for r in np.flatnonzero(going & ~moves).tolist():
+            i = int(active[r])
+            outcome, node, walked = _perimeter(
+                topology, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
+                radius, ttl - int(hops[i]),
+                None if trails is None else trails[i][0],
+            )
+            end[i] = node
+            hops[i] += walked
+            perimeter[i] += walked
             if trails is not None:
-                for i, v in zip(moved.tolist(), end[moved].tolist()):
-                    trails[i][0].append(v)
-                    trails[i][1].append(False)
-
-            # Local minima: walk the perimeter, then rejoin or finish.
-            keep = moves
-            for r in np.flatnonzero(going & ~moves).tolist():
-                i = int(active[r])
-                outcome, node, walked = _perimeter(
-                    topology, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
-                    radius, ttl - int(hops[i]),
-                    None if trails is None else trails[i][0],
-                )
-                end[i] = node
-                hops[i] += walked
-                perimeter[i] += walked
-                if trails is not None:
-                    trails[i][1].extend([True] * walked)
-                if outcome is None:
-                    keep[r] = True
-                else:
-                    success[i] = outcome
-            active = active[keep]
+                trails[i][1].extend([True] * walked)
+            if outcome is None:
+                keep[r] = True
+            else:
+                success[i] = outcome
+        active = active[keep]
+        if waiting < n_legs and active.size < _SLOTS:
+            refill = min(_SLOTS - active.size, n_legs - waiting)
+            active = np.concatenate([active, np.arange(waiting, waiting + refill)])
+            waiting += refill
     return success, end, hops, perimeter
 
 

@@ -455,7 +455,11 @@ def run_trials(
     for t, rng in enumerate(_streams(config.seed, _TRIAL_TAG, indices)):
         src[t] += rng.integers(config.n)
         hour = int(rng.integers(HOURS_PER_WEEK))
-        cand[t] = cand_idx = rng.choice(eligible, size=config.n_candidates, replace=False)
+        # choice's index draw, as choice(eligible, ...) makes it, without
+        # its array path.
+        cand[t] = cand_idx = eligible[
+            rng.choice(len(eligible), config.n_candidates, replace=False)
+        ]
 
         pmf = hour_pmfs.get(hour)
         if pmf is None:
@@ -473,9 +477,10 @@ def run_trials(
         if true_rank > 0:
             true_cells[t] = cand_idx[true_rank - 1]
         else:
-            # eligible is sorted and unique, so this is the sorted set
-            # of non-candidate cells.
-            true_cells[t] = rng.choice(eligible[~np.isin(eligible, cand_idx)])
+            # eligible is sorted and unique, so rest is the sorted set of
+            # non-candidate cells, and this is rng.choice(rest)'s draw.
+            rest = np.delete(eligible, np.searchsorted(eligible, cand_idx))
+            true_cells[t] = rest[rng.integers(len(rest))]
         if config.strategy == "ghls":
             updaters[t] += rng.integers(config.n)
         hours.append(hour)

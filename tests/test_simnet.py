@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from lprlab.simnet import (
     run_scenario,
     topology_from_positions,
 )
-from lprlab.simnet import scenario
+from lprlab.simnet import gpsr, scenario
 from lprlab.simnet.delivery import (
     _leg_ttl,
     _within,
@@ -825,6 +826,32 @@ class TestGpsr:
             backs = [(int(s), topo.position(int(d)))
                      for s, d in rng.integers(280, size=(1200, 2))]
             _assert_batch_matches_scalar(topo, backs, 0.0, 8 * topo.n, single_every=5)
+
+    @pytest.mark.parametrize("slots", [1, 2, 7])
+    def test_refilled_slots_match_scalar_oracle(self, slots):
+        # With few slots, most legs enter a refilled slot mid-batch, next
+        # to legs on their perimeter walks or at near-ties. Every 13th
+        # lattice leg keeps the test short and still cycles through the
+        # sources and the nudges of each tie point.
+        rng = np.random.default_rng(11)
+        topo = build_topology(280, 2500.0, 400.0, seed=[0, 101, 0])
+        cells = (rng.integers(1, 11, size=(100, 2)) + 0.5) * (2500.0 / 12)
+        legs = [(int(s), tuple(c)) for s, c in zip(rng.integers(280, size=100), cells)]
+        cfg = replace(SMALL, strategy="lpr", grouping=Grouping((2, 3)), n_candidates=5)
+        pool = build_pool(cfg)
+        rows = run_trials(cfg, range(cfg.trials), pool)
+        with mock.patch.object(gpsr, "_SLOTS", slots):
+            for side in range(2, 5):
+                for reach in (1.0, math.sqrt(2.0), 2.0):
+                    lattice = _lattice(side, reach)
+                    ties = [(s, d) for s in range(lattice.n)
+                            for d in _tie_destinations(lattice)][::13]
+                    for radius in (0.0, 0.5, 1.0):
+                        _assert_batch_matches_scalar(
+                            lattice, ties, radius, 8 * lattice.n, single_every=7
+                        )
+            _assert_batch_matches_scalar(topo, legs, 2500.0 / 12, 8 * topo.n, single_every=5)
+            assert run_trials(cfg, range(cfg.trials), pool) == rows
 
     def test_validation(self):
         topo = _void_topology()
@@ -1627,18 +1654,18 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
     assert any(row.split(",")[2] == "0" for row in rows)  # some target wandered
 
 
-def _leg_tables(config, pool, trials):
-    """Replay the scenario draws, recording one round trip per rank."""
+def _replay_draws(config, trials):
+    """Each trial's draws, replayed from its own default_rng stream with
+    the plain Generator calls: (source node, hour, true rank, candidate
+    cells, true cell) arrays, indexed by trial."""
     eligible = config.eligible_cells()
-    centers = scenario._cell_centers(config)
     model = RegularityModel()
-    radius = config.cell_size
     nc = config.n_candidates
-    hits = np.zeros((trials, nc), dtype=bool)
-    costs = np.zeros((trials, nc), dtype=np.int64)
     src = np.zeros(trials, dtype=np.intp)
+    hours = np.zeros(trials, dtype=np.intp)
+    ranks = np.zeros(trials, dtype=np.intp)
     cands = np.zeros((trials, nc), dtype=np.intp)
-    true_positions = []
+    true_cells = np.zeros(trials, dtype=np.intp)
 
     for index in range(trials):
         rng = np.random.default_rng([config.seed, 7, index])
@@ -1655,11 +1682,49 @@ def _leg_tables(config, pool, trials):
                 true_rank = i
                 break
         if true_rank > 0:
-            true_cell = int(cand[true_rank - 1])
+            true_cells[index] = cand[true_rank - 1]
         else:
-            true_cell = int(rng.choice(np.setdiff1d(eligible, cand)))
-        true_positions.append(centers[true_cell])
+            true_cells[index] = rng.choice(np.setdiff1d(eligible, cand))
+        hours[index] = hour
+        ranks[index] = true_rank
         cands[index] = cand
+    return src, hours, ranks, cands, true_cells
+
+
+@pytest.mark.parametrize("config", [
+    # 2 of 16 cells as candidates: most targets wander.
+    ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1, grid_cells=6,
+                   trials=400, n_candidates=2, strategy="lpr", grouping=Grouping((1, 1)),
+                   seed=3),
+    ScenarioConfig(pool_size=2, trials=1000, strategy="lpr", grouping=Grouping((2, 10)),
+                   seed=42),
+], ids=["wandering", "readme_grid"])
+def test_trial_draws_replay_with_plain_generator_calls(config):
+    # run_trials draws candidates and wander cells through index draws;
+    # the plain choice calls on the cell arrays must draw the same.
+    pool = build_pool(config)
+    with mock.patch.object(scenario, "route_legs", wraps=scenario.route_legs) as reach:
+        rows = run_trials(config, range(config.trials), pool)
+    src, hours, ranks, _, true_cells = _replay_draws(config, config.trials)
+    assert [row.hour for row in rows] == hours.tolist()
+    assert [row.true_rank for row in rows] == ranks.tolist()
+    assert 0 in ranks
+    # Its one call routes the reachability legs, to the true cells' centres.
+    assert reach.call_count == 1
+    (_, legs_src, legs_dest, _, _), _ = reach.call_args
+    assert legs_src.tolist() == src.tolist()
+    assert legs_dest.tolist() == scenario._cell_centers(config)[true_cells].tolist()
+
+
+def _leg_tables(config, pool, trials):
+    """Replay the scenario draws, recording one round trip per rank."""
+    centers = scenario._cell_centers(config)
+    radius = config.cell_size
+    nc = config.n_candidates
+    hits = np.zeros((trials, nc), dtype=bool)
+    costs = np.zeros((trials, nc), dtype=np.int64)
+    src, _, _, cands, true_cells = _replay_draws(config, trials)
+    true_positions = centers[true_cells]
     # One round trip per (trial, rank), all in one pair of waves.
     trial = np.repeat(np.arange(trials), nc)
     reached_ok, reached, cost = round_trips(
