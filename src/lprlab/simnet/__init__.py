@@ -7,7 +7,7 @@ reproducible metrics.
 """
 
 from .topology import Topology, build_topology, topology_from_positions
-from .gpsr import RouteResult, default_ttl, gpsr_route
+from .gpsr import RouteResult, gpsr_route
 from .delivery import DeliveryOutcome, candidates_from_profile, lpr_deliver
 from .scenario import (
     GhlsComparison,
@@ -24,7 +24,6 @@ __all__ = [
     "build_topology",
     "topology_from_positions",
     "RouteResult",
-    "default_ttl",
     "gpsr_route",
     "DeliveryOutcome",
     "candidates_from_profile",

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..analytic import Grouping
 from ..profile import CellId, LocationProfile, top_k
-from .gpsr import _EPS, _NEAR, route_legs
+from .gpsr import _EPS, _NEAR, _leg_ttl, route_legs
 from .topology import Topology
 
 __all__ = [
@@ -57,14 +57,6 @@ class DeliveryOutcome:
     success: bool
     latency_factor: float
     transmissions: int
-
-
-def _leg_ttl(n: int) -> int:
-    # Delivery legs on layouts of n nodes get a hop budget that never
-    # truncates a face tour; 8n is several times the longest tour seen on
-    # connected graphs, while the per-packet default of about 4*sqrt(n)
-    # cuts off roughly 2% of legitimate perimeter recoveries at n = 50.
-    return 8 * n
 
 
 def cell_center(cell: CellId, cell_size: float) -> tuple[float, float]:

@@ -50,14 +50,13 @@ from ..analytic import (
 )
 from ..profile import CellId
 from .delivery import (
-    _leg_ttl,
     cell_center,
     ghls_waves,
     hashed_home_index,
     lpr_waves,
     round_trips,
 )
-from .gpsr import route_legs
+from .gpsr import _leg_ttl, route_legs
 from .topology import Topology, _disjoint_union, build_topology
 
 __all__ = [

@@ -9,11 +9,12 @@ neighbor of both endpoints, so only common neighbors need checking, and
 removing the edge leaves a two-hop detour through the witness, which
 keeps connected graphs connected.
 
-Each topology keeps its unit-disk neighbour lists as one padded (n, max
-degree) index matrix, filled with -1 past each node's degree: the
-planarization tests a chunk of edges against it at once, the
-connectivity search expands a whole frontier at once, and greedy
-routing scores a batch of legs' neighbours in one numpy step.
+Each topology keeps both graphs as padded (n, max degree) index
+matrices, rows ascending and filled with -1 past each node's degree:
+the planarization tests a chunk of edges at once, the connectivity
+search expands a whole frontier at once, greedy routing scores a batch
+of legs' neighbours in one numpy step, and perimeter mode walks the
+Gabriel rows.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ __all__ = ["Topology", "build_topology", "topology_from_positions"]
 class Topology:
     positions: np.ndarray  # (n, 2) meters
     radio_range: float
-    planar_adjacency: list[list[int]]
     connected: bool
-    # unit-disk neighbours in ascending order, as an (n, max degree)
-    # int32 matrix padded with -1
+    # unit-disk and Gabriel neighbours in ascending order, each an
+    # (n, max degree) int32 matrix padded with -1
     neighbors: np.ndarray = field(repr=False)
+    planar: np.ndarray = field(repr=False)
     # positions as two lists of plain floats: the routing hot loop reads
     # these, since indexing the ndarray yields slow numpy scalars.
     xs: list[float] = field(init=False, repr=False)
@@ -98,35 +99,35 @@ def _neighbor_matrix(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return nbr
 
 
-def _split_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
-    """Per-row lists of cols, for (rows, cols) sorted by row."""
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    flat = cols.tolist()
-    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+def _stack_offset(blocks: list[np.ndarray]) -> np.ndarray:
+    """Padded neighbour matrices of consecutive layouts as one, each
+    offset by the rows before it and padded to the widest."""
+    width = max(block.shape[1] for block in blocks)
+    out = np.full((sum(map(len, blocks)), width), -1, dtype=np.int32)
+    start = 0
+    for block in blocks:
+        rows = out[start:start + len(block), :block.shape[1]]
+        np.add(block, start, out=rows, where=block >= 0)
+        start += len(block)
+    return out
 
 
 def _disjoint_union(layouts: Iterable[Topology]) -> Topology:
     """The layouts as the components of one topology: node u of a layout
     becomes u plus the node count of the layouts before it. Layouts are
-    taken one at a time, keeping only their offset links."""
-    positions, blocks, planar = [], [], []
-    n = 0
+    taken one at a time, keeping only their arrays."""
+    positions, nbrs, planars = [], [], []
     for layout in layouts:
         positions.append(layout.positions)
-        blocks.append(np.where(layout.neighbors >= 0, layout.neighbors + n, -1))
-        planar += [[v + n for v in row] for row in layout.planar_adjacency]
-        n += layout.n
-    nbr = np.full((n, max(b.shape[1] for b in blocks)), -1, dtype=np.int32)
-    start = 0
-    for block in blocks:
-        nbr[start:start + len(block), :block.shape[1]] = block
-        start += len(block)
+        nbrs.append(layout.neighbors)
+        planars.append(layout.planar)
+    nbr = _stack_offset(nbrs)
     return Topology(
         positions=np.concatenate(positions),
         radio_range=layout.radio_range,
-        planar_adjacency=planar,
         connected=_is_connected(nbr),
         neighbors=nbr,
+        planar=_stack_offset(planars),
     )
 
 
@@ -137,9 +138,9 @@ _GABRIEL_CHUNK = 512
 
 def _gabriel_subgraph(
     positions: np.ndarray, within: np.ndarray, nbr: np.ndarray
-) -> list[list[int]]:
-    """Sorted planar neighbor lists of the Gabriel subgraph of within,
-    whose rows nbr lists as a -1 padded neighbor matrix.
+) -> np.ndarray:
+    """The Gabriel subgraph of within, whose rows nbr lists as a -1
+    padded neighbor matrix, as a padded matrix of the same kind.
 
     An edge (u, v) goes when some common neighbor w lies in the closed
     disk with diameter uv. Every neighbor w of u is tested against the
@@ -168,7 +169,7 @@ def _gabriel_subgraph(
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
     order = np.lexsort((dst, src))
-    return _split_rows(src[order], dst[order], n)
+    return _neighbor_matrix(src[order], dst[order], n)
 
 
 def topology_from_positions(positions, radio_range: float) -> Topology:
@@ -189,9 +190,9 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
     return Topology(
         positions=positions,
         radio_range=radio_range,
-        planar_adjacency=_gabriel_subgraph(positions, within, nbr),
         connected=_is_connected(nbr),
         neighbors=nbr,
+        planar=_gabriel_subgraph(positions, within, nbr),
     )
 
 

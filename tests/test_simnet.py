@@ -39,7 +39,6 @@ from lprlab.simnet import (
     build_topology,
     candidates_from_profile,
     compare_ghls,
-    default_ttl,
     gpsr_route,
     load_scenario,
     lpr_deliver,
@@ -48,14 +47,19 @@ from lprlab.simnet import (
 )
 from lprlab.simnet import gpsr, scenario
 from lprlab.simnet.delivery import (
-    _leg_ttl,
     _within,
     cell_center,
     ghls_waves,
     hashed_home_index,
     round_trips,
 )
-from lprlab.simnet.gpsr import RouteResult, _next_ccw, _proper_crossing, route_legs
+from lprlab.simnet.gpsr import (
+    RouteResult,
+    _leg_ttl,
+    _next_ccw,
+    _proper_crossing,
+    route_legs,
+)
 from lprlab.simnet.scenario import (
     aggregate,
     build_pool,
@@ -103,12 +107,13 @@ def _layouts(draw):
     return build_topology(n, 1000.0, radio, seed=draw(st.integers(0, 2**32 - 1)))
 
 
-@functools.lru_cache(maxsize=16)
-def _neighbor_lists(topo):
-    """Each node's unit-disk neighbours in ascending order, read from the
-    padded topo.neighbors matrix. Cached per topology, which compares by
-    identity; callers must not mutate the lists."""
-    return [[v for v in row if v >= 0] for row in topo.neighbors.tolist()]
+@functools.lru_cache(maxsize=32)
+def _rows(topo, graph):
+    """Each node's neighbours in ascending order, read from the padded
+    matrix of graph: "neighbors" (unit-disk) or "planar" (Gabriel).
+    Cached per topology, which compares by identity; callers must not
+    mutate the lists."""
+    return [[v for v in row if v >= 0] for row in getattr(topo, graph).tolist()]
 
 
 def _connected_topologies(sizes, seeds, field, radio):
@@ -188,7 +193,7 @@ def _sorted_next_ccw(topology, x, ref_angle):
     (bearing, index): the oracle for _next_ccw's index-order scan."""
     best = None
     best_delta = math.inf
-    ordered = sorted(topology.planar_adjacency[x], key=lambda v: (topology.bearing(x, v), v))
+    ordered = sorted(_rows(topology, "planar")[x], key=lambda v: (topology.bearing(x, v), v))
     for v in ordered:
         delta = (topology.bearing(x, v) - ref_angle) % (2.0 * math.pi)
         if delta <= 1e-12:
@@ -229,22 +234,22 @@ def _lattice(side, reach):
 class TestTopology:
     def test_collinear_short_range_is_path(self):
         topo = topology_from_positions([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.5)
-        assert [sorted(a) for a in _neighbor_lists(topo)] == [[1], [0, 2], [1]]
-        assert [sorted(a) for a in topo.planar_adjacency] == [[1], [0, 2], [1]]
+        assert [sorted(a) for a in _rows(topo, "neighbors")] == [[1], [0, 2], [1]]
+        assert [sorted(a) for a in _rows(topo, "planar")] == [[1], [0, 2], [1]]
         assert topo.connected
 
     def test_collinear_long_range_drops_spanned_link(self):
         # The middle node sits inside the long link's diameter disk.
         topo = topology_from_positions([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 2.5)
-        assert [sorted(a) for a in _neighbor_lists(topo)] == [[1, 2], [0, 2], [0, 1]]
-        assert [sorted(a) for a in topo.planar_adjacency] == [[1], [0, 2], [1]]
+        assert [sorted(a) for a in _rows(topo, "neighbors")] == [[1, 2], [0, 2], [0, 1]]
+        assert [sorted(a) for a in _rows(topo, "planar")] == [[1], [0, 2], [1]]
 
     def test_unit_square_diagonals_removed(self):
         corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         topo = topology_from_positions(corners, math.sqrt(2.0) + 1e-6)
-        assert all(len(a) == 3 for a in _neighbor_lists(topo))
+        assert all(len(a) == 3 for a in _rows(topo, "neighbors"))
         # Sides survive, crossing diagonals do not.
-        assert [sorted(a) for a in topo.planar_adjacency] == [
+        assert [sorted(a) for a in _rows(topo, "planar")] == [
             [1, 2],
             [0, 3],
             [0, 3],
@@ -256,8 +261,8 @@ class TestTopology:
         # every dropped link has one.
         for seed in range(6):
             topo = build_topology(30, 1000.0, 320.0, seed=seed)
-            full = [set(a) for a in _neighbor_lists(topo)]
-            planar = [set(a) for a in topo.planar_adjacency]
+            full = [set(a) for a in _rows(topo, "neighbors")]
+            planar = [set(a) for a in _rows(topo, "planar")]
             for u in range(topo.n):
                 assert planar[u] <= full[u]
                 pu = topo.position(u)
@@ -285,8 +290,8 @@ class TestTopology:
         # Perimeter mode needs a planar graph (Karp & Kung, MobiCom 2000).
         edges = []
         for u in range(topo.n):
-            for v in topo.planar_adjacency[u]:
-                assert v in _neighbor_lists(topo)[u]
+            for v in _rows(topo, "planar")[u]:
+                assert v in _rows(topo, "neighbors")[u]
                 if u < v:
                     edges.append((u, v))
         for (a, b), (c, d) in itertools.combinations(edges, 2):
@@ -312,8 +317,8 @@ class TestTopology:
         )
         for topo in layouts:
             adjacency, planar = _loop_topology(topo.positions, topo.radio_range)
-            assert _neighbor_lists(topo) == adjacency
-            assert topo.planar_adjacency == planar
+            assert _rows(topo, "neighbors") == adjacency
+            assert _rows(topo, "planar") == planar
 
     @settings(max_examples=60, deadline=None)
     @given(_layouts(), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6))
@@ -358,7 +363,7 @@ class TestTopology:
             stack = [0]
             while stack:
                 u = stack.pop()
-                for v in topo.planar_adjacency[u]:
+                for v in _rows(topo, "planar")[u]:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
@@ -395,8 +400,8 @@ class TestTopology:
         b = build_topology(40, 1000.0, 250.0, seed=3)
         c = build_topology(40, 1000.0, 250.0, seed=4)
         assert np.array_equal(a.positions, b.positions)
-        assert _neighbor_lists(a) == _neighbor_lists(b)
-        assert a.planar_adjacency == b.planar_adjacency
+        assert _rows(a, "neighbors") == _rows(b, "neighbors")
+        assert _rows(a, "planar") == _rows(b, "planar")
         assert not np.array_equal(a.positions, c.positions)
 
     def test_node_helpers(self):
@@ -469,9 +474,9 @@ def _assert_route_ok(topo, route, src, dest, radius, ttl):
     assert route.hops <= ttl
     assert len(route.perimeter_steps) == route.hops
     for a, b, on_perimeter in zip(route.path, route.path[1:], route.perimeter_steps):
-        assert b in _neighbor_lists(topo)[a]
+        assert b in _rows(topo, "neighbors")[a]
         if on_perimeter:
-            assert b in topo.planar_adjacency[a]
+            assert b in _rows(topo, "planar")[a]
         else:
             assert topo.distance_to(b, dest) < topo.distance_to(a, dest)
     assert route.success == (topo.distance_to(route.path[-1], dest) <= radius)
@@ -506,7 +511,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         if greedy:
             best = None
             best_dist = dist_x - eps
-            for v in _neighbor_lists(topology)[x]:
+            for v in _rows(topology, "neighbors")[x]:
                 d = math.hypot(xs[v] - dx, ys[v] - dy)
                 if d < best_dist:
                     best_dist = d
@@ -516,7 +521,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
                 steps.append(False)
                 x = best
                 continue
-            if not topology.planar_adjacency[x]:
+            if not _rows(topology, "planar")[x]:
                 return RouteResult(False, path, tuple(steps))
             greedy = False
             entry_point = (px, py)
@@ -534,7 +539,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         if nxt is None:
             return RouteResult(False, path, tuple(steps))
         rotations = 0
-        max_rotations = 2 * len(topology.planar_adjacency[x]) + 2
+        max_rotations = 2 * len(_rows(topology, "planar")[x]) + 2
         while rotations < max_rotations:
             crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
             if crossing is None:
@@ -590,7 +595,7 @@ def _tie_destinations(topo):
     differently."""
     points = [topo.position(u) for u in range(topo.n)]
     for u in range(topo.n):
-        for v in _neighbor_lists(topo)[u]:
+        for v in _rows(topo, "neighbors")[u]:
             if u < v:
                 points.append(tuple((np.array(topo.position(u)) + topo.position(v)) / 2))
     out = []
@@ -611,14 +616,14 @@ class TestDisjointUnion:
         assert union.positions.tolist() == a.positions.tolist() + b.positions.tolist()
         for layout, start in zip((a, b), starts):
             for u in range(layout.n):
-                assert _neighbor_lists(union)[start + u] == [
-                    start + v for v in _neighbor_lists(layout)[u]]
-                assert union.planar_adjacency[start + u] == [
-                    start + v for v in layout.planar_adjacency[u]]
+                assert _rows(union, "neighbors")[start + u] == [
+                    start + v for v in _rows(layout, "neighbors")[u]]
+                assert _rows(union, "planar")[start + u] == [
+                    start + v for v in _rows(layout, "planar")[u]]
                 # No link crosses into the other layout.
                 assert all(start <= v < start + layout.n
-                           for v in _neighbor_lists(union)[start + u]
-                           + union.planar_adjacency[start + u])
+                           for v in _rows(union, "neighbors")[start + u]
+                           + _rows(union, "planar")[start + u])
         # Legs of both layouts, interleaved in one batch; a destination
         # beyond every node of a layout strands greedy forwarding at a
         # local minimum, which hands the leg to perimeter mode.
@@ -651,8 +656,8 @@ class TestDisjointUnion:
     def test_connected_only_as_one_connected_layout(self, a, b):
         alone = _disjoint_union([a])
         assert alone.connected == a.connected
-        assert alone.neighbors.tolist() == a.neighbors.tolist()
-        assert alone.planar_adjacency == a.planar_adjacency
+        for graph in ("neighbors", "planar"):
+            assert getattr(alone, graph).tolist() == getattr(a, graph).tolist()
         assert not _disjoint_union([a, b]).connected
 
 
@@ -679,7 +684,7 @@ class TestGpsr:
         # the destination than it does.
         d1 = topo.distance_to(1, VOID_DEST)
         assert all(
-            topo.distance_to(v, VOID_DEST) > d1 for v in _neighbor_lists(topo)[1]
+            topo.distance_to(v, VOID_DEST) > d1 for v in _rows(topo, "neighbors")[1]
         )
         route = gpsr_route(topo, 0, VOID_DEST)
         assert route.success
@@ -748,15 +753,10 @@ class TestGpsr:
         assert not route.success
         assert route.hops == 3
 
-    def test_default_ttl_values_and_truncation(self):
-        assert default_ttl(50) == 29
-        assert default_ttl(4) == 8
+    def test_omitted_ttl_reaches_the_end_of_a_chain(self):
         chain = topology_from_positions([(float(i), 0.0) for i in range(30)], 1.5)
-        short = gpsr_route(chain, 0, (29.0, 0.0))
-        assert not short.success
-        assert short.hops == default_ttl(30) == 22
-        full = gpsr_route(chain, 0, (29.0, 0.0), ttl=29)
-        assert full.success and full.hops == 29
+        route = gpsr_route(chain, 0, (29.0, 0.0))
+        assert route.success and route.hops == 29
 
     @settings(max_examples=150, deadline=None)
     @given(_layouts(), st.data())
@@ -861,6 +861,12 @@ class TestGpsr:
             gpsr_route(topo, topo.n, VOID_DEST)
         with pytest.raises(ValueError):
             gpsr_route(topo, 0, VOID_DEST, acceptance_radius=-1.0)
+        with pytest.raises(ValueError, match="acceptance_radius"):
+            gpsr_route(topo, 0, VOID_DEST, acceptance_radius=math.nan, ttl=50)
+        for value in (math.nan, math.inf, -math.inf):
+            for dest in ((value, 0.0), (0.0, value)):
+                with pytest.raises(ValueError, match="dest_position"):
+                    gpsr_route(topo, 0, dest, ttl=50)
 
 
 def _hashed_home(target_id, grid_cells, cell_size, margin):
