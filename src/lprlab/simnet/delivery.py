@@ -37,7 +37,7 @@ import numpy as np
 
 from ..analytic import Grouping
 from ..profile import CellId, LocationProfile, top_k
-from .gpsr import _EPS, _NEAR, _leg_ttl, route_legs
+from .gpsr import _distance, _leg_ttl, route_legs
 from .topology import Topology
 
 __all__ = [
@@ -79,17 +79,9 @@ def _within(
     graph: Topology, nodes: np.ndarray, points: np.ndarray, radius: float
 ) -> np.ndarray:
     """Whether node nodes[i] of graph lies within radius of position
-    points[i], by Topology.distance_to's math.hypot distance.
-
-    np.hypot can differ from math.hypot by an ulp, so distances within
-    a relative gpsr._NEAR of the radius are recomputed with math.hypot.
-    """
+    points[i]: the routing distance, bit for bit Topology.distance_to."""
     offset = graph.positions[nodes] - points
-    dist = np.hypot(offset[:, 0], offset[:, 1])
-    inside = dist <= radius
-    for i in np.flatnonzero(np.abs(dist - radius) <= _NEAR * (dist + _EPS)).tolist():
-        inside[i] = graph.distance_to(int(nodes[i]), tuple(points[i].tolist())) <= radius
-    return inside
+    return _distance(offset[:, 0], offset[:, 1]) <= radius
 
 
 def round_trips(

@@ -27,13 +27,13 @@ forwarding resumes; GPSR carries no state out of greedy mode, so a leg
 takes the same route in any batch and any slot. gpsr_route is the batch
 of one, and records its path.
 
-The batch measures distances as absolute values of complex differences,
-which can differ from math.hypot by up to 2 ulps (np.hypot by 1). So a
-step whose decision rests on a near-tie (best against runner-up
-neighbour, best against the progress threshold, or distance against the
-acceptance radius, within a relative 1e-12) has that leg's distances
-recomputed with math.hypot before it decides. Every route is therefore
-the one math.hypot distances give.
+Every distance, in the batch's numpy steps, in the walker and in
+Topology.distance_to, is sqrt(dx*dx + dy*dy). Each of its operations is
+one IEEE 754 rounding, so numpy arrays and plain floats give the same
+bits, and a leg takes the same route whichever of them measures it.
+Squares overflow to inf past about 1.3e154, and offsets under about
+1e-154 lose precision (the smallest read 0); the batch keeps numpy's
+overflow warning quiet, so a far destination is just a failed route.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ __all__ = ["RouteResult", "gpsr_route", "route_legs"]
 
 _EPS = 1e-9
 _TWO_PI = 2.0 * math.pi
-# Relative gap under which a greedy decision is recomputed with
-# math.hypot: about 4,500 ulps, far above the 2 ulps the batch's
-# distances may differ by.
-_NEAR = 1e-12
 # Lockstep slots: they bound the (legs, max degree) temporaries of a
 # step. Refilling, not the slot count, sets the step count: slots freed
 # by finished legs take waiting legs at once, so steps run full until
@@ -84,8 +80,9 @@ def _leg_ttl(n: int) -> int:
     return 8 * n
 
 
-def _next_ccw(topology: Topology, x: int, ref_angle: float) -> int | None:
-    """Planar neighbor whose bearing is next counterclockwise from ref.
+def _next_ccw(topology: Topology, x: int, row: list[int], ref_angle: float) -> int | None:
+    """Planar neighbor of x, from its planar row (a list, padded with -1
+    or not), whose bearing is next counterclockwise from ref.
 
     The rotation is over (0, 2*pi]: an exactly-aligned edge counts as a
     full turn, so a dead-end node bounces the packet back along its only
@@ -94,7 +91,7 @@ def _next_ccw(topology: Topology, x: int, ref_angle: float) -> int | None:
     """
     best = None
     best_delta = math.inf
-    for v in topology.planar[x].tolist():
+    for v in row:
         if v < 0:
             break
         delta = (topology.bearing(x, v) - ref_angle) % _TWO_PI
@@ -153,34 +150,40 @@ def _perimeter(
     planar = topology.planar
     if planar[x, 0] < 0:
         return False, x, 0
-    hypot = math.hypot
+
+    def distance(at_x: float, at_y: float) -> float:
+        # The routing distance of (at_x, at_y) from the destination.
+        ox, oy = at_x - dx, at_y - dy
+        return math.sqrt(ox * ox + oy * oy)
+
     dest = (dx, dy)
     px, py = xs[x], ys[x]
     # Entry point and distance, best crossing distance, and the first
     # edge of the current face tour.
     entry_point = (px, py)
-    entry_dist = best_cross_dist = hypot(px - dx, py - dy)
+    entry_dist = best_cross_dist = distance(px, py)
     first_edge: tuple[int, int] | None = None
     ref = math.atan2(dy - py, dx - px)
     hops = 0
     while True:
-        nxt = _next_ccw(topology, x, ref)
+        row = planar[x].tolist()
+        nxt = _next_ccw(topology, x, row, ref)
         assert nxt is not None  # x has a planar edge: entered or arrived by one
         # Face change: rotate past any edge crossing the entry-to-dest
         # line closer to the destination than all previous crossings.
-        rotations = 0
-        max_rotations = 2 * (planar.shape[1] - planar[x].tolist().count(-1)) + 2
-        while rotations < max_rotations:
+        # An edge's crossing is fixed and best_cross_dist strictly falls
+        # at each rotation, so no edge is passed twice. A NaN crossing
+        # (a destination so far that the orientations overflow) stops.
+        while True:
             crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
             if crossing is None:
                 break
-            cross_dist = hypot(crossing[0] - dx, crossing[1] - dy)
-            if cross_dist >= best_cross_dist - _EPS:
+            cross_dist = distance(*crossing)
+            if not cross_dist < best_cross_dist - _EPS:
                 break
             best_cross_dist = cross_dist
             first_edge = None  # new face: restart tour accounting
-            nxt = _next_ccw(topology, x, topology.bearing(x, nxt))
-            rotations += 1
+            nxt = _next_ccw(topology, x, row, topology.bearing(x, nxt))
 
         if first_edge is None:
             first_edge = (x, nxt)
@@ -193,7 +196,7 @@ def _perimeter(
         if trail is not None:
             trail.append(x)
         px, py = xs[x], ys[x]
-        dist_x = hypot(px - dx, py - dy)
+        dist_x = distance(px, py)
         if dist_x <= radius:
             return True, x, hops
         if hops >= budget:
@@ -203,19 +206,13 @@ def _perimeter(
         ref = topology.bearing(x, arrival_from)
 
 
-def _exact_step(
-    topology: Topology, x: int, row: np.ndarray, dx: float, dy: float
-) -> tuple[float, int, float]:
-    """math.hypot distance to (dx, dy) of x, and the first of its
-    neighbor slots in row (padded with -1) closest to (dx, dy), with its
-    distance."""
-    xs, ys = topology.xs, topology.ys
-    hypot = math.hypot
-    d = [hypot(xs[v] - dx, ys[v] - dy) if v >= 0 else math.inf for v in row.tolist()]
-    best = min(d)
-    return hypot(xs[x] - dx, ys[x] - dy), d.index(best), best
+def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) elementwise: the length of offsets (dx, dy),
+    bit for bit what the same formula gives on plain floats."""
+    return np.sqrt(dx * dx + dy * dy)
 
 
+@np.errstate(over="ignore")  # far destinations: squares read inf
 def route_legs(
     topology: Topology,
     src,
@@ -238,11 +235,10 @@ def route_legs(
     end = src.copy()
     hops = np.zeros(n_legs, dtype=np.int64)
     perimeter = np.zeros(n_legs, dtype=np.int64)
-    # Points as complex numbers, whose abs is a hypot within 2 ulps (and
-    # twice as fast as np.hypot), plus one node at infinity for the
-    # matrix's -1 padding to index: a padded slot is never the closest.
-    points = np.vstack([topology.positions, [math.inf, math.inf]]).view(complex)[:, 0]
-    targets = dest.view(complex)[:, 0]
+    # Coordinates plus one node at infinity for the matrix's -1 padding
+    # to index: a padded slot is never the closest.
+    xs = np.append(topology.positions[:, 0], math.inf)
+    ys = np.append(topology.positions[:, 1], math.inf)
     nbr = topology.neighbors
     radius = acceptance_radius
 
@@ -251,27 +247,12 @@ def route_legs(
     active = np.arange(waiting)
     while active.size:
         x = end[active]
-        target = targets[active]
+        tx, ty = dest[active, 0], dest[active, 1]
         row = nbr.take(x, axis=0)
-        dist = np.abs(points.take(x) - target)
-        offsets = points.take(row)
-        offsets -= target[:, None]  # in place: one (legs, degree) temporary
-        d = np.abs(offsets)
-        rows = np.arange(len(d))
+        dist = _distance(xs.take(x) - tx, ys.take(x) - ty)
+        d = _distance(xs.take(row) - tx[:, None], ys.take(row) - ty[:, None])
         col = d.argmin(axis=1)
-        best = d[rows, col]
-        d[rows, col] = math.inf
-        second = d.min(axis=1)
-        # Decisions within tol of a boundary are taken on math.hypot
-        # distances. A leg at distance 0 has arrived either way.
-        tol = _NEAR * (dist + _EPS)
-        near = ((np.abs(dist - radius) <= tol) & (dist > 0)) | (dist > radius) & (
-            (second <= best + tol) | (np.abs(best - (dist - _EPS)) <= tol)
-        )
-        for r in np.flatnonzero(near).tolist():
-            dist[r], col[r], best[r] = _exact_step(
-                topology, int(x[r]), row[r], *dest[active[r]].tolist()
-            )
+        best = d[np.arange(len(d)), col]
 
         arrived = dist <= radius
         going = ~arrived & (hops[active] < ttl)

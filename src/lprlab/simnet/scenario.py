@@ -32,6 +32,7 @@ one response wave.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import itertools
 import math
@@ -444,8 +445,9 @@ def run_trials(
     src = _layout_starts(config, pool, indices)
     eligible = config.eligible_cells()
     centers = _cell_centers(config)
-    # Rank masses by hour, memoised across the trials of this call.
-    hour_pmfs: dict[int, list[float]] = {}
+    # Cumulative rank masses by hour, memoised across the trials of
+    # this call.
+    hour_cums: dict[int, list[float]] = {}
     n_trials = len(indices)
     updaters = src.copy()
     cand = np.zeros((n_trials, config.n_candidates), dtype=np.int32)
@@ -460,22 +462,19 @@ def run_trials(
             rng.choice(len(eligible), config.n_candidates, replace=False)
         ]
 
-        pmf = hour_pmfs.get(hour)
-        if pmf is None:
-            pmf = hour_pmfs[hour] = sequential_hit_pmf(
+        cum = hour_cums.get(hour)
+        if cum is None:
+            cum = hour_cums[hour] = list(itertools.accumulate(sequential_hit_pmf(
                 RegularityModel()(hour + 0.5), config.n_candidates
-            )
-        u = float(rng.random())
-        true_rank = 0
-        cum = 0.0
-        for i, mass in enumerate(pmf, start=1):
-            cum += mass
-            if u < cum:
-                true_rank = i
-                break
-        if true_rank > 0:
-            true_cells[t] = cand_idx[true_rank - 1]
+            )))
+        # The true cell is the first candidate whose cumulative mass
+        # exceeds the draw; rank 0 when none does.
+        first = bisect.bisect_right(cum, rng.random())
+        if first < len(cum):
+            true_rank = first + 1
+            true_cells[t] = cand_idx[first]
         else:
+            true_rank = 0
             # eligible is sorted and unique, so rest is the sorted set of
             # non-candidate cells, and this is rng.choice(rest)'s draw.
             rest = np.delete(eligible, np.searchsorted(eligible, cand_idx))

@@ -54,7 +54,9 @@ class Topology:
         return self.xs[u], self.ys[u]
 
     def distance_to(self, u: int, point: tuple[float, float]) -> float:
-        return math.hypot(self.xs[u] - point[0], self.ys[u] - point[1])
+        # The routing distance formula (see gpsr), on plain floats.
+        dx, dy = self.xs[u] - point[0], self.ys[u] - point[1]
+        return math.sqrt(dx * dx + dy * dy)
 
     def bearing(self, u: int, v: int) -> float:
         xs, ys = self.xs, self.ys

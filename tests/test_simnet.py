@@ -16,6 +16,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -210,13 +211,14 @@ def _assert_rotation_matches_oracle(topo, angles):
     exact bearing and the floats next to it, which take the aligned
     (delta <= 1e-12) branch."""
     for x in range(topo.n):
+        row = topo.planar[x].tolist()
         refs = list(angles)
         for v in range(topo.n):
             if v != x:
                 b = topo.bearing(x, v)
                 refs += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
         for ref in refs:
-            assert _next_ccw(topo, x, ref) == _sorted_next_ccw(topo, x, ref)
+            assert _next_ccw(topo, x, row, ref) == _sorted_next_ccw(topo, x, ref)
 
 
 def _numpy_bearing(positions, u, v):
@@ -348,9 +350,10 @@ class TestTopology:
             for u in range(topo.n):
                 assert topo.position(u) == (float(p[u, 0]), float(p[u, 1]))
                 point = (rng.uniform(-100.0, 1100.0), rng.uniform(-100.0, 1100.0))
-                assert bits(topo.distance_to(u, point)) == bits(math.hypot(
-                    float(p[u, 0]) - point[0], float(p[u, 1]) - point[1]
-                ))
+                offset = p[u] - point
+                assert bits(topo.distance_to(u, point)) == bits(
+                    np.sqrt(offset[0] * offset[0] + offset[1] * offset[1])
+                )
                 for v in range(topo.n):
                     assert bits(topo.bearing(u, v)) == bits(_numpy_bearing(p, u, v))
 
@@ -485,9 +488,14 @@ def _assert_route_ok(topo, route, src, dest, radius, ttl):
 def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
     """One leg at a time: the scalar greedy loop, with perimeter mode
     inline, as gpsr_route ran before legs were batched. The oracle for
-    route_legs and gpsr_route."""
+    route_legs and gpsr_route. It keeps the rotation bound the walker
+    dropped, so agreement shows the bound never binds."""
     eps = 1e-9
     dx, dy = float(dest_position[0]), float(dest_position[1])
+
+    def dist(x, y):
+        return math.sqrt((x - dx) * (x - dx) + (y - dy) * (y - dy))
+
     dest = (dx, dy)
     xs, ys = topology.xs, topology.ys
     x = src
@@ -502,7 +510,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
 
     while True:
         px, py = xs[x], ys[x]
-        dist_x = math.hypot(px - dx, py - dy)
+        dist_x = dist(px, py)
         if dist_x <= acceptance_radius:
             return RouteResult(True, path, tuple(steps))
         if len(path) - 1 >= ttl:
@@ -512,7 +520,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
             best = None
             best_dist = dist_x - eps
             for v in _rows(topology, "neighbors")[x]:
-                d = math.hypot(xs[v] - dx, ys[v] - dy)
+                d = dist(xs[v], ys[v])
                 if d < best_dist:
                     best_dist = d
                     best = v
@@ -535,21 +543,22 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
                 continue
             ref = topology.bearing(x, arrival_from)
 
-        nxt = _next_ccw(topology, x, ref)
+        row = _rows(topology, "planar")[x]
+        nxt = _next_ccw(topology, x, row, ref)
         if nxt is None:
             return RouteResult(False, path, tuple(steps))
         rotations = 0
-        max_rotations = 2 * len(_rows(topology, "planar")[x]) + 2
+        max_rotations = 2 * len(row) + 2
         while rotations < max_rotations:
             crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
             if crossing is None:
                 break
-            cross_dist = math.hypot(crossing[0] - dx, crossing[1] - dy)
+            cross_dist = dist(*crossing)
             if cross_dist >= best_cross_dist - eps:
                 break
             best_cross_dist = cross_dist
             first_edge = None
-            nxt = _next_ccw(topology, x, topology.bearing(x, nxt))
+            nxt = _next_ccw(topology, x, row, topology.bearing(x, nxt))
             rotations += 1
 
         if first_edge is None:
@@ -591,8 +600,7 @@ def _nudged(point, dx, dy):
 def _tie_destinations(topo):
     """Node positions, the midpoints of links and the lattice points
     between nodes (exact distance ties on lattices), each also nudged by
-    one ulp, the near-ties that np.hypot and math.hypot may order
-    differently."""
+    one ulp: near-ties, whose order only exact distances keep."""
     points = [topo.position(u) for u in range(topo.n)]
     for u in range(topo.n):
         for v in _rows(topo, "neighbors")[u]:
@@ -784,10 +792,32 @@ class TestGpsr:
         ttl = data.draw(st.integers(0, 4 * topo.n), label="ttl")
         _assert_batch_matches_scalar(topo, legs, radius, ttl)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_layouts(), st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]), st.data())
+    def test_batch_distance_is_distance_to_bit_for_bit(self, topo, scale, data):
+        # The invariant the router rests on: its numpy distances are
+        # distance_to's plain-float ones to the bit, so the lockstep
+        # steps and the perimeter walker decide alike. Layouts are scaled
+        # over wide magnitudes; destinations are the ulp-nudged tie
+        # points or anywhere in the float range.
+        topo = topology_from_positions(topo.positions * scale, topo.radio_range * scale)
+        wide = st.floats(allow_nan=False, allow_infinity=False)
+        dests = data.draw(st.lists(
+            st.sampled_from(_tie_destinations(topo)) | st.tuples(wide, wide),
+            min_size=1, max_size=8,
+        ))
+        xs, ys = topo.positions[:, 0], topo.positions[:, 1]
+        for dest in dests:
+            with np.errstate(over="ignore"):
+                got = gpsr._distance(xs - dest[0], ys - dest[1])
+            assert [float(v).hex() for v in got] == [
+                topo.distance_to(u, dest).hex() for u in range(topo.n)]
+
     def test_greedy_step_one_ulp_under_the_progress_threshold(self):
-        # By math.hypot, node 1 is one ulp closer to the destination than
-        # the progress threshold of node 0, so greedy takes the hop; a
-        # hypot one ulp off would see a local minimum at node 0.
+        # By the routing distance, node 1 is one ulp closer to the
+        # destination than the progress threshold of node 0, so greedy
+        # takes the hop; a distance one ulp off would see a local minimum
+        # at node 0.
         dest = (float.fromhex("0x1.8de7009553606p+2"), float.fromhex("0x1.41d2794be2662p+2"))
         near = (float.fromhex("0x1.c55004c6ad7bdp-4"), float.fromhex("-0x1.1218d157b7c63p-3"))
         topo = topology_from_positions([(0.0, 0.0), near], 1.0)
@@ -867,6 +897,22 @@ class TestGpsr:
             for dest in ((value, 0.0), (0.0, value)):
                 with pytest.raises(ValueError, match="dest_position"):
                     gpsr_route(topo, 0, dest, ttl=50)
+        # Extreme finite destinations route with no exception and no
+        # warning. Far ones, whose squares overflow to inf, fail; the
+        # squares of a subnormal offset underflow to 0, so node 0 at the
+        # origin is at distance 0 from (5e-324, 0) and arrives.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dest in ((1e200, 3.0), (-1e300, 1e300)):
+                route = gpsr_route(topo, 0, dest)
+                assert isinstance(route, RouteResult) and not route.success
+            route = gpsr_route(topo, 6, (5e-324, 0.0))
+            assert route.success and route.path[-1] == 0
+            # Here the crossing orientations overflow to opposite
+            # infinities and the crossing reads NaN: the face change must
+            # stop there, or the walker would rotate forever.
+            layout = build_topology(10, 1000.0, 450.0, seed=1)
+            assert not gpsr_route(layout, 2, (1e305, 1e307)).success
 
 
 def _hashed_home(target_id, grid_cells, cell_size, margin):
@@ -916,7 +962,7 @@ def test_within_matches_distance_loop(topo, data):
     coord = st.floats(-200.0, 1200.0)
     points = np.array(data.draw(st.lists(st.tuples(coord, coord),
                                          min_size=n_legs, max_size=n_legs)))
-    # A radius exactly at one leg's math.hypot distance, an ulp to either
+    # A radius exactly at one leg's distance_to distance, an ulp to either
     # side, or anywhere; copies of a leg make more exact ties.
     tie = data.draw(st.integers(0, n_legs - 1))
     nodes[: n_legs // 2] = nodes[tie]
@@ -934,9 +980,10 @@ def test_within_matches_distance_loop(topo, data):
     assert inside.tolist() == expected
 
 
-def test_within_decides_ulp_ties_by_math_hypot():
-    # Points where np.hypot and math.hypot disagree by an ulp, each with
-    # the acceptance radius exactly at its math.hypot distance.
+def test_within_decides_ulp_ties_by_distance_to():
+    # Points where np.hypot and math.hypot disagree by an ulp: the
+    # acceptance radius at either of their distances, and an ulp under
+    # the routing distance, is decided as distance_to decides it.
     topo = build_topology(30, 1000.0, 400.0, seed=4)
     rng = np.random.default_rng(8)
     nodes = rng.integers(topo.n, size=4000)
@@ -946,11 +993,10 @@ def test_within_decides_ulp_ties_by_math_hypot():
     split = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) != exact)[:20]
     assert split.size == 20
     for i in split.tolist():
-        for radius in (exact[i], math.nextafter(exact[i], 0.0)):
+        d = topo.distance_to(int(nodes[i]), tuple(points[i].tolist()))
+        for radius in (exact[i], float(np.hypot(*offset[i])), d, math.nextafter(d, 0.0)):
             inside = _within(topo, nodes[i:i + 1], points[i:i + 1], radius)
-            assert inside.tolist() == [
-                topo.distance_to(int(nodes[i]), tuple(points[i].tolist())) <= radius
-            ]
+            assert inside.tolist() == [d <= radius]
 
 
 class TestDelivery:
