@@ -18,10 +18,10 @@ random cell.
 
 run_trials computes a batch of trials as a fixed sequence of waves, each
 routing all of its legs in one gpsr.route_legs call on that graph:
-1. every trial draws its randomness, in index order, from its own
-   stream (the ghls updater included), since no routing consumes any:
-   trial i's stream is the one seeded [seed, 7, i], and _streams seeds
-   all of a batch's streams in one vectorized pass;
+1. every trial draws its randomness from its own stream (the ghls
+   updater included), since no routing consumes any: trial i's stream
+   is the one seeded [seed, 7, i], and streams.Streams makes each draw
+   of all of a batch's streams at once, as array arithmetic;
 2. the oracle legs, plus their responses for the oracle strategy;
 3. lpr: for each stage while some trial is open, the forward copies,
    the responses of the copies that arrived, and the hit check;
@@ -32,7 +32,6 @@ one response wave.
 
 from __future__ import annotations
 
-import bisect
 import configparser
 import itertools
 import math
@@ -58,6 +57,7 @@ from .delivery import (
     round_trips,
 )
 from .gpsr import _leg_ttl, route_legs
+from .streams import Streams, floyd_limit
 from .topology import Topology, _disjoint_union, build_topology
 
 __all__ = [
@@ -138,6 +138,11 @@ class ScenarioConfig:
             raise ValueError(
                 "n_candidates must leave at least one eligible non-candidate cell"
             )
+        if self.n_candidates > floyd_limit(n_eligible):
+            raise ValueError(f"[traffic] n_candidates = {self.n_candidates} is above "
+                             f"{floyd_limit(n_eligible)}: numpy's choice draws more than "
+                             f"1 in 50 of over 10000 eligible cells by a tail shuffle, "
+                             f"not the Floyd's algorithm the trial draws copy")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.strategy == "lpr":
@@ -315,176 +320,47 @@ def _cell_centers(config: ScenarioConfig) -> np.ndarray:
     return np.stack(cell_center(CellId(i % g, i // g), config.cell_size), axis=1)
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Streams whose 128-bit states are formed from one .tolist() at a time:
-# with all 2,000 of a run's at once, the Python ints alone raised the
-# run's peak RSS by about 0.4 MiB.
-_STATE_CHUNK = 16
-
-
-def _words(x: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative int; 0 is [0]."""
-    out = [x & _MASK32]
-    while x := x >> 32:
-        out.append(x & _MASK32)
-    return out
-
-
-def _seed_sequence_words(entropy: list) -> Iterator:
-    """The 8 uint32 words SeedSequence(entropy).generate_state(8) gives,
-    in order, for entropy words that are each an int shared by all
-    streams or a uint32 array with one word per stream; a result word is
-    an array as soon as an array went into it."""
-    entropy = entropy + [0] * (4 - len(entropy))
-    h = 0x43B0D7E5
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = h * 0x931E8875 & _MASK32
-        v = v * h & _MASK32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hb = 0x8B51F9DD
-    for i in range(8):
-        v = pool[i % 4] ^ hb
-        hb = hb * 0x58F38DED & _MASK32
-        v = v * hb & _MASK32
-        yield v ^ v >> 16
-
-
-def _streams(seed: int, tag: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
-    """For each index in turn, one reused Generator re-stated to draw
-    exactly what np.random.default_rng([seed, tag, index]) would draw;
-    finish with it before taking the next. A negative index raises
-    ValueError, as default_rng does.
-
-    The start states of all the streams come from one pass of numpy's
-    SeedSequence recipe (all arithmetic mod 2**32 unless noted) as array
-    arithmetic over every index at once:
-    - Words: seed, tag and index each split into little-endian uint32
-      words (0 gives one word, 0), concatenated.
-    - hashmix(v): v ^= h; h = h*0x931E8875; v = v*h; v ^= v >> 16, with
-      h starting at 0x43B0D7E5 and carried across every call in order.
-    - mix(x, y): r = 0xCA01F9DD*x - 0x4973F715*y; return r ^ (r >> 16).
-    - Pool: pool[i] = hashmix(word i, or 0) for i < 4; then for each
-      src, dst in 0..3 with src != dst, pool[dst] = mix(pool[dst],
-      hashmix(pool[src])); then for each word beyond the fourth and each
-      dst, pool[dst] = mix(pool[dst], hashmix(word)).
-    - Output words: for i in 0..7, v = pool[i % 4] ^ hb; hb =
-      hb*0x58F38DED; v = v*hb; v ^= v >> 16, with hb starting at
-      0x8B51F9DD; then u64[j] = u32[2j] | u32[2j+1] << 32.
-    - PCG64 state (mod 2**128): initstate = u64[0] << 64 | u64[1], inc =
-      (u64[2] << 64 | u64[3]) << 1 | 1, and state = (inc + initstate) *
-      0x2360ED051FC65DA44385DF649FCCF645 + inc.
-    - Re-state: bit generator state {state, inc} with has_uint32 = 0, so
-      no half-used 32-bit buffer leaks from one stream into the next.
-    Indices are grouped by their word count, which changes the mix. A
-    group of one index is mixed in Python ints: numpy's per-operation
-    overhead would make its 170 one-element operations ten times slower
-    than default_rng.
-    """
-    indices = [int(i) for i in indices]
-    if indices and min(indices) < 0:
-        raise ValueError(f"stream index {min(indices)} is negative")
-    widths = [max(1, (i.bit_length() + 31) // 32) for i in indices]
-    u32 = np.empty((len(indices), 8), dtype="<u4")
-    fixed = _words(seed) + _words(tag)
-    for width in set(widths):
-        where = [t for t, w in enumerate(widths) if w == width]
-        if len(where) == 1:
-            index_words = _words(indices[where[0]])
-        else:
-            index_words = [
-                np.fromiter((indices[t] >> s & _MASK32 for t in where), np.uint32, len(where))
-                for s in range(0, 32 * width, 32)
-            ]
-        for i, word in enumerate(_seed_sequence_words(fixed + index_words)):
-            u32[where, i] = word
-    u64 = u32.view("<u8")
-
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for lo in range(0, len(indices), _STATE_CHUNK):
-        for hi0, lo0, hi1, lo1 in u64[lo:lo + _STATE_CHUNK].tolist():
-            inc = ((hi1 << 64 | lo1) << 1 | 1) & _MASK128
-            state = ((inc + (hi0 << 64 | lo0)) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-
-
 def run_trials(
     config: ScenarioConfig, indices: Iterable[int], pool: Topology
 ) -> list[TrialRow]:
     """Run the given trial indices; any disjoint split merges cleanly.
 
-    Every trial's draws come first, in index order, each from its own
-    stream; then the trials' legs run as waves (see the module
-    docstring), which consume no randomness.
+    Every trial's draws come first, each from its own stream; then the
+    trials' legs run as waves (see the module docstring), which consume
+    no randomness.
     """
     indices = [int(i) for i in indices]
     src = _layout_starts(config, pool, indices)
-    eligible = config.eligible_cells()
-    centers = _cell_centers(config)
-    # Cumulative rank masses by hour, memoised across the trials of
-    # this call.
-    hour_cums: dict[int, list[float]] = {}
-    n_trials = len(indices)
+    # Candidate and true cells are positions in the sorted eligible cells.
+    places = _cell_centers(config)[config.eligible_cells()]
+    n_trials, nc = len(indices), config.n_candidates
     updaters = src.copy()
-    cand = np.zeros((n_trials, config.n_candidates), dtype=np.int32)
-    true_cells = np.zeros(n_trials, dtype=np.intp)
-    hours, true_ranks = [], []
-    for t, rng in enumerate(_streams(config.seed, _TRIAL_TAG, indices)):
-        src[t] += rng.integers(config.n)
-        hour = int(rng.integers(HOURS_PER_WEEK))
-        # choice's index draw, as choice(eligible, ...) makes it, without
-        # its array path.
-        cand[t] = cand_idx = eligible[
-            rng.choice(len(eligible), config.n_candidates, replace=False)
-        ]
+    draws = Streams(config.seed, _TRIAL_TAG, indices)
+    src += draws.integers(config.n)
+    hours = draws.integers(HOURS_PER_WEEK)
+    cand = draws.choice(len(places), nc)
+    u = draws.random()
+    # The true cell is the first candidate whose cumulative rank mass at
+    # the trial's hour exceeds u; rank 0 (a wanderer) when none does.
+    cums = np.zeros((HOURS_PER_WEEK, nc))
+    for hour in np.flatnonzero(np.bincount(hours, minlength=HOURS_PER_WEEK)).tolist():
+        pmf = sequential_hit_pmf(RegularityModel()(hour + 0.5), nc)
+        cums[hour] = list(itertools.accumulate(pmf))
+    first = (cums[hours] <= u[:, None]).sum(axis=1)
+    true_pos = cand[np.arange(n_trials), np.minimum(first, nc - 1)]
+    # A wanderer draws index k into the sorted non-candidate cells: its
+    # position is k plus one for each candidate position at or below it.
+    wander = np.flatnonzero(first == nc)
+    k = draws.integers(len(places) - nc, wander)
+    for taken in np.sort(cand[wander], axis=1).T:
+        k += taken <= k
+    true_pos[wander] = k
+    if config.strategy == "ghls":
+        updaters += draws.integers(config.n)
+    del draws  # the draw state is not kept through the routing waves
+    true_ranks = np.where(first < nc, first + 1, 0)
 
-        cum = hour_cums.get(hour)
-        if cum is None:
-            cum = hour_cums[hour] = list(itertools.accumulate(sequential_hit_pmf(
-                RegularityModel()(hour + 0.5), config.n_candidates
-            )))
-        # The true cell is the first candidate whose cumulative mass
-        # exceeds the draw; rank 0 when none does.
-        first = bisect.bisect_right(cum, rng.random())
-        if first < len(cum):
-            true_rank = first + 1
-            true_cells[t] = cand_idx[first]
-        else:
-            true_rank = 0
-            # eligible is sorted and unique, so rest is the sorted set of
-            # non-candidate cells, and this is rng.choice(rest)'s draw.
-            rest = np.delete(eligible, np.searchsorted(eligible, cand_idx))
-            true_cells[t] = rest[rng.integers(len(rest))]
-        if config.strategy == "ghls":
-            updaters[t] += rng.integers(config.n)
-        hours.append(hour)
-        true_ranks.append(true_rank)
-
-    true_positions = centers[true_cells]
+    true_positions = places[true_pos]
     radius = config.cell_size
     ttl = _leg_ttl(config.n)
     latency = np.ones(n_trials)
@@ -497,10 +373,10 @@ def run_trials(
         if config.strategy == "lpr":
             assert config.grouping is not None
             success, latency, transmissions = lpr_waves(
-                pool, ttl, src, cand, centers, config.grouping, true_positions, radius
+                pool, ttl, src, cand, places, config.grouping, true_positions, radius
             )
         else:
-            homes = centers[[eligible[hashed_home_index(i, len(eligible))] for i in indices]]
+            homes = places[[hashed_home_index(i, len(places)) for i in indices]]
             latency = np.full(n_trials, 2.0)
             success, transmissions, update_hops = ghls_waves(
                 pool, ttl, src, homes, true_positions, radius, updaters
@@ -509,7 +385,7 @@ def run_trials(
     return [
         TrialRow(*fields)
         for fields in zip(
-            indices, hours, true_ranks, reachable.tolist(), success.tolist(),
+            indices, hours.tolist(), true_ranks.tolist(), reachable.tolist(), success.tolist(),
             latency.tolist(), transmissions.tolist(), update_hops.tolist(),
         )
     ]
@@ -526,13 +402,12 @@ def measure_baseline(config: ScenarioConfig, pool: Topology) -> float | None:
     src = _layout_starts(config, pool, range(n_probes))
     if n_probes == 0:
         return None
-    eligible = config.eligible_cells()
-    centers = _cell_centers(config)
-    cells = np.zeros(n_probes, dtype=np.intp)
-    for b, rng in enumerate(_streams(config.seed, _BASELINE_TAG, range(n_probes))):
-        src[b] += rng.integers(config.n)
-        cells[b] = eligible[rng.integers(len(eligible))]
-    _, _, cost = round_trips(pool, _leg_ttl(config.n), src, centers[cells], config.cell_size)
+    places = _cell_centers(config)[config.eligible_cells()]
+    probes = Streams(config.seed, _BASELINE_TAG, range(n_probes))
+    src += probes.integers(config.n)
+    dest = places[probes.integers(len(places))]
+    del probes  # the draw state is not kept through the round trips
+    _, _, cost = round_trips(pool, _leg_ttl(config.n), src, dest, config.cell_size)
     return int(cost.sum()) / n_probes
 
 

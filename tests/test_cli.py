@@ -328,6 +328,18 @@ class TestSimulate:
         assert not (tmp_path / "trials.csv").exists()
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
+    def test_too_many_candidates_exit_2(self, tmp_path, capsys):
+        # Of 10201 cells numpy's choice draws at most 204 by the Floyd's
+        # algorithm that the trial draws copy.
+        path = tmp_path / "scenario.ini"
+        path.write_text(ORACLE_INI.replace("grid_cells = 8", "grid_cells = 101\ncell_margin = 0")
+                        .replace("n_candidates = 5", "n_candidates = 205"))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [traffic] n_candidates = 205 is above 204: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "trials.csv").exists()
+
     def test_trials_and_seed_overrides(self, tmp_path, capsys):
         ini = self._ini(tmp_path)
         assert main(["simulate", ini, "--trials", "10", "--seed", "9",

@@ -67,6 +67,7 @@ from lprlab.simnet.scenario import (
     measure_baseline,
     run_trials,
 )
+from lprlab.simnet.streams import Streams
 from lprlab.simnet.topology import _disjoint_union
 
 # A gap in the middle of the field: node 1 faces the destination but
@@ -1230,6 +1231,15 @@ class TestScenarioConfig:
             replace(SMALL, n=2049)
         with pytest.raises(ValueError, match=re.escape("[topology] grid_cells = 257")):
             replace(SMALL, grid_cells=257)
+        # numpy's choice, which the trial draws copy, draws by Floyd's
+        # algorithm at most n_eligible // 50 of over 10000 eligible cells.
+        assert replace(SMALL, grid_cells=16, cell_margin=0, n_candidates=255).n_candidates == 255
+        assert replace(SMALL, grid_cells=101, cell_margin=0, n_candidates=204).n_candidates == 204
+        with pytest.raises(ValueError, match=re.escape("[traffic] n_candidates = 205 is above 204")):
+            replace(SMALL, grid_cells=101, cell_margin=0, n_candidates=205)
+        assert replace(SMALL, grid_cells=256, cell_margin=0, n_candidates=1310).n_candidates == 1310
+        with pytest.raises(ValueError, match=re.escape("n_candidates = 1311 is above 1310")):
+            replace(SMALL, grid_cells=256, cell_margin=0, n_candidates=1311)
 
     def test_non_finite_values_rejected(self):
         for value in (math.nan, math.inf, -math.inf):
@@ -1614,14 +1624,30 @@ class TestScenarioRuns:
         assert out == "[]\n"
 
 
-def _mixed_draws(rng):
+# A draw program: one Generator call per step, made by every stream.
+# Bound 2**31 + 1 rejects about half of its draws and bound 1 draws
+# nothing; 2**32 is a plain 32-bit draw, and random() between two of
+# them must leave the first one's buffered high half to the second.
+_PROGRAM = [
+    ("integers", 280), ("integers", 168), ("choice", 100, 12), ("random",),
+    ("integers", 2**31 + 1), ("integers", 1), ("integers", 2**32), ("random",),
+    ("integers", 2**32), ("integers", 2), ("integers", 88), ("choice", 16, 15),
+]
+
+
+def _oracle_draws(rng, program):
+    """program's values from one Generator, one per step."""
     return [
-        int(rng.integers(280)),
-        int(rng.integers(168)),
-        rng.choice(100, 12, replace=False).tolist(),
-        float(rng.random()),
-        int(rng.integers(2**40)),
+        rng.choice(*args, replace=False).tolist() if name == "choice"
+        else np.asarray(getattr(rng, name)(*args)).tolist()
+        for name, *args in program
     ]
+
+
+def _lockstep_draws(streams, program):
+    """program's values from every stream of a Streams, one list per stream."""
+    steps = [getattr(streams, name)(*args).tolist() for name, *args in program]
+    return [list(values) for values in zip(*steps)]
 
 
 # Indices whose word count differs (2**32 - 1 is one uint32 word, 2**32
@@ -1630,7 +1656,7 @@ _EDGE_INDICES = [0, 2**32 - 1, 2**32]
 
 
 class TestStreams:
-    """scenario._streams against its oracle, one default_rng per index."""
+    """streams.Streams against its oracle, one default_rng per index."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1642,28 +1668,67 @@ class TestStreams:
     def test_matches_default_rng_per_index(self, seed, tag, drawn, shuffler):
         indices = drawn + _EDGE_INDICES + drawn[:2]  # repeats, mixed widths
         shuffler.shuffle(indices)
-        for index, rng in zip(indices, scenario._streams(seed, tag, indices), strict=True):
+        got = _lockstep_draws(Streams(seed, tag, indices), _PROGRAM)
+        for index, values in zip(indices, got, strict=True):
             oracle = np.random.default_rng([seed, tag, index])
-            assert rng.bit_generator.state == oracle.bit_generator.state
-            assert _mixed_draws(rng) == _mixed_draws(oracle)
+            assert values == _oracle_draws(oracle, _PROGRAM)
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**70, 2**96 - 1, 2**130])
     def test_long_entropy_runs_the_extra_mixing(self, seed):
         # seed 2**70 is three words, so [seed, tag, index] is at least
         # five: more words than SeedSequence's pool of four.
         indices = [3, 2**64 + 7, 2**100, *_EDGE_INDICES]
-        for index, rng in zip(indices, scenario._streams(seed, 13, indices), strict=True):
-            oracle = np.random.default_rng([seed, 13, index])
-            assert _mixed_draws(rng) == _mixed_draws(oracle)
+        got = _lockstep_draws(Streams(seed, 13, indices), _PROGRAM)
+        for index, values in zip(indices, got, strict=True):
+            assert values == _oracle_draws(np.random.default_rng([seed, 13, index]), _PROGRAM)
 
     def test_half_used_32_bit_buffer_does_not_carry_over(self):
-        indices = list(range(6))
-        for index, rng in zip(indices, scenario._streams(5, 7, indices), strict=True):
+        # Streams 0, 2 and 4 make one more 32-bit draw than the others, so
+        # only they hold a buffered high half; every stream's later draws
+        # must be its own.
+        indices, odd = list(range(6)), [0, 2, 4]
+        streams = Streams(5, 7, indices)
+        first = streams.integers(2**32).tolist()
+        extra = streams.integers(2**32, np.array(odd)).tolist()
+        later = [("integers", 2**32), ("random",), ("integers", 2**32), ("integers", 280)]
+        got = _lockstep_draws(streams, later)
+        for index in indices:
             oracle = np.random.default_rng([5, 7, index])
-            assert rng.bit_generator.state == oracle.bit_generator.state
-            odd = rng.integers(2**32, size=3, dtype=np.uint32)
-            assert odd.tolist() == oracle.integers(2**32, size=3, dtype=np.uint32).tolist()
-            assert rng.bit_generator.state["has_uint32"] == 1
+            assert first[index] == oracle.integers(2**32)
+            if index in odd:
+                assert extra[odd.index(index)] == oracle.integers(2**32)
+            assert got[index] == _oracle_draws(oracle, later)
+
+    def test_rejections_on_a_subset_step_alone(self):
+        # 40 draws at bound 2**31 + 1 redraw about 40 more times, so each
+        # drawing stream steps as far as its own rejections take it, well
+        # past the other streams; those stay put.
+        indices, rows = list(range(8)), [1, 4, 6]
+        streams = Streams(9, 13, indices)
+        got = [streams.integers(2**31 + 1, np.array(rows)).tolist() for _ in range(40)]
+        after = streams.integers(280).tolist()
+        for index in indices:
+            oracle = np.random.default_rng([9, 13, index])
+            if index in rows:
+                expected = [oracle.integers(2**31 + 1) for _ in range(40)]
+                assert [step[rows.index(index)] for step in got] == expected
+            assert after[index] == oracle.integers(280)
+
+    @pytest.mark.parametrize("pop, size", [(100, 12), (16, 15), (10000, 200), (10049, 200)])
+    def test_choice_on_floyds_path(self, pop, size):
+        # (10049, 200) is the largest draw from 10049 that numpy's choice
+        # still makes by Floyd's algorithm.
+        indices = [0, 1, 2**32]
+        got = Streams(42, 7, indices).choice(pop, size).tolist()
+        for index, values in zip(indices, got, strict=True):
+            oracle = np.random.default_rng([42, 7, index])
+            assert values == oracle.choice(pop, size, replace=False).tolist()
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="not Floyd's algorithm"):
+            Streams(0, 7, [0]).choice(10049, 201)
+        with pytest.raises(ValueError, match="stream index -1 is negative"):
+            Streams(0, 7, [3, -1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1709,11 +1774,13 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
 def _replay_draws(config, trials):
     """Each trial's draws, replayed from its own default_rng stream with
     the plain Generator calls: (source node, hour, true rank, candidate
-    cells, true cell) arrays, indexed by trial."""
+    cells, true cell, ghls updater node) arrays, indexed by trial; the
+    updaters are -1 unless the strategy is ghls."""
     eligible = config.eligible_cells()
     model = RegularityModel()
     nc = config.n_candidates
     src = np.zeros(trials, dtype=np.intp)
+    updaters = np.full(trials, -1, dtype=np.intp)
     hours = np.zeros(trials, dtype=np.intp)
     ranks = np.zeros(trials, dtype=np.intp)
     cands = np.zeros((trials, nc), dtype=np.intp)
@@ -1721,7 +1788,8 @@ def _replay_draws(config, trials):
 
     for index in range(trials):
         rng = np.random.default_rng([config.seed, 7, index])
-        src[index] = rng.integers(config.n) + index % config.pool_size * config.n
+        layout_start = index % config.pool_size * config.n
+        src[index] = rng.integers(config.n) + layout_start
         hour = int(rng.integers(168))
         cand = rng.choice(eligible, size=nc, replace=False)
         pmf = sequential_hit_pmf(model(hour + 0.5), nc)
@@ -1737,10 +1805,12 @@ def _replay_draws(config, trials):
             true_cells[index] = cand[true_rank - 1]
         else:
             true_cells[index] = rng.choice(np.setdiff1d(eligible, cand))
+        if config.strategy == "ghls":
+            updaters[index] = rng.integers(config.n) + layout_start
         hours[index] = hour
         ranks[index] = true_rank
         cands[index] = cand
-    return src, hours, ranks, cands, true_cells
+    return src, hours, ranks, cands, true_cells, updaters
 
 
 @pytest.mark.parametrize("config", [
@@ -1757,13 +1827,44 @@ def test_trial_draws_replay_with_plain_generator_calls(config):
     pool = build_pool(config)
     with mock.patch.object(scenario, "route_legs", wraps=scenario.route_legs) as reach:
         rows = run_trials(config, range(config.trials), pool)
-    src, hours, ranks, _, true_cells = _replay_draws(config, config.trials)
+    src, hours, ranks, _, true_cells, _ = _replay_draws(config, config.trials)
     assert [row.hour for row in rows] == hours.tolist()
     assert [row.true_rank for row in rows] == ranks.tolist()
     assert 0 in ranks
     # Its one call routes the reachability legs, to the true cells' centres.
     assert reach.call_count == 1
     (_, legs_src, legs_dest, _, _), _ = reach.call_args
+    assert legs_src.tolist() == src.tolist()
+    assert legs_dest.tolist() == scenario._cell_centers(config)[true_cells].tolist()
+
+
+def test_ghls_updater_draw_replays():
+    # 3 of 4 eligible cells are candidates: a wanderer's index draw has
+    # bound 1 and draws nothing, just before the updater draw.
+    config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=2,
+                            grid_cells=4, trials=300, n_candidates=3, strategy="ghls",
+                            seed=5)
+    pool = build_pool(config)
+    with mock.patch.object(scenario, "ghls_waves", wraps=scenario.ghls_waves) as waves:
+        rows = run_trials(config, range(config.trials), pool)
+    _, _, ranks, _, _, updaters = _replay_draws(config, config.trials)
+    assert [row.true_rank for row in rows] == ranks.tolist()
+    assert 0 in ranks
+    (*_, got), _ = waves.call_args
+    assert got.tolist() == updaters.tolist()
+
+
+def test_most_candidates_replay():
+    # The most candidates a scenario may draw of 10201 cells, 10201 // 50.
+    config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1,
+                            grid_cells=101, cell_margin=0, trials=30, n_candidates=204,
+                            strategy="oracle", seed=8)
+    with mock.patch.object(scenario, "round_trips", wraps=scenario.round_trips) as legs:
+        rows = run_trials(config, range(config.trials), build_pool(config))
+    src, hours, ranks, _, true_cells, _ = _replay_draws(config, config.trials)
+    assert [row.hour for row in rows] == hours.tolist()
+    assert [row.true_rank for row in rows] == ranks.tolist()
+    (_, _, legs_src, legs_dest, _), _ = legs.call_args
     assert legs_src.tolist() == src.tolist()
     assert legs_dest.tolist() == scenario._cell_centers(config)[true_cells].tolist()
 
@@ -1775,7 +1876,7 @@ def _leg_tables(config, pool, trials):
     nc = config.n_candidates
     hits = np.zeros((trials, nc), dtype=bool)
     costs = np.zeros((trials, nc), dtype=np.int64)
-    src, _, _, cands, true_cells = _replay_draws(config, trials)
+    src, _, _, cands, true_cells, _ = _replay_draws(config, trials)
     true_positions = centers[true_cells]
     # One round trip per (trial, rank), all in one pair of waves.
     trial = np.repeat(np.arange(trials), nc)
