@@ -10,9 +10,12 @@ Beta(r, 1 - r). `_conditional_cdf` is the one place this formula is written.
 Three layers build on each other here:
 
 - zeroth order: constant regularity ``c``, F(k; c),
-- time dependence: a sinusoidal hour-of-week regularity model R(t),
+- time dependence: a sinusoidal hour-of-week regularity model R(t), and
+  `hourly_regularity`, the week's one set of sample points: R at the 168
+  hour midpoints t + 0.5, read by every hourly consumer, and checked to
+  lie in (0, 1) there,
 - first order: F(k; R(t)) averaged over the hour-of-week, every hour
-  weighted alike, as a midpoint sum over 168 hourly bins, memoised per
+  weighted alike, as a midpoint sum over that table, memoised per
   (k, model) so that every consumer reads the same values.
 
 On top of the first-order CDF sit the grouping cost model (mean latency
@@ -45,9 +48,10 @@ __all__ = [
     "zeroth_order_cdf",
     "zeroth_order_pmf",
     "regularity",
+    "hourly_regularity",
     "first_order_cdf",
     "first_order_pmf",
-    "conditional_cdf_at_time",
+    "conditional_cdf",
     "sequential_hit_pmf",
     "mean_latency",
     "mean_traffic",
@@ -73,6 +77,7 @@ HOURS_PER_WEEK = 168
 _MAX_GROUPING_K = 20
 
 _CURVE_CACHE_SIZE = 1024  # memoised first-order values, one per (k, model)
+_TABLE_CACHE_SIZE = 64  # memoised hour tables, one per model
 
 
 def _check_k(k: int, lowest: int) -> None:
@@ -140,9 +145,6 @@ class RegularityModel:
     c2: float = DEFAULT_C2
     c3: float = DEFAULT_C3
 
-    def __call__(self, t: float) -> float:
-        return regularity(t, self)
-
 
 def regularity(t: float, model: RegularityModel | None = None) -> float:
     """R(t) for hour-of-week t in [0, 168)."""
@@ -157,6 +159,19 @@ def regularity(t: float, model: RegularityModel | None = None) -> float:
     )
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def hourly_regularity(model: RegularityModel | None = None) -> tuple[float, ...]:
+    """R(t + 0.5) for each hour t of the week, the midpoint of its bin;
+    ValueError at the first midpoint where R leaves (0, 1)."""
+    table = tuple(regularity(t + 0.5, model) for t in range(HOURS_PER_WEEK))
+    for t, r in enumerate(table):
+        if not 0.0 < r < 1.0:
+            raise ValueError(
+                f"regularity {r:.6g} at hour {t + 0.5:g}; it must lie in (0, 1)"
+            )
+    return table
+
+
 _DEFAULT_MODEL = RegularityModel()
 
 
@@ -167,20 +182,20 @@ def _conditional_cdf(k: int, r: float) -> float:
     return 1.0 - math.exp(-math.log(k) - log_beta(k, 1.0 - r))
 
 
-def conditional_cdf_at_time(
-    k: int, t: float, model: RegularityModel | None = None
-) -> float:
-    """Success probability after k probes for a query arriving at hour t."""
+def conditional_cdf(k: int, r: float) -> float:
+    """Success probability after k probes at instantaneous regularity r."""
     _check_k(k, 0)
-    return _conditional_cdf(k, regularity(t, model))
+    if not 0 < r < 1:
+        raise ValueError(f"regularity must be in (0, 1), got {r}")
+    return _conditional_cdf(k, r)
 
 
 def first_order_cdf(k: int, model: RegularityModel | None = None) -> float:
     """Hour-of-week averaged success probability after k ranked probes.
 
     Averages the conditional CDF over the hour-of-week, evaluating each of
-    the 168 hourly bins at its midpoint t + 0.5 and weighting every bin
-    alike. The midpoint sum is the fixed quadrature; quoted values refer
+    the 168 hourly bins at its midpoint (`hourly_regularity`) and weighting
+    every bin alike. The midpoint sum is the fixed quadrature; quoted values refer
     to it rather than to the underlying integral. Each (k, model) is
     summed once; an omitted model shares the entry of the default.
     """
@@ -192,8 +207,8 @@ def first_order_cdf(k: int, model: RegularityModel | None = None) -> float:
 def _midpoint_cdf(k: int, model: RegularityModel) -> float:
     weight = 1.0 / HOURS_PER_WEEK
     total = 0.0
-    for t in range(HOURS_PER_WEEK):
-        total += weight * _conditional_cdf(k, regularity(t + 0.5, model))
+    for r in hourly_regularity(model):
+        total += weight * _conditional_cdf(k, r)
     return total
 
 

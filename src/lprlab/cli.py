@@ -25,9 +25,9 @@ from .analytic import (
     DEFAULT_C1,
     DEFAULT_C2,
     DEFAULT_C3,
-    HOURS_PER_WEEK,
     BetaGeometricModel,
     RegularityModel,
+    hourly_regularity,
 )
 from .mobility import MobilityParams, empirical_regularity, generate_trace
 from .profile import write_trace_csv
@@ -111,13 +111,12 @@ def _finish(args: argparse.Namespace, out_dir: str, outputs: list[str],
 
 def _check_regularity(model: RegularityModel) -> None:
     """Reject flags that put R(t) outside (0, 1) at some hour midpoint."""
-    for hour in range(HOURS_PER_WEEK):
-        r = model(hour + 0.5)
-        if not 0.0 < r < 1.0:
-            raise ValueError(
-                f"--c1 {model.c1:g} --c2 {model.c2:g} --c3 {model.c3:g} give "
-                f"regularity {r:.6g} at hour {hour + 0.5:g}; it must lie in (0, 1)"
-            )
+    try:
+        hourly_regularity(model)
+    except ValueError as exc:
+        raise ValueError(
+            f"--c1 {model.c1:g} --c2 {model.c2:g} --c3 {model.c3:g} give {exc}"
+        ) from None
 
 
 def _curve_rows(name: str, args: argparse.Namespace, constant: BetaGeometricModel,
@@ -134,7 +133,10 @@ def _curve_rows(name: str, args: argparse.Namespace, constant: BetaGeometricMode
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    constant = BetaGeometricModel(args.c)
+    try:
+        constant = BetaGeometricModel(args.c)
+    except ValueError as exc:  # the model names its field c, the flag is --c
+        raise ValueError(f"--{exc}") from None
     model = RegularityModel(args.c1, args.c2, args.c3)
     _check_regularity(model)
     selected = _FIGURES if args.fig == "all" else (args.fig,)
@@ -184,12 +186,12 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 def _verify_trace(traces, params: MobilityParams) -> int:
     """Compare per-hour modal-cell frequency against the model curve."""
     empirical = empirical_regularity(traces)
-    model = RegularityModel()
+    table = hourly_regularity()
     samples = params.n_users * params.n_weeks
     worst_z = 0.0
     worst = (0.0, 1.0)
     for hour in range(len(empirical)):
-        expected = model(hour + 0.5)
+        expected = table[hour]
         sigma = math.sqrt(expected * (1.0 - expected) / samples)
         deviation = abs(float(empirical[hour]) - expected)
         if deviation > worst_z * sigma:

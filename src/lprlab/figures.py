@@ -12,7 +12,7 @@ import os
 from typing import Iterable, Sequence
 
 from . import analytic
-from .analytic import HOURS_PER_WEEK, BetaGeometricModel, RegularityModel
+from .analytic import BetaGeometricModel, RegularityModel
 
 __all__ = [
     "success_cdf_rows",
@@ -20,8 +20,6 @@ __all__ = [
     "first_try_pmf_rows",
     "retry_pmf_rows",
     "grouping_front_rows",
-    "peak_hour",
-    "trough_hour",
     "format_value",
     "write_csv",
 ]
@@ -43,28 +41,19 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
     os.replace(tmp, path)
 
 
+def _ranks(k_max: int) -> range:
+    """The k column 1..k_max of the cdf and pmf families."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    return range(1, k_max + 1)
+
+
 def success_cdf_rows(
     k_max: int = 50, model: BetaGeometricModel | None = None
 ) -> tuple[list[str], list[tuple]]:
     """Constant-regularity success probability over k."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    rows = [(k, analytic.zeroth_order_cdf(k, model)) for k in range(1, k_max + 1)]
+    rows = [(k, analytic.zeroth_order_cdf(k, model)) for k in _ranks(k_max)]
     return ["k", "success_cdf"], rows
-
-
-def peak_hour(model: RegularityModel | None = None) -> int:
-    """Hour-of-week bin whose midpoint regularity is highest."""
-    return max(
-        range(HOURS_PER_WEEK), key=lambda t: analytic.regularity(t + 0.5, model)
-    )
-
-
-def trough_hour(model: RegularityModel | None = None) -> int:
-    """Hour-of-week bin whose midpoint regularity is lowest."""
-    return min(
-        range(HOURS_PER_WEEK), key=lambda t: analytic.regularity(t + 0.5, model)
-    )
 
 
 def time_averaged_rows(
@@ -73,22 +62,15 @@ def time_averaged_rows(
     """Hour-of-week averaged success next to the best-hour and worst-hour curves.
 
     The night column conditions on the regularity peak, the day column on
-    the trough; both evaluate at the bin midpoint like the average itself.
+    the trough, both taken from the hour table the average sums over.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    t_night = peak_hour(model) + 0.5
-    t_day = trough_hour(model) + 0.5
-    rows = []
-    for k in range(1, k_max + 1):
-        rows.append(
-            (
-                k,
-                analytic.first_order_cdf(k, model),
-                analytic.conditional_cdf_at_time(k, t_night, model),
-                analytic.conditional_cdf_at_time(k, t_day, model),
-            )
-        )
+    table = analytic.hourly_regularity(model)
+    r_night, r_day = max(table), min(table)
+    rows = [
+        (k, analytic.first_order_cdf(k, model),
+         analytic.conditional_cdf(k, r_night), analytic.conditional_cdf(k, r_day))
+        for k in _ranks(k_max)
+    ]
     return ["k", "success_avg", "success_night", "success_day"], rows
 
 
@@ -96,9 +78,7 @@ def first_try_pmf_rows(
     k_max: int = 50, model: BetaGeometricModel | None = None
 ) -> tuple[list[str], list[tuple]]:
     """Constant-regularity first-success mass over the probe rank."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    rows = [(k, analytic.zeroth_order_pmf(k, model)) for k in range(1, k_max + 1)]
+    rows = [(k, analytic.zeroth_order_pmf(k, model)) for k in _ranks(k_max)]
     return ["k", "first_success_pmf"], rows
 
 
@@ -106,9 +86,7 @@ def retry_pmf_rows(
     k_max: int = 50, model: RegularityModel | None = None
 ) -> tuple[list[str], list[tuple]]:
     """Hour-of-week averaged first-success mass over the probe rank."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    rows = [(k, analytic.first_order_pmf(k, model)) for k in range(1, k_max + 1)]
+    rows = [(k, analytic.first_order_pmf(k, model)) for k in _ranks(k_max)]
     return ["k", "first_success_pmf"], rows
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import HOURS_PER_WEEK, regularity, sequential_hit_pmf
+from .analytic import HOURS_PER_WEEK, hourly_regularity, sequential_hit_pmf
 from .profile import ObservationTrace, _cell_ranks
 
 __all__ = [
@@ -83,10 +83,9 @@ def _slot_rank_cdf(params: MobilityParams) -> np.ndarray:
     floor = params.unpredictable_floor
     floor_per_cell = floor / _GRID_CELLS
     table = np.empty((HOURS_PER_WEEK, n))
-    for t in range(HOURS_PER_WEEK):
+    for t, r in enumerate(hourly_regularity()):
         # Inside [0.528, 0.881] for every hour and every allowed floor.
-        r = regularity(t + 0.5) - floor_per_cell
-        masses = np.array(sequential_hit_pmf(r, n)) / (1.0 - floor)
+        masses = np.array(sequential_hit_pmf(r - floor_per_cell, n)) / (1.0 - floor)
         cum = np.minimum(np.cumsum(masses), 1.0)
         cum[-1] = 1.0
         table[t] = cum

@@ -43,8 +43,8 @@ import numpy as np
 from ..analytic import (
     HOURS_PER_WEEK,
     Grouping,
-    RegularityModel,
     ghls_breakeven,
+    hourly_regularity,
     mean_traffic,
     sequential_hit_pmf,
 )
@@ -343,8 +343,9 @@ def run_trials(
     # The true cell is the first candidate whose cumulative rank mass at
     # the trial's hour exceeds u; rank 0 (a wanderer) when none does.
     cums = np.zeros((HOURS_PER_WEEK, nc))
+    table = hourly_regularity()
     for hour in np.flatnonzero(np.bincount(hours, minlength=HOURS_PER_WEEK)).tolist():
-        pmf = sequential_hit_pmf(RegularityModel()(hour + 0.5), nc)
+        pmf = sequential_hit_pmf(table[hour], nc)
         cums[hour] = list(itertools.accumulate(pmf))
     first = (cums[hours] <= u[:, None]).sum(axis=1)
     true_pos = cand[np.arange(n_trials), np.minimum(first, nc - 1)]

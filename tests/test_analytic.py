@@ -16,13 +16,15 @@ from lprlab import analytic
 from lprlab.analytic import (
     GhlsCostModel,
     Grouping,
+    HOURS_PER_WEEK,
     RegularityModel,
-    conditional_cdf_at_time,
+    conditional_cdf,
     enumerate_groupings,
     first_order_cdf,
     first_order_pmf,
     ghls_breakeven,
     ghls_total_cost,
+    hourly_regularity,
     knee_point,
     log_beta,
     lpr_total_cost,
@@ -166,7 +168,38 @@ class TestRegularity:
     def test_custom_coefficients(self):
         flat = RegularityModel(c1=0.0, c2=0.0, c3=0.5)
         assert regularity(37.3, flat) == pytest.approx(0.5, abs=1e-12)
-        assert flat(12.0) == pytest.approx(0.5, abs=1e-12)
+        assert hourly_regularity(flat) == (0.5,) * HOURS_PER_WEEK
+
+
+class TestHourlyRegularity:
+    @pytest.mark.parametrize("model", [
+        None, RegularityModel(), RegularityModel(0.2, -0.1, 0.5),
+        RegularityModel(-0.03, 0.11, 0.21),
+    ])
+    def test_is_regularity_at_each_hour_midpoint(self, model):
+        table = hourly_regularity(model)
+        assert len(table) == HOURS_PER_WEEK
+        for t in range(HOURS_PER_WEEK):
+            assert table[t].hex() == regularity(t + 0.5, model).hex()
+
+    @pytest.mark.parametrize("c3, hour", [(0.05, "9.5"), (0.95, "0.5")])
+    def test_model_outside_unit_interval_names_the_hour(self, c3, hour):
+        # R leaves (0, 1) at some midpoint: every consumer of the hour
+        # table refuses the model at that hour, not deep inside log_beta.
+        model = RegularityModel(c3=c3)
+        for call in (
+            lambda: hourly_regularity(model),
+            lambda: first_order_cdf(12, model),
+            lambda: mean_latency(Grouping((2, 10)), model),
+            lambda: pareto_front(12, model),
+        ):
+            with pytest.raises(ValueError, match=rf"at hour {hour}; it must lie in"):
+                call()
+
+    def test_conditional_cdf_refuses_regularity_outside_unit_interval(self):
+        for r in (0.0, 1.0, -0.05, float("nan")):
+            with pytest.raises(ValueError, match="regularity must be in"):
+                conditional_cdf(5, r)
 
 
 class TestFirstOrder:
@@ -214,7 +247,7 @@ class TestFirstOrder:
             )
 
     def test_conditional_at_morning_peak(self):
-        assert conditional_cdf_at_time(5, 3.0) == pytest.approx(
+        assert conditional_cdf(5, regularity(3.0)) == pytest.approx(
             0.9692829699429962, abs=1e-9
         )
 
@@ -472,7 +505,8 @@ class TestMemoisedCurve:
         for k, model in _curve_queries(data, 8):
             expected = 0.0
             for t in range(168):
-                expected += (1.0 / 168) * conditional_cdf_at_time(k, t + 0.5, model)
+                r = regularity(t + 0.5, model)
+                expected += (1.0 / 168) * conditional_cdf(k, r)
             assert first_order_cdf(k, model).hex() == expected.hex()
 
     @settings(max_examples=30, deadline=None)

@@ -171,7 +171,41 @@ class TestCurves:
     def test_bad_k_max(self, tmp_path, capsys):
         assert main(["curves", "--fig", "fig2", "--k-max", "0",
                      "--out-dir", str(tmp_path)]) == 2
-        assert "k_max" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: k_max must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("c", ["1.0", "0", "nan"])
+    def test_bad_constant_regularity_names_its_flag(self, tmp_path, capsys, c):
+        assert main(["curves", "--c", c, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --c must be in (0, 1), got {float(c)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, digests",
+        [
+            ([], {
+                "fig2.csv": "d4b14f6f5d322a7698c7083f7ad47aa1bfa3053ad96e7a24228e601583e733c5",
+                "fig3.csv": "0959644f16ee9e61cb2db46a28f2ac7cd95a3a0e17d6f0b565d682b3e416bfc4",
+                "fig4.csv": "b5d6a3454b785666efbcbb3c5068a992b2303aa2b7428c8fbac82205f1a9abcf",
+                "fig5.csv": "7d68749d1ad320d4b2682eaf36f6ee41de4b43f174094c0ed4fc6016951652c9",
+                "fig7.csv": "fed7fb13c2aed5b44e4cc7f3a3711885be0d239bb431836106d2745ce4f4362c",
+            }),
+            (["--c1", "0.12", "--c2", "0.05", "--c3", "0.6"], {
+                "fig2.csv": "d4b14f6f5d322a7698c7083f7ad47aa1bfa3053ad96e7a24228e601583e733c5",
+                "fig3.csv": "75d4212e442fe29f3da05708dc75efc93bf23253f71b4782bb89f0369b141420",
+                "fig4.csv": "b5d6a3454b785666efbcbb3c5068a992b2303aa2b7428c8fbac82205f1a9abcf",
+                "fig5.csv": "0bb495bc5bac23fb5eb1b05e5de3f7fe31c890cbcd93cf604eb020f8c212464b",
+                "fig7.csv": "21578f96c797a6f8d1e8c2ab03080bb83427210f128e71cd815fc88ea1e8e4b4",
+            }),
+        ],
+        ids=["default", "c1-c2-c3"],
+    )
+    def test_pinned_curve_digests(self, tmp_path, flags, digests):
+        # SHA-256 of each family's bytes, pinned so any change to what
+        # `curves --fig all` writes shows here.
+        assert main(["curves", "--fig", "all", *flags, "--out-dir", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256(_read(tmp_path / name)).hexdigest() for name in digests}
+        assert got == digests
 
     def test_regularity_outside_unit_interval_writes_nothing(self, tmp_path, capsys):
         # The first hour midpoint where R(t) leaves (0, 1) is named.

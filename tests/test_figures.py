@@ -6,6 +6,8 @@ import pytest
 
 from lprlab.analytic import (
     HOURS_PER_WEEK,
+    RegularityModel,
+    conditional_cdf,
     first_order_cdf,
     first_order_pmf,
     regularity,
@@ -16,11 +18,9 @@ from lprlab.figures import (
     first_try_pmf_rows,
     format_value,
     grouping_front_rows,
-    peak_hour,
     retry_pmf_rows,
     success_cdf_rows,
     time_averaged_rows,
-    trough_hour,
     write_csv,
 )
 
@@ -34,13 +34,16 @@ class TestRowBuilders:
         assert rows[9][1] == pytest.approx(zeroth_order_cdf(10))
         assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
 
-    def test_peak_and_trough_hours(self):
-        peak, trough = peak_hour(), trough_hour()
-        values = [regularity(t + 0.5) for t in range(HOURS_PER_WEEK)]
-        assert regularity(peak + 0.5) == max(values)
-        assert regularity(trough + 0.5) == min(values)
-        assert 0 <= peak < HOURS_PER_WEEK
-        assert 0 <= trough < HOURS_PER_WEEK
+    @pytest.mark.parametrize("model", [None, RegularityModel(0.12, 0.05, 0.6)],
+                             ids=["default", "c1-c2-c3"])
+    def test_night_and_day_columns_are_best_and_worst_hour(self, model):
+        # Each hour's curve at its bin midpoint, computed here hour by hour:
+        # the night column is the best hour's, the day column the worst's.
+        midpoints = [regularity(t + 0.5, model) for t in range(HOURS_PER_WEEK)]
+        hourly = [[conditional_cdf(k, r) for r in midpoints] for k in range(1, 13)]
+        _, rows = time_averaged_rows(12, model)
+        assert [row[2] for row in rows] == [max(curve) for curve in hourly]
+        assert [row[3] for row in rows] == [min(curve) for curve in hourly]
 
     def test_time_averaged_rows_ordering(self):
         header, rows = time_averaged_rows(15)
@@ -91,7 +94,7 @@ class TestRowBuilders:
     def test_k_max_validation(self):
         for builder in (success_cdf_rows, time_averaged_rows, first_try_pmf_rows,
                         retry_pmf_rows):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^k_max must be >= 1, got 0$"):
                 builder(0)
 
 

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 from lprlab.analytic import (
     Grouping,
-    RegularityModel,
     mean_latency,
     mean_traffic,
     pareto_front,
+    regularity,
     sequential_hit_pmf,
 )
 from lprlab.profile import CellId, ObservationTrace, build_profile
@@ -1777,7 +1777,6 @@ def _replay_draws(config, trials):
     cells, true cell, ghls updater node) arrays, indexed by trial; the
     updaters are -1 unless the strategy is ghls."""
     eligible = config.eligible_cells()
-    model = RegularityModel()
     nc = config.n_candidates
     src = np.zeros(trials, dtype=np.intp)
     updaters = np.full(trials, -1, dtype=np.intp)
@@ -1792,7 +1791,7 @@ def _replay_draws(config, trials):
         src[index] = rng.integers(config.n) + layout_start
         hour = int(rng.integers(168))
         cand = rng.choice(eligible, size=nc, replace=False)
-        pmf = sequential_hit_pmf(model(hour + 0.5), nc)
+        pmf = sequential_hit_pmf(regularity(hour + 0.5), nc)
         u = float(rng.random())
         true_rank = 0
         cum = 0.0
