@@ -3,17 +3,33 @@
 Packets are addressed to a position. Each greedy hop must strictly reduce
 distance to the destination; a node with no closer neighbor is a local
 minimum, and the packet switches to perimeter mode on the planar subgraph:
-it walks face boundaries by the right-hand rule (next edge counterclockwise
-from the arrival edge), hops to the next face whenever an edge crosses the
-line from the recovery entry point to the destination at a point closer to
-the destination than any previous crossing, and drops the packet if it is
-about to retraverse the first edge of the current face tour. Reaching any
-node strictly closer to the destination than the entry point resumes
-greedy forwarding. A hop budget bounds every route, by default 8 hops
-per layout node (_leg_ttl).
+it walks the face boundary by the right-hand rule (next edge
+counterclockwise from the arrival edge) and drops the packet if it is
+about to retraverse the first edge of its tour. Reaching any node
+strictly closer to the destination than the entry point resumes greedy
+forwarding. A hop budget bounds every route, by default 8 hops per
+layout node (_leg_ttl).
 
 On a connected topology with a connected planar subgraph this combination
 reaches the node nearest any requested position.
+
+GPSR also changes face where an edge crosses the line from the entry
+point p to the destination d closer to d than any earlier crossing.
+That never happens here, so the walker has no face change. It needs one
+precondition: planar is the Gabriel subgraph of the unit-disk graph
+neighbors (or a subgraph of it), as topology_from_positions and
+_disjoint_union build it. Suppose the walk at u meets a planar edge uv
+that properly crosses pd at c, with |cd| < |pd|; a proper crossing
+shares no endpoint, so u and v are not p. If v is out of p's radio
+range R, then |pc| + |cv| >= |pv| > R >= |uv| = |uc| + |cv|, so
+|ud| <= |uc| + |cd| < |pd|: the walk had already resumed greedy
+forwarding at u. If v is in p's range, v is no closer to d than p (p
+was a local minimum), and neither is u (the walk did not resume there).
+So uv contains the chord that line uv cuts from the circle around d
+through p, and p, on the far side of that line from d, sees the chord
+under an angle above 90 degrees. p then lies inside the disk with
+diameter uv, and the Gabriel rule removed uv. Only distances within the
+tolerance _EPS escape this.
 
 Legs are routed in batches (route_legs). A batch's legs share a fixed
 number of slots, and every leg in a slot advances one greedy hop per
@@ -103,34 +119,6 @@ def _next_ccw(topology: Topology, x: int, row: list[int], ref_angle: float) -> i
     return best
 
 
-def _proper_crossing(
-    p1: tuple[float, float],
-    p2: tuple[float, float],
-    q1: tuple[float, float],
-    q2: tuple[float, float],
-) -> tuple[float, float] | None:
-    """Intersection point of properly crossing segments, else None.
-
-    Proper means the endpoints of each segment lie strictly on opposite
-    sides of the other segment; shared endpoints and collinear overlaps
-    do not count.
-    """
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if (d1 > _EPS and d2 < -_EPS or d1 < -_EPS and d2 > _EPS) and (
-        d3 > _EPS and d4 < -_EPS or d3 < -_EPS and d4 > _EPS
-    ):
-        t = d1 / (d1 - d2)
-        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-    return None
-
-
 def _perimeter(
     topology: Topology,
     x: int,
@@ -156,41 +144,12 @@ def _perimeter(
         ox, oy = at_x - dx, at_y - dy
         return math.sqrt(ox * ox + oy * oy)
 
-    dest = (dx, dy)
     px, py = xs[x], ys[x]
-    # Entry point and distance, best crossing distance, and the first
-    # edge of the current face tour.
-    entry_point = (px, py)
-    entry_dist = best_cross_dist = distance(px, py)
-    first_edge: tuple[int, int] | None = None
-    ref = math.atan2(dy - py, dx - px)
+    entry_dist = distance(px, py)
+    nxt = _next_ccw(topology, x, planar[x].tolist(), math.atan2(dy - py, dx - px))
+    first_edge = (x, nxt)  # retraversing it closes the face tour
     hops = 0
     while True:
-        row = planar[x].tolist()
-        nxt = _next_ccw(topology, x, row, ref)
-        assert nxt is not None  # x has a planar edge: entered or arrived by one
-        # Face change: rotate past any edge crossing the entry-to-dest
-        # line closer to the destination than all previous crossings.
-        # An edge's crossing is fixed and best_cross_dist strictly falls
-        # at each rotation, so no edge is passed twice. A NaN crossing
-        # (a destination so far that the orientations overflow) stops.
-        while True:
-            crossing = _proper_crossing((px, py), (xs[nxt], ys[nxt]), entry_point, dest)
-            if crossing is None:
-                break
-            cross_dist = distance(*crossing)
-            if not cross_dist < best_cross_dist - _EPS:
-                break
-            best_cross_dist = cross_dist
-            first_edge = None  # new face: restart tour accounting
-            nxt = _next_ccw(topology, x, row, topology.bearing(x, nxt))
-
-        if first_edge is None:
-            first_edge = (x, nxt)
-        elif (x, nxt) == first_edge:
-            # Completed a full face tour without progress: unreachable.
-            return False, x, hops
-
         arrival_from, x = x, nxt
         hops += 1
         if trail is not None:
@@ -203,7 +162,10 @@ def _perimeter(
             return False, x, hops
         if dist_x < entry_dist - _EPS:
             return None, x, hops
-        ref = topology.bearing(x, arrival_from)
+        nxt = _next_ccw(topology, x, planar[x].tolist(), topology.bearing(x, arrival_from))
+        if (x, nxt) == first_edge:
+            # Completed a full face tour without progress: unreachable.
+            return False, x, hops
 
 
 def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

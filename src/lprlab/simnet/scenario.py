@@ -118,7 +118,7 @@ class ScenarioConfig:
         if not (0 < self.field_size < math.inf and 0 < self.radio_range < math.inf):
             raise ValueError("field_size and radio_range must be positive")
         if self.pool_size < 1:
-            raise ValueError("pool_size must be at least 1")
+            raise ValueError(f"[topology] pool = {self.pool_size} must be at least 1")
         if self.grid_cells < 1:
             raise ValueError("grid_cells must be at least 1")
         if self.grid_cells > _MAX_GRID_CELLS:
@@ -502,7 +502,7 @@ def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     strategies run on one topology pool against one baseline.
     """
     if config.grouping is None:
-        raise ValueError("compare_ghls requires a grouping")
+        raise ValueError("compare-ghls needs [strategy] grouping or k")
     if config.trials == 0:
         raise ValueError("compare_ghls requires at least one trial")
     lpr_config = replace(config, strategy="lpr")

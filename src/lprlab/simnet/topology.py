@@ -7,7 +7,9 @@ survives unless some third node sits inside or on the circle whose
 diameter is the edge. Any such witness is necessarily a unit-disk
 neighbor of both endpoints, so only common neighbors need checking, and
 removing the edge leaves a two-hop detour through the witness, which
-keeps connected graphs connected.
+keeps connected graphs connected. Perimeter mode relies on this rule,
+not on planarity alone: gpsr proves it needs no face change on the
+Gabriel subgraph or its subgraphs (such as the RNG), not any planar graph.
 
 Each topology keeps both graphs as padded (n, max degree) index
 matrices, rows ascending and filled with -1 past each node's degree:

@@ -472,6 +472,9 @@ class TestGhlsCost:
             GhlsCostModel(f=1, r=0, s=1, p=1, t_bar=2)
         with pytest.raises(ValueError):
             GhlsCostModel(f=1, r=1, s=1, p=1, t_bar=0.5)
+        for negative in ({"f": -1}, {"s": -1}, {"p": -1}):
+            with pytest.raises(ValueError, match="f, s, p must be non-negative"):
+                GhlsCostModel(**{"f": 1, "r": 1, "s": 1, "p": 1, "t_bar": 2, **negative})
         with pytest.raises(ValueError):
             ghls_breakeven(0.0, 2.0)
         with pytest.raises(ValueError):

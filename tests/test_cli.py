@@ -264,6 +264,10 @@ class TestGenTrace:
         assert main(["gen-trace", "--seed", "-1",
                      "--out-dir", str(tmp_path)]) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
+        assert main(["gen-trace", "--weeks", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "--weeks must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestSimulate:
@@ -389,6 +393,23 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "neg")]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    def test_zero_pool_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text(ORACLE_INI.replace("pool = 2", "pool = 0"))
+        for command in ("simulate", "compare-ghls"):
+            assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: [topology] pool = 0 must be at least 1\n"
+
+    def test_out_dir_naming_a_file_exits_1(self, tmp_path, capsys):
+        # The directory cannot be made: the one OSError path, exit 1.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["curves", "--fig", "fig2", "--out-dir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert "Traceback" not in err
+
     def test_config_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing_section.ini"
         missing.write_text("[topology]\nn = 10\n")
@@ -484,6 +505,22 @@ class TestCompareGhls:
             assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
+        assert not (tmp_path / "ghls_sweep.csv").exists()
+
+    def test_missing_grouping_names_the_keys(self, tmp_path, capsys):
+        path = tmp_path / "oracle.ini"
+        path.write_text(ORACLE_INI)
+        assert main(["compare-ghls", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: compare-ghls needs [strategy] grouping or k\n")
+        assert not (tmp_path / "ghls_sweep.csv").exists()
+
+    def test_zero_trials_exit_2(self, tmp_path, capsys):
+        ini = self._ini(tmp_path, "2|3")
+        assert main(["compare-ghls", ini, "--trials", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "at least one trial" in err and "Traceback" not in err
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
     def test_same_scenario_as_simulate(self, tmp_path):

@@ -18,6 +18,7 @@ from lprlab import profile as profile_module
 from lprlab.profile import (
     CellId,
     LocationProfile,
+    ObservationTrace,
     ProfileFormatError,
     build_profile,
     deserialize_profile,
@@ -62,6 +63,15 @@ class TestTypes:
             trace_of([(5, A), (5, B)])
         with pytest.raises(ValueError):
             trace_of([(5, A), (4, B)])
+
+    def test_trace_rejects_bad_shapes_and_negative_slots(self):
+        cells = np.zeros((2, 2), dtype=np.int32)
+        for slots, bad_cells in (([[1], [2]], cells), ([1, 2], cells[:1]),
+                                 ([1, 2], np.zeros((2, 3)))):
+            with pytest.raises(ValueError, match=r"slots must be \(n,\), cells must be"):
+                ObservationTrace("n0", np.array(slots), bad_cells)
+        with pytest.raises(ValueError, match="slot indices must be non-negative"):
+            ObservationTrace("n0", np.array([-1, 2]), cells)
 
     def test_trace_accessors(self):
         t = trace_of([(5, A), (8, B)])
@@ -299,6 +309,22 @@ class TestSerialization:
         with pytest.raises(ProfileFormatError) as exc:
             deserialize_profile(bytes(data))
         assert exc.value.offset == 4
+
+    def test_bad_order(self):
+        data = bytearray(serialize_profile(self.random_profile(1)))
+        data[6] = 2  # the header's order byte; orders are 0, 1 and 3
+        with pytest.raises(ProfileFormatError, match="bad order 2") as exc:
+            deserialize_profile(bytes(data))
+        assert exc.value.offset == 6
+
+    def test_context_level_above_profile_order(self):
+        p = build_profile(trace_of([(5, A)]), order=0)
+        data = bytearray(serialize_profile(p))
+        data[21] = 1  # the level byte of the only context, after the header
+        with pytest.raises(ProfileFormatError,
+                           match="context level 1 exceeds profile order 0") as exc:
+            deserialize_profile(bytes(data))
+        assert exc.value.offset == 21
 
     def test_repeated_cell_in_context(self):
         p = build_profile(trace_of([(5, A), (173, B)]), order=0)

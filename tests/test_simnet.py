@@ -58,7 +58,6 @@ from lprlab.simnet.gpsr import (
     RouteResult,
     _leg_ttl,
     _next_ccw,
-    _proper_crossing,
     route_legs,
 )
 from lprlab.simnet.scenario import (
@@ -84,6 +83,30 @@ VOID_POSITIONS = [
 ]
 VOID_RANGE = 4.2
 VOID_DEST = (10.0, 0.0)
+
+
+def _proper_crossing(p1, p2, q1, q2):
+    """Intersection point of properly crossing segments, else None.
+
+    Proper means the endpoints of each segment lie strictly on opposite
+    sides of the other segment; shared endpoints and collinear overlaps
+    do not count.
+    """
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    eps = 1e-9
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    if (d1 > eps and d2 < -eps or d1 < -eps and d2 > eps) and (
+        d3 > eps and d4 < -eps or d3 < -eps and d4 > eps
+    ):
+        t = d1 / (d1 - d2)
+        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+    return None
 
 
 def _void_topology():
@@ -417,6 +440,9 @@ class TestTopology:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_topology(1, 100.0, 50.0)
+        for too_few in ([(0.0, 0.0)], np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="need at least 2 nodes"):
+                topology_from_positions(too_few, 1.0)
         with pytest.raises(ValueError):
             topology_from_positions([(0.0, 0.0), (1.0, 0.0)], 0.0)
         with pytest.raises(ValueError):
@@ -489,8 +515,12 @@ def _assert_route_ok(topo, route, src, dest, radius, ttl):
 def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
     """One leg at a time: the scalar greedy loop, with perimeter mode
     inline, as gpsr_route ran before legs were batched. The oracle for
-    route_legs and gpsr_route. It keeps the rotation bound the walker
-    dropped, so agreement shows the bound never binds."""
+    route_legs and gpsr_route.
+
+    Returns the route and the number of GPSR face changes it made. The
+    oracle keeps the face change, with a rotation bound; the walker has
+    none (the gpsr docstring proves it never fires on a Gabriel
+    subgraph), so agreement with a count of 0 tests that proof."""
     eps = 1e-9
     dx, dy = float(dest_position[0]), float(dest_position[1])
 
@@ -508,14 +538,15 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
     entry_point = (0.0, 0.0)
     first_edge = None
     arrival_from = None
+    face_changes = 0
 
     while True:
         px, py = xs[x], ys[x]
         dist_x = dist(px, py)
         if dist_x <= acceptance_radius:
-            return RouteResult(True, path, tuple(steps))
+            return RouteResult(True, path, tuple(steps)), face_changes
         if len(path) - 1 >= ttl:
-            return RouteResult(False, path, tuple(steps))
+            return RouteResult(False, path, tuple(steps)), face_changes
 
         if greedy:
             best = None
@@ -531,7 +562,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
                 x = best
                 continue
             if not _rows(topology, "planar")[x]:
-                return RouteResult(False, path, tuple(steps))
+                return RouteResult(False, path, tuple(steps)), face_changes
             greedy = False
             entry_point = (px, py)
             entry_dist = dist_x
@@ -547,7 +578,9 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         row = _rows(topology, "planar")[x]
         nxt = _next_ccw(topology, x, row, ref)
         if nxt is None:
-            return RouteResult(False, path, tuple(steps))
+            return RouteResult(False, path, tuple(steps)), face_changes
+        # Face change: rotate past any edge crossing the entry-to-dest
+        # line closer to the destination than all previous crossings.
         rotations = 0
         max_rotations = 2 * len(row) + 2
         while rotations < max_rotations:
@@ -555,17 +588,18 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
             if crossing is None:
                 break
             cross_dist = dist(*crossing)
-            if cross_dist >= best_cross_dist - eps:
+            if not cross_dist < best_cross_dist - eps:
                 break
             best_cross_dist = cross_dist
             first_edge = None
             nxt = _next_ccw(topology, x, row, topology.bearing(x, nxt))
             rotations += 1
+            face_changes += 1
 
         if first_edge is None:
             first_edge = (x, nxt)
         elif (x, nxt) == first_edge:
-            return RouteResult(False, path, tuple(steps))
+            return RouteResult(False, path, tuple(steps)), face_changes
 
         arrival_from = x
         path.append(nxt)
@@ -577,12 +611,13 @@ def _assert_batch_matches_scalar(topo, legs, radius, ttl, single_every=1):
     """route_legs on all legs at once, and gpsr_route on every
     single_every-th leg, give the scalar oracle's route: the same
     success, end node, hops and perimeter hops, and for gpsr_route the
-    same path and hop flags."""
+    same path and hop flags. The oracle never changes face."""
     success, end, hops, perimeter = route_legs(
         topo, [s for s, _ in legs], [d for _, d in legs], radius, ttl
     )
     for i, (s, dest) in enumerate(legs):
-        want = _scalar_gpsr_route(topo, s, dest, radius, ttl)
+        want, face_changes = _scalar_gpsr_route(topo, s, dest, radius, ttl)
+        assert face_changes == 0, (s, dest, radius, ttl)
         got = (bool(success[i]), int(end[i]), int(hops[i]), int(perimeter[i]))
         assert got == (want.success, want.path[-1], want.hops, want.perimeter_hops), (
             s, dest, radius, ttl)
@@ -794,6 +829,36 @@ class TestGpsr:
         _assert_batch_matches_scalar(topo, legs, radius, ttl)
 
     @settings(max_examples=100, deadline=None)
+    @given(_layouts(), st.data())
+    def test_perimeter_mode_never_changes_face(self, topo, data):
+        # The gpsr docstring's proof: on the Gabriel subgraph no planar
+        # edge crosses the entry-to-destination line closer to the
+        # destination than the entry point, so the face change that the
+        # oracle keeps never fires. Radius 0 and a budget of 8n let every
+        # perimeter walk run to its end, from every source.
+        lo = float(topo.positions.min()) - 1.0
+        hi = float(topo.positions.max()) + 1.0
+        free = st.tuples(st.floats(lo, hi), st.floats(lo, hi))
+        dests = data.draw(st.lists(
+            st.sampled_from(_tie_destinations(topo)) | free, min_size=1, max_size=4,
+        ))
+        for dest in dests:
+            for src in range(topo.n):
+                _, face_changes = _scalar_gpsr_route(topo, src, dest, 0.0, 8 * topo.n)
+                assert face_changes == 0, (src, dest)
+
+    def test_face_change_fires_without_the_gabriel_rule(self):
+        # The proof's precondition matters: node 0 lies inside the disk
+        # with diameter 1-2, so the Gabriel rule removes that edge. Walked
+        # on the unit-disk graph instead, edge 1-2 crosses the line from
+        # node 0 to the destination, and the oracle changes face there.
+        topo = topology_from_positions([(0.0, 0.0), (1.0, 5.0), (1.0, -5.0)], 10.5)
+        assert _rows(topo, "planar")[1] == [0]
+        assert _scalar_gpsr_route(topo, 0, (10.0, 0.0), 0.0, 24)[1] == 0
+        unit_disk = replace(topo, planar=topo.neighbors)
+        assert _scalar_gpsr_route(unit_disk, 0, (10.0, 0.0), 0.0, 24)[1] == 1
+
+    @settings(max_examples=100, deadline=None)
     @given(_layouts(), st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]), st.data())
     def test_batch_distance_is_distance_to_bit_for_bit(self, topo, scale, data):
         # The invariant the router rests on: its numpy distances are
@@ -909,9 +974,8 @@ class TestGpsr:
                 assert isinstance(route, RouteResult) and not route.success
             route = gpsr_route(topo, 6, (5e-324, 0.0))
             assert route.success and route.path[-1] == 0
-            # Here the crossing orientations overflow to opposite
-            # infinities and the crossing reads NaN: the face change must
-            # stop there, or the walker would rotate forever.
+            # Here every distance reads inf, so the perimeter walk never
+            # resumes greedy forwarding and ends when its face tour closes.
             layout = build_topology(10, 1000.0, 450.0, seed=1)
             assert not gpsr_route(layout, 2, (1e305, 1e307)).success
 
