@@ -175,7 +175,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     traces = generate_trace(params)
     out_dir = _resolve_out_dir(args.out_dir)
     path = os.path.join(out_dir, args.out)
-    write_trace_csv(traces, path)
+    write_trace_csv(traces, f"{path}.tmp")
+    os.replace(f"{path}.tmp", path)
     print(f"wrote {path} ({sum(len(t) for t in traces)} observations)")
     _finish(args, out_dir, [args.out], (args.seed,))
     if args.verify:
@@ -260,7 +261,12 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
     from .simnet.scenario import compare_ghls
 
     config = _load_config(args)
-    comparison = compare_ghls(config)
+    try:
+        comparison = compare_ghls(config)
+    except ValueError as exc:  # name the flag where it set the trial count
+        if args.trials is None or not str(exc).startswith("[traffic] trials"):
+            raise
+        raise ValueError(f"--trials {args.trials}: {exc}") from None
     out_dir = _resolve_out_dir(args.out_dir)
     sweep_path = os.path.join(out_dir, "ghls_sweep.csv")
     figures.write_csv(

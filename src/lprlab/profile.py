@@ -25,7 +25,7 @@ import io
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -411,114 +411,61 @@ def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:
 _CSV_CHUNK = 4096
 
 
-class _TraceColumns:
-    """The rows of a trace CSV read so far: each node's slots and cells as
-    int arrays, one pair per chunk it has rows in, and its last slot."""
-
-    def __init__(self) -> None:
-        self.nodes: dict[str, int] = {}  # node id -> code, in file order
-        self.parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # by code
-        self.last: list[int] = []  # by code; -1 before the node's first row
-
-    def add(self, rows: list[list[str]], first_line: int) -> None:
-        """Check and store a chunk of rows; the first is on first_line.
-
-        The checks run on columns. A chunk that fails one, or holds a
-        blank row, is replayed row by row through `_trace_row`, which
-        raises the located error at its first bad row.
-        """
-        if first_line == 1 and rows and rows[0] and rows[0][0] == "node_id":
-            rows, first_line = rows[1:], 2
-        if not rows:
-            return
-        columns = self._columns(rows) if set(map(len, rows)) == {4} else None
-        if columns is None or not self._store(*columns):
-            self._replay(rows, first_line)
-
-    def _code(self, node_id: str) -> int:
-        code = self.nodes.setdefault(node_id, len(self.nodes))
-        if code == len(self.parts):
-            self.parts.append([])
-            self.last.append(-1)
-        return code
-
-    def _columns(self, rows: list[list[str]]):
-        """(codes, slots, cells) of rows of 4 fields, or None when a field
-        is not an integer or is out of range."""
-        node_ids, slot_col, x_col, y_col = zip(*rows)
-        try:
-            slots = list(map(int, slot_col))
-            xs = list(map(int, x_col))
-            ys = list(map(int, y_col))
-        except ValueError:
-            return None
-        if not (
-            0 <= min(slots) and max(slots) < 2**63
-            and -(2**31) <= min(xs) and max(xs) < 2**31
-            and -(2**31) <= min(ys) and max(ys) < 2**31
+def _add_rows(rows: list[list[str]], first_line: int,
+              nodes: dict[str, list[tuple]], last: dict[str, int]) -> None:
+    """Check a chunk of CSV rows, the first on first_line, on columns, and
+    append each node's rows to nodes[node] as one (slots, cells) piece;
+    last holds each node's last slot so far. A chunk that fails a check
+    stores nothing: `_raise_first_bad_row` raises its first bad row's error."""
+    if first_line == 1 and rows and rows[0] and rows[0][0] == "node_id":
+        rows, first_line = rows[1:], 2
+    kept = [row for row in rows if row]
+    if not kept:
+        return
+    try:
+        if set(map(len, kept)) != {4}:
+            raise ValueError("a row without 4 fields")
+        node_ids, slot_col, *cell_cols = zip(*kept)
+        slots = list(map(int, slot_col))
+        cells = [list(map(int, col)) for col in cell_cols]
+        if not (0 <= min(slots) and max(slots) < 2**63) or not all(
+            -(2**31) <= min(col) and max(col) < 2**31 for col in cells
         ):
-            return None
-        for node_id in dict.fromkeys(node_ids):
-            self._code(node_id)
-        codes = np.fromiter(map(self.nodes.__getitem__, node_ids), np.intp, len(rows))
-        cells = np.empty((len(rows), 2), dtype=np.int32)
-        cells[:, 0] = xs
-        cells[:, 1] = ys
-        return codes, np.array(slots, dtype=np.int64), cells
-
-    def _store(self, codes: np.ndarray, slots: np.ndarray, cells: np.ndarray) -> bool:
-        """Append each node's rows, in file order, if every slot follows its
-        node's previous one; False, storing nothing, if one does not."""
+            raise ValueError("a field out of range")
+        code = {node: i for i, node in enumerate(dict.fromkeys(node_ids))}  # file order
+        codes = np.fromiter(map(code.__getitem__, node_ids), np.intp, len(kept))
+        # Columns of Python objects kept through the sort fragment the heap.
+        slots, cells = np.array(slots, dtype=np.int64), np.array(cells, dtype=np.int32).T
+        del node_ids, slot_col, cell_cols
         order = np.argsort(codes, kind="stable")
-        codes, slots = codes[order], slots[order]
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        ends = np.append(starts[1:], len(codes))
-        nodes = codes[starts].tolist()
-        rising = np.diff(slots) > 0
+        sorted_slots = slots[order]
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        ends = np.append(starts[1:], len(kept))
+        rising = np.diff(sorted_slots) > 0
         rising[starts[1:] - 1] = True  # where one node's rows end
         if not rising.all() or any(
-            first <= self.last[node]
-            for node, first in zip(nodes, slots[starts].tolist())
+            first <= last.get(node, -1)
+            for node, first in zip(code, sorted_slots[starts].tolist())
         ):
-            return False
+            raise ValueError("a slot that does not follow its node's last")
+    except ValueError:
+        pass
+    else:
         cells = cells[order]
-        for node, a, b, last in zip(
-            nodes, starts.tolist(), ends.tolist(), slots[ends - 1].tolist()
-        ):
-            self.parts[node].append((slots[a:b], cells[a:b]))
-            self.last[node] = last
-        return True
+        for node, a, b in zip(code, starts.tolist(), ends.tolist()):
+            nodes.setdefault(node, []).append((sorted_slots[a:b], cells[a:b]))
+            last[node] = int(sorted_slots[b - 1])
+        return
+    _raise_first_bad_row(rows, first_line, last)
 
-    def _replay(self, rows: list[list[str]], first_line: int) -> None:
-        codes, slots, cells = [], [], []
-        last: dict[int, int] = {}  # slots of this chunk, over self.last
-        for lineno, row in enumerate(rows, start=first_line):
-            if not row:
-                continue
-            code = self._code(row[0])
-            prev = last.get(code, self.last[code])
-            slot, x, y = _trace_row(row, lineno, None if prev < 0 else prev)
-            last[code] = slot
-            codes.append(code)
-            slots.append(slot)
-            cells.extend((x, y))
-        if codes:
-            self._store(
-                np.array(codes),
-                np.array(slots, dtype=np.int64),
-                np.array(cells, dtype=np.int32).reshape(-1, 2),
-            )
 
-    def traces(self) -> list[ObservationTrace]:
-        """Traces grouped by node, in the order nodes first appear."""
-        return [
-            ObservationTrace(
-                node,
-                np.concatenate([s for s, _ in parts]),
-                np.concatenate([c for _, c in parts]),
-            )
-            for node, parts in zip(self.nodes, self.parts)
-        ]
+def _raise_first_bad_row(rows: list[list[str]], first_line: int, last: dict) -> NoReturn:
+    """Raise the located error of the first bad row of a chunk that failed a check."""
+    last = dict(last)
+    for lineno, row in enumerate(rows, start=first_line):
+        if row:
+            last[row[0]] = _trace_row(row, lineno, last.get(row[0]))[0]
+    raise AssertionError(f"no row of the chunk from line {first_line} is bad")
 
 
 def read_trace_csv(path: str) -> list[ObservationTrace]:
@@ -528,10 +475,12 @@ def read_trace_csv(path: str) -> list[ObservationTrace]:
     count, a non-integer, a cell coordinate outside int32, a negative slot,
     a slot that does not follow the node's previous one, or bytes that are
     not UTF-8. The reader holds one chunk of row lists at a time, plus int
-    arrays of the rows before it; rows are checked a chunk at a time, so
-    the first bad row is still the one reported.
+    arrays of the rows before it. Each chunk is checked on columns and
+    stored per node; a chunk that fails a check is walked row by row only
+    to name its first bad row, so that row is still the one reported.
     """
-    columns = _TraceColumns()
+    nodes: dict[str, list[tuple]] = {}  # each node's (slots, cells) pieces
+    last: dict[str, int] = {}  # each node's last slot so far
     rows: list[list[str]] = []
     lineno = 0  # CSV rows before `rows`
     try:
@@ -541,7 +490,7 @@ def read_trace_csv(path: str) -> list[ObservationTrace]:
                 rows.extend(islice(reader, _CSV_CHUNK))
                 if not rows:
                     break
-                columns.add(rows, lineno + 1)
+                _add_rows(rows, lineno + 1, nodes, last)
                 lineno += len(rows)
                 rows = []
     except csv.Error as exc:
@@ -549,10 +498,10 @@ def read_trace_csv(path: str) -> list[ObservationTrace]:
     except UnicodeDecodeError as exc:
         error = exc
     else:
-        return columns.traces()
-    # The rows the reader gave before it failed come first; extend() kept
-    # them.
-    columns.add(rows, lineno + 1)
+        return [ObservationTrace(node, *map(np.concatenate, zip(*pieces)))
+                for node, pieces in nodes.items()]
+    # The rows the reader gave before it failed come first: extend() kept them.
+    _add_rows(rows, lineno + 1, nodes, last)
     if isinstance(error, UnicodeDecodeError):
         # The decoder reads ahead, so find the bad byte in the whole file.
         with open(path, "rb") as fh:

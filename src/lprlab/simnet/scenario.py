@@ -144,10 +144,10 @@ class ScenarioConfig:
                              f"1 in 50 of over 10000 eligible cells by a tail shuffle, "
                              f"not the Floyd's algorithm the trial draws copy")
         if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
+            raise ValueError(f"[strategy] kind = {self.strategy} must be one of {_STRATEGIES}")
         if self.strategy == "lpr":
             if self.grouping is None:
-                raise ValueError("lpr strategy requires a grouping")
+                raise ValueError("[strategy] kind = lpr needs [strategy] grouping or k")
             if self.grouping.k > self.n_candidates:
                 raise ValueError("grouping covers more ranks than n_candidates")
         if not all(0 <= f < math.inf for f in self.f_over_r):
@@ -504,7 +504,7 @@ def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     if config.grouping is None:
         raise ValueError("compare-ghls needs [strategy] grouping or k")
     if config.trials == 0:
-        raise ValueError("compare_ghls requires at least one trial")
+        raise ValueError(f"[traffic] trials = {config.trials} must be at least 1 for compare-ghls")
     lpr_config = replace(config, strategy="lpr")
     ghls_config = replace(config, strategy="ghls")
     pool = build_pool(config)

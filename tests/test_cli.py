@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from lprlab import cli
 from lprlab.analytic import BetaGeometricModel, zeroth_order_cdf
 from lprlab.cli import ENV_OUT_DIR, RunManifest, main
 from lprlab.profile import read_trace_csv
@@ -269,6 +270,21 @@ class TestGenTrace:
         assert "--weeks must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_failed_write_keeps_the_previous_trace(self, tmp_path, monkeypatch, capsys):
+        args = ["gen-trace", "--users", "2", "--weeks", "1", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        before = (tmp_path / "trace.csv").read_bytes()
+
+        def torn_write(traces, path):
+            with open(path, "w") as fh:
+                fh.write("node_id,slot")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_trace_csv", torn_write)
+        assert main(args + ["--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert (tmp_path / "trace.csv").read_bytes() == before
+
 
 class TestSimulate:
     def _ini(self, tmp_path):
@@ -401,6 +417,21 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert err == "error: [topology] pool = 0 must be at least 1\n"
 
+    def test_unknown_kind_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text(ORACLE_INI.replace("kind = oracle", "kind = bogus"))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [strategy] kind = bogus must be one of ('lpr', 'oracle', 'ghls')\n")
+
+    def test_lpr_without_grouping_names_the_keys(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text(ORACLE_INI.replace("kind = oracle", "kind = lpr"))
+        for command in ("simulate", "compare-ghls"):
+            assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                "error: [strategy] kind = lpr needs [strategy] grouping or k\n")
+
     def test_out_dir_naming_a_file_exits_1(self, tmp_path, capsys):
         # The directory cannot be made: the one OSError path, exit 1.
         taken = tmp_path / "taken"
@@ -519,8 +550,13 @@ class TestCompareGhls:
         ini = self._ini(tmp_path, "2|3")
         assert main(["compare-ghls", ini, "--trials", "0",
                      "--out-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "at least one trial" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            "error: --trials 0: [traffic] trials = 0 must be at least 1 for compare-ghls\n")
+        path = tmp_path / "compare.ini"
+        path.write_text(path.read_text().replace("trials = 120", "trials = 0"))
+        assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [traffic] trials = 0 must be at least 1 for compare-ghls\n")
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
     def test_same_scenario_as_simulate(self, tmp_path):

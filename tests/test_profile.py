@@ -544,6 +544,39 @@ class TestTraceCsv:
         assert [t.node_id for t in got] == ["u0", "u1", "u2", "u\n9"]
         assert sum(len(t) for t in got) == len(rows) - 1
 
+    def test_repeat_across_the_real_chunk_boundary_names_its_line(self, tmp_path):
+        # Lines 1-4096 (the header and 4095 rows) are the first chunk. u1's
+        # last row in it is line 4095, slot 2729; line 4098 repeats that slot.
+        assert profile_module._CSV_CHUNK == 4096
+        rows = self._interleaved_rows(4096 + 100)
+        assert rows[4093].startswith("u1,2729,") and rows[4096].startswith("u1,")
+        rows[4096] = "u1,2729,9,9"
+        path = tmp_path / "long.csv"
+        path.write_text("node_id,slot_index,cell_x,cell_y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(str(path))
+        assert str(exc.value).startswith(
+            "line 4098: slot 2729 of u1 does not follow its slot 2729;"
+        )
+        with pytest.raises(ValueError) as oracle:
+            read_trace_csv_rows(str(path))
+        assert str(exc.value) == str(oracle.value)
+
+    def test_blank_rows_at_a_real_chunk_start_read_like_the_row_reader(self, tmp_path):
+        # Lines 4097 and 8193 open the second and third chunks.
+        assert profile_module._CSV_CHUNK == 4096
+        rows = self._interleaved_rows(2 * 4096 + 100)
+        for index in (10, 4095, 4096 + 4095, 4096 + 4096):
+            rows[index] = ""
+        path = tmp_path / "long.csv"
+        path.write_text("node_id,slot_index,cell_x,cell_y\n" + "\n".join(rows) + "\n")
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[4096] == [] and lines[8192] == []
+        got = read_trace_csv(str(path))
+        assert got == read_trace_csv_rows(str(path))
+        assert sum(len(t) for t in got) == len(rows) - 4
+
     @pytest.mark.parametrize(
         "row, message",
         [
