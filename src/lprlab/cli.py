@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__, figures
 from .analytic import (
@@ -65,10 +65,8 @@ class RunManifest:
 
 
 def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with figures.atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _resolve_out_dir(flag_value: str | None) -> str:
@@ -175,8 +173,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     traces = generate_trace(params)
     out_dir = _resolve_out_dir(args.out_dir)
     path = os.path.join(out_dir, args.out)
-    write_trace_csv(traces, f"{path}.tmp")
-    os.replace(f"{path}.tmp", path)
+    with figures.atomic_path(path) as tmp:
+        write_trace_csv(traces, tmp)
     print(f"wrote {path} ({sum(len(t) for t in traces)} observations)")
     _finish(args, out_dir, [args.out], (args.seed,))
     if args.verify:
@@ -215,25 +213,33 @@ def _print_summary(record_dict: dict) -> None:
         print(f"  {key:<{width}}  {value}")
 
 
-def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario file with --seed and --trials applied."""
+# The scenario key that each override flag sets.
+_FLAG_KEYS = {"seed": "[seeds] seed", "trials": "[traffic] trials"}
+
+
+def _run_config(args: argparse.Namespace, run: Callable) -> tuple:
+    """The scenario file with --seed and --trials applied, and run's result
+    on it; an error about a key that a flag set names the flag too."""
     # The simulator is imported by the commands that run it only, so
     # `curves` and `gen-trace` never load it.
     from .simnet.scenario import load_scenario
 
     config = load_scenario(args.scenario)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.trials is not None:
-        config = replace(config, trials=args.trials)
-    return config
+    flags = {name: vars(args)[name] for name in _FLAG_KEYS if vars(args)[name] is not None}
+    try:
+        config = replace(config, **flags)
+        return config, run(config)
+    except ValueError as exc:
+        for name, value in flags.items():
+            if str(exc).startswith(_FLAG_KEYS[name]):
+                raise ValueError(f"--{name} {value}: {exc}") from None
+        raise
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .simnet.scenario import TrialRow, run_scenario
 
-    config = _load_config(args)
-    record, rows = run_scenario(config)
+    config, (record, rows) = _run_config(args, run_scenario)
     out_dir = _resolve_out_dir(args.out_dir)
 
     trials_path = os.path.join(out_dir, "trials.csv")
@@ -260,13 +266,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare_ghls(args: argparse.Namespace) -> int:
     from .simnet.scenario import compare_ghls
 
-    config = _load_config(args)
-    try:
-        comparison = compare_ghls(config)
-    except ValueError as exc:  # name the flag where it set the trial count
-        if args.trials is None or not str(exc).startswith("[traffic] trials"):
-            raise
-        raise ValueError(f"--trials {args.trials}: {exc}") from None
+    config, comparison = _run_config(args, compare_ghls)
     out_dir = _resolve_out_dir(args.out_dir)
     sweep_path = os.path.join(out_dir, "ghls_sweep.csv")
     figures.write_csv(
@@ -356,10 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         scenario = sub.add_parser(name, help=summary)
         scenario.add_argument("scenario", help="scenario INI file")
-        scenario.add_argument("--seed", type=int, default=None,
-                              help="override [seeds] seed")
-        scenario.add_argument("--trials", type=int, default=None,
-                              help="override [traffic] trials")
+        for name, key in _FLAG_KEYS.items():
+            scenario.add_argument(f"--{name}", type=int, default=None, help=f"override {key}")
         _add_out_dir(scenario)
         scenario.set_defaults(func=func)
 

@@ -9,7 +9,8 @@ a command reproduces byte-identical files.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 from . import analytic
 from .analytic import BetaGeometricModel, RegularityModel
@@ -21,6 +22,7 @@ __all__ = [
     "retry_pmf_rows",
     "grouping_front_rows",
     "format_value",
+    "atomic_path",
     "write_csv",
 ]
 
@@ -31,14 +33,25 @@ def format_value(v: object) -> str:
     return str(v)
 
 
+@contextmanager
+def atomic_path(path: str) -> Iterator[str]:
+    """A temporary path that replaces path when the block ends; a block that
+    raises removes it and leaves path as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write rows atomically: a torn write must not leave a partial file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 def _ranks(k_max: int) -> range:

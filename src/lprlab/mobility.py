@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import HOURS_PER_WEEK, hourly_regularity, sequential_hit_pmf
-from .profile import ObservationTrace, _cell_ranks
+from .profile import ObservationTrace, build_profile
 
 __all__ = [
     "GRID_SIDE",
@@ -124,18 +124,6 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     return traces
 
 
-def _modal_hits_per_slot(trace: ObservationTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Per hour of week: observations at this user's modal cell of that
-    hour, and all observations."""
-    cells, cell = _cell_ranks(trace.cells)
-    n_cells = len(cells)
-    sow = trace.slots % HOURS_PER_WEEK
-    keys, counts = np.unique(sow * n_cells + cell, return_counts=True)
-    hits = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
-    np.maximum.at(hits, keys // n_cells, counts)  # modal cell count per hour
-    return hits, np.bincount(sow, minlength=HOURS_PER_WEEK)
-
-
 def empirical_regularity(traces: list[ObservationTrace]) -> np.ndarray:
     """Fraction of observations at the user's modal cell, per hour of week.
 
@@ -146,9 +134,11 @@ def empirical_regularity(traces: list[ObservationTrace]) -> np.ndarray:
     hits = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
     totals = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
     for trace in traces:
-        h, t = _modal_hits_per_slot(trace)
-        hits += h
-        totals += t
+        profile = build_profile(trace, order=1)
+        for key, rows in profile.contexts.items():
+            if key:  # an hour of week, whose first row counts its modal cell
+                hits[key[0]] += int(profile.counts[rows.start])
+        totals += np.bincount(trace.slots % HOURS_PER_WEEK, minlength=HOURS_PER_WEEK)
     with np.errstate(invalid="ignore"):
         return np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
 
@@ -158,55 +148,31 @@ def empirical_success_after_k(traces: list[ObservationTrace], k: int) -> float:
 
     The first half of each trace trains an order-1 profile; the second
     half is scored: an observation counts as a hit when its cell is among
-    the profile's top k for that hour of week.
+    the profile's top k for that hour of week, or the marginal's top k
+    for an hour with no training data, as `top_k` falls back.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not traces:
         raise ValueError("need at least one trace")
-    hits = 0
-    total = 0
+    hits = total = 0
     for trace in traces:
         split = len(trace) // 2
         if split == 0:
             continue
-        hits += _held_out_hits(trace, split, k)
+        train = ObservationTrace(trace.node_id, trace.slots[:split], trace.cells[:split])
+        profile = build_profile(train, order=1)
+        marginal = profile.contexts[()]
+        hours = [profile.contexts.get((hour,), marginal) for hour in range(HOURS_PER_WEEK)]
+        starts, ends = np.array([(rows.start, rows.stop) for rows in hours]).T
+        # Each hour's first k rows, as one int64 per (x, y) cell.
+        rows = starts[:, None] + np.arange(min(k, (ends - starts).max()))
+        top = profile.cells.view(np.int64).ravel()[np.minimum(rows, len(profile.cells) - 1)]
+        hour = trace.slots[split:] % HOURS_PER_WEEK
+        cell = np.ascontiguousarray(trace.cells[split:]).view(np.int64)
+        hit = (top[hour] == cell) & (rows < ends[:, None])[hour]
+        hits += int(np.count_nonzero(hit.any(axis=1)))
         total += len(trace) - split
     if total == 0:
         raise ValueError("traces too short to split into train and test halves")
     return hits / total
-
-
-def _held_out_hits(trace: ObservationTrace, split: int, k: int) -> int:
-    """Observations from split on whose cell is in the top k of an order-1
-    profile of the records before split.
-
-    The top k of an hour of week rank its training cells by count, then by
-    (x, y); an hour with no training data falls back to the marginal, as
-    `top_k` does.
-    """
-    cells, cell = _cell_ranks(trace.cells)  # cell indices follow (x, y) order
-    n_cells = len(cells)
-    sow = trace.slots % HOURS_PER_WEEK
-    train_sow, test_sow = sow[:split], sow[split:]
-    train_cell, test_cell = cell[:split], cell[split:]
-
-    keys, counts = np.unique(train_sow * n_cells + train_cell, return_counts=True)
-    key_sow = keys // n_cells
-    order = np.lexsort((keys, -counts, key_sow))
-    # Rank of each entry within its hour of week; entries of an hour are
-    # contiguous in `order` because the hour is the primary sort key.
-    ranked_sow = key_sow[order]
-    first = np.searchsorted(ranked_sow, ranked_sow)
-    top_keys = np.sort(keys[order][np.arange(len(order)) - first < k])
-
-    marginal, marginal_counts = np.unique(train_cell, return_counts=True)
-    marginal_top = np.zeros(n_cells, dtype=bool)
-    marginal_top[marginal[np.lexsort((marginal, -marginal_counts))[:k]]] = True
-
-    test_keys = test_sow * n_cells + test_cell
-    at = np.minimum(np.searchsorted(top_keys, test_keys), len(top_keys) - 1)
-    in_slot_top = top_keys[at] == test_keys
-    trained = np.bincount(train_sow, minlength=HOURS_PER_WEEK) > 0
-    hit = np.where(trained[test_sow], in_slot_top, marginal_top[test_cell])
-    return int(np.count_nonzero(hit))

@@ -11,9 +11,15 @@ plain relative frequencies; ranking is what matters downstream, and the
 ranking tie-break (lexicographic cell coordinates) keeps every run
 deterministic.
 
+A profile holds flat arrays: `contexts` maps each context key, in
+serialization order, to its slice of rows of `cells` (int32, (e, 2)) and
+`counts` (uint64). A context's rows are in rank order, count descending
+then (x, y): the one order that `predict`, `top_k` and the mobility
+statistics read.
+
 Profiles are value objects: building returns a new instance and readers
 never see mutation. The rule is load-bearing: `predict` memoises each
-context's ranking on the profile, so counts changed after a query would
+context's ranking on the profile, so arrays changed after a query would
 leave stale rankings behind. Derive a changed profile with
 `dataclasses.replace`, which starts with an empty memo.
 """
@@ -94,21 +100,26 @@ class ObservationTrace:
         )
 
 
-# Context keys inside a profile's counts map:
+# Context keys of a profile:
 #   ()                    order-0 marginal
 #   (hour_of_week,)       order-1
 #   (hour_of_week, cell)  order-3
 ContextKey = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationProfile:
+    """Rank-ordered context counts (see the module docstring), made by
+    `build_profile` and `deserialize_profile`."""
+
     order: int
     version: int
-    counts: dict[ContextKey, dict[CellId, int]] = field(default_factory=dict)
+    contexts: dict[ContextKey, slice] = field(default_factory=dict)
+    cells: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int32))
+    counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
     # Each queried context's ranking, filled by `predict`; callers get copies.
     _rankings: dict[ContextKey, tuple[tuple[CellId, float], ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
+        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -116,6 +127,14 @@ class LocationProfile:
             raise ValueError(f"order must be one of {_ALLOWED_ORDERS}, got {self.order}")
         if self.version < 0:
             raise ValueError(f"version must be non-negative, got {self.version}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LocationProfile):
+            return NotImplemented
+        return ((self.order, self.version, list(self.contexts.items()))
+                == (other.order, other.version, list(other.contexts.items()))
+                and np.array_equal(self.cells, other.cells)
+                and np.array_equal(self.counts, other.counts))
 
 
 class ProfileFormatError(ValueError):
@@ -126,22 +145,21 @@ class ProfileFormatError(ValueError):
         self.offset = offset
 
 
-def _cell_ranks(cells: np.ndarray) -> tuple[list[CellId], np.ndarray]:
-    """Distinct cells of an (n, 2) int32 array in (x, y) order, and each
-    row's index into them.
+_new_tuple = tuple.__new__  # what CellId(x, y) runs, without its Python frame
 
-    Counting keys are built from these indices, not from coordinates, so
-    no int32 coordinate can overflow them.
-    """
-    pairs = np.ascontiguousarray(cells, dtype=np.int32)
-    # One int64 per row, to find the distinct rows; they are then ranked
-    # by (x, y).
-    distinct, index = np.unique(pairs.view(np.int64).ravel(), return_inverse=True)
-    xy = distinct.view(np.int32).reshape(-1, 2)
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return [CellId(x, y) for x, y in xy[order].tolist()], rank[index]
+
+def _profile(order: int, version: int, keys: Sequence[ContextKey], context: np.ndarray,
+             cells: np.ndarray, counts: np.ndarray) -> LocationProfile:
+    """The profile whose row i counts cells[i] in context keys[context[i]]
+    (distinct keys, in any order): contexts in serialization order, and
+    each one's rows in rank order by the one sort every ranking reads."""
+    sort_keys = [_context_sort_key(key) for key in keys]
+    key_order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+    place = np.argsort(key_order)  # each key's place in serialization order
+    rows = np.lexsort((cells[:, 1], cells[:, 0], ~counts, place[context]))
+    ends = np.cumsum(np.bincount(context, minlength=len(keys))[key_order]).tolist()
+    contexts = {keys[i]: slice(a, b) for i, a, b in zip(key_order, [0] + ends, ends)}
+    return LocationProfile(order, version, contexts, cells[rows], counts[rows])
 
 
 def build_profile(trace: ObservationTrace, order: int = 1) -> LocationProfile:
@@ -150,60 +168,59 @@ def build_profile(trace: ObservationTrace, order: int = 1) -> LocationProfile:
     An empty trace yields an empty profile that predicts nothing. The
     order-3 context pairs each observation with the cell of the
     immediately preceding record, so the first record feeds only the
-    lower-order contexts. Contexts and their cells are stored in sorted
-    order.
+    lower-order contexts.
     """
-    if order not in _ALLOWED_ORDERS:
-        raise ValueError(f"order must be one of {_ALLOWED_ORDERS}, got {order}")
-    counts: dict[ContextKey, dict[CellId, int]] = {}
     if len(trace) == 0:
-        return LocationProfile(order=order, version=1, counts=counts)
+        return LocationProfile(order=order, version=1)
 
-    cells, cell = _cell_ranks(trace.cells)
-    n_cells = len(cells)
-    cell_ids, cell_counts = np.unique(cell, return_counts=True)
-    counts[()] = {
-        cells[c]: n for c, n in zip(cell_ids.tolist(), cell_counts.tolist())
-    }
+    # Each record's index into the trace's distinct cells: counting keys are
+    # built from these indices, not from coordinates, so no int32
+    # coordinate can overflow them.
+    distinct, cell = np.unique(
+        np.ascontiguousarray(trace.cells).view(np.int64).ravel(), return_inverse=True
+    )
+    xy = distinct.view(np.int32).reshape(-1, 2)
+    n_cells = len(xy)
+    sow = trace.slots % HOURS_PER_WEEK
+    # Per level: its context keys, and each counted record's context and cell.
+    levels = [([()], np.zeros_like(cell), cell)]
     if order >= 1:
-        sow = trace.slots % HOURS_PER_WEEK
-        keys, key_counts = np.unique(sow * n_cells + cell, return_counts=True)
-        for key, n in zip(keys.tolist(), key_counts.tolist()):
-            s, c = divmod(key, n_cells)
-            counts.setdefault((s,), {})[cells[c]] = n
+        hours, hour = np.unique(sow, return_inverse=True)
+        levels.append(([(h,) for h in hours.tolist()], hour, cell))
     if order == 3 and len(cell) > 1:
         # Number each (hour of week, previous cell) context first, so the
         # context-and-cell key stays below len(trace) * n_cells.
-        contexts, context = np.unique(
-            sow[1:] * n_cells + cell[:-1], return_inverse=True
-        )
-        keys, key_counts = np.unique(context * n_cells + cell[1:], return_counts=True)
-        context_keys = [
-            (s, cells[c])
-            for s, c in (divmod(key, n_cells) for key in contexts.tolist())
-        ]
-        for key, n in zip(keys.tolist(), key_counts.tolist()):
-            ctx, c = divmod(key, n_cells)
-            counts.setdefault(context_keys[ctx], {})[cells[c]] = n
-    return LocationProfile(order=order, version=1, counts=counts)
-
-
-def _ranked(entries: dict[CellId, int]) -> tuple[tuple[CellId, float], ...]:
-    total = sum(entries.values())
-    if total == 0:
-        return ()
-    items = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple((cell, count / total) for cell, count in items if count > 0)
+        contexts, context = np.unique(sow[1:] * n_cells + cell[:-1], return_inverse=True)
+        hour, prev = np.divmod(contexts, n_cells)
+        keys3 = [(s, _new_tuple(CellId, p)) for s, p in zip(hour.tolist(), xy[prev].tolist())]
+        levels.append((keys3, context, cell[1:]))
+    keys: list[ContextKey] = []
+    row_contexts, row_cells, counts = [], [], []
+    for level_keys, context, counted in levels:
+        pairs, n = np.unique(context * n_cells + counted, return_counts=True)
+        row_contexts.append(pairs // n_cells + len(keys))
+        row_cells.append(pairs % n_cells)
+        counts.append(n)
+        keys += level_keys
+    return _profile(order, 1, keys, np.concatenate(row_contexts),
+                    xy[np.concatenate(row_cells)], np.concatenate(counts).astype(np.uint64))
 
 
 def _ranking(profile: LocationProfile, key: ContextKey) -> tuple[tuple[CellId, float], ...]:
     """The context's memoised ranking; empty when the profile lacks it."""
     ranked = profile._rankings.get(key)
     if ranked is None:
-        entries = profile.counts.get(key)
-        if not entries:
+        rows = profile.contexts.get(key)
+        if rows is None:
             return ()
-        ranked = profile._rankings[key] = _ranked(entries)
+        # Python ints: a total above 2**64 stays exact, and so does each quotient.
+        counts = profile.counts[rows].tolist()
+        total = sum(counts)
+        ranked = profile._rankings[key] = tuple(
+            (_new_tuple(CellId, cell), count / total)
+            for cell, count in zip(profile.cells[rows].tolist(), counts)
+            if count
+        )
     return ranked
 
 
@@ -260,6 +277,7 @@ _FORMAT_VERSION = 1
 _SLOT_MINUTES = 60
 _HEADER = struct.Struct("<4sHBHQI")
 _ENTRY = struct.Struct("<iiQ")
+_ENTRY_DTYPE = np.dtype([("x", "<i4"), ("y", "<i4"), ("count", "<u8")])
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -279,26 +297,23 @@ def _context_sort_key(key: ContextKey) -> tuple:
 
 def serialize_profile(profile: LocationProfile) -> bytes:
     """Byte stream for storage or transfer; deterministic for equal profiles."""
-    out = bytearray()
-    out += _HEADER.pack(
-        _MAGIC,
-        _FORMAT_VERSION,
-        profile.order,
-        _SLOT_MINUTES,
-        profile.version,
-        len(profile.counts),
-    )
-    for key in sorted(profile.counts, key=_context_sort_key):
-        level, slot, x, y = _context_sort_key(key)
+    out = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, profile.order, _SLOT_MINUTES,
+                                 profile.version, len(profile.contexts)))
+    lengths = [rows.stop - rows.start for rows in profile.contexts.values()]
+    x, y = profile.cells.T
+    by_cell = np.lexsort((y, x, np.repeat(np.arange(len(lengths)), lengths)))
+    entries = np.empty(len(by_cell), _ENTRY_DTYPE)
+    entries["x"], entries["y"], entries["count"] = x[by_cell], y[by_cell], profile.counts[by_cell]
+    block = memoryview(entries.tobytes())
+    for key, rows in profile.contexts.items():
+        level, slot, px, py = _context_sort_key(key)
         out += _U8.pack(level)
         if level >= 1:
             out += _U16.pack(slot)
         if level == 3:
-            out += _I32X2.pack(x, y)
-        entries = profile.counts[key]
-        out += _U32.pack(len(entries))
-        for cell in sorted(entries):
-            out += _ENTRY.pack(cell[0], cell[1], entries[cell])
+            out += _I32X2.pack(px, py)
+        out += _U32.pack(rows.stop - rows.start)
+        out += block[rows.start * _ENTRY.size : rows.stop * _ENTRY.size]
     return bytes(out)
 
 
@@ -315,22 +330,25 @@ class _Reader:
         return vals
 
 
-_new_tuple = tuple.__new__
-
-
-def _raise_repeated_cell(block: memoryview, key: ContextKey, start: int) -> None:
-    """Report the first entry of a context's block whose cell came earlier."""
-    seen: set[tuple[int, int]] = set()
-    for i, (x, y, _) in enumerate(_ENTRY.iter_unpack(block)):
-        if (x, y) in seen:
-            raise ProfileFormatError(
-                f"repeated cell {(x, y)} in context {key!r}", start + i * _ENTRY.size
-            )
-        seen.add((x, y))
+def _raise_repeated_cell(entries: np.ndarray, context: np.ndarray,
+                         starts: list[tuple[ContextKey, int]]) -> None:
+    """Raise at the first entry, in file order, whose cell came earlier in its
+    context: starts[context[i]] is entry i's (context key, first entry offset)."""
+    rows = np.column_stack((context, entries["x"], entries["y"]))
+    by_cell = np.lexsort(rows.T[::-1])  # stable: a cell's first entry sorts first
+    ordered = rows[by_cell]
+    repeats = by_cell[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    if len(repeats):
+        row = int(repeats.min())
+        i, x, y = rows[row].tolist()
+        key, start = starts[i]
+        offset = start + (row - int(np.searchsorted(context, i))) * _ENTRY.size
+        raise ProfileFormatError(f"repeated cell {(x, y)} in context {key!r}", offset)
 
 
 def deserialize_profile(data: bytes) -> LocationProfile:
-    """Parse a serialized profile; malformed input raises ProfileFormatError."""
+    """Parse a serialized profile, whose contexts and entries may come in
+    any order; malformed input raises ProfileFormatError."""
     r = _Reader(data)
     magic, fmt, order, duration, version, n_contexts = r.take(_HEADER, "header")
     if magic != _MAGIC:
@@ -344,50 +362,49 @@ def deserialize_profile(data: bytes) -> LocationProfile:
             f"slot duration must be {_SLOT_MINUTES} minutes, got {duration}", 7
         )
 
-    counts: dict[ContextKey, dict[CellId, int]] = {}
-    view = memoryview(data)
-    for _ in range(n_contexts):
-        level_pos = r.pos
-        (level,) = r.take(_U8, "context level")
-        if level not in _ALLOWED_ORDERS:
-            raise ProfileFormatError(f"bad context level {level}", level_pos)
-        if level > order:
-            raise ProfileFormatError(
-                f"context level {level} exceeds profile order {order}", level_pos
-            )
-        key: ContextKey = ()
-        if level >= 1:
-            slot_pos = r.pos
-            (slot,) = r.take(_U16, "context slot")
-            if slot >= HOURS_PER_WEEK:
-                raise ProfileFormatError(f"hour of week {slot} out of range", slot_pos)
-            key = (slot,)
-        if level == 3:
-            px, py = r.take(_I32X2, "context cell")
-            key = (key[0], CellId(px, py))
-        count_pos = r.pos
-        (n_entries,) = r.take(_U32, "entry count")
-        remaining = len(r.data) - r.pos
-        if n_entries * _ENTRY.size > remaining:
-            raise ProfileFormatError(
-                f"entry count {n_entries} overruns input", count_pos
-            )
-        if key in counts:
-            raise ProfileFormatError(f"duplicate context {key!r}", level_pos)
-        start = r.pos
-        r.pos += n_entries * _ENTRY.size
-        block = view[start : r.pos]
-        # tuple.__new__ is what CellId(x, y) runs, without its Python frame.
-        entries = {
-            _new_tuple(CellId, (x, y)): count
-            for x, y, count in _ENTRY.iter_unpack(block)
-        }
-        if len(entries) != n_entries:
-            _raise_repeated_cell(block, key, start)
-        counts[key] = entries
-    if r.pos != len(r.data):
-        raise ProfileFormatError("trailing bytes after last context", r.pos)
-    return LocationProfile(order=order, version=version, counts=counts)
+    starts: dict[ContextKey, int] = {}  # byte offset of each context's first entry
+    lengths: list[int] = []
+    try:
+        for _ in range(n_contexts):
+            level_pos = r.pos
+            (level,) = r.take(_U8, "context level")
+            if level not in _ALLOWED_ORDERS:
+                raise ProfileFormatError(f"bad context level {level}", level_pos)
+            if level > order:
+                raise ProfileFormatError(
+                    f"context level {level} exceeds profile order {order}", level_pos
+                )
+            key: ContextKey = ()
+            if level >= 1:
+                slot_pos = r.pos
+                (slot,) = r.take(_U16, "context slot")
+                if slot >= HOURS_PER_WEEK:
+                    raise ProfileFormatError(f"hour of week {slot} out of range", slot_pos)
+                key = (slot,)
+            if level == 3:
+                px, py = r.take(_I32X2, "context cell")
+                key = (key[0], CellId(px, py))
+            count_pos = r.pos
+            (n_entries,) = r.take(_U32, "entry count")
+            if n_entries * _ENTRY.size > len(r.data) - r.pos:
+                raise ProfileFormatError(f"entry count {n_entries} overruns input", count_pos)
+            if key in starts:
+                raise ProfileFormatError(f"duplicate context {key!r}", level_pos)
+            starts[key] = r.pos
+            lengths.append(n_entries)
+            r.pos += n_entries * _ENTRY.size
+        if r.pos != len(r.data):
+            raise ProfileFormatError("trailing bytes after last context", r.pos)
+    finally:
+        # A repeated cell in a context read before an error is the error
+        # the file reports, as an entry-by-entry reader would find it.
+        view = memoryview(data)
+        blocks = (view[s : s + n * _ENTRY.size] for s, n in zip(starts.values(), lengths))
+        entries = np.frombuffer(b"".join(blocks), _ENTRY_DTYPE)
+        context = np.repeat(np.arange(len(starts)), lengths)
+        _raise_repeated_cell(entries, context, list(starts.items()))
+    cells = np.column_stack((entries["x"], entries["y"]))
+    return _profile(order, version, list(starts), context, cells, entries["count"].astype(np.uint64))
 
 
 def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:

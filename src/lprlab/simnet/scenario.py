@@ -107,7 +107,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise ValueError(f"[topology] n = {self.n} must be at least 2")
         if self.n > _MAX_NODES:
             raise ValueError(
                 f"[topology] n = {self.n} is above {_MAX_NODES}: each layout "
@@ -115,12 +115,13 @@ class ScenarioConfig:
             )
         # Chained comparisons also reject nan and inf: a non-finite size
         # fails every layout attempt, and a non-finite rate sweeps nan.
-        if not (0 < self.field_size < math.inf and 0 < self.radio_range < math.inf):
-            raise ValueError("field_size and radio_range must be positive")
+        for key, size in (("field_size", self.field_size), ("radio_range", self.radio_range)):
+            if not 0 < size < math.inf:
+                raise ValueError(f"[topology] {key} = {size} must be positive and finite")
         if self.pool_size < 1:
             raise ValueError(f"[topology] pool = {self.pool_size} must be at least 1")
         if self.grid_cells < 1:
-            raise ValueError("grid_cells must be at least 1")
+            raise ValueError(f"[topology] grid_cells = {self.grid_cells} must be at least 1")
         if self.grid_cells > _MAX_GRID_CELLS:
             raise ValueError(
                 f"[topology] grid_cells = {self.grid_cells} is above "
@@ -128,16 +129,16 @@ class ScenarioConfig:
                 f"grid_cells**2 cells"
             )
         if self.trials < 0:
-            raise ValueError("trials must be non-negative")
+            raise ValueError(f"[traffic] trials = {self.trials} must be non-negative")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"[seeds] seed = {self.seed} must be non-negative")
         if not 0 <= 2 * self.cell_margin < self.grid_cells:
-            raise ValueError("cell_margin must leave at least one eligible cell")
+            raise ValueError(f"[topology] cell_margin = {self.cell_margin} must be from 0 "
+                             f"to {(self.grid_cells - 1) // 2}, leaving an eligible cell")
         n_eligible = (self.grid_cells - 2 * self.cell_margin) ** 2
         if not 1 <= self.n_candidates < n_eligible:
-            raise ValueError(
-                "n_candidates must leave at least one eligible non-candidate cell"
-            )
+            raise ValueError(f"[traffic] n_candidates = {self.n_candidates} must be from 1 "
+                             f"to {n_eligible - 1}, leaving an eligible non-candidate cell")
         if self.n_candidates > floyd_limit(n_eligible):
             raise ValueError(f"[traffic] n_candidates = {self.n_candidates} is above "
                              f"{floyd_limit(n_eligible)}: numpy's choice draws more than "
@@ -149,9 +150,11 @@ class ScenarioConfig:
             if self.grouping is None:
                 raise ValueError("[strategy] kind = lpr needs [strategy] grouping or k")
             if self.grouping.k > self.n_candidates:
-                raise ValueError("grouping covers more ranks than n_candidates")
+                raise ValueError(f"[strategy] grouping = {self.grouping} covers more ranks "
+                                 f"than [traffic] n_candidates = {self.n_candidates}")
         if not all(0 <= f < math.inf for f in self.f_over_r):
-            raise ValueError("f_over_r values must be non-negative")
+            raise ValueError(f"[ghls] f_over_r = {', '.join(map(str, self.f_over_r))} "
+                             f"must be non-negative and finite")
 
     @property
     def cell_size(self) -> float:

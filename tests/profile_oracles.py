@@ -2,7 +2,9 @@
 
 Each is the code that the array or memoised version in `lprlab.profile`
 replaced, kept as the reference its tests compare against: equal results
-on good input, the identical message (and byte offset) on bad input.
+on good input, the identical message (and byte offset) on bad input. The
+loops count in per-context {cell: count} dicts; `profile_from_counts` and
+`counts_of` convert between that form and a profile's rank-ordered arrays.
 """
 
 import csv
@@ -22,12 +24,36 @@ from lprlab.profile import (
     _U16,
     _U32,
     CellId,
-    LocationProfile,
     ObservationTrace,
     ProfileFormatError,
+    _profile,
     _Reader,
     _trace_row,
 )
+
+
+def profile_from_counts(order, version, counts):
+    """The profile of per-context {cell: count} dicts, through the
+    constructor that build_profile and deserialize_profile use."""
+    cells = [cell for entries in counts.values() for cell in entries]
+    values = [n for entries in counts.values() for n in entries.values()]
+    context = np.repeat(np.arange(len(counts)), [len(entries) for entries in counts.values()])
+    return _profile(
+        order, version, list(counts), context,
+        np.array(cells, dtype=np.int32).reshape(-1, 2), np.array(values, dtype=np.uint64),
+    )
+
+
+def counts_of(profile):
+    """A profile's per-context {cell: count} dicts, the inverse of
+    profile_from_counts."""
+    return {
+        key: {
+            CellId(x, y): n
+            for (x, y), n in zip(profile.cells[rows].tolist(), profile.counts[rows].tolist())
+        }
+        for key, rows in profile.contexts.items()
+    }
 
 
 def read_trace_csv_rows(path):
@@ -123,7 +149,7 @@ def deserialize_entries(data):
         counts[key] = entries
     if r.pos != len(r.data):
         raise ProfileFormatError("trailing bytes after last context", r.pos)
-    return LocationProfile(order=order, version=version, counts=counts)
+    return profile_from_counts(order, version, counts)
 
 
 def _ranked(entries):
@@ -137,19 +163,20 @@ def _ranked(entries):
 def predict_unmemoised(profile, slot_index, prev_cell=None):
     """predict ranking the context's counts afresh on every call."""
     sow = slot_index % HOURS_PER_WEEK
+    counts = counts_of(profile)
     if profile.order == 3 and prev_cell is not None:
-        entries = profile.counts.get((sow, prev_cell))
+        entries = counts.get((sow, prev_cell))
         if entries:
             ranked = _ranked(entries)
             if ranked:
                 return ranked
     if profile.order >= 1:
-        entries = profile.counts.get((sow,))
+        entries = counts.get((sow,))
         if entries:
             ranked = _ranked(entries)
             if ranked:
                 return ranked
-    entries = profile.counts.get(())
+    entries = counts.get(())
     if entries:
         return _ranked(entries)
     return []

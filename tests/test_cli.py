@@ -284,6 +284,17 @@ class TestGenTrace:
         assert main(args + ["--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert (tmp_path / "trace.csv").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["gen_trace_manifest.json", "trace.csv"]
+
+    def test_failed_json_write_keeps_the_previous_file(self, tmp_path):
+        # The CLI writes its JSON outputs through _write_text; a lone
+        # surrogate fails to encode partway through the write.
+        path = tmp_path / "summary.json"
+        cli._write_text(str(path), "{}\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_text(str(path), '{"a": "' + "x" * 10000 + '\ud800"}\n')
+        assert path.read_bytes() == b"{}\n"
+        assert os.listdir(tmp_path) == ["summary.json"]
 
 
 class TestSimulate:
@@ -407,7 +418,49 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", ini, "--seed", "-1",
                      "--out-dir", str(tmp_path / "neg")]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --seed -1: [seeds] seed = -1 must be non-negative\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("n = 80", "n = 1", "[topology] n = 1 must be at least 2"),
+            ("field_size = 1200", "field_size = -5",
+             "[topology] field_size = -5.0 must be positive and finite"),
+            ("radio_range = 300", "radio_range = 0",
+             "[topology] radio_range = 0.0 must be positive and finite"),
+            ("grid_cells = 8", "grid_cells = 0", "[topology] grid_cells = 0 must be at least 1"),
+            ("trials = 60", "trials = -1", "[traffic] trials = -1 must be non-negative"),
+            ("seed = 5", "seed = -1", "[seeds] seed = -1 must be non-negative"),
+            ("pool = 2", "pool = 2\ncell_margin = 4",
+             "[topology] cell_margin = 4 must be from 0 to 3, leaving an eligible cell"),
+            ("n_candidates = 5", "n_candidates = 36", "[traffic] n_candidates = 36 must be "
+             "from 1 to 35, leaving an eligible non-candidate cell"),
+            ("kind = oracle", "kind = lpr\ngrouping = 2|4", "[strategy] grouping = 2|4 covers "
+             "more ranks than [traffic] n_candidates = 5"),
+            ("[seeds]", "[ghls]\nf_over_r = 0.5, inf\n\n[seeds]",
+             "[ghls] f_over_r = 0.5, inf must be non-negative and finite"),
+        ],
+    )
+    def test_scenario_error_names_the_key(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "scenario.ini"
+        path.write_text(ORACLE_INI.replace(old, new))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "-1", "[traffic] trials = -1 must be non-negative"),
+            ("--seed", "-1", "[seeds] seed = -1 must be non-negative"),
+        ],
+    )
+    def test_override_error_names_the_flag(self, tmp_path, capsys, flag, value, message):
+        ini = self._ini(tmp_path)
+        for command in ("simulate", "compare-ghls"):
+            assert main([command, ini, flag, value, "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: {flag} {value}: {message}\n"
 
     def test_zero_pool_names_the_key(self, tmp_path, capsys):
         path = tmp_path / "scenario.ini"
@@ -530,7 +583,7 @@ class TestCompareGhls:
         for sweep, message in (
             ("", "bad value for [ghls] f_over_r: ''"),
             ("1, x", "bad value for [ghls] f_over_r: '1, x'"),
-            ("1, -0.5", "f_over_r values must be non-negative"),
+            ("1, -0.5", "[ghls] f_over_r = 1.0, -0.5 must be non-negative and finite"),
         ):
             ini = self._ini(tmp_path, "2|3", f"\n[ghls]\nf_over_r = {sweep}\n")
             assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 2

@@ -121,3 +121,17 @@ class TestCsvWriter:
         path = str(tmp_path / "curve.csv")
         write_csv(path, ["a"], [(1,), (2,)])
         assert os.listdir(tmp_path) == ["curve.csv"]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = str(tmp_path / "curve.csv")
+        write_csv(path, ["a"], [(1,), (2,)])
+        before = open(path, "rb").read()
+
+        def rows():
+            yield (3,)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(path, ["a"], rows())
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["curve.csv"]

@@ -21,7 +21,6 @@ from lprlab.analytic import (
 from lprlab.mobility import (
     GRID_SIDE,
     MobilityParams,
-    _modal_hits_per_slot,
     empirical_regularity,
     empirical_success_after_k,
     generate_trace,
@@ -370,8 +369,9 @@ class TestArrayRankedSuccess:
 
 
 def _unique_rows_modal_hits(trace):
-    """_modal_hits_per_slot over distinct (hour, x, y) rows: test oracle
-    for the version that counts hour * n_cells + cell keys."""
+    """Per hour of week, the modal cell's count and all observations, over
+    distinct (hour, x, y) rows: test oracle for the per-hour counts of
+    empirical_regularity."""
     sow = (trace.slots % 168).astype(np.int64)
     rows = np.column_stack(
         [sow, trace.cells[:, 0].astype(np.int64), trace.cells[:, 1].astype(np.int64)]
@@ -404,23 +404,31 @@ def _modal_traces(draw):
     return ObservationTrace("u", slots, cells.reshape(-1, 2))
 
 
+def _regularity(hits, totals):
+    """empirical_regularity's fractions from per-hour counts."""
+    with np.errstate(invalid="ignore"):
+        return np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
+
+
 class TestModalHits:
     @settings(max_examples=300, deadline=None)
     @given(trace=_modal_traces())
     @example(trace=trace_from_records("u", []))
     @example(trace=trace_from_records("u", [(7, (-(2**31), 2**31 - 1))]))
     def test_matches_unique_rows(self, trace):
-        hits, totals = _modal_hits_per_slot(trace)
         expected_hits, expected_totals = _unique_rows_modal_hits(trace)
-        assert np.array_equal(hits, expected_hits)
-        assert np.array_equal(totals, expected_totals)
-        assert hits.shape == totals.shape == (168,)
-        assert totals.sum() == len(trace)
+        assert expected_totals.sum() == len(trace)
+        assert np.array_equal(
+            empirical_regularity([trace]),
+            _regularity(expected_hits, expected_totals),
+            equal_nan=True,
+        )
 
     def test_matches_unique_rows_on_generated_traces(self):
         for seed in range(3):
-            for trace in generate_trace(MobilityParams(n_users=2, n_weeks=8, seed=seed)):
-                hits, totals = _modal_hits_per_slot(trace)
-                expected_hits, expected_totals = _unique_rows_modal_hits(trace)
-                assert np.array_equal(hits, expected_hits)
-                assert np.array_equal(totals, expected_totals)
+            traces = generate_trace(MobilityParams(n_users=2, n_weeks=8, seed=seed))
+            counts = [_unique_rows_modal_hits(trace) for trace in traces]
+            expected_hits, expected_totals = map(sum, zip(*counts))
+            assert np.array_equal(
+                empirical_regularity(traces), _regularity(expected_hits, expected_totals)
+            )

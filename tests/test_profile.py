@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 import random
+import struct
 import subprocess
 import sys
 from unittest import mock
@@ -28,7 +29,13 @@ from lprlab.profile import (
     top_k,
     write_trace_csv,
 )
-from profile_oracles import deserialize_entries, predict_unmemoised, read_trace_csv_rows
+from profile_oracles import (
+    counts_of,
+    deserialize_entries,
+    predict_unmemoised,
+    profile_from_counts,
+    read_trace_csv_rows,
+)
 from trace_records import records_of, trace_from_records
 
 A = CellId(3, 4)
@@ -127,7 +134,7 @@ class TestBuildAndPredict:
             slot += rng.randint(1, 3)
             records.append((slot, CellId(rng.randint(0, 4), rng.randint(0, 4))))
         p = build_profile(trace_of(records), order=3)
-        for key in p.counts:
+        for key in p.contexts:
             slot_q = key[0] if key else 11
             prev = key[1] if len(key) == 2 else None
             ranked = predict(p, slot_q, prev)
@@ -188,7 +195,7 @@ class TestBuildAndPredict:
             slot += 1
             records.append((slot, CellId(rng.randint(0, 2), rng.randint(0, 2))))
         p = build_profile(trace_of(records), order=3)
-        for key, entries in p.counts.items():
+        for key, entries in counts_of(p).items():
             if len(key) != 2:
                 continue
             sow, prev = key
@@ -198,7 +205,7 @@ class TestBuildAndPredict:
 
     def test_first_record_has_no_order3_context(self):
         p = build_profile(trace_of([(10, A)]), order=3)
-        assert all(len(key) != 2 for key in p.counts)
+        assert all(len(key) != 2 for key in p.contexts)
 
     def test_build_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -268,9 +275,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key", [(1, A, 2), (1, A, 2, 3)])
     def test_malformed_context_key_rejected(self, key):
-        p = LocationProfile(order=3, version=0, counts={(): {A: 1}, key: {B: 2}})
         with pytest.raises(ValueError, match="bad context key"):
-            serialize_profile(p)
+            serialize_profile(profile_from_counts(3, 0, {(): {A: 1}, key: {B: 2}}))
 
     def test_bad_magic(self):
         data = bytearray(serialize_profile(self.random_profile(1)))
@@ -337,6 +343,23 @@ class TestSerialization:
             deserialize_profile(bytes(data))
         assert exc.value.offset == second
 
+    def test_out_of_order_file_reads_as_sorted(self):
+        # Contexts, and each context's entries, shuffled: the same profile,
+        # which writes the sorted bytes back.
+        for seed in range(10):
+            p = self.random_profile(seed)
+            canonical = serialize_profile(p)
+            contexts = [(key, list(entries.items())) for key, entries in counts_of(p).items()]
+            rng = random.Random(seed)
+            rng.shuffle(contexts)
+            for _, entries in contexts:
+                rng.shuffle(entries)
+            data = canonical[:21] + b"".join(_context_bytes(*c) for c in contexts)
+            assert len(data) == len(canonical)
+            assert data != canonical or len(contexts) < 3
+            assert deserialize_profile(data) == p == deserialize_entries(data)
+            assert serialize_profile(deserialize_profile(data)) == canonical
+
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -390,6 +413,63 @@ class TestSerialization:
             assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
             return
         assert deserialize_profile(bytes(data)) == expected
+
+
+def _context_bytes(key, entries):
+    """One context of a serialized profile, its entries in the given order."""
+    out = bytes([(0, 1, 3)[len(key)]])
+    if key:
+        out += struct.pack("<H", key[0])
+    if len(key) == 2:
+        out += struct.pack("<ii", *key[1])
+    out += struct.pack("<I", len(entries))
+    return out + b"".join(struct.pack("<iiQ", x, y, n) for (x, y), n in entries)
+
+
+# Counts whose context totals pass 2**64 (a uint64 sum wraps), zeros, and
+# 2**53 + 1 beside 2**64 - 1, whose quotient float division gets wrong.
+_WIDE_COUNTS = st.sampled_from([0, 1, 2, 2**53 + 1, 2**63, 2**64 - 2, 2**64 - 1])
+
+
+class TestWideCounts:
+    COUNTS = {
+        (): {A: 2**53 + 1, B: 2**64 - 1, C: 0},
+        (5,): {C: 0},
+        (6,): {B: 2**64 - 1, A: 2**64 - 1, C: 1},
+        (6, A): {A: 0, B: 0},
+        (6, B): {C: 2**64 - 1, A: 0},
+    }
+
+    def test_exact_confidences(self):
+        p = profile_from_counts(3, 7, self.COUNTS)
+        total = 2**64 + 2**53
+        assert predict(p, 0) == [(B, (2**64 - 1) / total), (A, (2**53 + 1) / total)]
+        assert predict(p, 0)[1][1] != float(2**53 + 1) / float(total)
+        assert predict(p, 5) == predict(p, 0)  # all-zero context escapes
+        assert predict(p, 6, A) == predict(p, 6)
+        assert predict(p, 6, B) == [(C, 1.0)]
+        assert predict(p, 6) == [(A, (2**64 - 1) / (2**65 - 1)),
+                                 (B, (2**64 - 1) / (2**65 - 1)), (C, 1 / (2**65 - 1))]
+        data = serialize_profile(p)
+        assert deserialize_profile(data) == p == deserialize_entries(data)
+        assert serialize_profile(deserialize_profile(data)) == data
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.sampled_from([(), (5,), (6,), (5, A), (6, B), (6, C)]),
+            st.dictionaries(st.sampled_from([A, B, C, CellId(-1, 5)]), _WIDE_COUNTS),
+        )
+    )
+    def test_predict_and_bytes_match_the_oracles(self, counts):
+        p = profile_from_counts(3, 1, counts)
+        assert counts_of(p) == counts
+        for slot in (5, 6, 7):
+            for prev in (None, A, B, C):
+                assert predict(p, slot, prev) == predict_unmemoised(p, slot, prev)
+        data = serialize_profile(p)
+        assert deserialize_profile(data) == p == deserialize_entries(data)
+        assert serialize_profile(deserialize_profile(data)) == data
 
 
 _csv_numbers = st.sampled_from(
@@ -645,7 +725,7 @@ def _loop_build_profile(trace, order=1):
     counts = {(): marginal} if marginal else {}
     counts.update(by_slot)
     counts.update(by_slot_prev)
-    return LocationProfile(order=order, version=1, counts=counts)
+    return profile_from_counts(order, 1, counts)
 
 
 _INT32 = st.integers(-(2**31), 2**31 - 1)
@@ -714,8 +794,10 @@ class TestPredictMemo:
     def test_replace_starts_with_an_empty_memo(self):
         p = self.profile()
         assert predict(p, 5) == predict_unmemoised(p, 5)
-        counts = {(): {C: 1}, (5,): {B: 2, A: 1}}
-        q = dataclasses.replace(p, counts=counts)
+        other = profile_from_counts(3, 1, {(): {C: 1}, (5,): {B: 2, A: 1}})
+        q = dataclasses.replace(
+            p, contexts=other.contexts, cells=other.cells, counts=other.counts
+        )
         assert q._rankings == {}
         assert predict(q, 5) == [(B, 2 / 3), (A, 1 / 3)]
         assert predict(q, 6) == [(C, 1.0)]

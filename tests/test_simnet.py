@@ -1288,7 +1288,7 @@ class TestScenarioConfig:
             replace(SMALL, strategy="lpr", grouping=Grouping.serial(13))
         with pytest.raises(ValueError):
             replace(SMALL, f_over_r=(1.0, -0.5))
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match=re.escape("[seeds] seed = -3 must be non-negative")):
             replace(SMALL, seed=-3)
         assert replace(SMALL, n=2048, grid_cells=256).n == 2048
         with pytest.raises(ValueError, match=re.escape("[topology] n = 2049 is above 2048")):
