@@ -8,7 +8,7 @@ reproducible metrics.
 
 from .topology import Topology, build_topology, topology_from_positions
 from .gpsr import RouteResult, gpsr_route
-from .delivery import DeliveryOutcome, candidates_from_profile, lpr_deliver
+from .delivery import DeliveryOutcome, lpr_deliver
 from .scenario import (
     GhlsComparison,
     MetricsRecord,
@@ -26,7 +26,6 @@ __all__ = [
     "RouteResult",
     "gpsr_route",
     "DeliveryOutcome",
-    "candidates_from_profile",
     "lpr_deliver",
     "GhlsComparison",
     "MetricsRecord",

@@ -36,14 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytic import Grouping
-from ..profile import CellId, LocationProfile, top_k
 from .gpsr import _distance, _leg_ttl, route_legs
 from .topology import Topology
 
 __all__ = [
     "DeliveryOutcome",
-    "candidates_from_profile",
-    "cell_center",
     "ghls_waves",
     "hashed_home_index",
     "lpr_deliver",
@@ -57,22 +54,6 @@ class DeliveryOutcome:
     success: bool
     latency_factor: float
     transmissions: int
-
-
-def cell_center(cell: CellId, cell_size: float) -> tuple[float, float]:
-    return ((cell.x + 0.5) * cell_size, (cell.y + 0.5) * cell_size)
-
-
-def candidates_from_profile(
-    profile: LocationProfile,
-    slot_index: int,
-    k: int,
-    cell_size: float,
-    prev_cell: CellId | None = None,
-) -> list[tuple[float, float]]:
-    """Ranked candidate positions: centers of the profile's top-k cells."""
-    cells = top_k(profile, slot_index, k, prev_cell=prev_cell)
-    return [cell_center(c, cell_size) for c in cells]
 
 
 def _within(

@@ -77,16 +77,11 @@ _SLOTS = 256
 class RouteResult:
     success: bool
     path: list[int]
-    # One flag per hop: True where the hop was made in perimeter mode.
-    perimeter_steps: tuple[bool, ...] = ()
+    perimeter_hops: int
 
     @property
     def hops(self) -> int:
         return len(self.path) - 1
-
-    @property
-    def perimeter_hops(self) -> int:
-        return sum(self.perimeter_steps)
 
 
 def _leg_ttl(n: int) -> int:
@@ -126,13 +121,13 @@ def _perimeter(
     dy: float,
     radius: float,
     budget: int,
-    trail: list[int] | None,
+    path: list[int] | None,
 ) -> tuple[bool | None, int, int]:
     """Perimeter mode from the local minimum x, for at most budget hops.
 
     Returns (outcome, node, hops): outcome True (arrived within radius)
     or False (dropped) ends the leg at node; None hands node back to
-    greedy forwarding. trail, when given, receives each node visited.
+    greedy forwarding. path, when given, receives each node visited.
     """
     xs, ys = topology.xs, topology.ys
     planar = topology.planar
@@ -152,8 +147,8 @@ def _perimeter(
     while True:
         arrival_from, x = x, nxt
         hops += 1
-        if trail is not None:
-            trail.append(x)
+        if path is not None:
+            path.append(x)
         px, py = xs[x], ys[x]
         dist_x = distance(px, py)
         if dist_x <= radius:
@@ -181,14 +176,13 @@ def route_legs(
     dest,
     acceptance_radius: float,
     ttl: int,
-    trails: list[tuple[list[int], list[bool]]] | None = None,
+    paths: list[list[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Route leg i from node src[i] toward position dest[i], all legs in
     lockstep, each with hop budget ttl; success within acceptance_radius.
 
-    Returns the arrays (success, end node, hops, perimeter hops). trails,
-    when given, holds one (path, perimeter flags) pair of lists per leg,
-    and each hop appends its node and whether it was a perimeter hop.
+    Returns the arrays (success, end node, hops, perimeter hops). paths,
+    when given, holds one list per leg, and each hop appends its node.
     """
     src = np.asarray(src, dtype=np.intp)
     dest = np.ascontiguousarray(dest, dtype=float).reshape(-1, 2)
@@ -223,10 +217,9 @@ def route_legs(
         moved = active[moves]
         end[moved] = row[moves, col[moves]]
         hops[moved] += 1
-        if trails is not None:
+        if paths is not None:
             for i, v in zip(moved.tolist(), end[moved].tolist()):
-                trails[i][0].append(v)
-                trails[i][1].append(False)
+                paths[i].append(v)
 
         # Local minima: walk the perimeter, then rejoin or finish.
         keep = moves
@@ -235,13 +228,11 @@ def route_legs(
             outcome, node, walked = _perimeter(
                 topology, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
                 radius, ttl - int(hops[i]),
-                None if trails is None else trails[i][0],
+                None if paths is None else paths[i],
             )
             end[i] = node
             hops[i] += walked
             perimeter[i] += walked
-            if trails is not None:
-                trails[i][1].extend([True] * walked)
             if outcome is None:
                 keep[r] = True
             else:
@@ -275,8 +266,8 @@ def gpsr_route(
         raise ValueError("acceptance_radius must be non-negative")
     if ttl is None:
         ttl = _leg_ttl(topology.n)
-    trail: tuple[list[int], list[bool]] = ([src], [])
-    success, _, _, _ = route_legs(
-        topology, [src], [dest_position], acceptance_radius, ttl, [trail]
+    path = [src]
+    success, _, _, perimeter = route_legs(
+        topology, [src], [dest_position], acceptance_radius, ttl, [path]
     )
-    return RouteResult(bool(success[0]), trail[0], tuple(trail[1]))
+    return RouteResult(bool(success[0]), path, int(perimeter[0]))

@@ -48,14 +48,7 @@ from ..analytic import (
     mean_traffic,
     sequential_hit_pmf,
 )
-from ..profile import CellId
-from .delivery import (
-    cell_center,
-    ghls_waves,
-    hashed_home_index,
-    lpr_waves,
-    round_trips,
-)
+from .delivery import ghls_waves, hashed_home_index, lpr_waves, round_trips
 from .gpsr import _leg_ttl, route_legs
 from .streams import Streams, floyd_limit
 from .topology import Topology, _disjoint_union, build_topology
@@ -78,9 +71,13 @@ _STRATEGIES = ("lpr", "oracle", "ghls")
 _BASELINE_TRIALS = 2000
 # Size bounds that keep a run's arrays within a few tens of MiB: a layout
 # attempt holds (n, n, 2) float offsets, and a run tabulates the centre
-# of every one of the grid_cells**2 cells.
+# of each of the (grid_cells - 2)**2 eligible cells (places()).
 _MAX_NODES = 2048
 _MAX_GRID_CELLS = 256
+# Candidate, wander, home, and baseline cells stay this many cells away
+# from the field edge; boundary cells often have no node within the
+# acceptance radius, and those failed legs cost face tours.
+_CELL_MARGIN = 1
 # Stream tags: trial i draws from the stream seeded [seed, 7, i], and
 # baseline probe b from [seed, 13, b].
 _TRIAL_TAG = 7
@@ -100,10 +97,6 @@ class ScenarioConfig:
     grouping: Grouping | None = None
     f_over_r: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     seed: int = 0
-    # Candidate, wander, home, and baseline cells stay this many cells
-    # away from the field edge; boundary cells often have no node within
-    # the acceptance radius, and those failed legs cost face tours.
-    cell_margin: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -120,22 +113,20 @@ class ScenarioConfig:
                 raise ValueError(f"[topology] {key} = {size} must be positive and finite")
         if self.pool_size < 1:
             raise ValueError(f"[topology] pool = {self.pool_size} must be at least 1")
-        if self.grid_cells < 1:
-            raise ValueError(f"[topology] grid_cells = {self.grid_cells} must be at least 1")
+        if self.grid_cells < 2 * _CELL_MARGIN + 1:
+            raise ValueError(f"[topology] grid_cells = {self.grid_cells} must be at least "
+                             f"{2 * _CELL_MARGIN + 1}, leaving an eligible cell")
         if self.grid_cells > _MAX_GRID_CELLS:
             raise ValueError(
                 f"[topology] grid_cells = {self.grid_cells} is above "
-                f"{_MAX_GRID_CELLS}: a run tabulates the centre of each of the "
-                f"grid_cells**2 cells"
+                f"{_MAX_GRID_CELLS}: a run tabulates the centres of its "
+                f"(grid_cells - 2)**2 eligible cells"
             )
         if self.trials < 0:
             raise ValueError(f"[traffic] trials = {self.trials} must be non-negative")
         if self.seed < 0:
             raise ValueError(f"[seeds] seed = {self.seed} must be non-negative")
-        if not 0 <= 2 * self.cell_margin < self.grid_cells:
-            raise ValueError(f"[topology] cell_margin = {self.cell_margin} must be from 0 "
-                             f"to {(self.grid_cells - 1) // 2}, leaving an eligible cell")
-        n_eligible = (self.grid_cells - 2 * self.cell_margin) ** 2
+        n_eligible = (self.grid_cells - 2 * _CELL_MARGIN) ** 2
         if not 1 <= self.n_candidates < n_eligible:
             raise ValueError(f"[traffic] n_candidates = {self.n_candidates} must be from 1 "
                              f"to {n_eligible - 1}, leaving an eligible non-candidate cell")
@@ -160,14 +151,13 @@ class ScenarioConfig:
     def cell_size(self) -> float:
         return self.field_size / self.grid_cells
 
-    @property
-    def n_cells(self) -> int:
-        return self.grid_cells * self.grid_cells
-
-    def eligible_cells(self) -> np.ndarray:
-        m = self.cell_margin
-        side = np.arange(m, self.grid_cells - m)
-        return (side[:, None] * self.grid_cells + side[None, :]).ravel()
+    def places(self) -> np.ndarray:
+        """(m, 2) centres of the eligible cells, those at least
+        _CELL_MARGIN cells from the field edge, row by row: the cells that
+        candidates, wanderers, ghls homes and baseline probes address."""
+        side = (np.arange(_CELL_MARGIN, self.grid_cells - _CELL_MARGIN) + 0.5) * self.cell_size
+        xs, ys = np.meshgrid(side, side)
+        return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
 
 def _sweep(raw: str) -> tuple[float, ...]:
@@ -185,7 +175,6 @@ _KEYS = {
     ("topology", "radio_range"): ("radio_range", float),
     ("topology", "pool"): ("pool_size", int),
     ("topology", "grid_cells"): ("grid_cells", int),
-    ("topology", "cell_margin"): ("cell_margin", int),
     ("traffic", "trials"): ("trials", int),
     ("traffic", "n_candidates"): ("n_candidates", int),
     ("strategy", "kind"): ("strategy", lambda raw: raw.strip().lower()),
@@ -203,8 +192,8 @@ _REQUIRED = (
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse a scenario description from a UTF-8 INI file.
 
-    Sections: [topology] n, field_size, radio_range, pool, grid_cells,
-    cell_margin; [traffic] trials, n_candidates; [strategy] kind plus
+    Sections: [topology] n, field_size, radio_range, pool, grid_cells;
+    [traffic] trials, n_candidates; [strategy] kind plus
     either grouping (stage sizes joined by '|') or k (fully serial);
     [ghls] f_over_r (comma-separated sweep); [seeds] seed. Required:
     n, field_size, radio_range, trials, n_candidates and kind; every
@@ -315,14 +304,6 @@ def _layout_starts(
     return np.array([i % config.pool_size * config.n for i in indices], dtype=np.intp)
 
 
-def _cell_centers(config: ScenarioConfig) -> np.ndarray:
-    """(n_cells, 2) array of the center of every cell index (row-major
-    over the grid), looked up by each trial."""
-    i = np.arange(config.n_cells)
-    g = config.grid_cells
-    return np.stack(cell_center(CellId(i % g, i // g), config.cell_size), axis=1)
-
-
 def run_trials(
     config: ScenarioConfig, indices: Iterable[int], pool: Topology
 ) -> list[TrialRow]:
@@ -334,8 +315,8 @@ def run_trials(
     """
     indices = [int(i) for i in indices]
     src = _layout_starts(config, pool, indices)
-    # Candidate and true cells are positions in the sorted eligible cells.
-    places = _cell_centers(config)[config.eligible_cells()]
+    # Candidate and true cells are positions in places().
+    places = config.places()
     n_trials, nc = len(indices), config.n_candidates
     updaters = src.copy()
     draws = Streams(config.seed, _TRIAL_TAG, indices)
@@ -406,7 +387,7 @@ def measure_baseline(config: ScenarioConfig, pool: Topology) -> float | None:
     src = _layout_starts(config, pool, range(n_probes))
     if n_probes == 0:
         return None
-    places = _cell_centers(config)[config.eligible_cells()]
+    places = config.places()
     probes = Streams(config.seed, _BASELINE_TAG, range(n_probes))
     src += probes.integers(config.n)
     dest = places[probes.integers(len(places))]

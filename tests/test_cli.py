@@ -319,6 +319,20 @@ class TestSimulate:
         assert manifest["outputs"] == ["trials.csv", "summary.json"]
         assert manifest["seeds"] == [5]
 
+    def test_readme_scenario_runs(self, tmp_path, capsys):
+        # The scenario file README shows uses only keys the loader knows.
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as f:
+            block = f.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "scenario.ini"
+        path.write_text(block)
+        config = scenario.load_scenario(str(path))
+        assert (config.n, config.trials, str(config.grouping)) == (280, 5000, "2|10")
+        assert main(["simulate", str(path), "--trials", "20", "--out-dir", str(tmp_path)]) == 0
+        assert len(_csv_rows(tmp_path / "trials.csv")) == 20
+        capsys.readouterr()
+
     def test_reruns_are_identical(self, tmp_path):
         ini = self._ini(tmp_path)
         first_dir = tmp_path / "first"
@@ -379,7 +393,7 @@ class TestSimulate:
         monkeypatch.setattr(scenario, "build_pool", no_pool)
         for old, new, reason in (
             ("n = 80", "n = 10000000000", "(n, n, 2) array"),
-            ("grid_cells = 8", "grid_cells = 100000", "grid_cells**2 cells"),
+            ("grid_cells = 8", "grid_cells = 100000", "(grid_cells - 2)**2 eligible cells"),
         ):
             path = tmp_path / "scenario.ini"
             path.write_text(ORACLE_INI.replace(old, new))
@@ -394,10 +408,10 @@ class TestSimulate:
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
     def test_too_many_candidates_exit_2(self, tmp_path, capsys):
-        # Of 10201 cells numpy's choice draws at most 204 by the Floyd's
-        # algorithm that the trial draws copy.
+        # Of 101**2 = 10201 eligible cells numpy's choice draws at most 204
+        # by the Floyd's algorithm that the trial draws copy.
         path = tmp_path / "scenario.ini"
-        path.write_text(ORACLE_INI.replace("grid_cells = 8", "grid_cells = 101\ncell_margin = 0")
+        path.write_text(ORACLE_INI.replace("grid_cells = 8", "grid_cells = 103")
                         .replace("n_candidates = 5", "n_candidates = 205"))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -429,11 +443,11 @@ class TestSimulate:
              "[topology] field_size = -5.0 must be positive and finite"),
             ("radio_range = 300", "radio_range = 0",
              "[topology] radio_range = 0.0 must be positive and finite"),
-            ("grid_cells = 8", "grid_cells = 0", "[topology] grid_cells = 0 must be at least 1"),
+            ("grid_cells = 8", "grid_cells = 0",
+             "[topology] grid_cells = 0 must be at least 3, leaving an eligible cell"),
             ("trials = 60", "trials = -1", "[traffic] trials = -1 must be non-negative"),
             ("seed = 5", "seed = -1", "[seeds] seed = -1 must be non-negative"),
-            ("pool = 2", "pool = 2\ncell_margin = 4",
-             "[topology] cell_margin = 4 must be from 0 to 3, leaving an eligible cell"),
+            ("pool = 2", "pool = 2\ncell_margin = 1", "unknown option [topology] cell_margin"),
             ("n_candidates = 5", "n_candidates = 36", "[traffic] n_candidates = 36 must be "
              "from 1 to 35, leaving an eligible non-candidate cell"),
             ("kind = oracle", "kind = lpr\ngrouping = 2|4", "[strategy] grouping = 2|4 covers "

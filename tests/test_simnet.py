@@ -33,12 +33,10 @@ from lprlab.analytic import (
     regularity,
     sequential_hit_pmf,
 )
-from lprlab.profile import CellId, ObservationTrace, build_profile
 from lprlab.simnet import (
     DeliveryOutcome,
     ScenarioConfig,
     build_topology,
-    candidates_from_profile,
     compare_ghls,
     gpsr_route,
     load_scenario,
@@ -49,7 +47,6 @@ from lprlab.simnet import (
 from lprlab.simnet import gpsr, scenario
 from lprlab.simnet.delivery import (
     _within,
-    cell_center,
     ghls_waves,
     hashed_home_index,
     round_trips,
@@ -497,13 +494,16 @@ class TestTopology:
 
 
 def _assert_route_ok(topo, route, src, dest, radius, ttl):
-    """Every hop is a link, a perimeter hop a planar link, a greedy hop
-    strictly closer to dest; the route keeps to ttl and succeeds exactly
-    when it ends within radius of dest."""
+    """route is the scalar oracle's, and on the oracle's hop flags every
+    hop is a link, a perimeter hop a planar link, a greedy hop strictly
+    closer to dest; the route keeps to ttl and succeeds exactly when it
+    ends within radius of dest."""
+    want, steps, _ = _scalar_gpsr_route(topo, src, dest, radius, ttl)
+    assert route == want
     assert route.path[0] == src
     assert route.hops <= ttl
-    assert len(route.perimeter_steps) == route.hops
-    for a, b, on_perimeter in zip(route.path, route.path[1:], route.perimeter_steps):
+    assert len(steps) == route.hops
+    for a, b, on_perimeter in zip(route.path, route.path[1:], steps):
         assert b in _rows(topo, "neighbors")[a]
         if on_perimeter:
             assert b in _rows(topo, "planar")[a]
@@ -517,7 +517,8 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
     inline, as gpsr_route ran before legs were batched. The oracle for
     route_legs and gpsr_route.
 
-    Returns the route and the number of GPSR face changes it made. The
+    Returns the route, its per-hop flags (True where the hop was made in
+    perimeter mode) and the number of GPSR face changes it made. The
     oracle keeps the face change, with a rotation bound; the walker has
     none (the gpsr docstring proves it never fires on a Gabriel
     subgraph), so agreement with a count of 0 tests that proof."""
@@ -528,6 +529,10 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         return math.sqrt((x - dx) * (x - dx) + (y - dy) * (y - dy))
 
     dest = (dx, dy)
+
+    def result(success):
+        return RouteResult(success, path, sum(steps)), steps, face_changes
+
     xs, ys = topology.xs, topology.ys
     x = src
     path = [src]
@@ -544,9 +549,9 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         px, py = xs[x], ys[x]
         dist_x = dist(px, py)
         if dist_x <= acceptance_radius:
-            return RouteResult(True, path, tuple(steps)), face_changes
+            return result(True)
         if len(path) - 1 >= ttl:
-            return RouteResult(False, path, tuple(steps)), face_changes
+            return result(False)
 
         if greedy:
             best = None
@@ -562,7 +567,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
                 x = best
                 continue
             if not _rows(topology, "planar")[x]:
-                return RouteResult(False, path, tuple(steps)), face_changes
+                return result(False)
             greedy = False
             entry_point = (px, py)
             entry_dist = dist_x
@@ -578,7 +583,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         row = _rows(topology, "planar")[x]
         nxt = _next_ccw(topology, x, row, ref)
         if nxt is None:
-            return RouteResult(False, path, tuple(steps)), face_changes
+            return result(False)
         # Face change: rotate past any edge crossing the entry-to-dest
         # line closer to the destination than all previous crossings.
         rotations = 0
@@ -599,7 +604,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         if first_edge is None:
             first_edge = (x, nxt)
         elif (x, nxt) == first_edge:
-            return RouteResult(False, path, tuple(steps)), face_changes
+            return result(False)
 
         arrival_from = x
         path.append(nxt)
@@ -611,12 +616,12 @@ def _assert_batch_matches_scalar(topo, legs, radius, ttl, single_every=1):
     """route_legs on all legs at once, and gpsr_route on every
     single_every-th leg, give the scalar oracle's route: the same
     success, end node, hops and perimeter hops, and for gpsr_route the
-    same path and hop flags. The oracle never changes face."""
+    same path. The oracle never changes face."""
     success, end, hops, perimeter = route_legs(
         topo, [s for s, _ in legs], [d for _, d in legs], radius, ttl
     )
     for i, (s, dest) in enumerate(legs):
-        want, face_changes = _scalar_gpsr_route(topo, s, dest, radius, ttl)
+        want, _, face_changes = _scalar_gpsr_route(topo, s, dest, radius, ttl)
         assert face_changes == 0, (s, dest, radius, ttl)
         got = (bool(success[i]), int(end[i]), int(hops[i]), int(perimeter[i]))
         assert got == (want.success, want.path[-1], want.hops, want.perimeter_hops), (
@@ -713,7 +718,6 @@ class TestGpsr:
         assert route.path == [0, 1, 2, 3, 4, 5]
         assert route.hops == 5
         assert route.perimeter_hops == 0
-        assert route.perimeter_steps == (False,) * 5
 
     def test_source_within_radius_takes_zero_hops(self):
         topo = topology_from_positions([(float(i), 0.0) for i in range(6)], 1.5)
@@ -733,8 +737,9 @@ class TestGpsr:
         route = gpsr_route(topo, 0, VOID_DEST)
         assert route.success
         assert route.path == [0, 1, 2, 4, 6]
-        assert route.perimeter_steps == (False, True, True, False)
         assert route.perimeter_hops == 2
+        _, steps, _ = _scalar_gpsr_route(topo, 0, VOID_DEST, 0.0, _leg_ttl(topo.n))
+        assert steps == [False, True, True, False]
 
     def test_unreachable_destination_fails_cleanly(self):
         topo = _two_clusters()
@@ -844,7 +849,7 @@ class TestGpsr:
         ))
         for dest in dests:
             for src in range(topo.n):
-                _, face_changes = _scalar_gpsr_route(topo, src, dest, 0.0, 8 * topo.n)
+                *_, face_changes = _scalar_gpsr_route(topo, src, dest, 0.0, 8 * topo.n)
                 assert face_changes == 0, (src, dest)
 
     def test_face_change_fires_without_the_gabriel_rule(self):
@@ -854,9 +859,9 @@ class TestGpsr:
         # node 0 to the destination, and the oracle changes face there.
         topo = topology_from_positions([(0.0, 0.0), (1.0, 5.0), (1.0, -5.0)], 10.5)
         assert _rows(topo, "planar")[1] == [0]
-        assert _scalar_gpsr_route(topo, 0, (10.0, 0.0), 0.0, 24)[1] == 0
+        assert _scalar_gpsr_route(topo, 0, (10.0, 0.0), 0.0, 24)[2] == 0
         unit_disk = replace(topo, planar=topo.neighbors)
-        assert _scalar_gpsr_route(unit_disk, 0, (10.0, 0.0), 0.0, 24)[1] == 1
+        assert _scalar_gpsr_route(unit_disk, 0, (10.0, 0.0), 0.0, 24)[2] == 1
 
     @settings(max_examples=100, deadline=None)
     @given(_layouts(), st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]), st.data())
@@ -890,8 +895,8 @@ class TestGpsr:
         threshold = topo.distance_to(0, dest) - 1e-9
         assert topo.distance_to(1, dest) == np.nextafter(threshold, 0.0)
         _assert_batch_matches_scalar(topo, [(0, dest)], 0.0, 16)
-        route = gpsr_route(topo, 0, dest, ttl=16)
-        assert route.path[:2] == [0, 1] and route.perimeter_steps[0] is False
+        route, steps, _ = _scalar_gpsr_route(topo, 0, dest, 0.0, 16)
+        assert route.path[:2] == [0, 1] and steps[0] is False
 
     def test_batched_router_matches_scalar_oracle_on_lattices(self):
         # Every source to every tie destination: lattices put many
@@ -980,15 +985,28 @@ class TestGpsr:
             assert not gpsr_route(layout, 2, (1e305, 1e307)).success
 
 
-def _hashed_home(target_id, grid_cells, cell_size, margin):
-    """The ghls home center of a target, as _run_one looks it up."""
-    config = ScenarioConfig(
-        field_size=grid_cells * cell_size, grid_cells=grid_cells,
-        cell_margin=margin, n_candidates=1, strategy="oracle",
+def _margin_cells(grid_cells, margin=1):
+    """Flat indices y * grid_cells + x of the cells at least margin cells
+    from the field edge, in increasing order."""
+    side = np.arange(margin, grid_cells - margin)
+    return (side[:, None] * grid_cells + side[None, :]).ravel()
+
+
+def _all_centres(grid_cells, cell_size):
+    """(grid_cells**2, 2) centres of every cell by flat index: cell (x, y)
+    centred at ((x + 0.5) * cell_size, (y + 0.5) * cell_size)."""
+    i = np.arange(grid_cells * grid_cells)
+    return np.stack(
+        [(i % grid_cells + 0.5) * cell_size, (i // grid_cells + 0.5) * cell_size], axis=1
     )
-    eligible = config.eligible_cells()
-    centers = scenario._cell_centers(config)
-    return tuple(centers[eligible[hashed_home_index(target_id, len(eligible))]].tolist())
+
+
+def _hashed_home(target_id, grid_cells, cell_size, margin):
+    """The ghls home center of a target: the hash indexes the cells at
+    least margin cells from the edge, as run_trials indexes places()."""
+    eligible = _margin_cells(grid_cells, margin)
+    centres = _all_centres(grid_cells, cell_size)
+    return tuple(centres[eligible[hashed_home_index(target_id, len(eligible))]].tolist())
 
 
 def _one(*values):
@@ -1148,17 +1166,6 @@ class TestDelivery:
         # Same candidates attempted either way, so equal total charges.
         assert serial.transmissions == flat.transmissions
 
-    def test_candidates_from_profile_ranked_centers(self):
-        slots = np.array([9, 177, 345, 513, 681])
-        cells = np.array([[2, 3], [2, 3], [2, 3], [4, 1], [2, 3]])
-        profile = build_profile(ObservationTrace("n0", slots, cells), order=1)
-        cands = candidates_from_profile(profile, 9, 2, 100.0)
-        assert cands == [(250.0, 350.0), (450.0, 150.0)]
-        with_context = candidates_from_profile(
-            profile, 9, 2, 100.0, prev_cell=CellId(2, 3)
-        )
-        assert with_context[0] == (250.0, 350.0)
-
     def test_too_few_candidates_rejected(self, topo):
         with pytest.raises(ValueError):
             lpr_deliver(
@@ -1185,9 +1192,8 @@ class TestDelivery:
             digest = hashlib.sha256(str(target_id).encode("utf-8")).digest()
             side = grid_cells - 2 * margin
             cell = int.from_bytes(digest[:8], "big") % (side * side)
-            return cell_center(
-                CellId(margin + cell % side, margin + cell // side), cell_size
-            )
+            return ((margin + cell % side + 0.5) * cell_size,
+                    (margin + cell // side + 0.5) * cell_size)
 
         for grid_cells, margin in ((2, 0), (4, 1), (7, 2), (12, 0), (12, 1), (12, 3)):
             cell = 2500.0 / grid_cells
@@ -1255,19 +1261,25 @@ class TestScenarioConfig:
     def test_defaults_round(self):
         cfg = ScenarioConfig(strategy="oracle")
         assert cfg.cell_size == pytest.approx(2500.0 / 12)
-        assert cfg.n_cells == 144
-        centers = scenario._cell_centers(cfg)
-        assert centers[0] == pytest.approx((cfg.cell_size / 2,) * 2)
-        for i, center in enumerate(centers.tolist()):
-            assert tuple(center) == cell_center(CellId(i % 12, i // 12), cfg.cell_size)
+        places = cfg.places()
+        assert places.shape == (100, 2)
+        assert places[0] == pytest.approx((1.5 * cfg.cell_size,) * 2)
+        assert places[1] == pytest.approx((2.5 * cfg.cell_size, 1.5 * cfg.cell_size))
 
-    def test_eligible_cells_respect_margin(self):
-        cfg = replace(SMALL, grid_cells=6, cell_margin=1)
-        cells = cfg.eligible_cells()
-        assert len(cells) == 16
-        for c in cells:
-            x, y = int(c) % 6, int(c) // 6
-            assert 1 <= x <= 4 and 1 <= y <= 4
+    def test_places_match_the_margin_one_cell_table_bit_for_bit(self):
+        # Before places(), a run indexed the table of every cell's centre
+        # by the flat indices at least one cell from the edge. A grid of
+        # 3 has one such cell and no config: no cell is left to wander to.
+        for field_size in (2500.0, 1000.0, 777.7, 1e6, 3.3):
+            for grid_cells in range(4, 257):
+                cfg = replace(SMALL, field_size=field_size, grid_cells=grid_cells,
+                              n_candidates=1)
+                want = _all_centres(grid_cells, cfg.cell_size)[_margin_cells(grid_cells)]
+                assert cfg.places().tobytes() == want.tobytes(), (field_size, grid_cells)
+        places = ScenarioConfig(strategy="oracle").places()
+        for target in range(50):
+            home = places[hashed_home_index(target, len(places))]
+            assert tuple(home.tolist()) == _hashed_home(target, 12, 2500.0 / 12, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1276,8 +1288,9 @@ class TestScenarioConfig:
             replace(SMALL, radio_range=0.0)
         with pytest.raises(ValueError):
             replace(SMALL, trials=-1)
-        with pytest.raises(ValueError):
-            replace(SMALL, cell_margin=4)
+        with pytest.raises(ValueError, match=re.escape(
+                "[topology] grid_cells = 2 must be at least 3, leaving an eligible cell")):
+            replace(SMALL, grid_cells=2)
         with pytest.raises(ValueError):
             replace(SMALL, n_candidates=36)
         with pytest.raises(ValueError):
@@ -1297,13 +1310,13 @@ class TestScenarioConfig:
             replace(SMALL, grid_cells=257)
         # numpy's choice, which the trial draws copy, draws by Floyd's
         # algorithm at most n_eligible // 50 of over 10000 eligible cells.
-        assert replace(SMALL, grid_cells=16, cell_margin=0, n_candidates=255).n_candidates == 255
-        assert replace(SMALL, grid_cells=101, cell_margin=0, n_candidates=204).n_candidates == 204
+        assert replace(SMALL, grid_cells=18, n_candidates=255).n_candidates == 255
+        assert replace(SMALL, grid_cells=103, n_candidates=204).n_candidates == 204
         with pytest.raises(ValueError, match=re.escape("[traffic] n_candidates = 205 is above 204")):
-            replace(SMALL, grid_cells=101, cell_margin=0, n_candidates=205)
-        assert replace(SMALL, grid_cells=256, cell_margin=0, n_candidates=1310).n_candidates == 1310
-        with pytest.raises(ValueError, match=re.escape("n_candidates = 1311 is above 1310")):
-            replace(SMALL, grid_cells=256, cell_margin=0, n_candidates=1311)
+            replace(SMALL, grid_cells=103, n_candidates=205)
+        assert replace(SMALL, grid_cells=256, n_candidates=1290).n_candidates == 1290
+        with pytest.raises(ValueError, match=re.escape("n_candidates = 1291 is above 1290")):
+            replace(SMALL, grid_cells=256, n_candidates=1291)
 
     def test_non_finite_values_rejected(self):
         for value in (math.nan, math.inf, -math.inf):
@@ -1322,7 +1335,6 @@ field_size = 1200
 radio_range = 300
 pool = 2
 grid_cells = 8
-cell_margin = 1
 
 [traffic]
 trials = 40
@@ -1359,7 +1371,6 @@ field_size = 1200
 radio_range = 300
 pool = 2
 grid_cells = 8
-cell_margin = 1
 
 [traffic]
 trials = 40
@@ -1385,7 +1396,6 @@ seed = 11
         assert cfg.grouping == Grouping((2, 3))
         assert cfg.f_over_r == (0.5, 1.5, 2.5)
         assert cfg.seed == 11
-        assert cfg.cell_margin == 1
 
     def test_serial_k_shorthand_and_defaults(self, tmp_path):
         path = self._write(
@@ -1410,7 +1420,6 @@ k = 3
         assert cfg.grouping == Grouping((1, 1, 1))
         assert cfg.pool_size == 10
         assert cfg.seed == 0
-        assert cfg.cell_margin == 1
         assert len(cfg.f_over_r) == 6
 
     def test_missing_section(self, tmp_path):
@@ -1478,6 +1487,8 @@ kind = oracle
         for topology, extra, located in (
             ("grid_cell = 8\n", "", "[topology] grid_cell"),
             ("cell_margn = 3\n", "", "[topology] cell_margn"),
+            # The margin is fixed at one cell; the key it had is gone.
+            ("cell_margin = 1\n", "", "[topology] cell_margin"),
             ("", "\n[seed]\nseed = 9\n", "[seed] seed"),
         ):
             path = self._write(tmp_path, base.format(topology=topology, extra=extra))
@@ -1835,12 +1846,35 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
     assert any(row.split(",")[2] == "0" for row in rows)  # some target wandered
 
 
+def test_simulator_leaves_the_profile_layer_unimported():
+    # A scenario run addresses cells through places(); nothing in the
+    # simulator reads profiles or traces, so it does not pay to import them.
+    code = (
+        "import sys\n"
+        "import lprlab.simnet\n"
+        "from lprlab.simnet import ScenarioConfig, run_scenario\n"
+        "config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1,\n"
+        "                        grid_cells=6, trials=20, n_candidates=2,\n"
+        "                        strategy='ghls')\n"
+        "record, _ = run_scenario(config)\n"
+        "assert record.n_trials == 20\n"
+        "loaded = [m for m in ('lprlab.profile', 'lprlab.mobility') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, timeout=120)
+
+
 def _replay_draws(config, trials):
     """Each trial's draws, replayed from its own default_rng stream with
     the plain Generator calls: (source node, hour, true rank, candidate
     cells, true cell, ghls updater node) arrays, indexed by trial; the
-    updaters are -1 unless the strategy is ghls."""
-    eligible = config.eligible_cells()
+    updaters are -1 unless the strategy is ghls. Cells are flat indices
+    (_margin_cells)."""
+    eligible = _margin_cells(config.grid_cells)
     nc = config.n_candidates
     src = np.zeros(trials, dtype=np.intp)
     updaters = np.full(trials, -1, dtype=np.intp)
@@ -1898,7 +1932,8 @@ def test_trial_draws_replay_with_plain_generator_calls(config):
     assert reach.call_count == 1
     (_, legs_src, legs_dest, _, _), _ = reach.call_args
     assert legs_src.tolist() == src.tolist()
-    assert legs_dest.tolist() == scenario._cell_centers(config)[true_cells].tolist()
+    assert legs_dest.tolist() == _all_centres(config.grid_cells, config.cell_size)[
+        true_cells].tolist()
 
 
 def test_ghls_updater_draw_replays():
@@ -1918,9 +1953,10 @@ def test_ghls_updater_draw_replays():
 
 
 def test_most_candidates_replay():
-    # The most candidates a scenario may draw of 10201 cells, 10201 // 50.
+    # The most candidates a scenario may draw of 101**2 = 10201 eligible
+    # cells, 10201 // 50.
     config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1,
-                            grid_cells=101, cell_margin=0, trials=30, n_candidates=204,
+                            grid_cells=103, trials=30, n_candidates=204,
                             strategy="oracle", seed=8)
     with mock.patch.object(scenario, "round_trips", wraps=scenario.round_trips) as legs:
         rows = run_trials(config, range(config.trials), build_pool(config))
@@ -1929,12 +1965,13 @@ def test_most_candidates_replay():
     assert [row.true_rank for row in rows] == ranks.tolist()
     (_, _, legs_src, legs_dest, _), _ = legs.call_args
     assert legs_src.tolist() == src.tolist()
-    assert legs_dest.tolist() == scenario._cell_centers(config)[true_cells].tolist()
+    assert legs_dest.tolist() == _all_centres(config.grid_cells, config.cell_size)[
+        true_cells].tolist()
 
 
 def _leg_tables(config, pool, trials):
     """Replay the scenario draws, recording one round trip per rank."""
-    centers = scenario._cell_centers(config)
+    centers = _all_centres(config.grid_cells, config.cell_size)
     radius = config.cell_size
     nc = config.n_candidates
     hits = np.zeros((trials, nc), dtype=bool)
