@@ -9,7 +9,7 @@ Beta(r, 1 - r). `_conditional_cdf` is the one place this formula is written.
 
 Three layers build on each other here:
 
-- zeroth order: constant regularity ``c``, F(k; c),
+- zeroth order: constant regularity, F(k; DEFAULT_C),
 - time dependence: a sinusoidal hour-of-week regularity model R(t), and
   `hourly_regularity`, the week's one set of sample points: R at the 168
   hour midpoints t + 0.5, read by every hourly consumer, and checked to
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_C2",
     "DEFAULT_C3",
     "HOURS_PER_WEEK",
-    "BetaGeometricModel",
     "RegularityModel",
     "Grouping",
     "ParetoPoint",
@@ -98,39 +97,24 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-@dataclass(frozen=True)
-class BetaGeometricModel:
-    """Success-rank distribution at constant regularity c.
-
-    The rank of the first hit is geometric with a Beta(c, 1 - c) success
-    probability, so its CDF is the module's success formula at r = c.
-    """
-
-    c: float = DEFAULT_C
-
-    def __post_init__(self) -> None:
-        if not 0 < self.c < 1:
-            raise ValueError(f"c must be in (0, 1), got {self.c}")
-
-
-def zeroth_order_cdf(k: int, model: BetaGeometricModel | None = None) -> float:
+def zeroth_order_cdf(k: int) -> float:
     """Success probability after k ranked probes at constant regularity.
 
-    This is 1 - 1/(k * B(k, 1 - c)). k = 0 means no probes and returns 0.
+    This is 1 - 1/(k * B(k, 1 - c)) at c = DEFAULT_C. k = 0 means no
+    probes and returns 0.
     """
     _check_k(k, 0)
-    c = DEFAULT_C if model is None else model.c
     if k == 1:
         # B(1, 1 - c) = 1/(1 - c), so the formula collapses to c; skip
         # the exp/log round trip to keep it exact.
-        return c
-    return _conditional_cdf(k, c)
+        return DEFAULT_C
+    return _conditional_cdf(k, DEFAULT_C)
 
 
-def zeroth_order_pmf(k: int, model: BetaGeometricModel | None = None) -> float:
+def zeroth_order_pmf(k: int) -> float:
     """Probability that probe k is the first success; telescopes from the CDF."""
     _check_k(k, 1)
-    return zeroth_order_cdf(k, model) - zeroth_order_cdf(k - 1, model)
+    return zeroth_order_cdf(k) - zeroth_order_cdf(k - 1)
 
 
 @dataclass(frozen=True)
@@ -259,10 +243,6 @@ class Grouping:
     @property
     def k(self) -> int:
         return sum(self.sizes)
-
-    @classmethod
-    def serial(cls, k: int) -> "Grouping":
-        return cls((1,) * k)
 
     @classmethod
     def parse(cls, text: str) -> "Grouping":

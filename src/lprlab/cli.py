@@ -20,15 +20,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__, figures
-from .analytic import (
-    DEFAULT_C,
-    DEFAULT_C1,
-    DEFAULT_C2,
-    DEFAULT_C3,
-    BetaGeometricModel,
-    RegularityModel,
-    hourly_regularity,
-)
+from .analytic import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3, RegularityModel, hourly_regularity
 from .mobility import MobilityParams, empirical_regularity, generate_trace
 from .profile import write_trace_csv
 
@@ -41,13 +33,8 @@ ENV_OUT_DIR = "LPRLAB_OUT_DIR"
 
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig7")
 
-_TRACE_FLAGS = {
-    "n_users": "--users",
-    "n_weeks": "--weeks",
-    "n_locations": "--locations",
-    "unpredictable_floor": "--floor",
-    "seed": "--seed",
-}
+# The gen-trace flag that sets each MobilityParams field.
+_TRACE_FLAGS = {"n_users": "--users", "n_weeks": "--weeks", "seed": "--seed"}
 
 
 @dataclass(frozen=True)
@@ -117,30 +104,26 @@ def _check_regularity(model: RegularityModel) -> None:
         ) from None
 
 
-def _curve_rows(name: str, args: argparse.Namespace, constant: BetaGeometricModel,
+def _curve_rows(name: str, args: argparse.Namespace,
                 model: RegularityModel) -> tuple[list[str], list[tuple]]:
     if name == "fig2":
-        return figures.success_cdf_rows(args.k_max, constant)
+        return figures.success_cdf_rows(args.k_max)
     if name == "fig3":
         return figures.time_averaged_rows(args.k_max, model)
     if name == "fig4":
-        return figures.first_try_pmf_rows(args.k_max, constant)
+        return figures.first_try_pmf_rows(args.k_max)
     if name == "fig5":
         return figures.retry_pmf_rows(args.k_max, model)
     return figures.grouping_front_rows(args.k, model)
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    try:
-        constant = BetaGeometricModel(args.c)
-    except ValueError as exc:  # the model names its field c, the flag is --c
-        raise ValueError(f"--{exc}") from None
     model = RegularityModel(args.c1, args.c2, args.c3)
     _check_regularity(model)
     selected = _FIGURES if args.fig == "all" else (args.fig,)
     # Every family is computed before the first write, so a rejected flag
     # leaves no partial output set behind.
-    tables = {name: _curve_rows(name, args, constant, model) for name in selected}
+    tables = {name: _curve_rows(name, args, model) for name in selected}
     out_dir = _resolve_out_dir(args.out_dir)
     outputs = []
     for name, (header, rows) in tables.items():
@@ -155,11 +138,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def _trace_params(args: argparse.Namespace) -> MobilityParams:
     try:
         return MobilityParams(
-            n_users=args.users,
-            n_weeks=args.weeks,
-            n_locations=args.locations,
-            unpredictable_floor=args.floor,
-            seed=args.seed,
+            **{name: vars(args)[flag[2:]] for name, flag in _TRACE_FLAGS.items()}
         )
     except ValueError as exc:
         message = str(exc)
@@ -278,7 +257,7 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
         os.path.join(out_dir, "ghls_summary.json"),
         json.dumps(comparison.as_dict(), indent=2, sort_keys=True) + "\n",
     )
-    print(f"wrote {sweep_path} ({len(config.f_over_r)} rows)")
+    print(f"wrote {sweep_path} ({len(comparison.f_over_r)} rows)")
     print(f"wrote {os.path.join(out_dir, 'ghls_summary.json')}")
     for label, cross in (("empirical crossover", comparison.crossover),
                          ("analytic crossover ", comparison.analytic_crossover)):
@@ -324,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument(
         "--k", type=int, default=12, help="candidate count for the fig7 front"
     )
-    curves.add_argument(
-        "--c", type=float, default=DEFAULT_C,
-        help="constant regularity for fig2/fig4",
-    )
     curves.add_argument("--c1", type=float, default=DEFAULT_C1)
     curves.add_argument("--c2", type=float, default=DEFAULT_C2)
     curves.add_argument("--c3", type=float, default=DEFAULT_C3)
@@ -335,12 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     curves.set_defaults(func=cmd_curves)
 
     gen = sub.add_parser("gen-trace", help="generate synthetic mobility traces")
-    gen.add_argument("--users", type=int, default=40)
-    gen.add_argument("--weeks", type=int, default=6)
-    gen.add_argument("--locations", type=int, default=40)
-    gen.add_argument("--floor", type=float, default=0.07,
-                     help="unpredictable-visit probability floor")
-    gen.add_argument("--seed", type=int, default=0)
+    defaults = MobilityParams()
+    for name, flag in _TRACE_FLAGS.items():
+        gen.add_argument(flag, type=int, default=getattr(defaults, name))
     gen.add_argument("--out", default="trace.csv", help="trace file name")
     gen.add_argument(
         "--verify", action="store_true",

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
 from . import analytic
-from .analytic import BetaGeometricModel, RegularityModel
+from .analytic import RegularityModel
 
 __all__ = [
     "success_cdf_rows",
@@ -61,11 +61,9 @@ def _ranks(k_max: int) -> range:
     return range(1, k_max + 1)
 
 
-def success_cdf_rows(
-    k_max: int = 50, model: BetaGeometricModel | None = None
-) -> tuple[list[str], list[tuple]]:
+def success_cdf_rows(k_max: int = 50) -> tuple[list[str], list[tuple]]:
     """Constant-regularity success probability over k."""
-    rows = [(k, analytic.zeroth_order_cdf(k, model)) for k in _ranks(k_max)]
+    rows = [(k, analytic.zeroth_order_cdf(k)) for k in _ranks(k_max)]
     return ["k", "success_cdf"], rows
 
 
@@ -87,11 +85,9 @@ def time_averaged_rows(
     return ["k", "success_avg", "success_night", "success_day"], rows
 
 
-def first_try_pmf_rows(
-    k_max: int = 50, model: BetaGeometricModel | None = None
-) -> tuple[list[str], list[tuple]]:
+def first_try_pmf_rows(k_max: int = 50) -> tuple[list[str], list[tuple]]:
     """Constant-regularity first-success mass over the probe rank."""
-    rows = [(k, analytic.zeroth_order_pmf(k, model)) for k in _ranks(k_max)]
+    rows = [(k, analytic.zeroth_order_pmf(k)) for k in _ranks(k_max)]
     return ["k", "first_success_pmf"], rows
 
 

@@ -3,17 +3,20 @@
 The generator reproduces three empirical regularities: the hour-of-week
 top-location regularity R(t), the ranked-location success model behind the
 closed-form curves, and a floor of unpredictable visits (uniform random
-cells, 7% by default). Each user gets N home cells in a random rank order;
-each hour the user either wanders (floor mass) or occupies one of its home
-cells with rank masses drawn from the same sequential first-hit family the
-analytic module integrates, scaled by 1/(1 - floor) so the top-1 mass is
-R(t). Success-after-k on generated traces therefore follows the
-closed-form F(k; R(t)) only in hours where F(k; R(t)) <= 1 - floor; in the
-other hours the rank CDF is capped at 1 and home-cell coverage stops at
-1 - floor. At the default 7% floor and k = 12 that cap binds in 63 of the
-168 hours, and the exact expected top-12 coverage is 0.902 against 0.9155
-for the time-averaged F(12). The rank masses are a modeling choice, since
-only the marginals are specified by the models being matched.
+cells, UNPREDICTABLE_FLOOR = 7% of hours). Each user gets HOME_CELLS = 40
+home cells in a random rank order; each hour the user either wanders
+(floor mass) or occupies one of its home cells with rank masses drawn
+from the same sequential first-hit family the analytic module
+integrates, scaled by 1/(1 - floor) so the top-1 mass is R(t). Both are
+constants, as is the grid: MobilityParams sets only the population, the
+length and the seed. Success-after-k on generated traces therefore
+follows the closed-form F(k; R(t)) only in hours where
+F(k; R(t)) <= 1 - floor; in the other hours the rank CDF is capped at 1
+and home-cell coverage stops at 1 - floor. At k = 12 that cap binds in
+63 of the 168 hours, and the exact expected top-12 coverage is 0.902
+against 0.9155 for the time-averaged F(12). The rank masses are a
+modeling choice, since only the marginals are specified by the models
+being matched.
 
 Also here: empirical measurement of regularity and of success-after-k on
 arbitrary traces, used to validate generated data against the models.
@@ -30,6 +33,8 @@ from .profile import ObservationTrace, build_profile
 
 __all__ = [
     "GRID_SIDE",
+    "HOME_CELLS",
+    "UNPREDICTABLE_FLOOR",
     "MobilityParams",
     "generate_trace",
     "empirical_regularity",
@@ -40,14 +45,16 @@ __all__ = [
 # (x, y) at flat index y * GRID_SIDE + x.
 GRID_SIDE = 50
 _GRID_CELLS = GRID_SIDE * GRID_SIDE
+# Home cells per user (k <= 12 is far from truncation), and the share of
+# hours a user wanders to a uniform random cell instead.
+HOME_CELLS = 40
+UNPREDICTABLE_FLOOR = 0.07
 
 
 @dataclass(frozen=True)
 class MobilityParams:
     n_users: int = 40
     n_weeks: int = 6
-    n_locations: int = 40  # home cells per user; k <= 12 is far from truncation
-    unpredictable_floor: float = 0.07
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -55,37 +62,28 @@ class MobilityParams:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.n_weeks < 1:
             raise ValueError(f"n_weeks must be >= 1, got {self.n_weeks}")
-        if self.n_locations < 2:
-            raise ValueError(f"n_locations must be >= 2, got {self.n_locations}")
-        if not 0.0 <= self.unpredictable_floor <= 0.3:
-            raise ValueError(
-                f"unpredictable_floor must be in [0, 0.3], got {self.unpredictable_floor}"
-            )
-        if self.n_locations > _GRID_CELLS:
-            raise ValueError("n_locations exceeds grid cell count")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _slot_rank_cdf(params: MobilityParams) -> np.ndarray:
+def _slot_rank_cdf() -> np.ndarray:
     """Cumulative conditional rank masses, one row per hour of week.
 
-    Row t holds the within-home-branch CDF over ranks 1..N for hour t. The
-    raw first-hit masses are taken at the floor-adjusted regularity and
-    scaled up by 1/(1 - floor) so that the unconditional top-1 mass lands
-    exactly on R(t); the running sum is capped at 1 and any remainder
-    (small floors only) is pushed onto the last rank so each row is a
-    proper distribution. Unconditional mass on the top k ranks is
-    therefore min(F(k; r), 1 - floor), not F(k; r): it matches the
-    closed-form curve only where F(k; r) <= 1 - floor.
+    Row t holds the within-home-branch CDF over ranks 1..HOME_CELLS for
+    hour t. The raw first-hit masses are taken at the floor-adjusted
+    regularity and scaled up by 1/(1 - floor) so that the unconditional
+    top-1 mass lands exactly on R(t); the running sum is capped at 1, and
+    the last rank takes whatever mass is left, so each row is a proper
+    distribution. Unconditional mass on the top k ranks is therefore
+    min(F(k; r), 1 - floor), not F(k; r): it matches the closed-form
+    curve only where F(k; r) <= 1 - floor.
     """
-    n = params.n_locations
-    floor = params.unpredictable_floor
+    floor = UNPREDICTABLE_FLOOR
     floor_per_cell = floor / _GRID_CELLS
-    table = np.empty((HOURS_PER_WEEK, n))
+    table = np.empty((HOURS_PER_WEEK, HOME_CELLS))
     for t, r in enumerate(hourly_regularity()):
-        # Inside [0.528, 0.881] for every hour and every allowed floor.
-        masses = np.array(sequential_hit_pmf(r - floor_per_cell, n)) / (1.0 - floor)
+        # Inside [0.528, 0.881] for every hour.
+        masses = np.array(sequential_hit_pmf(r - floor_per_cell, HOME_CELLS)) / (1.0 - floor)
         cum = np.minimum(np.cumsum(masses), 1.0)
         cum[-1] = 1.0
         table[t] = cum
@@ -100,21 +98,21 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     yields identical traces.
     """
     n_slots = params.n_weeks * HOURS_PER_WEEK
-    rank_cdf = _slot_rank_cdf(params)
+    rank_cdf = _slot_rank_cdf()
     sow = np.arange(n_slots, dtype=np.int64) % HOURS_PER_WEEK
     slot_cdf = rank_cdf[sow]  # (n_slots, N)
 
     traces = []
     for user in range(params.n_users):
         rng = np.random.default_rng([params.seed, user])
-        home_flat = rng.choice(_GRID_CELLS, size=params.n_locations, replace=False)
+        home_flat = rng.choice(_GRID_CELLS, size=HOME_CELLS, replace=False)
         branch = rng.random(n_slots)
         rank_u = rng.random(n_slots)
         wander_flat = rng.integers(0, _GRID_CELLS, size=n_slots)
 
         ranks = (rank_u[:, None] >= slot_cdf).sum(axis=1)  # 0-based rank index
         flat = home_flat[ranks]
-        unpredictable = branch < params.unpredictable_floor
+        unpredictable = branch < UNPREDICTABLE_FLOOR
         flat = np.where(unpredictable, wander_flat, flat)
 
         cells = np.column_stack([flat % GRID_SIDE, flat // GRID_SIDE]).astype(np.int32)

@@ -69,11 +69,18 @@ __all__ = [
 
 _STRATEGIES = ("lpr", "oracle", "ghls")
 _BASELINE_TRIALS = 2000
+# The update-to-request ratios compare_ghls tabulates; its crossover is
+# exact, so these only pick sample points on its two straight lines.
+_F_OVER_R = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 # Size bounds that keep a run's arrays within a few tens of MiB: a layout
 # attempt holds (n, n, 2) float offsets, and a run tabulates the centre
 # of each of the (grid_cells - 2)**2 eligible cells (places()).
 _MAX_NODES = 2048
 _MAX_GRID_CELLS = 256
+# A run holds about 0.55 KiB per trial, so this bound keeps it near 0.55 GiB.
+_MAX_TRIALS = 1_000_000
+# Layouts build_pool draws before it gives up on finding pool connected ones.
+_LAYOUT_ATTEMPTS = 10000
 # Candidate, wander, home, and baseline cells stay this many cells away
 # from the field edge; boundary cells often have no node within the
 # acceptance radius, and those failed legs cost face tours.
@@ -95,7 +102,6 @@ class ScenarioConfig:
     n_candidates: int = 12
     strategy: str = "lpr"
     grouping: Grouping | None = None
-    f_over_r: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -107,15 +113,18 @@ class ScenarioConfig:
                 f"attempt holds an (n, n, 2) array of pairwise offsets, 16*n**2 bytes"
             )
         # Chained comparisons also reject nan and inf: a non-finite size
-        # fails every layout attempt, and a non-finite rate sweeps nan.
+        # fails every layout attempt.
         for key, size in (("field_size", self.field_size), ("radio_range", self.radio_range)):
             if not 0 < size < math.inf:
                 raise ValueError(f"[topology] {key} = {size} must be positive and finite")
         if self.pool_size < 1:
             raise ValueError(f"[topology] pool = {self.pool_size} must be at least 1")
-        if self.grid_cells < 2 * _CELL_MARGIN + 1:
+        if self.pool_size > _LAYOUT_ATTEMPTS:
+            raise ValueError(f"[topology] pool = {self.pool_size} is above "
+                             f"{_LAYOUT_ATTEMPTS}, the layout attempts build_pool makes")
+        if self.grid_cells < 2 * _CELL_MARGIN + 2:
             raise ValueError(f"[topology] grid_cells = {self.grid_cells} must be at least "
-                             f"{2 * _CELL_MARGIN + 1}, leaving an eligible cell")
+                             f"{2 * _CELL_MARGIN + 2}, leaving an eligible non-candidate cell")
         if self.grid_cells > _MAX_GRID_CELLS:
             raise ValueError(
                 f"[topology] grid_cells = {self.grid_cells} is above "
@@ -124,6 +133,9 @@ class ScenarioConfig:
             )
         if self.trials < 0:
             raise ValueError(f"[traffic] trials = {self.trials} must be non-negative")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"[traffic] trials = {self.trials} is above {_MAX_TRIALS}: "
+                             f"a run holds about 0.55 KiB per trial")
         if self.seed < 0:
             raise ValueError(f"[seeds] seed = {self.seed} must be non-negative")
         n_eligible = (self.grid_cells - 2 * _CELL_MARGIN) ** 2
@@ -139,13 +151,10 @@ class ScenarioConfig:
             raise ValueError(f"[strategy] kind = {self.strategy} must be one of {_STRATEGIES}")
         if self.strategy == "lpr":
             if self.grouping is None:
-                raise ValueError("[strategy] kind = lpr needs [strategy] grouping or k")
+                raise ValueError("[strategy] kind = lpr needs [strategy] grouping")
             if self.grouping.k > self.n_candidates:
                 raise ValueError(f"[strategy] grouping = {self.grouping} covers more ranks "
                                  f"than [traffic] n_candidates = {self.n_candidates}")
-        if not all(0 <= f < math.inf for f in self.f_over_r):
-            raise ValueError(f"[ghls] f_over_r = {', '.join(map(str, self.f_over_r))} "
-                             f"must be non-negative and finite")
 
     @property
     def cell_size(self) -> float:
@@ -160,13 +169,6 @@ class ScenarioConfig:
         return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
 
-def _sweep(raw: str) -> tuple[float, ...]:
-    sweep = tuple(float(part) for part in raw.split(",") if part.strip())
-    if not sweep:
-        raise ValueError("empty sweep")
-    return sweep
-
-
 # Every key a scenario file may hold: (section, key) -> (ScenarioConfig
 # field, converter). A key left out takes the dataclass default.
 _KEYS = {
@@ -179,8 +181,6 @@ _KEYS = {
     ("traffic", "n_candidates"): ("n_candidates", int),
     ("strategy", "kind"): ("strategy", lambda raw: raw.strip().lower()),
     ("strategy", "grouping"): ("grouping", Grouping.parse),
-    ("strategy", "k"): ("grouping", lambda raw: Grouping.serial(int(raw))),
-    ("ghls", "f_over_r"): ("f_over_r", _sweep),
     ("seeds", "seed"): ("seed", int),
 }
 _REQUIRED = (
@@ -193,9 +193,9 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Parse a scenario description from a UTF-8 INI file.
 
     Sections: [topology] n, field_size, radio_range, pool, grid_cells;
-    [traffic] trials, n_candidates; [strategy] kind plus
-    either grouping (stage sizes joined by '|') or k (fully serial);
-    [ghls] f_over_r (comma-separated sweep); [seeds] seed. Required:
+    [traffic] trials, n_candidates; [strategy] kind and grouping (stage
+    sizes joined by '|'); [seeds] seed. Each key sets one ScenarioConfig
+    field, and compare-ghls sweeps the fixed f/r of _F_OVER_R. Required:
     n, field_size, radio_range, trials, n_candidates and kind; every
     other key, when omitted, takes its ScenarioConfig default. Any other
     key, and a file configparser cannot read or decode, raises
@@ -224,8 +224,6 @@ def _parse_scenario(path: str) -> ScenarioConfig:
     for section, key in _REQUIRED:
         if not parser.has_option(section, key):
             raise ValueError(f"missing required option [{section}] {key}")
-    if parser.has_option("strategy", "grouping") and parser.has_option("strategy", "k"):
-        raise ValueError("give [strategy] grouping or k, not both")
 
     values = {}
     for (section, key), (name, conv) in _KEYS.items():
@@ -276,7 +274,7 @@ def build_pool(config: ScenarioConfig) -> Topology:
     graph: node u of layout i is node i * n + u."""
 
     def connected_layouts() -> Iterator[Topology]:
-        for attempt in range(10000):
+        for attempt in range(_LAYOUT_ATTEMPTS):
             topo = build_topology(
                 config.n,
                 config.field_size,
@@ -286,7 +284,7 @@ def build_pool(config: ScenarioConfig) -> Topology:
             if topo.connected:
                 yield topo
         raise ValueError(
-            f"no {config.pool_size} connected layouts in 10000 attempts at "
+            f"no {config.pool_size} connected layouts in {_LAYOUT_ATTEMPTS} attempts at "
             f"[topology] n = {config.n}, field_size = {config.field_size:g}, "
             f"radio_range = {config.radio_range:g}"
         )
@@ -476,7 +474,7 @@ class GhlsComparison:
 
 
 def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
-    """Paired profile-vs-location-service traffic totals over a rate sweep.
+    """Paired profile-vs-location-service traffic totals at each f/r of _F_OVER_R.
 
     Both strategies see identical trial draws. Totals are transmissions
     per location request with the update rate folded in: the profile
@@ -486,7 +484,7 @@ def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     strategies run on one topology pool against one baseline.
     """
     if config.grouping is None:
-        raise ValueError("compare-ghls needs [strategy] grouping or k")
+        raise ValueError("compare-ghls needs [strategy] grouping")
     if config.trials == 0:
         raise ValueError(f"[traffic] trials = {config.trials} must be at least 1 for compare-ghls")
     lpr_config = replace(config, strategy="lpr")
@@ -505,10 +503,10 @@ def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     p_hat = baseline / 2.0
     t_bar = mean_traffic(config.grouping)
     crossover = (m_lpr - m_ghls) / m_update if m_update > 0 else None
-    lpr_totals = tuple(m_lpr for _ in config.f_over_r)
-    ghls_totals = tuple(fr * m_update + m_ghls for fr in config.f_over_r)
+    lpr_totals = tuple(m_lpr for _ in _F_OVER_R)
+    ghls_totals = tuple(fr * m_update + m_ghls for fr in _F_OVER_R)
     return GhlsComparison(
-        f_over_r=config.f_over_r,
+        f_over_r=_F_OVER_R,
         lpr_totals=lpr_totals,
         ghls_totals=ghls_totals,
         crossover=crossover,

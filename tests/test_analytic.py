@@ -287,7 +287,7 @@ class TestGrouping:
             Grouping.parse("1|0|2")
 
     def test_serial_parallel(self):
-        assert Grouping.serial(4).sizes == (1, 1, 1, 1)
+        assert Grouping.parse("1|1|1|1") == Grouping((1,) * 4)
         assert Grouping.parse("4") == Grouping((4,))
 
     def test_validation(self):
@@ -308,7 +308,7 @@ class TestGrouping:
             assert mean_traffic(g) == pytest.approx(float(k), abs=1e-12)
 
     def test_serial_latency_equals_traffic(self):
-        g = Grouping.serial(5)
+        g = Grouping((1,) * 5)
         lat = mean_latency(g)
         assert lat == pytest.approx(mean_traffic(g), abs=1e-12)
         assert lat == pytest.approx(1.9296536333830245, abs=1e-9)

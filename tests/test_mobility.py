@@ -20,6 +20,8 @@ from lprlab.analytic import (
 )
 from lprlab.mobility import (
     GRID_SIDE,
+    HOME_CELLS,
+    UNPREDICTABLE_FLOOR,
     MobilityParams,
     empirical_regularity,
     empirical_success_after_k,
@@ -49,24 +51,18 @@ def _rank_frequencies(traces, n_ranks):
 class TestParams:
     def test_defaults(self):
         p = MobilityParams()
-        assert p.n_locations == 40
-        assert p.unpredictable_floor == 0.07
+        assert (p.n_users, p.n_weeks, p.seed) == (40, 6, 0)
+        assert HOME_CELLS == 40
+        assert UNPREDICTABLE_FLOOR == 0.07
         assert GRID_SIDE == 50
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_users must be >= 1"):
             MobilityParams(n_users=0)
-        with pytest.raises(ValueError):
-            MobilityParams(unpredictable_floor=0.31)
-        with pytest.raises(ValueError):
-            MobilityParams(n_locations=0)
-        with pytest.raises(ValueError):
-            MobilityParams(n_locations=1)
-        with pytest.raises(ValueError, match="exceeds grid cell count"):
-            MobilityParams(n_locations=2501)
+        with pytest.raises(ValueError, match="n_weeks must be >= 1"):
+            MobilityParams(n_weeks=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             MobilityParams(seed=-1)
-        MobilityParams(n_locations=2500)
 
 
 class TestGenerateTrace:
@@ -100,16 +96,6 @@ class TestGenerateTrace:
             assert t.cells[:, 0].min() >= 0 and t.cells[:, 0].max() < 50
             assert t.cells[:, 1].min() >= 0 and t.cells[:, 1].max() < 50
 
-    def test_two_locations_no_floor_stay_home(self):
-        traces = generate_trace(
-            MobilityParams(n_users=2, n_weeks=50, n_locations=2, unpredictable_floor=0.0, seed=8)
-        )
-        for t in traces:
-            assert len(np.unique(t.cells, axis=0)) <= 2
-        # Once both home cells have shown up in every slot's history, the
-        # top-two candidate set covers every visit.
-        assert empirical_success_after_k(traces, 2) > 0.99
-
     def test_unpredictable_fraction_near_floor(self):
         # Observations outside the user's home cells should appear at
         # floor * (1 - N/G): wandering that happens to land on a home
@@ -121,10 +107,10 @@ class TestGenerateTrace:
         for t in traces:
             flat = t.cells[:, 0].astype(np.int64) + t.cells[:, 1].astype(np.int64) * 10**6
             values, counts = np.unique(flat, return_counts=True)
-            home = set(values[np.argsort(counts)[::-1][: params.n_locations]].tolist())
+            home = set(values[np.argsort(counts)[::-1][:HOME_CELLS]].tolist())
             outside += sum(c for v, c in zip(values, counts) if v not in home)
             total += len(t)
-        expected = params.unpredictable_floor * (1 - params.n_locations / 2500)
+        expected = UNPREDICTABLE_FLOOR * (1 - HOME_CELLS / 2500)
         assert outside / total == pytest.approx(expected, abs=0.01)
 
     @pytest.mark.parametrize(
@@ -134,16 +120,8 @@ class TestGenerateTrace:
                 MobilityParams(seed=3),
                 "ca43dcf8b59fe731e590cf9b113a10c565fc587801b5509b0f584ec1abe3d785",
             ),
-            (
-                MobilityParams(unpredictable_floor=0),
-                "26bfbc30a97736b550ce191adccd0ae24551f34f055cdf200f188e10c8a2a67d",
-            ),
-            (
-                MobilityParams(n_locations=2),
-                "0348b789c4ebc44001f9ee3f4bae16d7ce6555711e5cb66d9d7ff574e758943a",
-            ),
         ],
-        ids=["seed3", "no-floor", "two-locations"],
+        ids=["seed3"],
     )
     def test_pinned_trace_digest(self, tmp_path, params, digest):
         # SHA-256 of the CSV bytes, pinned so any change to the generated
@@ -215,15 +193,6 @@ class TestSuccessAfterK:
         traces = generate_trace(MobilityParams(n_users=2, n_weeks=1000, seed=42))
         assert empirical_success_after_k(traces, 12) == pytest.approx(0.93, abs=0.02)
 
-    def test_k_covers_everything_without_floor(self):
-        traces = generate_trace(
-            MobilityParams(
-                n_users=4, n_weeks=200, n_locations=3, unpredictable_floor=0.0, seed=9
-            )
-        )
-        s = empirical_success_after_k(traces, 3)
-        assert s > 0.995
-
     def test_nondecreasing_in_k(self):
         traces = generate_trace(MobilityParams(n_users=5, n_weeks=30, seed=13))
         vals = [empirical_success_after_k(traces, k) for k in range(1, 16)]
@@ -245,8 +214,8 @@ class TestRankFrequencies:
         # Oracle: regression over the model's own pooled per-rank masses,
         # mirrored by regression over generated counts.
         params = MobilityParams(n_users=20, n_weeks=200, seed=11)
-        n = params.n_locations
-        floor = params.unpredictable_floor
+        n = HOME_CELLS
+        floor = UNPREDICTABLE_FLOOR
         per_cell = floor / (GRID_SIDE * GRID_SIDE)
         masses = np.zeros(n)
         for t in range(168):

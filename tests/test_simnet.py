@@ -17,7 +17,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -1139,7 +1139,7 @@ class TestDelivery:
         )
         assert min(math.dist(true_pos, c) for c in candidates) > 3 * radius
         out = lpr_deliver(
-            topo, 5, candidates, Grouping.serial(3),
+            topo, 5, candidates, Grouping((1,) * 3),
             true_position=true_pos, acceptance_radius=radius,
         )
         assert not out.success
@@ -1154,7 +1154,7 @@ class TestDelivery:
         candidates = [tuple(topo.position(i)) for i in (10, 40, 70, 100)]
         true_pos = candidates[3]
         serial = lpr_deliver(
-            topo, 0, candidates, Grouping.serial(4),
+            topo, 0, candidates, Grouping((1,) * 4),
             true_position=true_pos, acceptance_radius=radius,
         )
         flat = lpr_deliver(
@@ -1288,9 +1288,10 @@ class TestScenarioConfig:
             replace(SMALL, radio_range=0.0)
         with pytest.raises(ValueError):
             replace(SMALL, trials=-1)
-        with pytest.raises(ValueError, match=re.escape(
-                "[topology] grid_cells = 2 must be at least 3, leaving an eligible cell")):
-            replace(SMALL, grid_cells=2)
+        with pytest.raises(ValueError, match=re.escape("[topology] grid_cells = 3 must be "
+                           "at least 4, leaving an eligible non-candidate cell")):
+            replace(SMALL, grid_cells=3)
+        assert replace(SMALL, grid_cells=4, n_candidates=3).grid_cells == 4
         with pytest.raises(ValueError):
             replace(SMALL, n_candidates=36)
         with pytest.raises(ValueError):
@@ -1298,9 +1299,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             replace(SMALL, strategy="lpr")
         with pytest.raises(ValueError):
-            replace(SMALL, strategy="lpr", grouping=Grouping.serial(13))
-        with pytest.raises(ValueError):
-            replace(SMALL, f_over_r=(1.0, -0.5))
+            replace(SMALL, strategy="lpr", grouping=Grouping((1,) * 13))
         with pytest.raises(ValueError, match=re.escape("[seeds] seed = -3 must be non-negative")):
             replace(SMALL, seed=-3)
         assert replace(SMALL, n=2048, grid_cells=256).n == 2048
@@ -1308,6 +1307,15 @@ class TestScenarioConfig:
             replace(SMALL, n=2049)
         with pytest.raises(ValueError, match=re.escape("[topology] grid_cells = 257")):
             replace(SMALL, grid_cells=257)
+        # Bounds that no run could meet or hold are refused before any work.
+        assert replace(SMALL, pool_size=10000).pool_size == 10000
+        with pytest.raises(ValueError, match=re.escape(
+                "[topology] pool = 10001 is above 10000, the layout attempts build_pool makes")):
+            replace(SMALL, pool_size=10001)
+        assert replace(SMALL, trials=1_000_000).trials == 1_000_000
+        with pytest.raises(ValueError, match=re.escape(
+                "[traffic] trials = 1000001 is above 1000000")):
+            replace(SMALL, trials=1_000_001)
         # numpy's choice, which the trial draws copy, draws by Floyd's
         # algorithm at most n_eligible // 50 of over 10000 eligible cells.
         assert replace(SMALL, grid_cells=18, n_candidates=255).n_candidates == 255
@@ -1324,8 +1332,10 @@ class TestScenarioConfig:
                 replace(SMALL, radio_range=value)
             with pytest.raises(ValueError, match="must be positive"):
                 replace(SMALL, field_size=value)
-            with pytest.raises(ValueError, match="must be non-negative"):
-                replace(SMALL, f_over_r=(1.0, value))
+
+    def test_each_field_has_one_key(self):
+        names = [name for name, _ in scenario._KEYS.values()]
+        assert sorted(names) == sorted(f.name for f in fields(ScenarioConfig))
 
 
 _FUZZ_INI = """
@@ -1343,9 +1353,6 @@ n_candidates = 5
 [strategy]
 kind = lpr
 grouping = 2|3
-
-[ghls]
-f_over_r = 0.5, 1.5, 2.5
 
 [seeds]
 seed = 11
@@ -1380,9 +1387,6 @@ n_candidates = 5
 kind = lpr
 grouping = 2|3
 
-[ghls]
-f_over_r = 0.5, 1.5, 2.5
-
 [seeds]
 seed = 11
 """,
@@ -1394,13 +1398,12 @@ seed = 11
         assert cfg.trials == 40
         assert cfg.strategy == "lpr"
         assert cfg.grouping == Grouping((2, 3))
-        assert cfg.f_over_r == (0.5, 1.5, 2.5)
         assert cfg.seed == 11
 
     def test_serial_k_shorthand_and_defaults(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            """
+        # grouping is the one spelling of a grouping: the fully serial
+        # shorthand k is an unknown option. Omitted keys take defaults.
+        text = """
 [topology]
 n = 80
 field_size = 1200
@@ -1413,14 +1416,14 @@ n_candidates = 5
 
 [strategy]
 kind = lpr
-k = 3
-""",
-        )
-        cfg = load_scenario(path)
+{grouping}
+"""
+        with pytest.raises(ValueError, match=re.escape("unknown option [strategy] k")):
+            load_scenario(self._write(tmp_path, text.format(grouping="k = 3")))
+        cfg = load_scenario(self._write(tmp_path, text.format(grouping="grouping = 1|1|1")))
         assert cfg.grouping == Grouping((1, 1, 1))
         assert cfg.pool_size == 10
         assert cfg.seed == 0
-        assert len(cfg.f_over_r) == 6
 
     def test_missing_section(self, tmp_path):
         path = self._write(tmp_path, "[topology]\nn = 10\n")
@@ -1467,7 +1470,8 @@ grouping = 2|3
 k = 5
 """,
         )
-        with pytest.raises(ValueError, match="not both"):
+        # grouping is the one spelling, so the file fails on k itself.
+        with pytest.raises(ValueError, match=re.escape("unknown option [strategy] k")):
             load_scenario(path)
 
     def test_unknown_option_rejected(self, tmp_path):
@@ -1490,6 +1494,8 @@ kind = oracle
             # The margin is fixed at one cell; the key it had is gone.
             ("cell_margin = 1\n", "", "[topology] cell_margin"),
             ("", "\n[seed]\nseed = 9\n", "[seed] seed"),
+            # The f/r sweep is fixed; the key it had is gone.
+            ("", "\n[ghls]\nf_over_r = 0.5, 2\n", "[ghls] f_over_r"),
         ):
             path = self._write(tmp_path, base.format(topology=topology, extra=extra))
             with pytest.raises(ValueError, match=re.escape(f"unknown option {located}")):
@@ -1536,7 +1542,6 @@ kind = oracle
             return
         for value in (cfg.field_size, cfg.radio_range):
             assert 0 < value < math.inf
-        assert all(0 <= f < math.inf for f in cfg.f_over_r)
 
 
 class TestScenarioRuns:
@@ -1642,14 +1647,13 @@ class TestScenarioRuns:
             trials=600,
             grouping=Grouping((1, 2, 6, 3)),
             seed=42,
-            f_over_r=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
         )
         comp = compare_ghls(cfg)
-        assert len(comp.ghls_totals) == len(cfg.f_over_r)
+        assert comp.f_over_r == (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        assert len(comp.ghls_totals) == len(comp.f_over_r)
         assert len(set(comp.lpr_totals)) == 1
         assert comp.lpr_totals[0] == pytest.approx(comp.lpr_request_cost)
-        assert comp.ghls_totals[0] == pytest.approx(comp.ghls_request_cost)
-        for fr, total in zip(cfg.f_over_r, comp.ghls_totals):
+        for fr, total in zip(comp.f_over_r, comp.ghls_totals):
             assert total == pytest.approx(
                 comp.ghls_request_cost + fr * comp.update_cost
             )
@@ -2021,7 +2025,7 @@ def tables():
     config = ScenarioConfig(
         trials=AGREEMENT_TRIALS,
         n_candidates=12,
-        grouping=Grouping.serial(12),
+        grouping=Grouping((1,) * 12),
         seed=42,
     )
     pool = build_pool(config)
