@@ -62,24 +62,21 @@ def _resolve_out_dir(flag_value: str | None) -> str:
     return out_dir
 
 
-def _command_params(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    params = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            params[key] = value
-        else:
-            params[key] = str(value)
-    return params
+def _name_the_flag(exc: ValueError, flags: dict[str, tuple[str, object]]) -> ValueError:
+    """exc with "--flag value: " in front when its message starts with
+    what the flag sets; flags maps each flag to (what it sets, value)."""
+    for flag, (sets, value) in flags.items():
+        if str(exc).startswith(f"{sets} "):
+            return ValueError(f"{flag} {value}: {exc}")
+    return exc
 
 
 def _finish(args: argparse.Namespace, out_dir: str, outputs: list[str],
             seeds: tuple[int, ...], config: ScenarioConfig | None = None) -> None:
     # The manifest is written last: its presence certifies that every
     # listed output landed completely.
-    parameters = _command_params(args)
+    parameters = {key: value for key, value in vars(args).items()
+                  if key not in ("func", "command")}
     if config is not None:
         parameters["config"] = asdict(config)  # the scenario as it ran
     manifest = RunManifest(
@@ -123,7 +120,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     selected = _FIGURES if args.fig == "all" else (args.fig,)
     # Every family is computed before the first write, so a rejected flag
     # leaves no partial output set behind.
-    tables = {name: _curve_rows(name, args, model) for name in selected}
+    try:
+        tables = {name: _curve_rows(name, args, model) for name in selected}
+    except ValueError as exc:
+        flags = {"--k": ("k", args.k), "--k-max": ("k_max", args.k_max)}
+        raise _name_the_flag(exc, flags) from None
     out_dir = _resolve_out_dir(args.out_dir)
     outputs = []
     for name, (header, rows) in tables.items():
@@ -209,10 +210,9 @@ def _run_config(args: argparse.Namespace, run: Callable) -> tuple:
         config = replace(config, **flags)
         return config, run(config)
     except ValueError as exc:
-        for name, value in flags.items():
-            if str(exc).startswith(_FLAG_KEYS[name]):
-                raise ValueError(f"--{name} {value}: {exc}") from None
-        raise
+        raise _name_the_flag(
+            exc, {f"--{name}": (_FLAG_KEYS[name], value) for name, value in flags.items()}
+        ) from None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -50,7 +50,7 @@ from ..analytic import (
 )
 from .delivery import ghls_waves, hashed_home_index, lpr_waves, round_trips
 from .gpsr import _leg_ttl, route_legs
-from .streams import Streams, floyd_limit
+from .streams import Streams
 from .topology import Topology, _disjoint_union, build_topology
 
 __all__ = [
@@ -72,11 +72,12 @@ _BASELINE_TRIALS = 2000
 # The update-to-request ratios compare_ghls tabulates; its crossover is
 # exact, so these only pick sample points on its two straight lines.
 _F_OVER_R = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-# Size bounds that keep a run's arrays within a few tens of MiB: a layout
-# attempt holds (n, n, 2) float offsets, and a run tabulates the centre
-# of each of the (grid_cells - 2)**2 eligible cells (places()).
+# A layout attempt holds (n, n, 2) float offsets, so this bound keeps it
+# within a few tens of MiB.
 _MAX_NODES = 2048
-_MAX_GRID_CELLS = 256
+# The trial draws copy numpy's choice, which may leave Floyd's algorithm
+# above 10000 cells; this bound keeps the eligible cells at 99**2 = 9801.
+_MAX_GRID_CELLS = 101
 # A run holds about 0.55 KiB per trial, so this bound keeps it near 0.55 GiB.
 _MAX_TRIALS = 1_000_000
 # Layouts build_pool draws before it gives up on finding pool connected ones.
@@ -85,10 +86,14 @@ _LAYOUT_ATTEMPTS = 10000
 # from the field edge; boundary cells often have no node within the
 # acceptance radius, and those failed legs cost face tours.
 _CELL_MARGIN = 1
-# Stream tags: trial i draws from the stream seeded [seed, 7, i], and
-# baseline probe b from [seed, 13, b].
+# Stream tags: trial i draws from the stream seeded [seed, 7, i],
+# baseline probe b from [seed, 13, b], and layout attempt a from
+# [seed, 101, a].
 _TRIAL_TAG = 7
 _BASELINE_TAG = 13
+_LAYOUT_TAG = 101
+# A seed is one 32-bit SeedSequence word, as the tag and index are.
+_MAX_SEED = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,9 @@ class ScenarioConfig:
                              f"{2 * _CELL_MARGIN + 2}, leaving an eligible non-candidate cell")
         if self.grid_cells > _MAX_GRID_CELLS:
             raise ValueError(
-                f"[topology] grid_cells = {self.grid_cells} is above "
-                f"{_MAX_GRID_CELLS}: a run tabulates the centres of its "
-                f"(grid_cells - 2)**2 eligible cells"
+                f"[topology] grid_cells = {self.grid_cells} is above {_MAX_GRID_CELLS}: "
+                f"the bound keeps the (grid_cells - 2)**2 eligible cells under 10000, above "
+                f"which numpy's choice, which the trial draws copy, may leave Floyd's algorithm"
             )
         if self.trials < 0:
             raise ValueError(f"[traffic] trials = {self.trials} must be non-negative")
@@ -138,15 +143,14 @@ class ScenarioConfig:
                              f"a run holds about 0.55 KiB per trial")
         if self.seed < 0:
             raise ValueError(f"[seeds] seed = {self.seed} must be non-negative")
+        if self.seed > _MAX_SEED:
+            raise ValueError(f"[seeds] seed = {self.seed} is above {_MAX_SEED}: a trial "
+                             f"stream seeds numpy's SeedSequence with [seed, tag, index], "
+                             f"one 32-bit word each")
         n_eligible = (self.grid_cells - 2 * _CELL_MARGIN) ** 2
         if not 1 <= self.n_candidates < n_eligible:
             raise ValueError(f"[traffic] n_candidates = {self.n_candidates} must be from 1 "
                              f"to {n_eligible - 1}, leaving an eligible non-candidate cell")
-        if self.n_candidates > floyd_limit(n_eligible):
-            raise ValueError(f"[traffic] n_candidates = {self.n_candidates} is above "
-                             f"{floyd_limit(n_eligible)}: numpy's choice draws more than "
-                             f"1 in 50 of over 10000 eligible cells by a tail shuffle, "
-                             f"not the Floyd's algorithm the trial draws copy")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"[strategy] kind = {self.strategy} must be one of {_STRATEGIES}")
         if self.strategy == "lpr":
@@ -279,7 +283,7 @@ def build_pool(config: ScenarioConfig) -> Topology:
                 config.n,
                 config.field_size,
                 config.radio_range,
-                seed=[config.seed, 101, attempt],
+                seed=[config.seed, _LAYOUT_TAG, attempt],
             )
             if topo.connected:
                 yield topo

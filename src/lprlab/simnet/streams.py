@@ -2,10 +2,11 @@
 
 Stream i of Streams(seed, tag, indices) draws exactly what
 np.random.default_rng([seed, tag, indices[i]]) would, by numpy's own
-recipes: SeedSequence and PCG64 seeding, PCG64 XSL-RR steps, and
+recipes for a one-word seed, tag and index and a choice from at most
+10000: SeedSequence and PCG64 seeding, PCG64 XSL-RR steps, and
 Generator's buffered 32-bit draws, Lemire's bounded integers, random()
-and choice(replace=False). Every stream makes each draw in lockstep; a
-stream whose Lemire draw is rejected redraws alone.
+and choice(replace=False) by Floyd's algorithm. Every stream makes each
+draw in lockstep; a stream whose Lemire draw is rejected redraws alone.
 """
 
 from __future__ import annotations
@@ -20,20 +21,10 @@ _MULT_LO = np.uint64(0x4385DF649FCCF645)
 _MULT_LO_0, _MULT_LO_1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
 
 
-def _words(x: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative int; 0 is [0]."""
-    out = [x & _MASK32]
-    while x := x >> 32:
-        out.append(x & _MASK32)
-    return out
-
-
-def _seed_sequence_words(entropy: list) -> Iterator:
-    """The 8 uint32 words SeedSequence(entropy).generate_state(8) gives,
-    in order, for entropy words that are each an int shared by all
-    streams or a uint32 array with one word per stream; a result word is
-    an array as soon as an array went into it."""
-    entropy = entropy + [0] * (4 - len(entropy))
+def _seed_sequence_words(seed: int, tag: int, index: np.ndarray) -> Iterator:
+    """The 8 uint32 words SeedSequence([seed, tag, index]).generate_state(8)
+    gives, in order, for a one-word seed and tag and a uint64 array of
+    one-word indices: each word is an array, one value per index."""
     h = 0x43B0D7E5
 
     def hashmix(v):
@@ -47,14 +38,12 @@ def _seed_sequence_words(entropy: list) -> Iterator:
         r = (0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32) & _MASK32
         return r ^ r >> 16
 
-    pool = [hashmix(w) for w in entropy[:4]]
+    # Three entropy words fill SeedSequence's pool of four with a 0.
+    pool = [hashmix(w) for w in (seed, tag, index, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
     hb = 0x8B51F9DD
     for i in range(8):
         v = pool[i % 4] ^ hb
@@ -63,32 +52,22 @@ def _seed_sequence_words(entropy: list) -> Iterator:
         yield v ^ v >> 16
 
 
-def floyd_limit(pop: int) -> int:
-    """The most that numpy's choice(pop, size, replace=False) draws by
-    Floyd's algorithm, which Streams.choice copies: above it, from over
-    10000, numpy shuffles a tail instead."""
-    return pop if pop <= 10000 else pop // 50
-
-
 class Streams:
     """One PCG64 stream per index, seeded as default_rng([seed, tag,
-    index]) is. A draw method draws once from each stream of rows (all
-    by default) and returns the values in rows' order."""
+    index]) is, for a seed and indices in [0, 2**32): one SeedSequence
+    word each. A draw method draws once from each stream of rows (all by
+    default) and returns the values in rows' order."""
 
     def __init__(self, seed: int, tag: int, indices: Sequence[int]) -> None:
-        if indices and min(indices) < 0:
-            raise ValueError(f"stream index {min(indices)} is negative")
-        # SeedSequence([seed, tag, index]).generate_state(8), mixing the
-        # indices of each uint32 word count together.
+        for name, value in (("seed", seed), ("index", min(indices, default=0)),
+                            ("index", max(indices, default=0))):
+            if not 0 <= value <= _MASK32:
+                raise ValueError(f"stream {name} {value} is outside [0, 2**32)")
         n = len(indices)
-        widths = np.fromiter(((i.bit_length() + 31) // 32 or 1 for i in indices), np.intp, n)
         u32 = np.empty((n, 8), dtype="<u4")
-        for width in set(widths.tolist()):
-            where = np.flatnonzero(widths == width)
-            words = [np.fromiter((indices[t] >> s & _MASK32 for t in where), np.uint32, len(where))
-                     for s in range(0, 32 * width, 32)]
-            for i, word in enumerate(_seed_sequence_words(_words(seed) + _words(tag) + words)):
-                u32[where, i] = word
+        index = np.array(indices, dtype=np.uint64)
+        for i, word in enumerate(_seed_sequence_words(seed, tag, index)):
+            u32[:, i] = word
         # PCG64: inc = words 2:3 << 1 | 1, and the state starts one step
         # from inc + words 0:1 (each pair high word first, mod 2**128).
         hi0, lo0, hi1, lo1 = u32.view("<u8").T
@@ -145,9 +124,10 @@ class Streams:
     def choice(self, pop: int, size: int) -> np.ndarray:
         """Generator.choice(pop, size, replace=False) of every stream, as a
         (streams, size) int32 array: Floyd's algorithm, then numpy's
-        Fisher-Yates shuffle."""
-        if size > floyd_limit(pop):
-            raise ValueError(f"choice of {size} from {pop} is not Floyd's algorithm")
+        Fisher-Yates shuffle, which numpy always takes for pop <= 10000."""
+        if pop > 10000:
+            raise ValueError(f"choice from {pop} is above 10000, where numpy's "
+                             f"choice may leave Floyd's algorithm")
         idx = np.empty((len(self._all), size), dtype=np.int32)
         for c, j in enumerate(range(pop - size, pop)):
             val = self.integers(j + 1)

@@ -167,13 +167,14 @@ class TestCurves:
         # fig2-fig5 would be valid; the fig7 k is checked before they land.
         assert main(["curves", "--fig", "all", "--k", "21",
                      "--out-dir", str(tmp_path)]) == 2
-        assert "k must be in [1, 20], got 21" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --k 21: k must be in [1, 20], got 21\n"
         assert os.listdir(tmp_path) == []
 
     def test_bad_k_max(self, tmp_path, capsys):
-        assert main(["curves", "--fig", "fig2", "--k-max", "0",
+        assert main(["curves", "--fig", "all", "--k-max", "0",
                      "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: k_max must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: --k-max 0: k_max must be >= 1, got 0\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("c", ["1.0", "0", "nan"])
     def test_bad_constant_regularity_names_its_flag(self, tmp_path, capsys, c):
@@ -392,7 +393,9 @@ class TestSimulate:
         monkeypatch.setattr(scenario, "build_pool", no_pool)
         for old, new, reason in (
             ("n = 80", "n = 10000000000", "(n, n, 2) array"),
-            ("grid_cells = 8", "grid_cells = 100000", "(grid_cells - 2)**2 eligible cells"),
+            ("grid_cells = 8", "grid_cells = 100000", "keeps the (grid_cells - 2)**2 eligible "
+             "cells under 10000, above which numpy's choice, which the trial draws copy, "
+             "may leave Floyd's algorithm"),
             ("pool = 2", "pool = 10001", "the layout attempts build_pool makes"),
         ):
             path = tmp_path / "scenario.ini"
@@ -407,15 +410,15 @@ class TestSimulate:
         assert not (tmp_path / "trials.csv").exists()
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
-    def test_too_many_candidates_exit_2(self, tmp_path, capsys):
-        # Of 101**2 = 10201 eligible cells numpy's choice draws at most 204
-        # by the Floyd's algorithm that the trial draws copy.
+    def test_grid_above_floyds_path_exits_2(self, tmp_path, capsys):
+        # The grid bound keeps the eligible cells under 10000, above which
+        # numpy's choice, which the trial draws copy, may leave Floyd's
+        # algorithm; grid 102 has 100**2 = 10000.
         path = tmp_path / "scenario.ini"
-        path.write_text(ORACLE_INI.replace("grid_cells = 8", "grid_cells = 103")
-                        .replace("n_candidates = 5", "n_candidates = 205"))
+        path.write_text(ORACLE_INI.replace("grid_cells = 8", "grid_cells = 102"))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [traffic] n_candidates = 205 is above 204: ")
+        assert err.startswith("error: [topology] grid_cells = 102 is above 101: ")
         assert "Traceback" not in err
         assert not (tmp_path / "trials.csv").exists()
 
@@ -473,13 +476,17 @@ class TestSimulate:
             ("--seed", "-1", "[seeds] seed = -1 must be non-negative"),
             ("--trials", "1000001", "[traffic] trials = 1000001 is above 1000000: "
              "a run holds about 0.55 KiB per trial"),
+            ("--seed", "4294967296", "[seeds] seed = 4294967296 is above 4294967295: a trial "
+             "stream seeds numpy's SeedSequence with [seed, tag, index], one 32-bit word each"),
         ],
     )
     def test_override_error_names_the_flag(self, tmp_path, capsys, flag, value, message):
         ini = self._ini(tmp_path)
+        out = tmp_path / "out"
         for command in ("simulate", "compare-ghls"):
-            assert main([command, ini, flag, value, "--out-dir", str(tmp_path)]) == 2
+            assert main([command, ini, flag, value, "--out-dir", str(out)]) == 2
             assert capsys.readouterr().err == f"error: {flag} {value}: {message}\n"
+            assert not out.exists()
 
     def test_zero_pool_names_the_key(self, tmp_path, capsys):
         path = tmp_path / "scenario.ini"

@@ -1271,7 +1271,7 @@ class TestScenarioConfig:
         # by the flat indices at least one cell from the edge. A grid of
         # 3 has one such cell and no config: no cell is left to wander to.
         for field_size in (2500.0, 1000.0, 777.7, 1e6, 3.3):
-            for grid_cells in range(4, 257):
+            for grid_cells in range(4, 102):
                 cfg = replace(SMALL, field_size=field_size, grid_cells=grid_cells,
                               n_candidates=1)
                 want = _all_centres(grid_cells, cfg.cell_size)[_margin_cells(grid_cells)]
@@ -1302,11 +1302,9 @@ class TestScenarioConfig:
             replace(SMALL, strategy="lpr", grouping=Grouping((1,) * 13))
         with pytest.raises(ValueError, match=re.escape("[seeds] seed = -3 must be non-negative")):
             replace(SMALL, seed=-3)
-        assert replace(SMALL, n=2048, grid_cells=256).n == 2048
+        assert replace(SMALL, n=2048, grid_cells=101).n == 2048
         with pytest.raises(ValueError, match=re.escape("[topology] n = 2049 is above 2048")):
             replace(SMALL, n=2049)
-        with pytest.raises(ValueError, match=re.escape("[topology] grid_cells = 257")):
-            replace(SMALL, grid_cells=257)
         # Bounds that no run could meet or hold are refused before any work.
         assert replace(SMALL, pool_size=10000).pool_size == 10000
         with pytest.raises(ValueError, match=re.escape(
@@ -1316,15 +1314,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=re.escape(
                 "[traffic] trials = 1000001 is above 1000000")):
             replace(SMALL, trials=1_000_001)
-        # numpy's choice, which the trial draws copy, draws by Floyd's
-        # algorithm at most n_eligible // 50 of over 10000 eligible cells.
-        assert replace(SMALL, grid_cells=18, n_candidates=255).n_candidates == 255
-        assert replace(SMALL, grid_cells=103, n_candidates=204).n_candidates == 204
-        with pytest.raises(ValueError, match=re.escape("[traffic] n_candidates = 205 is above 204")):
-            replace(SMALL, grid_cells=103, n_candidates=205)
-        assert replace(SMALL, grid_cells=256, n_candidates=1290).n_candidates == 1290
-        with pytest.raises(ValueError, match=re.escape("n_candidates = 1291 is above 1290")):
-            replace(SMALL, grid_cells=256, n_candidates=1291)
+        # numpy's choice, which the trial draws copy, may leave Floyd's
+        # algorithm above 10000 cells; grid 101 has 99**2 = 9801 eligible.
+        assert replace(SMALL, grid_cells=101, n_candidates=9800).n_candidates == 9800
+        with pytest.raises(ValueError, match=re.escape(
+                "[topology] grid_cells = 102 is above 101: the bound keeps the "
+                "(grid_cells - 2)**2 eligible cells under 10000")):
+            replace(SMALL, grid_cells=102)
+        # Seeds are one 32-bit SeedSequence word, as stream indices are.
+        assert replace(SMALL, seed=2**32 - 1).seed == 2**32 - 1
+        with pytest.raises(ValueError, match=re.escape(
+                "[seeds] seed = 4294967296 is above 4294967295: a trial stream seeds "
+                "numpy's SeedSequence with [seed, tag, index], one 32-bit word each")):
+            replace(SMALL, seed=2**32)
 
     def test_non_finite_values_rejected(self):
         for value in (math.nan, math.inf, -math.inf):
@@ -1601,8 +1603,14 @@ class TestScenarioRuns:
 
     def test_negative_trial_index_rejected(self):
         pool = build_pool(SMALL)
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=re.escape("stream index -1 is outside")):
             run_trials(SMALL, [0, -1], pool)
+
+    def test_trial_index_above_one_word_rejected(self):
+        # A trial's stream is seeded [seed, 7, index], one 32-bit word each.
+        pool = build_pool(SMALL)
+        with pytest.raises(ValueError, match=re.escape("stream index 4294967296 is outside")):
+            run_trials(SMALL, [2**32], pool)
 
     @pytest.mark.parametrize("other", [replace(SMALL, pool_size=3), replace(SMALL, n=81)],
                              ids=["pool_size", "n"])
@@ -1729,9 +1737,8 @@ def _lockstep_draws(streams, program):
     return [list(values) for values in zip(*steps)]
 
 
-# Indices whose word count differs (2**32 - 1 is one uint32 word, 2**32
-# two), and so does the SeedSequence mix.
-_EDGE_INDICES = [0, 2**32 - 1, 2**32]
+# The ends of the one-word index range that Streams takes.
+_EDGE_INDICES = [0, 2**32 - 1]
 
 
 class TestStreams:
@@ -1739,27 +1746,18 @@ class TestStreams:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(0, 2**96 - 1),
+        st.integers(0, 2**32 - 1),
         st.sampled_from([7, 13]),
-        st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**40)), max_size=8),
+        st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)), max_size=8),
         st.randoms(use_true_random=False),
     )
     def test_matches_default_rng_per_index(self, seed, tag, drawn, shuffler):
-        indices = drawn + _EDGE_INDICES + drawn[:2]  # repeats, mixed widths
+        indices = drawn + _EDGE_INDICES + drawn[:2]  # repeats included
         shuffler.shuffle(indices)
         got = _lockstep_draws(Streams(seed, tag, indices), _PROGRAM)
         for index, values in zip(indices, got, strict=True):
             oracle = np.random.default_rng([seed, tag, index])
             assert values == _oracle_draws(oracle, _PROGRAM)
-
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, 2**96 - 1, 2**130])
-    def test_long_entropy_runs_the_extra_mixing(self, seed):
-        # seed 2**70 is three words, so [seed, tag, index] is at least
-        # five: more words than SeedSequence's pool of four.
-        indices = [3, 2**64 + 7, 2**100, *_EDGE_INDICES]
-        got = _lockstep_draws(Streams(seed, 13, indices), _PROGRAM)
-        for index, values in zip(indices, got, strict=True):
-            assert values == _oracle_draws(np.random.default_rng([seed, 13, index]), _PROGRAM)
 
     def test_half_used_32_bit_buffer_does_not_carry_over(self):
         # Streams 0, 2 and 4 make one more 32-bit draw than the others, so
@@ -1793,21 +1791,25 @@ class TestStreams:
                 assert [step[rows.index(index)] for step in got] == expected
             assert after[index] == oracle.integers(280)
 
-    @pytest.mark.parametrize("pop, size", [(100, 12), (16, 15), (10000, 200), (10049, 200)])
+    @pytest.mark.parametrize("pop, size", [(100, 12), (16, 15), (10000, 200)])
     def test_choice_on_floyds_path(self, pop, size):
-        # (10049, 200) is the largest draw from 10049 that numpy's choice
-        # still makes by Floyd's algorithm.
-        indices = [0, 1, 2**32]
+        # numpy's choice draws by Floyd's algorithm from up to 10000.
+        indices = [0, 1, 2**32 - 1]
         got = Streams(42, 7, indices).choice(pop, size).tolist()
         for index, values in zip(indices, got, strict=True):
             oracle = np.random.default_rng([42, 7, index])
             assert values == oracle.choice(pop, size, replace=False).tolist()
 
     def test_refusals(self):
-        with pytest.raises(ValueError, match="not Floyd's algorithm"):
-            Streams(0, 7, [0]).choice(10049, 201)
-        with pytest.raises(ValueError, match="stream index -1 is negative"):
-            Streams(0, 7, [3, -1])
+        with pytest.raises(ValueError, match="choice from 10001 is above 10000"):
+            Streams(0, 7, [0]).choice(10001, 2)
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"stream index {bad} is outside [0, 2**32)")):
+                Streams(0, 7, [3, bad])
+        with pytest.raises(ValueError, match=re.escape(
+                "stream seed 4294967296 is outside [0, 2**32)")):
+            Streams(2**32, 7, [3])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1957,10 +1959,10 @@ def test_ghls_updater_draw_replays():
 
 
 def test_most_candidates_replay():
-    # The most candidates a scenario may draw of 101**2 = 10201 eligible
-    # cells, 10201 // 50.
+    # The most candidates a scenario may draw: all but one of the largest
+    # grid's 99**2 = 9801 eligible cells.
     config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1,
-                            grid_cells=103, trials=30, n_candidates=204,
+                            grid_cells=101, trials=30, n_candidates=9800,
                             strategy="oracle", seed=8)
     with mock.patch.object(scenario, "round_trips", wraps=scenario.round_trips) as legs:
         rows = run_trials(config, range(config.trials), build_pool(config))
