@@ -79,9 +79,11 @@ _CURVE_CACHE_SIZE = 1024  # memoised first-order values, one per (k, model)
 _TABLE_CACHE_SIZE = 64  # memoised hour tables, one per model
 
 
-def _check_k(k: int, lowest: int) -> None:
+def _check_k(k: int, lowest: int, highest: int | None = None) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
+    if highest is not None and not lowest <= k <= highest:
+        raise ValueError(f"k must be in [{lowest}, {highest}], got {k}")
     if k < lowest:
         raise ValueError(f"k must be >= {lowest}, got {k}")
 
@@ -299,19 +301,12 @@ def mean_traffic(grouping: Grouping, model: RegularityModel | None = None) -> fl
     return _stage_costs(grouping.sizes, _curve(model))[1]
 
 
-def _check_grouping_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= _MAX_GROUPING_K:
-        raise ValueError(f"k must be in [1, {_MAX_GROUPING_K}], got {k}")
-
-
 def enumerate_groupings(k: int) -> list[Grouping]:
     """All ordered stage partitions of k, lexicographic by size tuple.
 
     There are 2**(k-1) of them; k is capped at _MAX_GROUPING_K.
     """
-    _check_grouping_k(k)
+    _check_k(k, 1, _MAX_GROUPING_K)
 
     def compose(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -372,7 +367,7 @@ def pareto_front(k: int, model: RegularityModel | None = None) -> list[ParetoPoi
     it dominated is dominated by the completion that replaced it. The
     eps scan over the survivors is then the scan over all groupings.
     """
-    _check_grouping_k(k)
+    _check_k(k, 1, _MAX_GROUPING_K)
     eps = 1e-12  # tolerate float noise when comparing equal means
     # One read of the memoised curve per rank.
     cdf = [first_order_cdf(i, model) for i in range(k)]

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__, figures
@@ -27,7 +27,7 @@ from .profile import write_trace_csv
 if TYPE_CHECKING:
     from .simnet.scenario import ScenarioConfig
 
-__all__ = ["RunManifest", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 ENV_OUT_DIR = "LPRLAB_OUT_DIR"
 
@@ -37,18 +37,8 @@ _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig7")
 _TRACE_FLAGS = {"n_users": "--users", "n_weeks": "--weeks", "seed": "--seed"}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    command: str
-    parameters: dict
-    seeds: tuple[int, ...]
-    version: str
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+def _json_text(value: dict) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -79,15 +69,10 @@ def _finish(args: argparse.Namespace, out_dir: str, outputs: list[str],
                   if key not in ("func", "command")}
     if config is not None:
         parameters["config"] = asdict(config)  # the scenario as it ran
-    manifest = RunManifest(
-        command=args.command,
-        parameters=parameters,
-        seeds=seeds,
-        version=__version__,
-        outputs=tuple(outputs),
-    )
+    manifest = {"command": args.command, "parameters": parameters, "seeds": seeds,
+                "version": __version__, "outputs": outputs}
     path = os.path.join(out_dir, f"{args.command.replace('-', '_')}_manifest.json")
-    _write_text(path, manifest.to_json())
+    _write_text(path, _json_text(manifest))
     print(f"wrote {path}")
 
 
@@ -231,10 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ),
     )
     summary = record.as_dict()
-    _write_text(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
     print(f"wrote {trials_path} ({len(rows)} rows)")
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
     _print_summary(summary)
@@ -253,10 +235,7 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
         ("f_over_r", "profile_total", "home_server_total"),
         zip(comparison.f_over_r, comparison.lpr_totals, comparison.ghls_totals),
     )
-    _write_text(
-        os.path.join(out_dir, "ghls_summary.json"),
-        json.dumps(comparison.as_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    _write_text(os.path.join(out_dir, "ghls_summary.json"), _json_text(comparison.as_dict()))
     print(f"wrote {sweep_path} ({len(comparison.f_over_r)} rows)")
     print(f"wrote {os.path.join(out_dir, 'ghls_summary.json')}")
     for label, cross in (("empirical crossover", comparison.crossover),

@@ -78,8 +78,14 @@ _MAX_NODES = 2048
 # The trial draws copy numpy's choice, which may leave Floyd's algorithm
 # above 10000 cells; this bound keeps the eligible cells at 99**2 = 9801.
 _MAX_GRID_CELLS = 101
-# A run holds about 0.55 KiB per trial, so this bound keeps it near 0.55 GiB.
+# A run holds about 0.55 KiB (563 bytes) per trial at a dozen candidates,
+# so this bound keeps it near 0.52 GiB. Its (trials, n_candidates) int32
+# candidate table grows with both keys, so it is held to that same budget
+# on its own: 4 * trials * n_candidates <= 563 * _MAX_TRIALS bytes, at most
+# 140,750,000 cells (1,000,000 trials of 140 candidates, or 14,362 trials
+# of the 9,800 that grid_cells = 101 allows).
 _MAX_TRIALS = 1_000_000
+_MAX_CANDIDATE_CELLS = 563 * _MAX_TRIALS // 4
 # Layouts build_pool draws before it gives up on finding pool connected ones.
 _LAYOUT_ATTEMPTS = 10000
 # Candidate, wander, home, and baseline cells stay this many cells away
@@ -151,6 +157,12 @@ class ScenarioConfig:
         if not 1 <= self.n_candidates < n_eligible:
             raise ValueError(f"[traffic] n_candidates = {self.n_candidates} must be from 1 "
                              f"to {n_eligible - 1}, leaving an eligible non-candidate cell")
+        if self.trials * self.n_candidates > _MAX_CANDIDATE_CELLS:
+            raise ValueError(
+                f"[traffic] trials * n_candidates = {self.trials} * {self.n_candidates} is "
+                f"above {_MAX_CANDIDATE_CELLS}: the trial draws hold a (trials, n_candidates) "
+                f"int32 table of candidates, 4 bytes a cell"
+            )
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"[strategy] kind = {self.strategy} must be one of {_STRATEGIES}")
         if self.strategy == "lpr":
@@ -215,7 +227,9 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 def _parse_scenario(path: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
+    # No file can name the section "", so [DEFAULT] is an ordinary section,
+    # its keys reported there instead of copied into every other one.
+    parser = configparser.ConfigParser(default_section="")
     if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read scenario file: {path}")
     for section, _ in _REQUIRED:

@@ -13,10 +13,10 @@ Gabriel subgraph or its subgraphs (such as the RNG), not any planar graph.
 
 Each topology keeps both graphs as padded (n, max degree) index
 matrices, rows ascending and filled with -1 past each node's degree:
-the planarization tests a chunk of edges at once, the connectivity
-search expands a whole frontier at once, greedy routing scores a batch
-of legs' neighbours in one numpy step, and perimeter mode walks the
-Gabriel rows.
+the planarization tests a chunk of edges at once, greedy routing scores
+a batch of legs' neighbours in one numpy step, and perimeter mode walks
+the Gabriel rows. Connectivity is not stored but asked: Topology.connected
+searches the unit-disk rows a whole frontier at a time on each call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = ["Topology", "build_topology", "topology_from_positions"]
 class Topology:
     positions: np.ndarray  # (n, 2) meters
     radio_range: float
-    connected: bool
     # unit-disk and Gabriel neighbours in ascending order, each an
     # (n, max degree) int32 matrix padded with -1
     neighbors: np.ndarray = field(repr=False)
@@ -67,20 +66,21 @@ class Topology:
     def avg_degree(self) -> float:
         return int(np.count_nonzero(self.neighbors >= 0)) / self.n
 
-
-def _is_connected(nbr: np.ndarray) -> bool:
-    """Whether node 0 reaches every node of the -1 padded neighbour
-    matrix nbr, by a breadth-first search one frontier at a time."""
-    seen = np.zeros(len(nbr), dtype=bool)
-    frontier = seen.copy()
-    frontier[0] = True
-    while frontier.any():
-        seen |= frontier
-        reached = nbr[frontier].ravel()
-        frontier = np.zeros_like(seen)
-        frontier[reached[reached >= 0]] = True
-        frontier &= ~seen
-    return bool(seen.all())
+    @property
+    def connected(self) -> bool:
+        """Whether node 0 reaches every node, by a breadth-first search
+        over neighbors one frontier at a time; each call searches anew."""
+        nbr = self.neighbors
+        seen = np.zeros(len(nbr), dtype=bool)
+        frontier = seen.copy()
+        frontier[0] = True
+        while frontier.any():
+            seen |= frontier
+            reached = nbr[frontier].ravel()
+            frontier = np.zeros_like(seen)
+            frontier[reached[reached >= 0]] = True
+            frontier &= ~seen
+        return bool(seen.all())
 
 
 def _unit_disk(positions: np.ndarray, radio_range: float) -> np.ndarray:
@@ -93,27 +93,13 @@ def _unit_disk(positions: np.ndarray, radio_range: float) -> np.ndarray:
     return within
 
 
-def _neighbor_matrix(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Per-row cols of (rows, cols) sorted by row, as an (n, max degree)
-    int32 matrix padded with -1."""
-    deg = np.bincount(rows, minlength=n)
-    nbr = np.full((n, max(int(deg.max()), 1)), -1, dtype=np.int32)
-    starts = np.cumsum(deg) - deg
-    nbr[rows, np.arange(len(rows)) - starts[rows]] = cols
+def _neighbor_matrix(deg: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (len(deg), max degree) int32 matrix, padded with -1, whose row
+    r holds the next deg[r] of cols: cols lists each row's entries in turn,
+    so a row-major fill of each row's first deg[r] slots places them."""
+    nbr = np.full((len(deg), max(int(deg.max()), 1)), -1, dtype=np.int32)
+    nbr[np.arange(nbr.shape[1]) < deg[:, None]] = cols
     return nbr
-
-
-def _stack_offset(blocks: list[np.ndarray]) -> np.ndarray:
-    """Padded neighbour matrices of consecutive layouts as one, each
-    offset by the rows before it and padded to the widest."""
-    width = max(block.shape[1] for block in blocks)
-    out = np.full((sum(map(len, blocks)), width), -1, dtype=np.int32)
-    start = 0
-    for block in blocks:
-        rows = out[start:start + len(block), :block.shape[1]]
-        np.add(block, start, out=rows, where=block >= 0)
-        start += len(block)
-    return out
 
 
 def _disjoint_union(layouts: Iterable[Topology]) -> Topology:
@@ -121,17 +107,18 @@ def _disjoint_union(layouts: Iterable[Topology]) -> Topology:
     becomes u plus the node count of the layouts before it. Layouts are
     taken one at a time, keeping only their arrays."""
     positions, nbrs, planars = [], [], []
+    start = 0
     for layout in layouts:
         positions.append(layout.positions)
-        nbrs.append(layout.neighbors)
-        planars.append(layout.planar)
-    nbr = _stack_offset(nbrs)
+        for entries, nbr in ((nbrs, layout.neighbors), (planars, layout.planar)):
+            filled = nbr >= 0
+            entries.append((np.count_nonzero(filled, axis=1), nbr[filled] + start))
+        start += layout.n
     return Topology(
         positions=np.concatenate(positions),
         radio_range=layout.radio_range,
-        connected=_is_connected(nbr),
-        neighbors=nbr,
-        planar=_stack_offset(planars),
+        neighbors=_neighbor_matrix(*map(np.concatenate, zip(*nbrs))),
+        planar=_neighbor_matrix(*map(np.concatenate, zip(*planars))),
     )
 
 
@@ -172,8 +159,7 @@ def _gabriel_subgraph(
     eu, ev = eu[keep], ev[keep]
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    return _neighbor_matrix(src[order], dst[order], n)
+    return _neighbor_matrix(np.bincount(src, minlength=n), dst[np.lexsort((dst, src))])
 
 
 def topology_from_positions(positions, radio_range: float) -> Topology:
@@ -190,11 +176,11 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
         raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
 
     within = _unit_disk(positions, radio_range)
-    nbr = _neighbor_matrix(*np.nonzero(within), n)
+    rows, cols = np.nonzero(within)
+    nbr = _neighbor_matrix(np.bincount(rows, minlength=n), cols)
     return Topology(
         positions=positions,
         radio_range=radio_range,
-        connected=_is_connected(nbr),
         neighbors=nbr,
         planar=_gabriel_subgraph(positions, within, nbr),
     )
@@ -205,8 +191,8 @@ def build_topology(
 ) -> Topology:
     """Uniform random node placement with derived adjacency.
 
-    Deterministic per seed. Disconnected layouts are allowed; the result
-    carries a connectivity flag instead of raising.
+    Deterministic per seed. Disconnected layouts are allowed: a caller
+    that needs a connected one asks the result's connected property.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")

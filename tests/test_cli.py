@@ -17,7 +17,7 @@ import pytest
 
 from lprlab import cli
 from lprlab.analytic import conditional_cdf
-from lprlab.cli import ENV_OUT_DIR, RunManifest, build_parser, main
+from lprlab.cli import ENV_OUT_DIR, build_parser, main
 from lprlab.mobility import MobilityParams
 from lprlab.profile import read_trace_csv
 from lprlab.simnet import scenario
@@ -391,22 +391,32 @@ class TestSimulate:
             raise AssertionError("built a pool for an oversized scenario")
 
         monkeypatch.setattr(scenario, "build_pool", no_pool)
-        for old, new, reason in (
-            ("n = 80", "n = 10000000000", "(n, n, 2) array"),
-            ("grid_cells = 8", "grid_cells = 100000", "keeps the (grid_cells - 2)**2 eligible "
-             "cells under 10000, above which numpy's choice, which the trial draws copy, "
-             "may leave Floyd's algorithm"),
-            ("pool = 2", "pool = 10001", "the layout attempts build_pool makes"),
+        for edits, named, reason in (
+            ({"n = 80": "n = 10000000000"}, "[topology] n = 10000000000", "(n, n, 2) array"),
+            ({"grid_cells = 8": "grid_cells = 100000"}, "[topology] grid_cells = 100000",
+             "keeps the (grid_cells - 2)**2 eligible cells under 10000, above which numpy's "
+             "choice, which the trial draws copy, may leave Floyd's algorithm"),
+            ({"pool = 2": "pool = 10001"}, "[topology] pool = 10001",
+             "the layout attempts build_pool makes"),
+            # Each key is within its own bound, but the candidate table of
+            # 9.8e9 int32 cells would take 36.5 GiB.
+            ({"grid_cells = 8": "grid_cells = 101", "trials = 60": "trials = 1000000",
+              "n_candidates = 5": "n_candidates = 9800"},
+             "[traffic] trials * n_candidates = 1000000 * 9800 is above 140750000",
+             "a (trials, n_candidates) int32 table of candidates"),
         ):
+            text = ORACLE_INI
+            for old, new in edits.items():
+                text = text.replace(old, new)
             path = tmp_path / "scenario.ini"
-            path.write_text(ORACLE_INI.replace(old, new))
+            path.write_text(text)
             for command in ("simulate", "compare-ghls"):
                 start = time.perf_counter()
                 assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
                 assert time.perf_counter() - start < 1.0
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and "Traceback" not in err
-                assert f"[topology] {new}" in err and reason in err
+                assert named in err and reason in err
         assert not (tmp_path / "trials.csv").exists()
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
@@ -696,19 +706,19 @@ class TestHarness:
         assert exc.value.code == 0
         assert "lprlab" in capsys.readouterr().out
 
-    def test_manifest_json_is_sorted_and_stable(self):
-        manifest = RunManifest(
-            command="curves",
-            parameters={"fig": "all", "k": 12},
-            seeds=(3,),
-            version="0.1.0",
-            outputs=("a.csv",),
-        )
-        text = manifest.to_json()
-        assert text == manifest.to_json()
+    def test_pinned_manifest_digest(self, tmp_path, monkeypatch):
+        # SHA-256 of the manifest's bytes: sorted keys, two-space indent, a
+        # final newline, and the resolved scenario. Relative paths keep the
+        # recorded scenario and out_dir the same wherever the test runs.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pinned.ini").write_text(PINNED_INI.format(kind="lpr"))
+        assert main(["simulate", "pinned.ini", "--out-dir", "out"]) == 0
+        text = _read(tmp_path / "out" / "simulate_manifest.json")
+        assert hashlib.sha256(text).hexdigest() == (
+            "6ee50fc0264eafe14579c02eed7b46fea0689b47e0fa9cbff2ed1992a5498b25")
         parsed = json.loads(text)
         assert list(parsed) == sorted(parsed)
-        assert parsed["seeds"] == [3]
+        assert parsed["seeds"] == [9]
 
     def test_curves_and_gen_trace_leave_the_simulator_unimported(self, tmp_path):
         # The commands that need no simulator do not pay for importing it.

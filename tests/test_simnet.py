@@ -700,6 +700,31 @@ class TestDisjointUnion:
             if dest == beyond:
                 assert not success[i]
 
+    @staticmethod
+    def _stack_offset(blocks):
+        """Oracle: padded neighbour matrices of consecutive layouts as one,
+        each offset by the rows before it and padded to the widest."""
+        width = max(block.shape[1] for block in blocks)
+        out = np.full((sum(map(len, blocks)), width), -1, dtype=np.int32)
+        start = 0
+        for block in blocks:
+            rows = out[start:start + len(block), :block.shape[1]]
+            np.add(block, start, out=rows, where=block >= 0)
+            start += len(block)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_layouts(), min_size=1, max_size=3))
+    def test_matrices_match_the_stacking_oracle(self, layouts):
+        # Layouts of different sizes and radio ranges, and so of different
+        # degrees: each block is offset and padded to the widest.
+        union = _disjoint_union(layouts)
+        for graph in ("neighbors", "planar"):
+            want = self._stack_offset([getattr(layout, graph) for layout in layouts])
+            got = getattr(union, graph)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(_layouts(), _layouts())
     def test_connected_only_as_one_connected_layout(self, a, b):
@@ -1314,6 +1339,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=re.escape(
                 "[traffic] trials = 1000001 is above 1000000")):
             replace(SMALL, trials=1_000_001)
+        # The (trials, n_candidates) int32 candidate table gets the same
+        # budget: at most 140,750,000 cells.
+        for grid, fits, too_many in ((101, (14_362, 9800), (14_363, 9800)),
+                                     (14, (1_000_000, 140), (1_000_000, 141))):
+            assert replace(SMALL, grid_cells=grid, trials=fits[0],
+                           n_candidates=fits[1]).trials == fits[0]
+            with pytest.raises(ValueError, match=re.escape(
+                    "[traffic] trials * n_candidates = %d * %d is above 140750000: " % too_many)):
+                replace(SMALL, grid_cells=grid, trials=too_many[0], n_candidates=too_many[1])
         # numpy's choice, which the trial draws copy, may leave Floyd's
         # algorithm above 10000 cells; grid 101 has 99**2 = 9801 eligible.
         assert replace(SMALL, grid_cells=101, n_candidates=9800).n_candidates == 9800
@@ -1498,6 +1532,9 @@ kind = oracle
             ("", "\n[seed]\nseed = 9\n", "[seed] seed"),
             # The f/r sweep is fixed; the key it had is gone.
             ("", "\n[ghls]\nf_over_r = 0.5, 2\n", "[ghls] f_over_r"),
+            # configparser would copy [DEFAULT]'s keys into every section
+            # and report them under the first; the loader reads none.
+            ("", "\n[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
         ):
             path = self._write(tmp_path, base.format(topology=topology, extra=extra))
             with pytest.raises(ValueError, match=re.escape(f"unknown option {located}")):
