@@ -5,19 +5,21 @@ closed-form model curves as CSV, `gen-trace` writes synthetic mobility
 traces, `simulate` runs a delivery scenario from an INI file, and
 `compare-ghls` sweeps the same scenario's update-to-request ratio
 against a home-server baseline. Every command writes a JSON manifest
-naming its outputs, and re-running a command with the same flags and
-files reproduces every output byte for byte.
+naming its outputs. Every output goes to `--out-dir` (default: the
+current directory) under a fixed file name, and re-running a command
+with the same flags and files reproduces every output byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from . import __version__, figures
 from .analytic import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3, RegularityModel, hourly_regularity
@@ -28,8 +30,6 @@ if TYPE_CHECKING:
     from .simnet.scenario import ScenarioConfig
 
 __all__ = ["build_parser", "main"]
-
-ENV_OUT_DIR = "LPRLAB_OUT_DIR"
 
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig7")
 
@@ -46,9 +46,8 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _resolve_out_dir(flag_value: str | None) -> str:
-    out_dir = flag_value or os.environ.get(ENV_OUT_DIR) or "."
-    os.makedirs(out_dir, exist_ok=True)
+def _make_out_dir(out_dir: str) -> str:
+    os.makedirs(out_dir or ".", exist_ok=True)  # '' is the current directory
     return out_dir
 
 
@@ -110,7 +109,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     except ValueError as exc:
         flags = {"--k": ("k", args.k), "--k-max": ("k_max", args.k_max)}
         raise _name_the_flag(exc, flags) from None
-    out_dir = _resolve_out_dir(args.out_dir)
+    out_dir = _make_out_dir(args.out_dir)
     outputs = []
     for name, (header, rows) in tables.items():
         filename = f"{name}.csv"
@@ -122,26 +121,23 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _trace_params(args: argparse.Namespace) -> MobilityParams:
+    values = {name: vars(args)[flag[2:]] for name, flag in _TRACE_FLAGS.items()}
     try:
-        return MobilityParams(
-            **{name: vars(args)[flag[2:]] for name, flag in _TRACE_FLAGS.items()}
-        )
+        return MobilityParams(**values)
     except ValueError as exc:
-        message = str(exc)
-        for field_name, flag in _TRACE_FLAGS.items():
-            message = message.replace(field_name, flag)
-        raise ValueError(message) from None
+        flags = {flag: (name, values[name]) for name, flag in _TRACE_FLAGS.items()}
+        raise _name_the_flag(exc, flags) from None
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     params = _trace_params(args)
     traces = generate_trace(params)
-    out_dir = _resolve_out_dir(args.out_dir)
-    path = os.path.join(out_dir, args.out)
+    out_dir = _make_out_dir(args.out_dir)
+    path = os.path.join(out_dir, "trace.csv")
     with figures.atomic_path(path) as tmp:
         write_trace_csv(traces, tmp)
     print(f"wrote {path} ({sum(len(t) for t in traces)} observations)")
-    _finish(args, out_dir, [args.out], (args.seed,))
+    _finish(args, out_dir, ["trace.csv"], (args.seed,))
     if args.verify:
         return _verify_trace(traces, params)
     return 0
@@ -149,23 +145,17 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def _verify_trace(traces, params: MobilityParams) -> int:
     """Compare per-hour modal-cell frequency against the model curve."""
-    empirical = empirical_regularity(traces)
-    table = hourly_regularity()
+    expected = np.array(hourly_regularity())
     samples = params.n_users * params.n_weeks
-    worst_z = 0.0
-    worst = (0.0, 1.0)
-    for hour in range(len(empirical)):
-        expected = table[hour]
-        sigma = math.sqrt(expected * (1.0 - expected) / samples)
-        deviation = abs(float(empirical[hour]) - expected)
-        if deviation > worst_z * sigma:
-            worst_z = deviation / sigma
-            worst = (deviation, 4.5 * sigma)
-    ok = worst_z <= 4.5
+    sigma = np.sqrt(expected * (1.0 - expected) / samples)
+    deviation = np.abs(empirical_regularity(traces) - expected)
+    z = deviation / sigma
+    worst = int(np.argmax(z))
+    ok = bool(z[worst] <= 4.5)
     status = "passed" if ok else "FAILED"
     print(
-        f"self-check {status}: max deviation {worst[0]:.4f} "
-        f"(bound {worst[1]:.4f} at {samples} samples per hour)"
+        f"self-check {status}: max deviation {deviation[worst]:.4f} "
+        f"(bound {4.5 * sigma[worst]:.4f} at {samples} samples per hour)"
     )
     return 0 if ok else 1
 
@@ -204,7 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .simnet.scenario import TrialRow, run_scenario
 
     config, (record, rows) = _run_config(args, run_scenario)
-    out_dir = _resolve_out_dir(args.out_dir)
+    out_dir = _make_out_dir(args.out_dir)
 
     trials_path = os.path.join(out_dir, "trials.csv")
     figures.write_csv(
@@ -228,7 +218,7 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
     from .simnet.scenario import compare_ghls
 
     config, comparison = _run_config(args, compare_ghls)
-    out_dir = _resolve_out_dir(args.out_dir)
+    out_dir = _make_out_dir(args.out_dir)
     sweep_path = os.path.join(out_dir, "ghls_sweep.csv")
     figures.write_csv(
         sweep_path,
@@ -253,15 +243,18 @@ def cmd_compare_ghls(args: argparse.Namespace) -> int:
 def _add_out_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out-dir",
-        default=None,
-        help=f"output directory (default: ${ENV_OUT_DIR} or current directory)",
+        default=".",
+        help="output directory (default: the current directory)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags are spelled in full: a prefix such as --out would otherwise
+    # quietly set --out-dir.
     parser = argparse.ArgumentParser(
         prog="lprlab",
         description="Location-profile routing workbench",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -269,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curves = sub.add_parser(
-        "curves", help="export the closed-form model curve families as CSV"
+        "curves", help="export the closed-form model curve families as CSV", allow_abbrev=False
     )
     curves.add_argument(
         "--fig", choices=(*_FIGURES, "all"), default="all",
@@ -288,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_dir(curves)
     curves.set_defaults(func=cmd_curves)
 
-    gen = sub.add_parser("gen-trace", help="generate synthetic mobility traces")
+    gen = sub.add_parser("gen-trace", help="generate synthetic mobility traces",
+                         allow_abbrev=False)
     defaults = MobilityParams()
     for name, flag in _TRACE_FLAGS.items():
         gen.add_argument(flag, type=int, default=getattr(defaults, name))
-    gen.add_argument("--out", default="trace.csv", help="trace file name")
     gen.add_argument(
         "--verify", action="store_true",
         help="check the trace's hourly regularity against the model curve",
@@ -305,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare-ghls", cmd_compare_ghls,
          "sweep a scenario's update rates: profile delivery vs a hashed home server"),
     ):
-        scenario = sub.add_parser(name, help=summary)
+        scenario = sub.add_parser(name, help=summary, allow_abbrev=False)
         scenario.add_argument("scenario", help="scenario INI file")
         for name, key in _FLAG_KEYS.items():
             scenario.add_argument(f"--{name}", type=int, default=None, help=f"override {key}")

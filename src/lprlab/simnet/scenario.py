@@ -142,8 +142,8 @@ class ScenarioConfig:
                 f"the bound keeps the (grid_cells - 2)**2 eligible cells under 10000, above "
                 f"which numpy's choice, which the trial draws copy, may leave Floyd's algorithm"
             )
-        if self.trials < 0:
-            raise ValueError(f"[traffic] trials = {self.trials} must be non-negative")
+        if self.trials < 1:
+            raise ValueError(f"[traffic] trials = {self.trials} must be at least 1")
         if self.trials > _MAX_TRIALS:
             raise ValueError(f"[traffic] trials = {self.trials} is above {_MAX_TRIALS}: "
                              f"a run holds about 0.55 KiB per trial")
@@ -213,23 +213,22 @@ def load_scenario(path: str) -> ScenarioConfig:
     sizes joined by '|'); [seeds] seed. Each key sets one ScenarioConfig
     field, and compare-ghls sweeps the fixed f/r of _F_OVER_R. Required:
     n, field_size, radio_range, trials, n_candidates and kind; every
-    other key, when omitted, takes its ScenarioConfig default. Any other
-    key, and a file configparser cannot read or decode, raises
+    other key, when omitted, takes its ScenarioConfig default. Values are
+    read as written: '%' is an ordinary character, so '%(n)s' is a bad
+    value, not a reference to n. Any other key, a value its field
+    refuses, and a file configparser cannot read or decode raise
     ValueError naming it.
     """
     try:
         return _parse_scenario(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
-        where = ""
-        if isinstance(exc, configparser.InterpolationError):
-            where = f"[{exc.section}] {exc.option}: "  # its message names no key
-        raise ValueError(f"bad scenario file {path}: {where}{exc}") from None
+        raise ValueError(f"bad scenario file {path}: {exc}") from None
 
 
 def _parse_scenario(path: str) -> ScenarioConfig:
     # No file can name the section "", so [DEFAULT] is an ordinary section,
     # its keys reported there instead of copied into every other one.
-    parser = configparser.ConfigParser(default_section="")
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read scenario file: {path}")
     for section, _ in _REQUIRED:
@@ -392,7 +391,7 @@ def run_trials(
     ]
 
 
-def measure_baseline(config: ScenarioConfig, pool: Topology) -> float | None:
+def measure_baseline(config: ScenarioConfig, pool: Topology) -> float:
     """Mean round-trip transmissions of one copy to a uniform random cell.
 
     Measured on an RNG stream independent of the trial stream, so the
@@ -401,8 +400,6 @@ def measure_baseline(config: ScenarioConfig, pool: Topology) -> float | None:
     """
     n_probes = min(config.trials, _BASELINE_TRIALS)
     src = _layout_starts(config, pool, range(n_probes))
-    if n_probes == 0:
-        return None
     places = config.places()
     probes = Streams(config.seed, _BASELINE_TAG, range(n_probes))
     src += probes.integers(config.n)
@@ -428,9 +425,7 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-def aggregate(
-    rows: Sequence[TrialRow], baseline_rtt: float | None
-) -> MetricsRecord:
+def aggregate(rows: Sequence[TrialRow], baseline_rtt: float) -> MetricsRecord:
     """Order-independent reduction of trial rows to summary metrics."""
     n = len(rows)
     if n == 0:
@@ -443,9 +438,7 @@ def aggregate(
     latencies = np.array([r.latency_factor for r in rows], dtype=float)
     ordered = sorted(latencies.tolist())
     mean_tx = float(np.mean([r.transmissions for r in rows]))
-    traffic = None
-    if baseline_rtt is not None and baseline_rtt > 0:
-        traffic = mean_tx / baseline_rtt
+    traffic = mean_tx / baseline_rtt if baseline_rtt > 0 else None
     updates = [r.update_hops for r in rows if r.update_hops >= 0]
     return MetricsRecord(
         n_trials=n,
@@ -503,8 +496,6 @@ def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     """
     if config.grouping is None:
         raise ValueError("compare-ghls needs [strategy] grouping")
-    if config.trials == 0:
-        raise ValueError(f"[traffic] trials = {config.trials} must be at least 1 for compare-ghls")
     lpr_config = replace(config, strategy="lpr")
     ghls_config = replace(config, strategy="ghls")
     pool = build_pool(config)
@@ -516,7 +507,6 @@ def compare_ghls(config: ScenarioConfig) -> GhlsComparison:
     m_ghls = ghls_record.mean_transmissions
     m_update = ghls_record.mean_update_hops
     assert m_lpr is not None and m_ghls is not None and m_update is not None
-    assert baseline is not None
     s_hat = m_update
     p_hat = baseline / 2.0
     t_bar = mean_traffic(config.grouping)

@@ -4,21 +4,23 @@ Commands run in-process through main() so exit codes and stderr are
 observable without spawning an interpreter.
 """
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from lprlab import cli
-from lprlab.analytic import conditional_cdf
-from lprlab.cli import ENV_OUT_DIR, build_parser, main
-from lprlab.mobility import MobilityParams
+from lprlab.analytic import conditional_cdf, hourly_regularity
+from lprlab.cli import build_parser, main
+from lprlab.mobility import MobilityParams, empirical_regularity, generate_trace
 from lprlab.profile import read_trace_csv
 from lprlab.simnet import scenario
 
@@ -243,11 +245,19 @@ class TestGenTrace:
         assert all(len(t) == 3 * 168 for t in traces)
 
     def test_seed_changes_trace(self, tmp_path):
-        main(["gen-trace", "--users", "2", "--weeks", "1", "--seed", "1",
-              "--out", "a.csv", "--out-dir", str(tmp_path)])
-        main(["gen-trace", "--users", "2", "--weeks", "1", "--seed", "2",
-              "--out", "b.csv", "--out-dir", str(tmp_path)])
-        assert _read(tmp_path / "a.csv") != _read(tmp_path / "b.csv")
+        for seed in ("1", "2"):
+            assert main(["gen-trace", "--users", "2", "--weeks", "1", "--seed", seed,
+                         "--out-dir", str(tmp_path / seed)]) == 0
+        assert _read(tmp_path / "1" / "trace.csv") != _read(tmp_path / "2" / "trace.csv")
+
+    def test_trace_file_name_is_fixed(self, tmp_path, capsys):
+        # The trace is always trace.csv: a file-name flag could overwrite
+        # the manifest or name a missing subdirectory.
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-trace", "--out", "a.csv", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out a.csv" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_flags_are_the_params_fields(self):
         # Each MobilityParams field has one flag, whose default is the field's.
@@ -266,16 +276,53 @@ class TestGenTrace:
         assert os.listdir(tmp_path) == []
 
     def test_invalid_flag_named_in_error(self, tmp_path, capsys):
-        assert main(["gen-trace", "--users", "0",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "--users" in capsys.readouterr().err
-        assert main(["gen-trace", "--seed", "-1",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "--seed must be non-negative" in capsys.readouterr().err
-        assert main(["gen-trace", "--weeks", "0",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "--weeks must be >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "trace.csv").exists()
+        # The flag goes in front, as for simulate, compare-ghls and curves.
+        for flag, value, message in (
+            ("--users", "0", "n_users must be >= 1, got 0"),
+            ("--seed", "-1", "seed must be non-negative, got -1"),
+            ("--weeks", "0", "n_weeks must be >= 1, got 0"),
+        ):
+            assert main(["gen-trace", flag, value, "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: {flag} {value}: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _verify_oracle(traces, params):
+        """The per-hour loop that _verify_trace's array steps replaced."""
+        empirical = empirical_regularity(traces)
+        table = hourly_regularity()
+        samples = params.n_users * params.n_weeks
+        worst_z = 0.0
+        worst = (0.0, 1.0)
+        for hour in range(len(empirical)):
+            expected = table[hour]
+            sigma = math.sqrt(expected * (1.0 - expected) / samples)
+            deviation = abs(float(empirical[hour]) - expected)
+            if deviation > worst_z * sigma:
+                worst_z = deviation / sigma
+                worst = (deviation, 4.5 * sigma)
+        ok = worst_z <= 4.5
+        status = "passed" if ok else "FAILED"
+        print(
+            f"self-check {status}: max deviation {worst[0]:.4f} "
+            f"(bound {worst[1]:.4f} at {samples} samples per hour)"
+        )
+        return 0 if ok else 1
+
+    def test_verify_matches_the_per_hour_loop(self, capsys):
+        # Claiming 100 times the users shrinks the bound tenfold, so the
+        # same traces also exercise the FAILED verdict.
+        verdicts = set()
+        for users, weeks, seed in ((1, 1, 0), (3, 2, 5), (6, 3, 7), (12, 1, 11)):
+            params = MobilityParams(n_users=users, n_weeks=weeks, seed=seed)
+            traces = generate_trace(params)
+            for claimed in (params, replace(params, n_users=100 * users)):
+                code = cli._verify_trace(traces, claimed)
+                printed = capsys.readouterr().out
+                want = self._verify_oracle(traces, claimed)
+                assert (code, printed) == (want, capsys.readouterr().out)
+                verdicts.add(code)
+        assert verdicts == {0, 1}
 
     def test_failed_write_keeps_the_previous_trace(self, tmp_path, monkeypatch, capsys):
         args = ["gen-trace", "--users", "2", "--weeks", "1", "--out-dir", str(tmp_path)]
@@ -420,6 +467,23 @@ class TestSimulate:
         assert not (tmp_path / "trials.csv").exists()
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
+    def test_zero_trials_exit_2_at_once(self, tmp_path, capsys, monkeypatch):
+        # A run has at least one trial, whether the file or --trials sets
+        # it; no pool is built first (TestCompareGhls checks compare-ghls).
+        def no_pool(config):
+            raise AssertionError("built a pool for a run of no trials")
+
+        monkeypatch.setattr(scenario, "build_pool", no_pool)
+        ini = self._ini(tmp_path)
+        zero = tmp_path / "zero.ini"
+        zero.write_text(ORACLE_INI.replace("trials = 60", "trials = 0"))
+        assert main(["simulate", str(zero), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: [traffic] trials = 0 must be at least 1\n"
+        assert main(["simulate", ini, "--trials", "0", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --trials 0: [traffic] trials = 0 must be at least 1\n")
+        assert not (tmp_path / "trials.csv").exists()
+
     def test_grid_above_floyds_path_exits_2(self, tmp_path, capsys):
         # The grid bound keeps the eligible cells under 10000, above which
         # numpy's choice, which the trial draws copy, may leave Floyd's
@@ -460,9 +524,11 @@ class TestSimulate:
              "least 4, leaving an eligible non-candidate cell"),
             ("grid_cells = 8", "grid_cells = 3", "[topology] grid_cells = 3 must be at "
              "least 4, leaving an eligible non-candidate cell"),
-            ("trials = 60", "trials = -1", "[traffic] trials = -1 must be non-negative"),
+            ("trials = 60", "trials = -1", "[traffic] trials = -1 must be at least 1"),
             ("seed = 5", "seed = -1", "[seeds] seed = -1 must be non-negative"),
             ("pool = 2", "pool = 2\ncell_margin = 1", "unknown option [topology] cell_margin"),
+            # Values are read as written: no interpolation, so no run of n layouts.
+            ("pool = 2", "pool = %(n)s", "bad value for [topology] pool: '%(n)s'"),
             ("n_candidates = 5", "n_candidates = 36", "[traffic] n_candidates = 36 must be "
              "from 1 to 35, leaving an eligible non-candidate cell"),
             ("kind = oracle", "kind = lpr\ngrouping = 2|4", "[strategy] grouping = 2|4 covers "
@@ -482,7 +548,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--trials", "-1", "[traffic] trials = -1 must be non-negative"),
+            ("--trials", "-1", "[traffic] trials = -1 must be at least 1"),
             ("--seed", "-1", "[seeds] seed = -1 must be non-negative"),
             ("--trials", "1000001", "[traffic] trials = 1000001 is above 1000000: "
              "a run holds about 0.55 KiB per trial"),
@@ -540,16 +606,11 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
         # Files configparser itself rejects: no section header, a repeated
-        # key, a bare '%' that interpolation cannot parse, and bytes that
-        # are not UTF-8.
+        # key, and bytes that are not UTF-8.
         malformed = {
             "no_header.ini": ("n = 5\n", "line: 1"),
             "duplicate.ini": (
                 "[topology]\nn = 10\nn = 20\n", "option 'n' in section 'topology'"
-            ),
-            "percent.ini": (
-                ORACLE_INI.replace("kind = oracle", "kind = lpr\ngrouping = 2|10%"),
-                "[strategy] grouping",
             ),
             "latin1.ini": (b"[topology]\nn = 1\xff\n", "position 16"),
         }
@@ -560,6 +621,11 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert name in err and located in err
+        # A '%' is read as written, so a stray one is a bad value like any other.
+        percent = tmp_path / "percent.ini"
+        percent.write_text(ORACLE_INI.replace("kind = oracle", "kind = lpr\ngrouping = 2|10%"))
+        assert main(["simulate", str(percent), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: bad value for [strategy] grouping: '2|10%'\n"
         assert not (tmp_path / "trials.csv").exists()
 
 
@@ -632,17 +698,20 @@ class TestCompareGhls:
             "error: compare-ghls needs [strategy] grouping\n")
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
-    def test_zero_trials_exit_2(self, tmp_path, capsys):
+    def test_zero_trials_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_pool(config):
+            raise AssertionError("built a pool for a run of no trials")
+
+        monkeypatch.setattr(scenario, "build_pool", no_pool)
         ini = self._ini(tmp_path, "2|3")
         assert main(["compare-ghls", ini, "--trials", "0",
                      "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "error: --trials 0: [traffic] trials = 0 must be at least 1 for compare-ghls\n")
+            "error: --trials 0: [traffic] trials = 0 must be at least 1\n")
         path = tmp_path / "compare.ini"
         path.write_text(path.read_text().replace("trials = 120", "trials = 0"))
         assert main(["compare-ghls", ini, "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: [traffic] trials = 0 must be at least 1 for compare-ghls\n")
+        assert capsys.readouterr().err == "error: [traffic] trials = 0 must be at least 1\n"
         assert not (tmp_path / "ghls_sweep.csv").exists()
 
     def test_same_scenario_as_simulate(self, tmp_path):
@@ -694,11 +763,37 @@ def test_pinned_output_digests(tmp_path, command, kind, digests):
 
 
 class TestHarness:
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path))
+    def test_out_dir_defaults_to_the_current_directory(self, tmp_path, monkeypatch):
+        # --out-dir is the one output location: the old environment
+        # variable is ignored, and the manifest records where a run wrote.
+        monkeypatch.setenv("LPRLAB_OUT_DIR", str(tmp_path / "env"))
         monkeypatch.chdir(tmp_path)
         assert main(["curves", "--fig", "fig2"]) == 0
-        assert (tmp_path / "fig2.csv").exists()
+        assert main(["gen-trace", "--users", "2", "--weeks", "1", "--out-dir", ""]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "curves_manifest.json", "fig2.csv", "gen_trace_manifest.json", "trace.csv"]
+        curves = json.loads(_read(tmp_path / "curves_manifest.json"))["parameters"]
+        assert curves["out_dir"] == "."
+        gen = json.loads(_read(tmp_path / "gen_trace_manifest.json"))
+        assert gen["outputs"] == ["trace.csv"]
+        assert sorted(gen["parameters"]) == ["out_dir", "seed", "users", "verify", "weeks"]
+
+    def test_readme_names_every_setting(self):
+        # Every subcommand option and every scenario key appears in README
+        # as a word of some inline code span.
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as f:
+            prose = re.sub(r"```.*?```", "", f.read(), flags=re.S)
+        named = {word for span in re.findall(r"`([^`]+)`", prose) for word in span.split()}
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        settings = {key for _, key in scenario._KEYS}
+        for command in subparsers.choices.values():
+            settings.update(option for action in command._actions
+                            for option in action.option_strings)
+        settings -= {"-h", "--help", "--version"}
+        assert sorted(settings - named) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

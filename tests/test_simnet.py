@@ -1311,8 +1311,12 @@ class TestScenarioConfig:
             replace(SMALL, n=1)
         with pytest.raises(ValueError):
             replace(SMALL, radio_range=0.0)
-        with pytest.raises(ValueError):
-            replace(SMALL, trials=-1)
+        # A run has at least one trial, for simulate and compare-ghls alike.
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"[traffic] trials = {trials} must be at least 1")):
+                replace(SMALL, trials=trials)
+        assert replace(SMALL, trials=1).trials == 1
         with pytest.raises(ValueError, match=re.escape("[topology] grid_cells = 3 must be "
                            "at least 4, leaving an eligible non-candidate cell")):
             replace(SMALL, grid_cells=3)
@@ -1584,10 +1588,12 @@ kind = oracle
 
 
 class TestScenarioRuns:
-    def test_zero_trials(self):
-        record, rows = run_scenario(replace(SMALL, trials=0))
+    def test_empty_split(self):
+        # An empty share of the trial indices is still a valid split.
+        pool = build_pool(SMALL)
+        assert run_trials(SMALL, [], pool) == []
+        record = aggregate([], measure_baseline(SMALL, pool))
         assert record.n_trials == 0
-        assert rows == []
         assert record.delivery_ratio is None
         json.dumps(record.as_dict())
 
