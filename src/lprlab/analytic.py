@@ -328,21 +328,25 @@ class ParetoPoint(NamedTuple):
 _Label = tuple[float, float, tuple[int, ...]]  # (latency, traffic, sizes so far)
 
 
-def _minimal_labels(labels: list[_Label], margin: float) -> list[_Label]:
-    """Labels that no other label beats: <= on both means and lower by
-    more than margin on one. Sorted by (latency, traffic), every label a
-    candidate could be beaten by comes before it."""
+def _minimal_labels(labels: list[_Label], slack: float, margin: float) -> list[_Label]:
+    """Labels that no other label beats: at most slack above it on both
+    means and lower by more than margin on one. Sorted by (latency,
+    traffic), a label's possible beaters are those below lat - margin,
+    on traffic up to traf + slack, and the window of latencies from
+    lat - margin to lat + slack, on traffic lower by more than margin."""
     labels.sort(key=lambda lab: (lab[0], lab[1]))
     kept = []
     far_min = math.inf  # least traffic among labels[:j], all below lat - margin
-    j = 0
-    for i, (lat, traf, sizes) in enumerate(labels):
+    j = h = 0  # labels[j:h] is the window
+    for lat, traf, sizes in labels:
         while labels[j][0] < lat - margin:
             far_min = min(far_min, labels[j][1])
             j += 1
-        if far_min <= traf:
+        while h < len(labels) and labels[h][0] <= lat + slack:
+            h += 1
+        if far_min <= traf + slack:
             continue
-        if any(labels[m][1] < traf - margin for m in range(j, i)):
+        if any(labels[m][1] < traf - margin for m in range(j, h)):
             continue
         kept.append((lat, traf, sizes))
     return kept
@@ -351,8 +355,10 @@ def _minimal_labels(labels: list[_Label], margin: float) -> list[_Label]:
 def pareto_front(k: int, model: RegularityModel | None = None) -> list[ParetoPoint]:
     """Non-dominated (latency, traffic) groupings for top-k probing.
 
-    A point is kept when no other grouping is at least as good on both
-    means and strictly better on one. Sorted by latency ascending; ties
+    A point is kept when no other grouping beats it: at most eps above it
+    on both means and lower by more than eps on one, the rule of
+    _minimal_labels; eps absorbs float noise, so groupings whose means
+    tie exactly are compared as ties. Sorted by latency ascending; ties
     broken by fewer stages, then lexicographic sizes. The fully parallel
     grouping (latency 1) is always present.
 
@@ -361,11 +367,12 @@ def pareto_front(k: int, model: RegularityModel | None = None) -> list[ParetoPoi
     the stage sums are added left to right as in _stage_costs, so the
     same suffix added to two partial groupings keeps their order in each
     mean. A partial grouping is dropped when another one at the same start
-    rank is <= on both means and lower by more than 2 * eps on one: float
-    rounding over at most _MAX_GROUPING_K stages closes that gap by far
-    less than eps, so each completion of it stays dominated, and whatever
-    it dominated is dominated by the completion that replaced it. The
-    eps scan over the survivors is then the scan over all groupings.
+    rank is <= on both means and lower by more than 2 * eps on one. Its
+    completions stay beaten by more than 2 * eps minus rounding, and
+    rounding over at most _MAX_GROUPING_K stages removes less than eps of
+    that margin. Beats carry through pruned labels, because <= is
+    transitive. So the last pass, over the complete groupings, sees a
+    grouping that beats each grouping it drops.
     """
     _check_k(k, 1, _MAX_GROUPING_K)
     eps = 1e-12  # tolerate float noise when comparing equal means
@@ -376,29 +383,15 @@ def pareto_front(k: int, model: RegularityModel | None = None) -> list[ParetoPoi
     labels[1].append((0.0, 0.0, ()))
     for start in range(1, k + 1):
         p_try = 1.0 - cdf[start - 1]
-        for lat, traf, sizes in _minimal_labels(labels[start], 2 * eps):
+        for lat, traf, sizes in _minimal_labels(labels[start], 0.0, 2 * eps):
             for size in range(1, k - start + 2):
                 labels[start + size].append(
                     (lat + p_try, traf + size * p_try, (*sizes, size))
                 )
-    points = [
+    front = [
         ParetoPoint(Grouping(sizes), lat, traf)
-        for lat, traf, sizes in _minimal_labels(labels[k + 1], 2 * eps)
+        for lat, traf, sizes in _minimal_labels(labels[k + 1], eps, eps)
     ]
-
-    front = []
-    for p in points:
-        dominated = False
-        for q in points:
-            if (
-                q.latency <= p.latency + eps
-                and q.traffic <= p.traffic + eps
-                and (q.latency < p.latency - eps or q.traffic < p.traffic - eps)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            front.append(p)
     front.sort(key=lambda p: (p.latency, len(p.grouping.sizes), p.grouping.sizes))
     return front
 

@@ -31,7 +31,14 @@ if TYPE_CHECKING:
 
 __all__ = ["build_parser", "main"]
 
-_FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig7")
+# Each curve family's (header, rows), from the parsed flags and the model.
+_FIGURES: dict[str, Callable[[argparse.Namespace, RegularityModel], tuple]] = {
+    "fig2": lambda args, model: figures.success_cdf_rows(args.k_max),
+    "fig3": lambda args, model: figures.time_averaged_rows(args.k_max, model),
+    "fig4": lambda args, model: figures.first_try_pmf_rows(args.k_max),
+    "fig5": lambda args, model: figures.retry_pmf_rows(args.k_max, model),
+    "fig7": lambda args, model: figures.grouping_front_rows(args.k, model),
+}
 
 # The gen-trace flag that sets each MobilityParams field.
 _TRACE_FLAGS = {"n_users": "--users", "n_weeks": "--weeks", "seed": "--seed"}
@@ -85,19 +92,6 @@ def _check_regularity(model: RegularityModel) -> None:
         ) from None
 
 
-def _curve_rows(name: str, args: argparse.Namespace,
-                model: RegularityModel) -> tuple[list[str], list[tuple]]:
-    if name == "fig2":
-        return figures.success_cdf_rows(args.k_max)
-    if name == "fig3":
-        return figures.time_averaged_rows(args.k_max, model)
-    if name == "fig4":
-        return figures.first_try_pmf_rows(args.k_max)
-    if name == "fig5":
-        return figures.retry_pmf_rows(args.k_max, model)
-    return figures.grouping_front_rows(args.k, model)
-
-
 def cmd_curves(args: argparse.Namespace) -> int:
     model = RegularityModel(args.c1, args.c2, args.c3)
     _check_regularity(model)
@@ -105,7 +99,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     # Every family is computed before the first write, so a rejected flag
     # leaves no partial output set behind.
     try:
-        tables = {name: _curve_rows(name, args, model) for name in selected}
+        tables = {name: _FIGURES[name](args, model) for name in selected}
     except ValueError as exc:
         flags = {"--k": ("k", args.k), "--k-max": ("k_max", args.k_max)}
         raise _name_the_flag(exc, flags) from None

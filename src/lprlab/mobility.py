@@ -49,6 +49,12 @@ _GRID_CELLS = GRID_SIDE * GRID_SIDE
 # hours a user wanders to a uniform random cell instead.
 HOME_CELLS = 40
 UNPREDICTABLE_FLOOR = 0.07
+# Near 0.5 GiB each: generate_trace's (n_weeks * 168, HOME_CELLS) float64
+# rank table and one user's draws take about 384 bytes an hour slot
+# (384 * 168 * 8,000 = 516,096,000), and a trace keeps 16 bytes an hour,
+# 2,688 a user-week (2,688 * 200,000 = 537,600,000).
+_MAX_WEEKS = 8_000
+_MAX_USER_WEEKS = 200_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,12 @@ class MobilityParams:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.n_weeks < 1:
             raise ValueError(f"n_weeks must be >= 1, got {self.n_weeks}")
+        if self.n_weeks > _MAX_WEEKS:
+            raise ValueError(f"n_weeks = {self.n_weeks} is above {_MAX_WEEKS}: the generator "
+                             f"holds about 384 bytes an hour slot")
+        if self.n_users * self.n_weeks > _MAX_USER_WEEKS:
+            raise ValueError(f"n_users * n_weeks = {self.n_users} * {self.n_weeks} is above "
+                             f"{_MAX_USER_WEEKS}: a trace keeps 2,688 bytes a user-week")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

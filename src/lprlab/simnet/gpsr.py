@@ -41,7 +41,9 @@ local minimum hands its node and remaining hop budget to the scalar
 perimeter walker, which hands it back to its slot once greedy
 forwarding resumes; GPSR carries no state out of greedy mode, so a leg
 takes the same route in any batch and any slot. gpsr_route is the batch
-of one, and records its path.
+of one, and records its path. The walker reads plain-float x and y lists
+(with math.atan2 for bearings), which the call's first local minimum
+takes from topology.positions with tolist: the same doubles.
 
 Every distance, in the batch's numpy steps, in the walker and in
 Topology.distance_to, is sqrt(dx*dx + dy*dy). Each of its operations is
@@ -91,9 +93,11 @@ def _leg_ttl(n: int) -> int:
     return 8 * n
 
 
-def _next_ccw(topology: Topology, x: int, row: list[int], ref_angle: float) -> int | None:
+def _next_ccw(xs: list[float], ys: list[float], x: int, row: list[int],
+              ref_angle: float) -> int | None:
     """Planar neighbor of x, from its planar row (a list, padded with -1
-    or not), whose bearing is next counterclockwise from ref.
+    or not), whose bearing from (xs[x], ys[x]) is next counterclockwise
+    from ref.
 
     The rotation is over (0, 2*pi]: an exactly-aligned edge counts as a
     full turn, so a dead-end node bounces the packet back along its only
@@ -102,10 +106,11 @@ def _next_ccw(topology: Topology, x: int, row: list[int], ref_angle: float) -> i
     """
     best = None
     best_delta = math.inf
+    px, py = xs[x], ys[x]
     for v in row:
         if v < 0:
             break
-        delta = (topology.bearing(x, v) - ref_angle) % _TWO_PI
+        delta = (math.atan2(ys[v] - py, xs[v] - px) - ref_angle) % _TWO_PI
         if delta <= 1e-12:
             delta = _TWO_PI
         if delta < best_delta:
@@ -115,22 +120,16 @@ def _next_ccw(topology: Topology, x: int, row: list[int], ref_angle: float) -> i
 
 
 def _perimeter(
-    topology: Topology,
-    x: int,
-    dx: float,
-    dy: float,
-    radius: float,
-    budget: int,
-    path: list[int] | None,
+    planar: np.ndarray, xs: list[float], ys: list[float], x: int, dx: float, dy: float,
+    radius: float, budget: int, path: list[int] | None,
 ) -> tuple[bool | None, int, int]:
-    """Perimeter mode from the local minimum x, for at most budget hops.
+    """Perimeter mode from the local minimum x, for at most budget hops,
+    on the planar matrix with node coordinates xs, ys.
 
     Returns (outcome, node, hops): outcome True (arrived within radius)
     or False (dropped) ends the leg at node; None hands node back to
     greedy forwarding. path, when given, receives each node visited.
     """
-    xs, ys = topology.xs, topology.ys
-    planar = topology.planar
     if planar[x, 0] < 0:
         return False, x, 0
 
@@ -141,7 +140,7 @@ def _perimeter(
 
     px, py = xs[x], ys[x]
     entry_dist = distance(px, py)
-    nxt = _next_ccw(topology, x, planar[x].tolist(), math.atan2(dy - py, dx - px))
+    nxt = _next_ccw(xs, ys, x, planar[x].tolist(), math.atan2(dy - py, dx - px))
     first_edge = (x, nxt)  # retraversing it closes the face tour
     hops = 0
     while True:
@@ -157,7 +156,8 @@ def _perimeter(
             return False, x, hops
         if dist_x < entry_dist - _EPS:
             return None, x, hops
-        nxt = _next_ccw(topology, x, planar[x].tolist(), topology.bearing(x, arrival_from))
+        back = math.atan2(ys[arrival_from] - py, xs[arrival_from] - px)
+        nxt = _next_ccw(xs, ys, x, planar[x].tolist(), back)
         if (x, nxt) == first_edge:
             # Completed a full face tour without progress: unreachable.
             return False, x, hops
@@ -197,6 +197,7 @@ def route_legs(
     ys = np.append(topology.positions[:, 1], math.inf)
     nbr = topology.neighbors
     radius = acceptance_radius
+    walk = None  # the walker's [xs, ys] plain floats, made at the first local minimum
 
     # Slots hold the legs active[i]; waiting is the first leg not yet slotted.
     waiting = min(_SLOTS, n_legs)
@@ -225,8 +226,10 @@ def route_legs(
         keep = moves
         for r in np.flatnonzero(going & ~moves).tolist():
             i = int(active[r])
+            if walk is None:
+                walk = topology.positions.T.tolist()
             outcome, node, walked = _perimeter(
-                topology, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
+                topology.planar, *walk, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
                 radius, ttl - int(hops[i]),
                 None if paths is None else paths[i],
             )

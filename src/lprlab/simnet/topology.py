@@ -17,6 +17,8 @@ the planarization tests a chunk of edges at once, greedy routing scores
 a batch of legs' neighbours in one numpy step, and perimeter mode walks
 the Gabriel rows. Connectivity is not stored but asked: Topology.connected
 searches the unit-disk rows a whole frontier at a time on each call.
+The coordinates are kept once, in positions (gpsr.route_legs makes the
+walker's plain-float copy), and the radio range only in the matrices.
 """
 
 from __future__ import annotations
@@ -33,35 +35,23 @@ __all__ = ["Topology", "build_topology", "topology_from_positions"]
 @dataclass(eq=False)
 class Topology:
     positions: np.ndarray  # (n, 2) meters
-    radio_range: float
     # unit-disk and Gabriel neighbours in ascending order, each an
     # (n, max degree) int32 matrix padded with -1
     neighbors: np.ndarray = field(repr=False)
     planar: np.ndarray = field(repr=False)
-    # positions as two lists of plain floats: the routing hot loop reads
-    # these, since indexing the ndarray yields slow numpy scalars.
-    xs: list[float] = field(init=False, repr=False)
-    ys: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.xs = self.positions[:, 0].tolist()
-        self.ys = self.positions[:, 1].tolist()
 
     @property
     def n(self) -> int:
         return len(self.positions)
 
     def position(self, u: int) -> tuple[float, float]:
-        return self.xs[u], self.ys[u]
+        return tuple(self.positions[u].tolist())
 
     def distance_to(self, u: int, point: tuple[float, float]) -> float:
         # The routing distance formula (see gpsr), on plain floats.
-        dx, dy = self.xs[u] - point[0], self.ys[u] - point[1]
+        x, y = self.positions[u].tolist()
+        dx, dy = x - point[0], y - point[1]
         return math.sqrt(dx * dx + dy * dy)
-
-    def bearing(self, u: int, v: int) -> float:
-        xs, ys = self.xs, self.ys
-        return math.atan2(ys[v] - ys[u], xs[v] - xs[u])
 
     def avg_degree(self) -> float:
         return int(np.count_nonzero(self.neighbors >= 0)) / self.n
@@ -116,7 +106,6 @@ def _disjoint_union(layouts: Iterable[Topology]) -> Topology:
         start += layout.n
     return Topology(
         positions=np.concatenate(positions),
-        radio_range=layout.radio_range,
         neighbors=_neighbor_matrix(*map(np.concatenate, zip(*nbrs))),
         planar=_neighbor_matrix(*map(np.concatenate, zip(*planars))),
     )
@@ -180,7 +169,6 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
     nbr = _neighbor_matrix(np.bincount(rows, minlength=n), cols)
     return Topology(
         positions=positions,
-        radio_range=radio_range,
         neighbors=nbr,
         planar=_gabriel_subgraph(positions, within, nbr),
     )

@@ -27,7 +27,8 @@ from lprlab.analytic import (
     zeroth_order_cdf,
 )
 from lprlab.mobility import MobilityParams, empirical_success_after_k, generate_trace
-from lprlab.simnet import build_topology, gpsr_route, topology_from_positions
+from lprlab.simnet.gpsr import gpsr_route
+from lprlab.simnet.topology import build_topology, topology_from_positions
 from lprlab.simnet.scenario import ScenarioConfig, compare_ghls, run_scenario
 
 

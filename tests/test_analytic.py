@@ -587,3 +587,51 @@ class TestLabelSettingFront:
         lats = [p.latency for p in front]
         assert lats == sorted(lats)
         assert all(p.grouping.k == 20 for p in front)
+
+
+class TestMinimalLabels:
+    """_minimal_labels' rule on hand-made labels: a label goes when
+    another is at most slack above it on both means and lower by more
+    than margin on one. Binary fractions keep the comparisons exact."""
+
+    @staticmethod
+    def _kept(labels, slack, margin):
+        return [lab[2] for lab in analytic._minimal_labels(list(labels), slack, margin)]
+
+    def test_equal_latency_near_tie(self):
+        # Equal latency: only traffic can beat, by more than the margin.
+        assert self._kept([(1.0, 2.5, "b"), (1.0, 2.0, "a")], 0.0, 0.25) == ["a"]
+        assert self._kept([(1.0, 2.25, "b"), (1.0, 2.0, "a")], 0.0, 0.25) == ["a", "b"]
+        assert self._kept([(1.0, 2.125, "b"), (1.0, 2.0, "a")], 0.0, 0.25) == ["a", "b"]
+
+    def test_exact_duplicates_are_both_kept(self):
+        assert self._kept([(1.0, 2.0, "a"), (1.0, 2.0, "b")], 0.125, 0.25) == ["a", "b"]
+
+    def test_latency_slack(self):
+        # b's latency is above a's by at most slack, its traffic lower by
+        # more than margin: b beats a only when the slack covers the gap.
+        labels = [(1.0, 3.0, "a"), (1.125, 2.5, "b")]
+        assert self._kept(labels, 0.125, 0.25) == ["b"]
+        assert self._kept(labels, 0.0625, 0.25) == ["a", "b"]
+        assert self._kept(labels, 0.0, 0.25) == ["a", "b"]
+
+    def test_traffic_slack(self):
+        # a's latency is lower by more than margin, its traffic above b's
+        # by at most slack.
+        labels = [(1.0, 2.125, "a"), (2.0, 2.0, "b")]
+        assert self._kept(labels, 0.125, 0.25) == ["a"]
+        assert self._kept(labels, 0.0, 0.25) == ["a", "b"]
+        # Latency lower by no more than margin does not beat.
+        assert self._kept([(1.75, 2.125, "a"), (2.0, 2.0, "b")], 0.125, 0.25) == ["a", "b"]
+
+    @pytest.mark.parametrize("c3", [0.25, 0.5, 0.75])
+    def test_flat_model_front_matches_enumeration(self, c3):
+        # A flat R makes many groupings' means tie exactly, and rounding
+        # splits the ties: at c3 = 0.5, k = 5, (1, 4) has traffic 3.2e-15
+        # above (2, 1, 2)'s and latency 0.1875 lower, so only the last
+        # pass's slack drops (2, 1, 2).
+        model = RegularityModel(0.0, 0.0, c3)
+        for k in range(1, 13):
+            assert _hex_points(pareto_front(k, model)) == _hex_points(
+                _brute_force_front(k, model)
+            )

@@ -286,6 +286,22 @@ class TestGenTrace:
             assert capsys.readouterr().err == f"error: {flag} {value}: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    def test_oversized_trace_refused_before_generating(self, tmp_path, capsys, monkeypatch):
+        # Bounds on --weeks and --users * --weeks exit 2 before the
+        # generator allocates anything.
+        def generate_trace(params):
+            raise AssertionError("generate_trace ran")
+
+        monkeypatch.setattr(cli, "generate_trace", generate_trace)
+        for flags, message in (
+            (["--weeks", "100000"], "--weeks 100000: n_weeks = 100000 is above 8000: "),
+            (["--users", "201", "--weeks", "1000"],
+             "--users 201: n_users * n_weeks = 201 * 1000 is above 200000: "),
+        ):
+            assert main(["gen-trace", *flags, "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert os.listdir(tmp_path) == []
+
     @staticmethod
     def _verify_oracle(traces, params):
         """The per-hour loop that _verify_trace's array steps replaced."""

@@ -23,6 +23,8 @@ from lprlab.mobility import (
     HOME_CELLS,
     UNPREDICTABLE_FLOOR,
     MobilityParams,
+    _MAX_USER_WEEKS,
+    _MAX_WEEKS,
     empirical_regularity,
     empirical_success_after_k,
     generate_trace,
@@ -63,6 +65,23 @@ class TestParams:
             MobilityParams(n_weeks=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             MobilityParams(seed=-1)
+
+    def test_size_bounds(self):
+        # The sizes the tests, README and the benchmark run, the largest
+        # accepted, and one past each bound; nothing here generates.
+        for users, weeks in ((4, 2500), (100, 100), (2, 1000), (1200, 1), (40, 6), (4, 80),
+                             (1, _MAX_WEEKS), (_MAX_USER_WEEKS // _MAX_WEEKS, _MAX_WEEKS),
+                             (_MAX_USER_WEEKS, 1)):
+            MobilityParams(n_users=users, n_weeks=weeks)
+        assert (_MAX_WEEKS, _MAX_USER_WEEKS) == (8000, 200000)
+        for users, weeks, message in (
+            (1, 8001, "n_weeks = 8001 is above 8000: "),
+            (26, 8000, "n_users * n_weeks = 26 * 8000 is above 200000: "),
+            (200001, 1, "n_users * n_weeks = 200001 * 1 is above 200000: "),
+        ):
+            with pytest.raises(ValueError) as exc:
+                MobilityParams(n_users=users, n_weeks=weeks)
+            assert str(exc.value).startswith(message)
 
 
 class TestGenerateTrace:

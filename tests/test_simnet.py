@@ -33,38 +33,38 @@ from lprlab.analytic import (
     regularity,
     sequential_hit_pmf,
 )
-from lprlab.simnet import (
-    DeliveryOutcome,
-    ScenarioConfig,
-    build_topology,
-    compare_ghls,
-    gpsr_route,
-    load_scenario,
-    lpr_deliver,
-    run_scenario,
-    topology_from_positions,
-)
 from lprlab.simnet import gpsr, scenario
 from lprlab.simnet.delivery import (
+    DeliveryOutcome,
     _within,
     ghls_waves,
     hashed_home_index,
+    lpr_deliver,
     round_trips,
 )
 from lprlab.simnet.gpsr import (
     RouteResult,
     _leg_ttl,
     _next_ccw,
+    gpsr_route,
     route_legs,
 )
 from lprlab.simnet.scenario import (
+    ScenarioConfig,
     aggregate,
     build_pool,
+    compare_ghls,
+    load_scenario,
     measure_baseline,
+    run_scenario,
     run_trials,
 )
 from lprlab.simnet.streams import Streams
-from lprlab.simnet.topology import _disjoint_union
+from lprlab.simnet.topology import (
+    _disjoint_union,
+    build_topology,
+    topology_from_positions,
+)
 
 # A gap in the middle of the field: node 1 faces the destination but
 # both rim nodes sit farther from it, so greedy strands there and only
@@ -117,16 +117,21 @@ def _two_clusters():
 
 
 @st.composite
-def _layouts(draw):
-    """Uniform random layouts, or square lattices whose cocircular
-    quadruples exercise the closed-disk witness rule."""
+def _ranged_layouts(draw):
+    """(topology, radio range) pairs: uniform random layouts, or square
+    lattices whose cocircular quadruples exercise the closed-disk witness
+    rule."""
     if draw(st.booleans()):
         side = draw(st.integers(2, 6))
         reach = draw(st.sampled_from([1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0)]))
-        return _lattice(side, reach)
+        return _lattice(side, reach), _lattice_range(reach)
     n = draw(st.integers(3, 60))
     radio = draw(st.floats(100.0, 600.0))
-    return build_topology(n, 1000.0, radio, seed=draw(st.integers(0, 2**32 - 1)))
+    return build_topology(n, 1000.0, radio, seed=draw(st.integers(0, 2**32 - 1))), radio
+
+
+def _layouts():
+    return _ranged_layouts().map(lambda layout: layout[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -136,6 +141,18 @@ def _rows(topo, graph):
     Cached per topology, which compares by identity; callers must not
     mutate the lists."""
     return [[v for v in row if v >= 0] for row in getattr(topo, graph).tolist()]
+
+
+@functools.lru_cache(maxsize=32)
+def _coords(topo):
+    """[xs, ys]: the node coordinates as plain floats, the lists that
+    route_legs hands the perimeter walker. Cached like _rows."""
+    return topo.positions.T.tolist()
+
+
+def _bearing(topo, u, v):
+    xs, ys = _coords(topo)
+    return math.atan2(ys[v] - ys[u], xs[v] - xs[u])
 
 
 def _connected_topologies(sizes, seeds, field, radio):
@@ -215,9 +232,9 @@ def _sorted_next_ccw(topology, x, ref_angle):
     (bearing, index): the oracle for _next_ccw's index-order scan."""
     best = None
     best_delta = math.inf
-    ordered = sorted(_rows(topology, "planar")[x], key=lambda v: (topology.bearing(x, v), v))
+    ordered = sorted(_rows(topology, "planar")[x], key=lambda v: (_bearing(topology, x, v), v))
     for v in ordered:
-        delta = (topology.bearing(x, v) - ref_angle) % (2.0 * math.pi)
+        delta = (_bearing(topology, x, v) - ref_angle) % (2.0 * math.pi)
         if delta <= 1e-12:
             delta = 2.0 * math.pi
         if delta < best_delta:
@@ -236,10 +253,10 @@ def _assert_rotation_matches_oracle(topo, angles):
         refs = list(angles)
         for v in range(topo.n):
             if v != x:
-                b = topo.bearing(x, v)
+                b = _bearing(topo, x, v)
                 refs += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
         for ref in refs:
-            assert _next_ccw(topo, x, row, ref) == _sorted_next_ccw(topo, x, ref)
+            assert _next_ccw(*_coords(topo), x, row, ref) == _sorted_next_ccw(topo, x, ref)
 
 
 def _numpy_bearing(positions, u, v):
@@ -249,9 +266,13 @@ def _numpy_bearing(positions, u, v):
     )
 
 
+def _lattice_range(reach):
+    return reach + 1e-6
+
+
 def _lattice(side, reach):
     points = [(float(i % side), float(i // side)) for i in range(side * side)]
-    return topology_from_positions(points, reach + 1e-6)
+    return topology_from_positions(points, _lattice_range(reach))
 
 
 class TestTopology:
@@ -329,17 +350,17 @@ class TestTopology:
         # and square lattices whose cocircular quadruples sit exactly on
         # the closed-disk boundary.
         layouts = (
-            [build_topology(280, 2500.0, 400.0, seed=[s, 101, 0]) for s in range(8)]
-            + [build_topology(280, 2500.0, 150.0, seed=s) for s in range(8)]
-            + [build_topology(500, 3000.0, 240.0, seed=s) for s in range(2)]
+            [(build_topology(280, 2500.0, 400.0, seed=[s, 101, 0]), 400.0) for s in range(8)]
+            + [(build_topology(280, 2500.0, 150.0, seed=s), 150.0) for s in range(8)]
+            + [(build_topology(500, 3000.0, 240.0, seed=s), 240.0) for s in range(2)]
             + [
-                _lattice(side, reach)
+                (_lattice(side, reach), _lattice_range(reach))
                 for side in range(2, 9)
                 for reach in (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0)
             ]
         )
-        for topo in layouts:
-            adjacency, planar = _loop_topology(topo.positions, topo.radio_range)
+        for topo, radio in layouts:
+            adjacency, planar = _loop_topology(topo.positions, radio)
             assert _rows(topo, "neighbors") == adjacency
             assert _rows(topo, "planar") == planar
 
@@ -376,7 +397,7 @@ class TestTopology:
                     np.sqrt(offset[0] * offset[0] + offset[1] * offset[1])
                 )
                 for v in range(topo.n):
-                    assert bits(topo.bearing(u, v)) == bits(_numpy_bearing(p, u, v))
+                    assert bits(_bearing(topo, u, v)) == bits(_numpy_bearing(p, u, v))
 
     def test_planar_preserves_connectivity(self):
         for seed in range(8):
@@ -397,9 +418,10 @@ class TestTopology:
         assert not _two_clusters().connected
 
     @settings(max_examples=80, deadline=None)
-    @given(_layouts())
-    def test_connected_matches_union_find(self, topo):
-        assert topo.connected == (_component_count(topo.positions, topo.radio_range) == 1)
+    @given(_ranged_layouts())
+    def test_connected_matches_union_find(self, layout):
+        topo, radio = layout
+        assert topo.connected == (_component_count(topo.positions, radio) == 1)
 
     def test_connected_matches_union_find_on_sparse_layouts(self):
         # At this range 12 of the 30 seeds connect, so the search meets
@@ -533,7 +555,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
     def result(success):
         return RouteResult(success, path, sum(steps)), steps, face_changes
 
-    xs, ys = topology.xs, topology.ys
+    xs, ys = _coords(topology)
     x = src
     path = [src]
     steps = []
@@ -578,10 +600,10 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
             if dist_x < entry_dist - eps:
                 greedy = True
                 continue
-            ref = topology.bearing(x, arrival_from)
+            ref = _bearing(topology, x, arrival_from)
 
         row = _rows(topology, "planar")[x]
-        nxt = _next_ccw(topology, x, row, ref)
+        nxt = _next_ccw(xs, ys, x, row, ref)
         if nxt is None:
             return result(False)
         # Face change: rotate past any edge crossing the entry-to-dest
@@ -597,7 +619,7 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
                 break
             best_cross_dist = cross_dist
             first_edge = None
-            nxt = _next_ccw(topology, x, row, topology.bearing(x, nxt))
+            nxt = _next_ccw(xs, ys, x, row, _bearing(topology, x, nxt))
             rotations += 1
             face_changes += 1
 
@@ -889,14 +911,15 @@ class TestGpsr:
         assert _scalar_gpsr_route(unit_disk, 0, (10.0, 0.0), 0.0, 24)[2] == 1
 
     @settings(max_examples=100, deadline=None)
-    @given(_layouts(), st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]), st.data())
-    def test_batch_distance_is_distance_to_bit_for_bit(self, topo, scale, data):
+    @given(_ranged_layouts(), st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]), st.data())
+    def test_batch_distance_is_distance_to_bit_for_bit(self, layout, scale, data):
         # The invariant the router rests on: its numpy distances are
         # distance_to's plain-float ones to the bit, so the lockstep
         # steps and the perimeter walker decide alike. Layouts are scaled
         # over wide magnitudes; destinations are the ulp-nudged tie
         # points or anywhere in the float range.
-        topo = topology_from_positions(topo.positions * scale, topo.radio_range * scale)
+        topo, radio = layout
+        topo = topology_from_positions(topo.positions * scale, radio * scale)
         wide = st.floats(allow_nan=False, allow_infinity=False)
         dests = data.draw(st.lists(
             st.sampled_from(_tie_destinations(topo)) | st.tuples(wide, wide),
@@ -1901,7 +1924,7 @@ def test_simulator_leaves_the_profile_layer_unimported():
     code = (
         "import sys\n"
         "import lprlab.simnet\n"
-        "from lprlab.simnet import ScenarioConfig, run_scenario\n"
+        "from lprlab.simnet.scenario import ScenarioConfig, run_scenario\n"
         "config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1,\n"
         "                        grid_cells=6, trials=20, n_candidates=2,\n"
         "                        strategy='ghls')\n"
@@ -1915,6 +1938,24 @@ def test_simulator_leaves_the_profile_layer_unimported():
         [src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    capture_output=True, timeout=120)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # README's library quick start, run as written: it prints the k = 5
+    # front and then the scenario's three headline metrics.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    record, _ = run_scenario(
+        ScenarioConfig(trials=2000, n_candidates=5, grouping=Grouping((2, 3)), seed=1)
+    )
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{p.grouping} {p.latency} {p.traffic}" for p in pareto_front(5)),
+        f"{record.delivery_ratio} {record.mean_latency_factor} {record.traffic_factor}",
+    ]
 
 
 def _replay_draws(config, trials):
