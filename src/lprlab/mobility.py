@@ -49,10 +49,12 @@ _GRID_CELLS = GRID_SIDE * GRID_SIDE
 # hours a user wanders to a uniform random cell instead.
 HOME_CELLS = 40
 UNPREDICTABLE_FLOOR = 0.07
-# Near 0.5 GiB each: generate_trace's (n_weeks * 168, HOME_CELLS) float64
-# rank table and one user's draws take about 384 bytes an hour slot
-# (384 * 168 * 8,000 = 516,096,000), and a trace keeps 16 bytes an hour,
-# 2,688 a user-week (2,688 * 200,000 = 537,600,000).
+# generate_trace peaks at about 74 bytes an hour slot for one user (its
+# draws and the (n_weeks * 168, HOME_CELLS) bool rank comparison; 94.4 MiB
+# under tracemalloc at 8,000 weeks), so _MAX_WEEKS keeps that near 0.1 GiB
+# (74 * 168 * 8,000 = 99,456,000). A trace keeps 16 bytes an hour, 2,688 a
+# user-week, so _MAX_USER_WEEKS keeps the traces near 0.5 GiB
+# (2,688 * 200,000 = 537,600,000).
 _MAX_WEEKS = 8_000
 _MAX_USER_WEEKS = 200_000
 
@@ -70,7 +72,7 @@ class MobilityParams:
             raise ValueError(f"n_weeks must be >= 1, got {self.n_weeks}")
         if self.n_weeks > _MAX_WEEKS:
             raise ValueError(f"n_weeks = {self.n_weeks} is above {_MAX_WEEKS}: the generator "
-                             f"holds about 384 bytes an hour slot")
+                             f"peaks at about 74 bytes an hour slot")
         if self.n_users * self.n_weeks > _MAX_USER_WEEKS:
             raise ValueError(f"n_users * n_weeks = {self.n_users} * {self.n_weeks} is above "
                              f"{_MAX_USER_WEEKS}: a trace keeps 2,688 bytes a user-week")
@@ -110,9 +112,7 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     yields identical traces.
     """
     n_slots = params.n_weeks * HOURS_PER_WEEK
-    rank_cdf = _slot_rank_cdf()
-    sow = np.arange(n_slots, dtype=np.int64) % HOURS_PER_WEEK
-    slot_cdf = rank_cdf[sow]  # (n_slots, N)
+    rank_cdf = _slot_rank_cdf()  # (HOURS_PER_WEEK, HOME_CELLS)
 
     traces = []
     for user in range(params.n_users):
@@ -122,7 +122,8 @@ def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
         rank_u = rng.random(n_slots)
         wander_flat = rng.integers(0, _GRID_CELLS, size=n_slots)
 
-        ranks = (rank_u[:, None] >= slot_cdf).sum(axis=1)  # 0-based rank index
+        # 0-based rank index, each slot against its hour of week's row
+        ranks = (rank_u.reshape(-1, HOURS_PER_WEEK, 1) >= rank_cdf).sum(axis=2).ravel()
         flat = home_flat[ranks]
         unpredictable = branch < UNPREDICTABLE_FLOOR
         flat = np.where(unpredictable, wander_flat, flat)

@@ -30,7 +30,6 @@ on the batch it runs in; lpr_deliver is the batch of one.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +159,11 @@ def hashed_home_index(target_id: object, n: int) -> int:
 
     The scenario indexes its eligible cells with it, so home centers lie
     on the same cell-center lattice that data packets are addressed to
-    and lookup legs and data legs are identically distributed.
+    and lookup legs and data legs are identically distributed. hashlib
+    is imported here, so only ghls runs load it and OpenSSL with it.
     """
+    import hashlib
+
     digest = hashlib.sha256(str(target_id).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n
 

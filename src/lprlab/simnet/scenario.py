@@ -14,7 +14,9 @@ any split of the indices over run_trials calls merges cleanly. A run
 builds its pool once, as one graph with the layouts as its components
 (build_pool), and its traffic is normalized by one baseline round trip
 per run, measured on an independent stream: one copy sent to a uniform
-random cell.
+random cell. Layout attempt a lays out exactly what
+build_topology(seed=[seed, 101, a]) would, but streams.Streams draws
+the attempts in lockstep batches, so a run never imports numpy.random.
 
 run_trials computes a batch of trials as a fixed sequence of waves, each
 routing all of its legs in one gpsr.route_legs call on that graph:
@@ -51,7 +53,7 @@ from ..analytic import (
 from .delivery import ghls_waves, hashed_home_index, lpr_waves, round_trips
 from .gpsr import _leg_ttl, route_legs
 from .streams import Streams
-from .topology import Topology, _disjoint_union, build_topology
+from .topology import Topology, _disjoint_union, topology_from_positions
 
 __all__ = [
     "GhlsComparison",
@@ -72,8 +74,8 @@ _BASELINE_TRIALS = 2000
 # The update-to-request ratios compare_ghls tabulates; its crossover is
 # exact, so these only pick sample points on its two straight lines.
 _F_OVER_R = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-# A layout attempt holds (n, n, 2) float offsets, so this bound keeps it
-# within a few tens of MiB.
+# A layout attempt holds two (n, n) float64 arrays of per-axis offsets,
+# so this bound keeps it within a few tens of MiB.
 _MAX_NODES = 2048
 # The trial draws copy numpy's choice, which may leave Floyd's algorithm
 # above 10000 cells; this bound keeps the eligible cells at 99**2 = 9801.
@@ -88,6 +90,11 @@ _MAX_TRIALS = 1_000_000
 _MAX_CANDIDATE_CELLS = 563 * _MAX_TRIALS // 4
 # Layouts build_pool draws before it gives up on finding pool connected ones.
 _LAYOUT_ATTEMPTS = 10000
+# A lockstep batch of layout draws costs about the same for 1 to a few
+# hundred attempts (at n = 280: 12.6 ms for 10, 15.2 ms for 234), so
+# batches double from pool_size; this caps a batch's (attempts, 2n)
+# float64 draws near 1 MiB.
+_LAYOUT_BATCH_BYTES = 2**20
 # Candidate, wander, home, and baseline cells stay this many cells away
 # from the field edge; boundary cells often have no node within the
 # acceptance radius, and those failed legs cost face tours.
@@ -121,7 +128,7 @@ class ScenarioConfig:
         if self.n > _MAX_NODES:
             raise ValueError(
                 f"[topology] n = {self.n} is above {_MAX_NODES}: each layout "
-                f"attempt holds an (n, n, 2) array of pairwise offsets, 16*n**2 bytes"
+                f"attempt holds two (n, n) arrays of per-axis offsets, 16*n**2 bytes"
             )
         # Chained comparisons also reject nan and inf: a non-finite size
         # fails every layout attempt.
@@ -286,18 +293,31 @@ class MetricsRecord:
         return asdict(self)
 
 
+def _layout_attempts(config: ScenarioConfig) -> Iterator[np.ndarray]:
+    """The (n, 2) positions of each layout attempt in turn: attempt a's
+    are default_rng([seed, 101, a]).random((n, 2)) * field_size, drawn in
+    lockstep batches that start at pool_size attempts and double, at most
+    _LAYOUT_BATCH_BYTES of draws a batch."""
+    cap = max(1, _LAYOUT_BATCH_BYTES // (16 * config.n))
+    start, size = 0, config.pool_size
+    while start < _LAYOUT_ATTEMPTS:
+        size = min(size, cap, _LAYOUT_ATTEMPTS - start)
+        streams = Streams(config.seed, _LAYOUT_TAG, range(start, start + size))
+        draws = streams.random(2 * config.n)
+        draws *= config.field_size
+        # A copy each, so a kept layout does not hold its batch's draws.
+        yield from (positions.copy() for positions in draws.reshape(size, config.n, 2))
+        start += size
+        size *= 2
+
+
 def build_pool(config: ScenarioConfig) -> Topology:
     """Deterministic pool of connected layouts for a scenario, as one
     graph: node u of layout i is node i * n + u."""
 
     def connected_layouts() -> Iterator[Topology]:
-        for attempt in range(_LAYOUT_ATTEMPTS):
-            topo = build_topology(
-                config.n,
-                config.field_size,
-                config.radio_range,
-                seed=[config.seed, _LAYOUT_TAG, attempt],
-            )
+        for positions in _layout_attempts(config):
+            topo = topology_from_positions(positions, config.radio_range)
             if topo.connected:
                 yield topo
         raise ValueError(

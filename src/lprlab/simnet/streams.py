@@ -5,8 +5,13 @@ np.random.default_rng([seed, tag, indices[i]]) would, by numpy's own
 recipes for a one-word seed, tag and index and a choice from at most
 10000: SeedSequence and PCG64 seeding, PCG64 XSL-RR steps, and
 Generator's buffered 32-bit draws, Lemire's bounded integers, random()
-and choice(replace=False) by Floyd's algorithm. Every stream makes each
-draw in lockstep; a stream whose Lemire draw is rejected redraws alone.
+and random(size), and choice(replace=False) by Floyd's algorithm. Every
+stream makes each draw in lockstep; a stream whose Lemire draw is
+rejected redraws alone.
+
+The simulator draws its trials, baseline probes and layout attempts
+here, so a run never imports numpy.random, nor the OpenSSL bindings
+that numpy.random loads through secrets.
 """
 
 from __future__ import annotations
@@ -117,9 +122,16 @@ class Streams:
             redo = redo[m[redo] & _MASK32 < threshold]
         return (m >> 32).astype(np.intp)
 
-    def random(self) -> np.ndarray:
-        """Generator.random(): a whole output, leaving the 32-bit buffer."""
-        return (self._next64(self._all) >> 11).astype(np.float64) * 2.0**-53
+    def random(self, size: int | None = None) -> np.ndarray:
+        """Generator.random(size): a whole output a value, leaving the
+        32-bit buffer. One value a stream, or with a size a (streams,
+        size) array whose row holds that stream's next size values."""
+        if size is None:
+            return (self._next64(self._all) >> 11).astype(np.float64) * 2.0**-53
+        out = np.empty((len(self._all), size))
+        for j in range(size):
+            out[:, j] = self.random()
+        return out
 
     def choice(self, pop: int, size: int) -> np.ndarray:
         """Generator.choice(pop, size, replace=False) of every stream, as a

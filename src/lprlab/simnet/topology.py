@@ -73,12 +73,23 @@ class Topology:
         return bool(seen.all())
 
 
+def _squared_distances(positions: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances dx*dx + dy*dy, summed in place from the
+    per-axis (n, n) offsets: two (n, n) float64 arrays at most."""
+    x, y = positions[:, 0], positions[:, 1]
+    d2 = x[:, None] - x
+    d2 *= d2
+    dy = y[:, None] - y
+    dy *= dy
+    d2 += dy
+    return d2
+
+
 def _unit_disk(positions: np.ndarray, radio_range: float) -> np.ndarray:
     """(n, n) bool matrix of node pairs within range, diagonal False. A
-    function of its own, so the (n, n, 2) differences are freed before
+    function of its own, so the squared distances are freed before
     planarization allocates its temporaries."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    within = np.einsum("ijk,ijk->ij", diff, diff) <= radio_range * radio_range
+    within = _squared_distances(positions) <= radio_range * radio_range
     np.fill_diagonal(within, False)
     return within
 

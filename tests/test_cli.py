@@ -455,7 +455,7 @@ class TestSimulate:
 
         monkeypatch.setattr(scenario, "build_pool", no_pool)
         for edits, named, reason in (
-            ({"n = 80": "n = 10000000000"}, "[topology] n = 10000000000", "(n, n, 2) array"),
+            ({"n = 80": "n = 10000000000"}, "[topology] n = 10000000000", "two (n, n) arrays"),
             ({"grid_cells = 8": "grid_cells = 100000"}, "[topology] grid_cells = 100000",
              "keeps the (grid_cells - 2)**2 eligible cells under 10000, above which numpy's "
              "choice, which the trial draws copy, may leave Floyd's algorithm"),

@@ -62,6 +62,7 @@ from lprlab.simnet.scenario import (
 from lprlab.simnet.streams import Streams
 from lprlab.simnet.topology import (
     _disjoint_union,
+    _squared_distances,
     build_topology,
     topology_from_positions,
 )
@@ -363,6 +364,18 @@ class TestTopology:
             adjacency, planar = _loop_topology(topo.positions, radio)
             assert _rows(topo, "neighbors") == adjacency
             assert _rows(topo, "planar") == planar
+
+    def test_squared_distances_match_the_einsum_oracle(self):
+        # The unit-disk test sums per-axis offsets in place; the einsum
+        # over (n, n, 2) offsets it replaced must agree bit for bit, from
+        # tiny to huge scales (whose squares stay normal and finite).
+        rng = np.random.default_rng(3)
+        for scale in (1e-150, 1e-3, 1.0, 2500.0, 1e6, 1e150):
+            for n in (2, 3, 40, 280):
+                positions = (rng.random((n, 2)) - rng.random()) * scale
+                diff = positions[:, None, :] - positions[None, :, :]
+                oracle = np.einsum("ijk,ijk->ij", diff, diff)
+                assert _squared_distances(positions).tobytes() == oracle.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(_layouts(), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6))
@@ -1667,6 +1680,46 @@ class TestScenarioRuns:
         for order in (reversed_order, interleaved):
             assert run_trials(cfg, order, pool) == [rows[i] for i in order]
 
+    @pytest.mark.parametrize("config, discards", [
+        (ScenarioConfig(strategy="oracle", seed=42), False),  # README density
+        (replace(SMALL, radio_range=200.0, pool_size=4, seed=7), True),
+    ], ids=["readme", "sparse"])
+    def test_pool_layouts_are_build_topology_attempts(self, monkeypatch, config, discards):
+        # Batches of 3 attempts, so the pool draws several lockstep
+        # batches; it must still hold build_topology's numpy layout of
+        # each connected attempt [seed, 101, a], in order.
+        monkeypatch.setattr(scenario, "_LAYOUT_BATCH_BYTES", 3 * 16 * config.n)
+        expected, attempts = [], 0
+        while len(expected) < config.pool_size:
+            topo = build_topology(config.n, config.field_size, config.radio_range,
+                                  seed=[config.seed, 101, attempts])
+            attempts += 1
+            if topo.connected:
+                expected.append(topo)
+        assert (attempts > config.pool_size) == discards
+        pool, oracle = build_pool(config), _disjoint_union(expected)
+        for name in ("positions", "neighbors", "planar"):
+            assert getattr(pool, name).tobytes() == getattr(oracle, name).tobytes()
+
+    def test_layout_batches_double_from_pool_size_up_to_the_cap(self, monkeypatch):
+        # A range no layout connects at runs every attempt: batches of 2,
+        # 4, then the cap of 5, and a last batch of the 4 attempts left.
+        sizes = []
+
+        def spy(seed, tag, indices):
+            if tag == scenario._LAYOUT_TAG:
+                sizes.append(len(indices))
+            return Streams(seed, tag, indices)
+
+        monkeypatch.setattr(scenario, "Streams", spy)
+        monkeypatch.setattr(scenario, "_LAYOUT_ATTEMPTS", 20)
+        monkeypatch.setattr(scenario, "_LAYOUT_BATCH_BYTES", 5 * 16 * 40)
+        config = ScenarioConfig(n=40, field_size=800.0, radio_range=1.0, pool_size=2,
+                                grid_cells=6, n_candidates=2, strategy="oracle")
+        with pytest.raises(ValueError, match="no 2 connected layouts in 20 attempts"):
+            build_pool(config)
+        assert sizes == [2, 4, 5, 5, 4]
+
     def test_negative_trial_index_rejected(self):
         pool = build_pool(SMALL)
         with pytest.raises(ValueError, match=re.escape("stream index -1 is outside")):
@@ -1779,12 +1832,14 @@ class TestScenarioRuns:
 
 # A draw program: one Generator call per step, made by every stream.
 # Bound 2**31 + 1 rejects about half of its draws and bound 1 draws
-# nothing; 2**32 is a plain 32-bit draw, and random() between two of
-# them must leave the first one's buffered high half to the second.
+# nothing; 2**32 is a plain 32-bit draw, and random() or random(5)
+# between two of them must leave the first one's buffered high half to
+# the second.
 _PROGRAM = [
     ("integers", 280), ("integers", 168), ("choice", 100, 12), ("random",),
     ("integers", 2**31 + 1), ("integers", 1), ("integers", 2**32), ("random",),
-    ("integers", 2**32), ("integers", 2), ("integers", 88), ("choice", 16, 15),
+    ("integers", 2**32), ("integers", 2), ("random", 5), ("integers", 88),
+    ("choice", 16, 15),
 ]
 
 
@@ -1894,9 +1949,17 @@ def test_percentile_is_numpy_linear_method_bit_for_bit(values, q):
     assert scenario._percentile(sorted(values), q).hex() == expected.hex()
 
 
+# Modules an lpr run must not import: numpy.random (its layouts are
+# drawn by streams.Streams), and the OpenSSL bindings that numpy.random
+# loads through secrets and that hashlib loads (only ghls homes hash).
+# Together about 6 MiB of peak memory.
+_LEAN_RUN_UNIMPORTED = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+
 def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
     # np.setdiff1d and np.percentile import numpy.ma, about 1.3 MiB of
-    # peak memory. Trials with 2 of 16 cells as candidates wander often.
+    # peak memory; an lpr simulate leaves the lean-run modules out too.
+    # Trials with 2 of 16 cells as candidates wander often.
     ini = tmp_path / "scenario.ini"
     ini.write_text(
         "[topology]\nn = 40\nfield_size = 800\nradio_range = 300\npool = 1\n"
@@ -1908,6 +1971,8 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
         "from lprlab.cli import main\n"
         f"assert main(['simulate', {str(ini)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1921,15 +1986,23 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
 def test_simulator_leaves_the_profile_layer_unimported():
     # A scenario run addresses cells through places(); nothing in the
     # simulator reads profiles or traces, so it does not pay to import them.
+    # An lpr run leaves the lean-run modules out as well; a ghls run then
+    # imports hashlib for its homes.
     code = (
         "import sys\n"
+        "from dataclasses import replace\n"
         "import lprlab.simnet\n"
+        "from lprlab.analytic import Grouping\n"
         "from lprlab.simnet.scenario import ScenarioConfig, run_scenario\n"
         "config = ScenarioConfig(n=40, field_size=800.0, radio_range=300.0, pool_size=1,\n"
         "                        grid_cells=6, trials=20, n_candidates=2,\n"
-        "                        strategy='ghls')\n"
+        "                        grouping=Grouping((1, 1)))\n"
         "record, _ = run_scenario(config)\n"
         "assert record.n_trials == 20\n"
+        f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "record, _ = run_scenario(replace(config, strategy='ghls'))\n"
+        "assert record.n_trials == 20 and record.mean_update_hops is not None\n"
         "loaded = [m for m in ('lprlab.profile', 'lprlab.mobility') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
