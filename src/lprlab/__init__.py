@@ -6,6 +6,7 @@ Subpackages and modules:
 - ``figures``: CSV emission for the standard curve families.
 - ``profile``: multi-order location profiles (build, predict, serialize).
 - ``mobility``: synthetic trace generation and empirical validation.
+- ``streams``: many numpy random streams drawn at once, without numpy.random.
 - ``simnet``: unit-disk network simulator with GPSR, GHLS, and LPR.
 - ``cli``: command-line entry point.
 """

@@ -18,6 +18,10 @@ against 0.9155 for the time-averaged F(12). The rank masses are a
 modeling choice, since only the marginals are specified by the models
 being matched.
 
+User u's draws are exactly those of np.random.default_rng([seed, u]),
+made for a batch of users at once by streams.Streams, so generating a
+trace never imports numpy.random.
+
 Also here: empirical measurement of regularity and of success-after-k on
 arbitrary traces, used to validate generated data against the models.
 """
@@ -30,6 +34,7 @@ import numpy as np
 
 from .analytic import HOURS_PER_WEEK, hourly_regularity, sequential_hit_pmf
 from .profile import ObservationTrace, build_profile
+from .streams import Streams
 
 __all__ = [
     "GRID_SIDE",
@@ -49,14 +54,21 @@ _GRID_CELLS = GRID_SIDE * GRID_SIDE
 # hours a user wanders to a uniform random cell instead.
 HOME_CELLS = 40
 UNPREDICTABLE_FLOOR = 0.07
-# generate_trace peaks at about 74 bytes an hour slot for one user (its
-# draws and the (n_weeks * 168, HOME_CELLS) bool rank comparison; 94.4 MiB
-# under tracemalloc at 8,000 weeks), so _MAX_WEEKS keeps that near 0.1 GiB
-# (74 * 168 * 8,000 = 99,456,000). A trace keeps 16 bytes an hour, 2,688 a
-# user-week, so _MAX_USER_WEEKS keeps the traces near 0.5 GiB
-# (2,688 * 200,000 = 537,600,000).
+# generate_trace peaks at about _SLOT_BYTES = 56 bytes an hour slot of a
+# batch (the traces it keeps, its draws and the (slots, HOME_CELLS) bool
+# rank comparison; 71.9 MiB under tracemalloc for one user at 8,000
+# weeks), so _MAX_WEEKS keeps that under 0.1 GiB (56 * 168 * 8,000 =
+# 75,264,000). Users draw in lockstep batches of at most
+# _TRACE_BATCH_BYTES of those slots, and at least one user. A trace keeps
+# 16 bytes an hour, 2,688 a user-week, so _MAX_USER_WEEKS keeps the traces
+# near 0.5 GiB (2,688 * 200,000 = 537,600,000).
+_SLOT_BYTES = 56
+_TRACE_BATCH_BYTES = 1 << 22
 _MAX_WEEKS = 8_000
 _MAX_USER_WEEKS = 200_000
+# A user's stream is seeded [seed, user], and a seed is one 32-bit
+# SeedSequence word, as the user is.
+_MAX_SEED = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -72,12 +84,15 @@ class MobilityParams:
             raise ValueError(f"n_weeks must be >= 1, got {self.n_weeks}")
         if self.n_weeks > _MAX_WEEKS:
             raise ValueError(f"n_weeks = {self.n_weeks} is above {_MAX_WEEKS}: the generator "
-                             f"peaks at about 74 bytes an hour slot")
+                             f"peaks at about {_SLOT_BYTES} bytes an hour slot")
         if self.n_users * self.n_weeks > _MAX_USER_WEEKS:
             raise ValueError(f"n_users * n_weeks = {self.n_users} * {self.n_weeks} is above "
                              f"{_MAX_USER_WEEKS}: a trace keeps 2,688 bytes a user-week")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.seed > _MAX_SEED:
+            raise ValueError(f"seed = {self.seed} is above {_MAX_SEED}: a user's stream "
+                             f"takes the seed as one 32-bit word")
 
 
 def _slot_rank_cdf() -> np.ndarray:
@@ -104,34 +119,46 @@ def _slot_rank_cdf() -> np.ndarray:
     return table
 
 
+def _batch_traces(seed: int, users: range, n_slots: int,
+                  rank_cdf: np.ndarray) -> list[ObservationTrace]:
+    """The traces of a lockstep batch of users. Each user's stream draws
+    its home cells by choice, then random(slots) for the wander branch
+    and for the home rank, then integers(cells, size=slots) for the
+    wander cells; the ranks are taken before the wander cells are drawn,
+    so the bool rank comparison never coexists with them."""
+    streams = Streams(seed, None, users)
+    home_flat = streams.choice(_GRID_CELLS, HOME_CELLS)
+    branch = streams.random(n_slots)
+    # 0-based rank index, each slot against its hour of week's row
+    ranks = (streams.random(n_slots).reshape(-1, HOURS_PER_WEEK, 1) >= rank_cdf).sum(axis=2)
+    flat = np.take_along_axis(home_flat, ranks.reshape(branch.shape), axis=1)
+    del ranks
+    unpredictable = branch < UNPREDICTABLE_FLOOR
+    flat[unpredictable] = streams.integers(_GRID_CELLS, size=n_slots)[unpredictable]
+    return [
+        ObservationTrace(
+            f"u{user:04d}", np.arange(n_slots, dtype=np.int64),
+            np.column_stack([row % GRID_SIDE, row // GRID_SIDE]),
+        )
+        for user, row in zip(users, flat)
+    ]
+
+
 def generate_trace(params: MobilityParams) -> list[ObservationTrace]:
     """One trace per user, hourly observations over n_weeks.
 
-    Deterministic for a given params.seed, and per-user streams are split
-    from the seed independently, so any parallel or reordered execution
-    yields identical traces.
+    Deterministic for a given params.seed: user u draws exactly what
+    np.random.default_rng([seed, u]) would, through streams.Streams in
+    lockstep batches of users, so any batch split or population yields
+    identical traces per user.
     """
     n_slots = params.n_weeks * HOURS_PER_WEEK
     rank_cdf = _slot_rank_cdf()  # (HOURS_PER_WEEK, HOME_CELLS)
-
+    batch = max(1, _TRACE_BATCH_BYTES // (_SLOT_BYTES * n_slots))
     traces = []
-    for user in range(params.n_users):
-        rng = np.random.default_rng([params.seed, user])
-        home_flat = rng.choice(_GRID_CELLS, size=HOME_CELLS, replace=False)
-        branch = rng.random(n_slots)
-        rank_u = rng.random(n_slots)
-        wander_flat = rng.integers(0, _GRID_CELLS, size=n_slots)
-
-        # 0-based rank index, each slot against its hour of week's row
-        ranks = (rank_u.reshape(-1, HOURS_PER_WEEK, 1) >= rank_cdf).sum(axis=2).ravel()
-        flat = home_flat[ranks]
-        unpredictable = branch < UNPREDICTABLE_FLOOR
-        flat = np.where(unpredictable, wander_flat, flat)
-
-        cells = np.column_stack([flat % GRID_SIDE, flat // GRID_SIDE]).astype(np.int32)
-        traces.append(
-            ObservationTrace(f"u{user:04d}", np.arange(n_slots, dtype=np.int64), cells)
-        )
+    for start in range(0, params.n_users, batch):
+        users = range(start, min(start + batch, params.n_users))
+        traces += _batch_traces(params.seed, users, n_slots, rank_cdf)
     return traces
 
 

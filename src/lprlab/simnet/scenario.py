@@ -50,9 +50,9 @@ from ..analytic import (
     mean_traffic,
     sequential_hit_pmf,
 )
+from ..streams import Streams
 from .delivery import ghls_waves, hashed_home_index, lpr_waves, round_trips
 from .gpsr import _leg_ttl, route_legs
-from .streams import Streams
 from .topology import Topology, _disjoint_union, topology_from_positions
 
 __all__ = [

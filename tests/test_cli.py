@@ -280,6 +280,8 @@ class TestGenTrace:
         for flag, value, message in (
             ("--users", "0", "n_users must be >= 1, got 0"),
             ("--seed", "-1", "seed must be non-negative, got -1"),
+            ("--seed", "4294967296", "seed = 4294967296 is above 4294967295: a user's "
+             "stream takes the seed as one 32-bit word"),
             ("--weeks", "0", "n_weeks must be >= 1, got 0"),
         ):
             assert main(["gen-trace", flag, value, "--out-dir", str(tmp_path)]) == 2

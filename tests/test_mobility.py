@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lprlab import mobility
 from lprlab.analytic import (
+    HOURS_PER_WEEK,
     first_order_cdf,
     regularity,
     sequential_hit_pmf,
@@ -25,6 +27,7 @@ from lprlab.mobility import (
     MobilityParams,
     _MAX_USER_WEEKS,
     _MAX_WEEKS,
+    _SLOT_BYTES,
     empirical_regularity,
     empirical_success_after_k,
     generate_trace,
@@ -65,6 +68,10 @@ class TestParams:
             MobilityParams(n_weeks=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             MobilityParams(seed=-1)
+        # A user's stream takes the seed as one 32-bit word.
+        MobilityParams(seed=2**32 - 1)
+        with pytest.raises(ValueError, match="seed = 4294967296 is above 4294967295: "):
+            MobilityParams(seed=2**32)
 
     def test_size_bounds(self):
         # The sizes the tests, README and the benchmark run, the largest
@@ -148,6 +155,39 @@ class TestGenerateTrace:
         path = tmp_path / "gen.csv"
         write_trace_csv(generate_trace(params), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _default_rng_traces(params):
+        """generate_trace as written on numpy.random: each user draws
+        from its own default_rng([seed, user]), one user after another."""
+        n_slots = params.n_weeks * HOURS_PER_WEEK
+        rank_cdf = mobility._slot_rank_cdf()
+        traces = []
+        for user in range(params.n_users):
+            rng = np.random.default_rng([params.seed, user])
+            home_flat = rng.choice(GRID_SIDE**2, size=HOME_CELLS, replace=False)
+            branch = rng.random(n_slots)
+            rank_u = rng.random(n_slots)
+            wander_flat = rng.integers(0, GRID_SIDE**2, size=n_slots)
+            ranks = (rank_u.reshape(-1, HOURS_PER_WEEK, 1) >= rank_cdf).sum(axis=2).ravel()
+            flat = np.where(branch < UNPREDICTABLE_FLOOR, wander_flat, home_flat[ranks])
+            cells = np.column_stack([flat % GRID_SIDE, flat // GRID_SIDE]).astype(np.int32)
+            traces.append(
+                ObservationTrace(f"u{user:04d}", np.arange(n_slots, dtype=np.int64), cells))
+        return traces
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1])
+    @pytest.mark.parametrize("users, weeks, batch", [
+        (1, 1, None), (5, 2, 1), (7, 1, 3), (7, 3, 2), (40, 6, None), (3, 40, 2),
+    ])
+    def test_matches_one_default_rng_per_user(self, monkeypatch, seed, users, weeks, batch):
+        # Lockstep batches of `batch` users (all users at None) draw what
+        # one default_rng per user draws.
+        if batch is not None:
+            monkeypatch.setattr(mobility, "_TRACE_BATCH_BYTES",
+                                batch * _SLOT_BYTES * weeks * HOURS_PER_WEEK)
+        params = MobilityParams(n_users=users, n_weeks=weeks, seed=seed)
+        assert generate_trace(params) == self._default_rng_traces(params)
 
     def test_trace_csv_interop(self, tmp_path):
         traces = generate_trace(MobilityParams(n_users=3, n_weeks=1, seed=21))

@@ -16,6 +16,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -59,13 +60,14 @@ from lprlab.simnet.scenario import (
     run_scenario,
     run_trials,
 )
-from lprlab.simnet.streams import Streams
 from lprlab.simnet.topology import (
     _disjoint_union,
     _squared_distances,
     build_topology,
     topology_from_positions,
 )
+from lprlab import streams as streams_module
+from lprlab.streams import Streams
 
 # A gap in the middle of the field: node 1 faces the destination but
 # both rim nodes sit farther from it, so greedy strands there and only
@@ -1868,16 +1870,17 @@ class TestStreams:
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from([7, 13]),
+        st.sampled_from([7, 13, None]),
         st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)), max_size=8),
         st.randoms(use_true_random=False),
     )
     def test_matches_default_rng_per_index(self, seed, tag, drawn, shuffler):
+        # With tag None a stream is seeded [seed, index], as a trace's user.
         indices = drawn + _EDGE_INDICES + drawn[:2]  # repeats included
         shuffler.shuffle(indices)
         got = _lockstep_draws(Streams(seed, tag, indices), _PROGRAM)
         for index, values in zip(indices, got, strict=True):
-            oracle = np.random.default_rng([seed, tag, index])
+            oracle = np.random.default_rng([seed, index] if tag is None else [seed, tag, index])
             assert values == _oracle_draws(oracle, _PROGRAM)
 
     def test_half_used_32_bit_buffer_does_not_carry_over(self):
@@ -1921,6 +1924,81 @@ class TestStreams:
             oracle = np.random.default_rng([42, 7, index])
             assert values == oracle.choice(pop, size, replace=False).tolist()
 
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    def test_random_blocks_across_the_width(self, monkeypatch, n_streams):
+        # A block of width W = 8 columns: sizes 0, 1, W - 1, W, W + 1 and
+        # 3W + 5 in turn, each continuing where the last one left off.
+        monkeypatch.setattr(streams_module, "_BLOCK_VALUES", 8 * n_streams)
+        sizes = [0, 1, 7, 8, 9, 29]
+        indices = [4, 2**32 - 1, 0][:n_streams]
+        streams = Streams(77, 7, indices)
+        got = [streams.random(size) for size in sizes]
+        for row, index in enumerate(indices):
+            oracle = np.random.default_rng([77, 7, index])
+            for size, values in zip(sizes, got, strict=True):
+                assert values.shape == (n_streams, size)
+                assert values[row].tolist() == oracle.random(size).tolist()
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("bound", [2, 280, 2500, 2**31 + 1, 3 * 2**30, 2**32])
+    def test_integers_with_a_size(self, monkeypatch, buffered, bound):
+        # The first draw starts with the 32-bit half empty or buffered
+        # (after one plain 32-bit draw); at 2**31 + 1 about half of the
+        # halves are rejected, so the streams end at different places. At
+        # 3 * 2**30 a low word under the bound is rejected only below
+        # 2**32 % bound = 2**30, a quarter of the halves.
+        monkeypatch.setattr(streams_module, "_BLOCK_VALUES", 24)
+        indices = [0, 1, 5, 2**32 - 1]
+        streams = Streams(3, 13, indices)
+        if buffered:
+            streams.integers(2**32)
+        sizes = [1, 0, 6, 7, 31]
+        got = [streams.integers(bound, size=size) for size in sizes]
+        after = streams.integers(280)
+        for row, index in enumerate(indices):
+            oracle = np.random.default_rng([3, 13, index])
+            if buffered:
+                oracle.integers(2**32)
+            for size, values in zip(sizes, got, strict=True):
+                assert values.shape == (len(indices), size)
+                assert values[row].tolist() == oracle.integers(bound, size=size).tolist()
+            assert after[row] == oracle.integers(280)
+
+    @pytest.mark.parametrize("odd", [1, 3])
+    def test_choice_after_an_odd_number_of_integers(self, monkeypatch, odd):
+        # choice's first draw takes the buffered half that the last
+        # integers left; a 250-byte occupancy cap puts two streams in each
+        # Floyd chunk.
+        monkeypatch.setattr(streams_module, "_OCCUPANCY_BYTES", 250)
+        indices = [0, 9, 10, 11, 2**32 - 1]
+        streams = Streams(12, 7, indices)
+        first = streams.integers(100, size=odd)
+        picked = streams.choice(100, 60)
+        after = streams.integers(7)
+        for row, index in enumerate(indices):
+            oracle = np.random.default_rng([12, 7, index])
+            assert first[row].tolist() == oracle.integers(100, size=odd).tolist()
+            assert picked[row].tolist() == oracle.choice(100, 60, replace=False).tolist()
+            assert after[row] == oracle.integers(7)
+
+    def test_choice_memory_stays_near_its_result(self):
+        # Many streams choosing much of a population: only one chunk's
+        # draws and table sit beside the int32 result, at most 17 times
+        # the occupancy cap, where drawing every stream's 2 * size - 1
+        # values at once would hold another 24 bytes a cell.
+        n, pop, size = 20000, 200, 150
+        streams = Streams(5, 7, range(n))
+        tracemalloc.start()
+        try:
+            picked = streams.choice(pop, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert picked.nbytes == 4 * n * size
+        assert peak - picked.nbytes < 17 * streams_module._OCCUPANCY_BYTES + 2**16
+        oracle = np.random.default_rng([5, 7, n - 1])
+        assert picked[-1].tolist() == oracle.choice(pop, size, replace=False).tolist()
+
     def test_refusals(self):
         with pytest.raises(ValueError, match="choice from 10001 is above 10000"):
             Streams(0, 7, [0]).choice(10001, 2)
@@ -1949,10 +2027,10 @@ def test_percentile_is_numpy_linear_method_bit_for_bit(values, q):
     assert scenario._percentile(sorted(values), q).hex() == expected.hex()
 
 
-# Modules an lpr run must not import: numpy.random (its layouts are
-# drawn by streams.Streams), and the OpenSSL bindings that numpy.random
-# loads through secrets and that hashlib loads (only ghls homes hash).
-# Together about 6 MiB of peak memory.
+# Modules an lpr run, gen-trace and curves must not import: numpy.random
+# (layouts and traces are drawn by streams.Streams), and the OpenSSL
+# bindings that numpy.random loads through secrets and that hashlib
+# loads (only ghls homes hash). Together about 6 MiB of peak memory.
 _LEAN_RUN_UNIMPORTED = ("numpy.random", "secrets", "hashlib", "_hashlib")
 
 
@@ -1981,6 +2059,28 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
                    capture_output=True, timeout=120)
     rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
     assert any(row.split(",")[2] == "0" for row in rows)  # some target wandered
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-trace", "--verify"],
+    ["curves", "--fig", "all"],
+], ids=["gen-trace", "curves"])
+def test_trace_and_curve_commands_leave_numpy_random_unimported(tmp_path, argv):
+    # gen-trace draws its users through streams.Streams and curves draws
+    # nothing, so neither loads the lean-run modules: topology's
+    # build_topology is the one caller of numpy.random left in src.
+    code = (
+        "import sys\n"
+        "from lprlab.cli import main\n"
+        f"assert main({argv + ['--out-dir', str(tmp_path)]!r}) == 0\n"
+        f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, timeout=120)
 
 
 def test_simulator_leaves_the_profile_layer_unimported():
