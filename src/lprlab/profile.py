@@ -29,9 +29,10 @@ from __future__ import annotations
 import csv
 import io
 import struct
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import NamedTuple, NoReturn, Sequence
+from itertools import chain, islice
+from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class CellId(NamedTuple):
     y: int
 
 
+_new_tuple = tuple.__new__  # what CellId(x, y) runs, without its Python frame
+
+
 class ObservationTrace:
     """Time-ordered (hourly slot_index, cell) observations for one node.
 
@@ -88,7 +92,8 @@ class ObservationTrace:
         return len(self.slots)
 
     def record(self, i: int) -> tuple[int, CellId]:
-        return int(self.slots[i]), CellId(int(self.cells[i, 0]), int(self.cells[i, 1]))
+        cells = self.cells
+        return self.slots.item(i), _new_tuple(CellId, (cells.item(i, 0), cells.item(i, 1)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObservationTrace):
@@ -143,9 +148,6 @@ class ProfileFormatError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
-
-
-_new_tuple = tuple.__new__  # what CellId(x, y) runs, without its Python frame
 
 
 def _profile(order: int, version: int, keys: Sequence[ContextKey], context: np.ndarray,
@@ -224,6 +226,22 @@ def _ranking(profile: LocationProfile, key: ContextKey) -> tuple[tuple[CellId, f
     return ranked
 
 
+def _ranked(
+    profile: LocationProfile, slot_index: int, prev_cell: CellId | None
+) -> tuple[tuple[CellId, float], ...]:
+    """The memoised ranking of the deepest context with data (see `predict`)."""
+    sow = slot_index % HOURS_PER_WEEK
+    if profile.order == 3 and prev_cell is not None:
+        ranked = _ranking(profile, (sow, prev_cell))
+        if ranked:
+            return ranked
+    if profile.order >= 1:
+        ranked = _ranking(profile, (sow,))
+        if ranked:
+            return ranked
+    return _ranking(profile, ())
+
+
 def predict(
     profile: LocationProfile,
     slot_index: int,
@@ -235,16 +253,7 @@ def predict(
     pair was seen, then (slot,), then the marginal. Unknown contexts all
     the way down yield an empty list, never an error.
     """
-    sow = slot_index % HOURS_PER_WEEK
-    if profile.order == 3 and prev_cell is not None:
-        ranked = _ranking(profile, (sow, prev_cell))
-        if ranked:
-            return list(ranked)
-    if profile.order >= 1:
-        ranked = _ranking(profile, (sow,))
-        if ranked:
-            return list(ranked)
-    return list(_ranking(profile, ()))
+    return list(_ranked(profile, slot_index, prev_cell))
 
 
 def top_k(
@@ -257,7 +266,7 @@ def top_k(
     knows fewer distinct cells (no padding)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return [cell for cell, _ in predict(profile, slot_index, prev_cell)[:k]]
+    return [cell for cell, _ in _ranked(profile, slot_index, prev_cell)[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +433,73 @@ def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:
             fh.write((template.getvalue() * len(trace)) % tuple(fields))
 
 
-# Rows per chunk of a trace CSV: the reader holds one chunk of row lists.
+# Lines per chunk of a trace CSV: the reader holds one chunk of lines, or
+# of row lists once it reads by csv.reader.
 _CSV_CHUNK = 4096
+
+# The rows of a chunk as numpy's C reader gives them.
+_TRACE_ROW = np.dtype([("node", object), ("slot", np.int64), ("x", np.int32), ("y", np.int32)])
+
+
+def _store(node_ids: Sequence[str], slots: np.ndarray, cells: np.ndarray,
+           nodes: dict[str, list[tuple]], last: dict[str, int]) -> bool:
+    """Append each node's rows of a chunk to nodes[node] as one (slots,
+    cells) piece and return True; last holds each node's last slot so far.
+    Store nothing and return False when a slot does not follow its node's
+    last, or -1 for a node not seen yet, so no slot is negative."""
+    code = {node: i for i, node in enumerate(dict.fromkeys(node_ids))}  # file order
+    codes = np.fromiter(map(code.__getitem__, node_ids), np.intp, len(node_ids))
+    order = np.argsort(codes, kind="stable")
+    slots = slots[order]
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    ends = np.append(starts[1:], len(slots))
+    rising = np.diff(slots) > 0
+    rising[starts[1:] - 1] = True  # where one node's rows end
+    if not rising.all() or any(
+        first <= last.get(node, -1) for node, first in zip(code, slots[starts].tolist())
+    ):
+        return False
+    cells = cells[order]
+    for node, a, b in zip(code, starts.tolist(), ends.tolist()):
+        nodes.setdefault(node, []).append((slots[a:b], cells[a:b]))
+        last[node] = int(slots[b - 1])
+    return True
+
+
+def _add_lines(lines: list[str], first_line: int,
+               nodes: dict[str, list[tuple]], last: dict[str, int]) -> bool:
+    """Store a chunk of lines, the first on first_line, parsed by numpy's C
+    reader, and return True. Return False, storing nothing, for a chunk
+    that numpy might read unlike csv.reader and int(), or that numpy or
+    `_store` refuses: the csv path then reads it and names its bad row."""
+    text = "".join(lines)
+    # A quote is csv quoting, even in the header. \x1c-\x1f are whitespace
+    # around a number to numpy, not to int(). numpy 2.4.6's reader crashed
+    # on some non-ASCII code points in a number field, such as U+9C6CA.
+    if not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+        return False
+    if first_line == 1 and lines[0].split(",", 1)[0].rstrip("\r\n") == "node_id":
+        lines = lines[1:]
+    if all(line in ("\n", "\r\n", "\r") for line in lines):
+        return True  # no rows, on which loadtxt would warn
+    try:
+        # numpy releases that parse an integer field through a float, as
+        # 1.23 did for "1.5", warn when they do.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", dtype=_TRACE_ROW, comments=None,
+                               quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return False
+    return _store(table["node"].tolist(), table["slot"],
+                  np.column_stack((table["x"], table["y"])), nodes, last)
 
 
 def _add_rows(rows: list[list[str]], first_line: int,
               nodes: dict[str, list[tuple]], last: dict[str, int]) -> None:
-    """Check a chunk of CSV rows, the first on first_line, on columns, and
-    append each node's rows to nodes[node] as one (slots, cells) piece;
-    last holds each node's last slot so far. A chunk that fails a check
-    stores nothing: `_raise_first_bad_row` raises its first bad row's error."""
+    """Store a chunk of CSV rows, the first on first_line, converting fields
+    by int(); a chunk that fails a check stores nothing, and
+    `_raise_first_bad_row` raises its first bad row's error."""
     if first_line == 1 and rows and rows[0] and rows[0][0] == "node_id":
         rows, first_line = rows[1:], 2
     kept = [row for row in rows if row]
@@ -449,30 +515,14 @@ def _add_rows(rows: list[list[str]], first_line: int,
             -(2**31) <= min(col) and max(col) < 2**31 for col in cells
         ):
             raise ValueError("a field out of range")
-        code = {node: i for i, node in enumerate(dict.fromkeys(node_ids))}  # file order
-        codes = np.fromiter(map(code.__getitem__, node_ids), np.intp, len(kept))
         # Columns of Python objects kept through the sort fragment the heap.
         slots, cells = np.array(slots, dtype=np.int64), np.array(cells, dtype=np.int32).T
-        del node_ids, slot_col, cell_cols
-        order = np.argsort(codes, kind="stable")
-        sorted_slots = slots[order]
-        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-        ends = np.append(starts[1:], len(kept))
-        rising = np.diff(sorted_slots) > 0
-        rising[starts[1:] - 1] = True  # where one node's rows end
-        if not rising.all() or any(
-            first <= last.get(node, -1)
-            for node, first in zip(code, sorted_slots[starts].tolist())
-        ):
-            raise ValueError("a slot that does not follow its node's last")
+        del slot_col, cell_cols
     except ValueError:
         pass
     else:
-        cells = cells[order]
-        for node, a, b in zip(code, starts.tolist(), ends.tolist()):
-            nodes.setdefault(node, []).append((sorted_slots[a:b], cells[a:b]))
-            last[node] = int(sorted_slots[b - 1])
-        return
+        if _store(node_ids, slots, cells, nodes, last):
+            return
     _raise_first_bad_row(rows, first_line, last)
 
 
@@ -485,31 +535,65 @@ def _raise_first_bad_row(rows: list[list[str]], first_line: int, last: dict) -> 
     raise AssertionError(f"no row of the chunk from line {first_line} is bad")
 
 
+def _then_raise(lines: list[str], error: BaseException) -> Iterator[str]:
+    """The lines, then the error that reading the next one raised."""
+    yield from lines
+    raise error
+
+
 def read_trace_csv(path: str) -> list[ObservationTrace]:
     """Traces grouped by node in file order.
 
     Every malformed row raises ValueError naming its line: a wrong field
     count, a non-integer, a cell coordinate outside int32, a negative slot,
     a slot that does not follow the node's previous one, or bytes that are
-    not UTF-8. The reader holds one chunk of row lists at a time, plus int
-    arrays of the rows before it. Each chunk is checked on columns and
-    stored per node; a chunk that fails a check is walked row by row only
-    to name its first bad row, so that row is still the one reported.
+    not UTF-8. The reader holds one chunk of lines at a time, plus int
+    arrays of the rows before it, and checks each chunk on columns before
+    it stores the chunk per node.
+
+    numpy's C reader (`np.loadtxt`) parses each chunk of ASCII lines that
+    holds no quote and no \\x1c-\\x1f: on other text, numpy 2.4.6 read
+    unlike csv.reader and int(), or crashed. The first other chunk, or one
+    that numpy or a check refuses, is read with the rest of the file by
+    csv.reader, converting fields by int(): the one parser of quoted node
+    ids, which `write_trace_csv` writes for ids holding a comma, a quote
+    or a line break, and of the numbers numpy refuses, such as 1_0 and
+    non-ASCII digits. No quote came before the switch, so each line so far
+    was one CSV row and the line numbers hold. The accepted input, every
+    stored value and every error message are those of csv.reader alone;
+    that was tested with numpy 2.4.6 only. A csv chunk that fails a check
+    is walked row by row to name its first bad row.
     """
     nodes: dict[str, list[tuple]] = {}  # each node's (slots, cells) pieces
     last: dict[str, int] = {}  # each node's last slot so far
+    lines: list[str] = []
     rows: list[list[str]] = []
-    lineno = 0  # CSV rows before `rows`
+    lineno = 0  # CSV rows before `lines`, then before `rows`
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            while True:
-                rows.extend(islice(reader, _CSV_CHUNK))
-                if not rows:
-                    break
-                _add_rows(rows, lineno + 1, nodes, last)
-                lineno += len(rows)
-                rows = []
+            source = None  # what csv.reader reads, once numpy's reader stops
+            try:
+                while True:
+                    lines.extend(islice(fh, _CSV_CHUNK))
+                    if not lines:
+                        break
+                    if not _add_lines(lines, lineno + 1, nodes, last):
+                        source = chain(lines, fh)
+                        break
+                    lineno += len(lines)
+                    lines = []
+            except UnicodeDecodeError as exc:
+                # The lines read before the error come first: extend() kept them.
+                source = _then_raise(lines, exc)
+            if source is not None:
+                reader = csv.reader(source)
+                while True:
+                    rows.extend(islice(reader, _CSV_CHUNK))
+                    if not rows:
+                        break
+                    _add_rows(rows, lineno + 1, nodes, last)
+                    lineno += len(rows)
+                    rows = []
     except csv.Error as exc:
         error: ValueError = ValueError(f"line {lineno + len(rows) + 1}: {exc}")
     except UnicodeDecodeError as exc:

@@ -8,6 +8,7 @@ import random
 import struct
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lprlab import profile as profile_module
+from lprlab.mobility import MobilityParams, generate_trace
 from lprlab.profile import (
     CellId,
     LocationProfile,
@@ -472,14 +474,21 @@ class TestWideCounts:
         assert serialize_profile(deserialize_profile(data)) == data
 
 
+# Numbers, and text that numpy's reader and int() might read apart: signs,
+# whitespace (int() takes \x1c-\x1f as no space, numpy's reader does),
+# separators, non-ASCII digits, NUL and '#', and 19-digit and edge values.
 _csv_numbers = st.sampled_from(
     ["-1", "0", "4", "10", "x", "", "1.5", "99999999999"]
+    + ["+4", "-0", "- 5", "+-1", "1_0", "\u0661", "\uff11", "\U0009c6ca", "\x004", "4\x00",
+       "#4", "4#", "0000000000000000007", "1000000000000000000", "-999999999999999999"]
     + [str(v) for b in (31, 63) for v in (2**b - 1, 2**b, -(2**b), -(2**b) - 1)]
-)
+) | st.tuples(*[st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x1f", "\x85", "\xa0", "\u3000"])] * 2).map("{0[0]}12{0[1]}".format)
 # Rows of four fields, whose numbers may be out of order or out of range,
 # and rows of any field count.
 _csv_lines = st.one_of(
-    st.tuples(st.sampled_from(["u0", "u1", "u9"]), *[_csv_numbers] * 3).map(",".join),
+    st.tuples(st.sampled_from(["u0", "u1", "u9", " u0", "u\x00", "#u"]),
+              *[_csv_numbers] * 3).map(",".join),
     st.lists(_csv_numbers | st.sampled_from(["u0", '"', "\r"]), max_size=6).map(
         ",".join
     ),
@@ -700,10 +709,52 @@ class TestTraceCsv:
         assert str(exc.value).startswith(expected)
 
     def test_header_only_and_empty_files(self, tmp_path):
+        # numpy's reader warns on input without rows; no warning reaches a caller.
         path = tmp_path / "t.csv"
-        for text in ("", "node_id,slot_index,cell_x,cell_y\n", "\n\n"):
-            path.write_text(text)
-            assert read_trace_csv(str(path)) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # A quote the header opens takes in the lines after it.
+            for text in ("", "node_id,slot_index,cell_x,cell_y\n", "\n\n",
+                         'node_id,"slot_index\nu0,1,2,3\n'):
+                path.write_text(text)
+                assert read_trace_csv(str(path)) == []
+            path.write_text("\n" * (profile_module._CSV_CHUNK + 1) + "u0,1,2,3\n")
+            got = read_trace_csv(str(path))
+        assert got == read_trace_csv_rows(str(path)) == [trace_of([(1, CellId(2, 3))], "u0")]
+
+    def test_generated_traces_are_read_without_csv_reader(self, tmp_path):
+        # A chunk and a part of quote-free ASCII lines (5,041): numpy's
+        # reader takes them all.
+        generated = generate_trace(MobilityParams(n_users=3, n_weeks=10, seed=5))
+        path = tmp_path / "t.csv"
+        write_trace_csv(generated, str(path))
+        with mock.patch.object(profile_module.csv, "reader", side_effect=AssertionError):
+            assert read_trace_csv(str(path)) == generated
+        # A quoted node id in a later chunk hands it and the rest to csv.reader.
+        quoted = [trace_of([(1, A), (4, B)], "u0"), trace_of([(2, C), (3, A)], "u1"),
+                  trace_of([(5, B)], "a,b"), trace_of([(6, A)], 'say "hi"'),
+                  trace_of([(7, C), (9, B)], "u0 again")]
+        write_trace_csv(quoted, str(path))
+        with mock.patch.object(profile_module, "_CSV_CHUNK", 3):
+            assert read_trace_csv(str(path)) == read_trace_csv_rows(str(path)) == quoted
+
+    @pytest.mark.parametrize(
+        "number, slot",
+        [("\x1c4", None), ("4\x1f", None), ("\U0009c6ca", None), ("\u06614", 14), ("1_0", 10)],
+    )
+    def test_numbers_numpy_reads_unlike_int_are_read_by_int(self, tmp_path, number, slot):
+        # numpy's reader takes \x1c-\x1f as whitespace, crashed on U+9C6CA
+        # in a number field, and refuses non-ASCII digits and '_'; such a
+        # chunk goes to csv.reader and int().
+        path = tmp_path / "t.csv"
+        path.write_text(f"node_id,slot_index,cell_x,cell_y\nu0,1,1,1\nu0,{number},1,1\n",
+                        encoding="utf-8")
+        if slot is None:
+            with pytest.raises(ValueError, match=r"^line 3: invalid literal for int\(\)"):
+                read_trace_csv(str(path))
+        else:
+            cell = CellId(1, 1)
+            assert read_trace_csv(str(path)) == [trace_of([(1, cell), (slot, cell)], "u0")]
 
 
 def _loop_build_profile(trace, order=1):
