@@ -255,8 +255,12 @@ class Grouping:
             raise ValueError(f"bad grouping text {text!r}") from exc
         return cls(sizes)
 
+    @functools.cached_property  # kept in the instance dict, outside the fields
+    def _text(self) -> str:
+        return "|".join(map(str, self.sizes))
+
     def __str__(self) -> str:
-        return "|".join(str(s) for s in self.sizes)
+        return self._text
 
 
 def _stage_costs(

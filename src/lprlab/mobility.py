@@ -173,9 +173,8 @@ def empirical_regularity(traces: list[ObservationTrace]) -> np.ndarray:
     totals = np.zeros(HOURS_PER_WEEK, dtype=np.int64)
     for trace in traces:
         profile = build_profile(trace, order=1)
-        for key, rows in profile.contexts.items():
-            if key:  # an hour of week, whose first row counts its modal cell
-                hits[key[0]] += int(profile.counts[rows.start])
+        # The marginal, then each hour of week, whose first row counts its modal cell.
+        hits[profile.keys[1:, 1]] += profile.counts[profile.ends[:-1]].astype(np.int64)
         totals += np.bincount(trace.slots % HOURS_PER_WEEK, minlength=HOURS_PER_WEEK)
     with np.errstate(invalid="ignore"):
         return np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
@@ -200,9 +199,10 @@ def empirical_success_after_k(traces: list[ObservationTrace], k: int) -> float:
             continue
         train = ObservationTrace(trace.node_id, trace.slots[:split], trace.cells[:split])
         profile = build_profile(train, order=1)
-        marginal = profile.contexts[()]
-        hours = [profile.contexts.get((hour,), marginal) for hour in range(HOURS_PER_WEEK)]
-        starts, ends = np.array([(rows.start, rows.stop) for rows in hours]).T
+        # Each hour of week's context, or else the marginal, context 0.
+        hours = np.zeros(HOURS_PER_WEEK, np.intp)
+        hours[profile.keys[1:, 1]] = np.arange(1, len(profile.keys))
+        starts, ends = np.append(0, profile.ends)[hours], profile.ends[hours]
         # Each hour's first k rows, as one int64 per (x, y) cell.
         rows = starts[:, None] + np.arange(min(k, (ends - starts).max()))
         top = profile.cells.view(np.int64).ravel()[np.minimum(rows, len(profile.cells) - 1)]

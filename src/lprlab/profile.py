@@ -11,11 +11,13 @@ plain relative frequencies; ranking is what matters downstream, and the
 ranking tie-break (lexicographic cell coordinates) keeps every run
 deterministic.
 
-A profile holds flat arrays: `contexts` maps each context key, in
-serialization order, to its slice of rows of `cells` (int32, (e, 2)) and
-`counts` (uint64). A context's rows are in rank order, count descending
-then (x, y): the one order that `predict`, `top_k` and the mobility
-statistics read.
+A profile holds flat arrays: its key table `keys`, one int32 row (level,
+hour of week, previous x, previous y) per context in serialization order,
+and `ends`, each context's end row in `cells` (int32, (e, 2)) and `counts`
+(uint64). A context's rows are in rank order, count descending then
+(x, y): the one order that `predict`, `top_k` and the mobility statistics
+read. The dict `contexts` (key tuple -> slice of rows) is derived on first
+read, so only a queried profile makes a Python object per context.
 
 Profiles are value objects: building returns a new instance and readers
 never see mutation. The rule is load-bearing: `predict` memoises each
@@ -110,6 +112,7 @@ class ObservationTrace:
 #   (hour_of_week,)       order-1
 #   (hour_of_week, cell)  order-3
 ContextKey = tuple
+Ranking = tuple[tuple[CellId, ...], tuple[float, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +122,14 @@ class LocationProfile:
 
     order: int
     version: int
-    contexts: dict[ContextKey, slice] = field(default_factory=dict)
+    keys: np.ndarray = field(default_factory=lambda: np.empty((0, 4), np.int32))
+    ends: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     cells: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int32))
     counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
-    # Each queried context's ranking, filled by `predict`; callers get copies.
-    _rankings: dict[ContextKey, tuple[tuple[CellId, float], ...]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    # Filled on first read: the `contexts` dict, and each queried context's
+    # ranking as parallel (cells, confidences) tuples; callers get copies.
+    _contexts: dict[ContextKey, slice] = field(default_factory=dict, init=False, repr=False)
+    _rankings: dict[ContextKey, Ranking] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order not in _ALLOWED_ORDERS:
@@ -133,13 +137,21 @@ class LocationProfile:
         if self.version < 0:
             raise ValueError(f"version must be non-negative, got {self.version}")
 
+    @property
+    def contexts(self) -> dict[ContextKey, slice]:
+        """Each context key mapped to its slice of rows, in serialization order."""
+        if len(self._contexts) < len(self.ends):
+            ends = self.ends.tolist()
+            self._contexts.update(zip(_context_keys(self.keys.tolist()),
+                                      map(slice, [0] + ends, ends)))
+        return self._contexts
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocationProfile):
             return NotImplemented
-        return ((self.order, self.version, list(self.contexts.items()))
-                == (other.order, other.version, list(other.contexts.items()))
-                and np.array_equal(self.cells, other.cells)
-                and np.array_equal(self.counts, other.counts))
+        return ((self.order, self.version) == (other.order, other.version)
+                and all(map(np.array_equal, (self.keys, self.ends, self.cells, self.counts),
+                            (other.keys, other.ends, other.cells, other.counts))))
 
 
 class ProfileFormatError(ValueError):
@@ -150,18 +162,23 @@ class ProfileFormatError(ValueError):
         self.offset = offset
 
 
-def _profile(order: int, version: int, keys: Sequence[ContextKey], context: np.ndarray,
+def _profile(order: int, version: int, keys: np.ndarray, context: np.ndarray,
              cells: np.ndarray, counts: np.ndarray) -> LocationProfile:
     """The profile whose row i counts cells[i] in context keys[context[i]]
-    (distinct keys, in any order): contexts in serialization order, and
-    each one's rows in rank order by the one sort every ranking reads."""
-    sort_keys = [_context_sort_key(key) for key in keys]
-    key_order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+    (distinct key-table rows, in any order): contexts in serialization order,
+    and each one's rows in rank order by the one sort every ranking reads."""
+    key_order = np.lexsort(keys.T[::-1])
     place = np.argsort(key_order)  # each key's place in serialization order
     rows = np.lexsort((cells[:, 1], cells[:, 0], ~counts, place[context]))
-    ends = np.cumsum(np.bincount(context, minlength=len(keys))[key_order]).tolist()
-    contexts = {keys[i]: slice(a, b) for i, a, b in zip(key_order, [0] + ends, ends)}
-    return LocationProfile(order, version, contexts, cells[rows], counts[rows])
+    ends = np.cumsum(np.bincount(context, minlength=len(keys))[key_order])
+    return LocationProfile(order, version, keys[key_order], ends, cells[rows], counts[rows])
+
+
+def _key_rows(level: int, hours: Sequence[int], prev: np.ndarray | int = 0) -> np.ndarray:
+    """Key-table rows of one level's contexts, with previous cells at level 3."""
+    rows = np.empty((len(hours), 4), np.int32)
+    rows[:, 0], rows[:, 1], rows[:, 2:] = level, hours, prev
+    return rows
 
 
 def build_profile(trace: ObservationTrace, order: int = 1) -> LocationProfile:
@@ -184,60 +201,59 @@ def build_profile(trace: ObservationTrace, order: int = 1) -> LocationProfile:
     xy = distinct.view(np.int32).reshape(-1, 2)
     n_cells = len(xy)
     sow = trace.slots % HOURS_PER_WEEK
-    # Per level: its context keys, and each counted record's context and cell.
-    levels = [([()], np.zeros_like(cell), cell)]
+    # Per level: its key-table rows, and each counted record's context and cell.
+    levels = [(_key_rows(0, [0]), np.zeros_like(cell), cell)]
     if order >= 1:
         hours, hour = np.unique(sow, return_inverse=True)
-        levels.append(([(h,) for h in hours.tolist()], hour, cell))
+        levels.append((_key_rows(1, hours), hour, cell))
     if order == 3 and len(cell) > 1:
         # Number each (hour of week, previous cell) context first, so the
         # context-and-cell key stays below len(trace) * n_cells.
         contexts, context = np.unique(sow[1:] * n_cells + cell[:-1], return_inverse=True)
         hour, prev = np.divmod(contexts, n_cells)
-        keys3 = [(s, _new_tuple(CellId, p)) for s, p in zip(hour.tolist(), xy[prev].tolist())]
-        levels.append((keys3, context, cell[1:]))
-    keys: list[ContextKey] = []
+        levels.append((_key_rows(3, hour, xy[prev]), context, cell[1:]))
+    n_keys = 0
     row_contexts, row_cells, counts = [], [], []
-    for level_keys, context, counted in levels:
+    for keys, context, counted in levels:
         pairs, n = np.unique(context * n_cells + counted, return_counts=True)
-        row_contexts.append(pairs // n_cells + len(keys))
+        row_contexts.append(pairs // n_cells + n_keys)
         row_cells.append(pairs % n_cells)
         counts.append(n)
-        keys += level_keys
-    return _profile(order, 1, keys, np.concatenate(row_contexts),
-                    xy[np.concatenate(row_cells)], np.concatenate(counts).astype(np.uint64))
+        n_keys += len(keys)
+    return _profile(order, 1, np.concatenate([keys for keys, _, _ in levels]),
+                    np.concatenate(row_contexts), xy[np.concatenate(row_cells)],
+                    np.concatenate(counts).astype(np.uint64))
 
 
-def _ranking(profile: LocationProfile, key: ContextKey) -> tuple[tuple[CellId, float], ...]:
+def _ranking(profile: LocationProfile, key: ContextKey) -> Ranking:
     """The context's memoised ranking; empty when the profile lacks it."""
     ranked = profile._rankings.get(key)
     if ranked is None:
         rows = profile.contexts.get(key)
         if rows is None:
-            return ()
-        # Python ints: a total above 2**64 stays exact, and so does each quotient.
+            return (), ()
+        # Python ints: a total above 2**64 stays exact, and so does each
+        # quotient. Zero counts rank last and are dropped.
         counts = profile.counts[rows].tolist()
         total = sum(counts)
-        ranked = profile._rankings[key] = tuple(
-            (_new_tuple(CellId, cell), count / total)
-            for cell, count in zip(profile.cells[rows].tolist(), counts)
-            if count
+        n = len(counts) - counts.count(0)
+        ranked = profile._rankings[key] = (
+            tuple(_new_tuple(CellId, cell) for cell in profile.cells[rows][:n].tolist()),
+            tuple(count / total for count in counts[:n]),
         )
     return ranked
 
 
-def _ranked(
-    profile: LocationProfile, slot_index: int, prev_cell: CellId | None
-) -> tuple[tuple[CellId, float], ...]:
+def _ranked(profile: LocationProfile, slot_index: int, prev_cell: CellId | None) -> Ranking:
     """The memoised ranking of the deepest context with data (see `predict`)."""
     sow = slot_index % HOURS_PER_WEEK
     if profile.order == 3 and prev_cell is not None:
         ranked = _ranking(profile, (sow, prev_cell))
-        if ranked:
+        if ranked[0]:
             return ranked
     if profile.order >= 1:
         ranked = _ranking(profile, (sow,))
-        if ranked:
+        if ranked[0]:
             return ranked
     return _ranking(profile, ())
 
@@ -253,7 +269,7 @@ def predict(
     pair was seen, then (slot,), then the marginal. Unknown contexts all
     the way down yield an empty list, never an error.
     """
-    return list(_ranked(profile, slot_index, prev_cell))
+    return list(zip(*_ranked(profile, slot_index, prev_cell)))
 
 
 def top_k(
@@ -266,7 +282,7 @@ def top_k(
     knows fewer distinct cells (no padding)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return [cell for cell, _ in _ranked(profile, slot_index, prev_cell)[:k]]
+    return list(_ranked(profile, slot_index, prev_cell)[0][:k])
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +307,12 @@ _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I32X2 = struct.Struct("<ii")
+# Bytes of a context header (level, hour, previous cell, entry count) by level.
+_HEAD_BYTES = np.array([5, 7, 0, 15])
 
 
 def _context_sort_key(key: ContextKey) -> tuple:
-    """(level byte, slot, x, y) of a context key, in serialization order."""
+    """(level byte, slot, x, y) of a context key: its key-table row."""
     if key == ():
         return (0, 0, 0, 0)
     if len(key) == 1:
@@ -304,26 +322,45 @@ def _context_sort_key(key: ContextKey) -> tuple:
     raise ValueError(f"bad context key {key!r}")
 
 
+def _context_keys(rows: list[list[int]]) -> list[ContextKey]:
+    """The context key of each key-table row."""
+    return [() if level == 0 else (hour,) if level == 1 else (hour, _new_tuple(CellId, (x, y)))
+            for level, hour, x, y in rows]
+
+
+def _every_offset(buffer, dtype) -> np.ndarray:
+    """buffer viewed as one dtype value at each byte offset: element i is
+    the value whose bytes start at byte i."""
+    dtype = np.dtype(dtype)
+    return np.ndarray((max(0, len(buffer) - dtype.itemsize + 1),), dtype, buffer, strides=(1,))
+
+
+def _entry_offsets(heads: np.ndarray, level: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Byte offset of each entry, when context i's header, of level
+    level[i], is at byte heads[i] and its lengths[i] entries follow it."""
+    first = np.cumsum(lengths) - lengths  # each context's first entry
+    return (np.repeat(heads + _HEAD_BYTES[level] - first * _ENTRY.size, lengths)
+            + _ENTRY.size * np.arange(lengths.sum()))
+
+
 def serialize_profile(profile: LocationProfile) -> bytes:
     """Byte stream for storage or transfer; deterministic for equal profiles."""
-    out = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, profile.order, _SLOT_MINUTES,
-                                 profile.version, len(profile.contexts)))
-    lengths = [rows.stop - rows.start for rows in profile.contexts.values()]
+    level, lengths = profile.keys[:, 0], np.diff(profile.ends, prepend=0)
+    sizes = _HEAD_BYTES[level] + lengths * _ENTRY.size
+    heads = np.cumsum(sizes) - sizes
+    body = np.empty(int(sizes.sum()), np.uint8)  # every byte is written below
+    body[heads] = level
+    deep, wide = level >= 1, level == 3
+    _every_offset(body, "<u2")[heads[deep] + 1] = profile.keys[deep, 1]
+    _every_offset(body, "<i4")[heads[wide, None] + (3, 7)] = profile.keys[wide, 2:]
+    _every_offset(body, "<u4")[heads + _HEAD_BYTES[level] - 4] = lengths
     x, y = profile.cells.T
     by_cell = np.lexsort((y, x, np.repeat(np.arange(len(lengths)), lengths)))
     entries = np.empty(len(by_cell), _ENTRY_DTYPE)
     entries["x"], entries["y"], entries["count"] = x[by_cell], y[by_cell], profile.counts[by_cell]
-    block = memoryview(entries.tobytes())
-    for key, rows in profile.contexts.items():
-        level, slot, px, py = _context_sort_key(key)
-        out += _U8.pack(level)
-        if level >= 1:
-            out += _U16.pack(slot)
-        if level == 3:
-            out += _I32X2.pack(px, py)
-        out += _U32.pack(rows.stop - rows.start)
-        out += block[rows.start * _ENTRY.size : rows.stop * _ENTRY.size]
-    return bytes(out)
+    _every_offset(body, _ENTRY_DTYPE)[_entry_offsets(heads, level, lengths)] = entries
+    return _HEADER.pack(_MAGIC, _FORMAT_VERSION, profile.order, _SLOT_MINUTES,
+                        profile.version, len(lengths)) + body.tobytes()
 
 
 class _Reader:
@@ -339,25 +376,52 @@ class _Reader:
         return vals
 
 
-def _raise_repeated_cell(entries: np.ndarray, context: np.ndarray,
-                         starts: list[tuple[ContextKey, int]]) -> None:
-    """Raise at the first entry, in file order, whose cell came earlier in its
-    context: starts[context[i]] is entry i's (context key, first entry offset)."""
-    rows = np.column_stack((context, entries["x"], entries["y"]))
-    by_cell = np.lexsort(rows.T[::-1])  # stable: a cell's first entry sorts first
-    ordered = rows[by_cell]
-    repeats = by_cell[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
-    if len(repeats):
-        row = int(repeats.min())
-        i, x, y = rows[row].tolist()
-        key, start = starts[i]
-        offset = start + (row - int(np.searchsorted(context, i))) * _ENTRY.size
-        raise ProfileFormatError(f"repeated cell {(x, y)} in context {key!r}", offset)
+def _first_repeat(rows: np.ndarray) -> list[int]:
+    """[the index of the first row equal to an earlier row], or []."""
+    by_row = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ordered = rows[by_row]
+    repeats = by_row[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    return [int(repeats.min())] if len(repeats) else []
+
+
+def _raise_context_error(r: _Reader, order: int, earlier: set[ContextKey]) -> NoReturn:
+    """Raise the first error of the context at r.pos by an entry-by-entry
+    reader's checks in their order; earlier holds the contexts before it."""
+    level_pos = r.pos
+    (level,) = r.take(_U8, "context level")
+    if level not in _ALLOWED_ORDERS:
+        raise ProfileFormatError(f"bad context level {level}", level_pos)
+    if level > order:
+        raise ProfileFormatError(f"context level {level} exceeds profile order {order}", level_pos)
+    key: ContextKey = ()
+    if level >= 1:
+        slot_pos = r.pos
+        (slot,) = r.take(_U16, "context slot")
+        if slot >= HOURS_PER_WEEK:
+            raise ProfileFormatError(f"hour of week {slot} out of range", slot_pos)
+        key = (slot,)
+    if level == 3:
+        key = (key[0], CellId(*r.take(_I32X2, "context cell")))
+    count_pos = r.pos
+    (n_entries,) = r.take(_U32, "entry count")
+    if n_entries * _ENTRY.size > len(r.data) - r.pos:
+        raise ProfileFormatError(f"entry count {n_entries} overruns input", count_pos)
+    if key in earlier:
+        raise ProfileFormatError(f"duplicate context {key!r}", level_pos)
+    cells = set()
+    for _ in range(n_entries):
+        entry_pos = r.pos
+        cell = r.take(_ENTRY, "entry")[:2]
+        if cell in cells:
+            raise ProfileFormatError(f"repeated cell {cell} in context {key!r}", entry_pos)
+        cells.add(cell)
+    raise AssertionError(f"the context at byte {level_pos} is well formed")
 
 
 def deserialize_profile(data: bytes) -> LocationProfile:
     """Parse a serialized profile, whose contexts and entries may come in
-    any order; malformed input raises ProfileFormatError."""
+    any order; malformed input raises ProfileFormatError, the error an
+    entry-by-entry reader finds first, at its byte offset."""
     r = _Reader(data)
     magic, fmt, order, duration, version, n_contexts = r.take(_HEADER, "header")
     if magic != _MAGIC:
@@ -371,49 +435,40 @@ def deserialize_profile(data: bytes) -> LocationProfile:
             f"slot duration must be {_SLOT_MINUTES} minutes, got {duration}", 7
         )
 
-    starts: dict[ContextKey, int] = {}  # byte offset of each context's first entry
-    lengths: list[int] = []
-    try:
-        for _ in range(n_contexts):
-            level_pos = r.pos
-            (level,) = r.take(_U8, "context level")
-            if level not in _ALLOWED_ORDERS:
-                raise ProfileFormatError(f"bad context level {level}", level_pos)
-            if level > order:
-                raise ProfileFormatError(
-                    f"context level {level} exceeds profile order {order}", level_pos
-                )
-            key: ContextKey = ()
-            if level >= 1:
-                slot_pos = r.pos
-                (slot,) = r.take(_U16, "context slot")
-                if slot >= HOURS_PER_WEEK:
-                    raise ProfileFormatError(f"hour of week {slot} out of range", slot_pos)
-                key = (slot,)
-            if level == 3:
-                px, py = r.take(_I32X2, "context cell")
-                key = (key[0], CellId(px, py))
-            count_pos = r.pos
-            (n_entries,) = r.take(_U32, "entry count")
-            if n_entries * _ENTRY.size > len(r.data) - r.pos:
-                raise ProfileFormatError(f"entry count {n_entries} overruns input", count_pos)
-            if key in starts:
-                raise ProfileFormatError(f"duplicate context {key!r}", level_pos)
-            starts[key] = r.pos
-            lengths.append(n_entries)
-            r.pos += n_entries * _ENTRY.size
-        if r.pos != len(r.data):
-            raise ProfileFormatError("trailing bytes after last context", r.pos)
-    finally:
-        # A repeated cell in a context read before an error is the error
-        # the file reports, as an entry-by-entry reader would find it.
-        view = memoryview(data)
-        blocks = (view[s : s + n * _ENTRY.size] for s, n in zip(starts.values(), lengths))
-        entries = np.frombuffer(b"".join(blocks), _ENTRY_DTYPE)
-        context = np.repeat(np.arange(len(starts)), lengths)
-        _raise_repeated_cell(entries, context, list(starts.items()))
+    # Walk the headers by level byte and entry count up to the first bad or cut one.
+    head_bytes = {level: int(_HEAD_BYTES[level]) for level in _ALLOWED_ORDERS if level <= order}
+    pos, end = r.pos, len(data)
+    heads, lengths = [], []
+    for _ in range(n_contexts):
+        size = head_bytes.get(data[pos]) if pos < end else None
+        if size is None or pos + size > end:
+            break
+        (n_entries,) = _U32.unpack_from(data, pos + size - 4)
+        if n_entries * _ENTRY.size > end - pos - size:
+            break
+        heads.append(pos)
+        lengths.append(n_entries)
+        pos += size + n_entries * _ENTRY.size
+    heads, lengths = np.array(heads, np.int64), np.array(lengths, np.int64)
+    keys = np.zeros((len(heads), 4), np.int32)
+    keys[:, 0] = level = np.frombuffer(data, np.uint8)[heads]
+    deep, wide = level >= 1, level == 3
+    keys[deep, 1] = _every_offset(data, "<u2")[heads[deep] + 1]
+    keys[wide, 2:] = _every_offset(data, "<i4")[heads[wide, None] + (3, 7)]
+    entries = _every_offset(data, _ENTRY_DTYPE)[_entry_offsets(heads, level, lengths)]
     cells = np.column_stack((entries["x"], entries["y"]))
-    return _profile(order, version, list(starts), context, cells, entries["count"].astype(np.uint64))
+    context = np.repeat(np.arange(len(heads)), lengths)
+    # The first context with an hour out of range, a repeat of an earlier
+    # context, or a repeated cell; else the one the walk refused, if any.
+    repeat = _first_repeat(np.column_stack((context, cells)))
+    bad = min([len(heads), *np.flatnonzero(keys[:, 1] >= HOURS_PER_WEEK)[:1].tolist(),
+               *_first_repeat(keys), *context[repeat].tolist()])
+    if bad < n_contexts:
+        r.pos = int(heads[bad]) if bad < len(heads) else pos
+        _raise_context_error(r, order, set(_context_keys(keys[:bad].tolist())))
+    if pos != end:
+        raise ProfileFormatError("trailing bytes after last context", pos)
+    return _profile(order, version, keys, context, cells, entries["count"].astype(np.uint64))
 
 
 def write_trace_csv(traces: Sequence[ObservationTrace], path: str) -> None:

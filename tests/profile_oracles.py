@@ -26,6 +26,7 @@ from lprlab.profile import (
     CellId,
     ObservationTrace,
     ProfileFormatError,
+    _context_sort_key,
     _profile,
     _Reader,
     _trace_row,
@@ -34,12 +35,14 @@ from lprlab.profile import (
 
 def profile_from_counts(order, version, counts):
     """The profile of per-context {cell: count} dicts, through the
-    constructor that build_profile and deserialize_profile use."""
+    constructor that build_profile and deserialize_profile use; each
+    context key becomes its key-table row by _context_sort_key."""
+    keys = np.array([_context_sort_key(key) for key in counts], dtype=np.int32).reshape(-1, 4)
     cells = [cell for entries in counts.values() for cell in entries]
     values = [n for entries in counts.values() for n in entries.values()]
     context = np.repeat(np.arange(len(counts)), [len(entries) for entries in counts.values()])
     return _profile(
-        order, version, list(counts), context,
+        order, version, keys, context,
         np.array(cells, dtype=np.int32).reshape(-1, 2), np.array(values, dtype=np.uint64),
     )
 

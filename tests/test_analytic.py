@@ -5,6 +5,7 @@ Golden values were computed with an independent mpmath implementation
 average, then frozen here as literals.
 """
 
+import dataclasses
 import math
 import random
 
@@ -278,6 +279,17 @@ class TestGrouping:
         g = Grouping((1, 2, 9))
         assert g.k == 12
         assert str(g) == "1|2|9"
+
+    def test_text_is_kept_outside_the_fields(self):
+        g = Grouping((1, 2, 9))
+        assert str(g) == str(g) == "1|2|9"
+        fresh = Grouping((1, 2, 9))
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh) == "Grouping(sizes=(1, 2, 9))"
+        assert [f.name for f in dataclasses.fields(g)] == ["sizes"]
+        assert dataclasses.astuple(g) == ((1, 2, 9),)
+        assert str(dataclasses.replace(g, sizes=(4, 8))) == "4|8"
+        assert str(fresh) == "1|2|9"
 
     def test_parse_roundtrip(self):
         assert Grouping.parse("1|2|9") == Grouping((1, 2, 9))

@@ -16,13 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lprlab import mobility
 from lprlab import profile as profile_module
 from lprlab.mobility import MobilityParams, generate_trace
 from lprlab.profile import (
+    _HEADER,
     CellId,
     LocationProfile,
     ObservationTrace,
     ProfileFormatError,
+    _context_sort_key,
     build_profile,
     deserialize_profile,
     predict,
@@ -244,6 +247,17 @@ class TestTopK:
             top_k(p, 5, -1)
 
 
+def _context_bytes(key, entries):
+    """One context of a serialized profile, its entries in the given order."""
+    out = bytes([(0, 1, 3)[len(key)]])
+    if key:
+        out += struct.pack("<H", key[0])
+    if len(key) == 2:
+        out += struct.pack("<ii", *key[1])
+    out += struct.pack("<I", len(entries))
+    return out + b"".join(struct.pack("<iiQ", x, y, n) for (x, y), n in entries)
+
+
 class TestSerialization:
     def random_profile(self, seed, order=3):
         rng = random.Random(seed)
@@ -417,15 +431,31 @@ class TestSerialization:
         assert deserialize_profile(bytes(data)) == expected
 
 
-def _context_bytes(key, entries):
-    """One context of a serialized profile, its entries in the given order."""
-    out = bytes([(0, 1, 3)[len(key)]])
-    if key:
-        out += struct.pack("<H", key[0])
-    if len(key) == 2:
-        out += struct.pack("<ii", *key[1])
-    out += struct.pack("<I", len(entries))
-    return out + b"".join(struct.pack("<iiQ", x, y, n) for (x, y), n in entries)
+    # Each file below holds two errors; the one an entry-by-entry reader
+    # meets first is raised, with its message and offset. The tail bytes
+    # follow the counted contexts.
+    @pytest.mark.parametrize("contexts, tail, message, offset", [
+        # A repeated cell in an earlier context beats a later truncated header.
+        ([_context_bytes((), [(A, 1), (A, 2)]), b"\x01\x05"], b"",
+         "repeated cell (3, 4) in context ()", 21 + 5 + 16),
+        # A duplicate context beats a later bad hour.
+        ([_context_bytes((5,), [(A, 1)]), _context_bytes((5,), [(B, 1)]),
+          _context_bytes((200,), [(A, 1)])], b"", "duplicate context (5,)", 21 + 23),
+        # A bad hour beats an overrun entry count in the same context.
+        ([struct.pack("<BHI", 1, 170, 1000)], b"", "hour of week 170 out of range", 22),
+        ([struct.pack("<BHiiI", 3, 170, 0, 0, 1000)], b"", "hour of week 170 out of range", 22),
+        # A repeated cell beats trailing bytes.
+        ([_context_bytes((6, B), [(B, 1), (A, 2), (B, 3)])], b"\x00",
+         "repeated cell (7, 1) in context (6, CellId(x=7, y=1))", 21 + 15 + 32),
+    ], ids=["repeat-before-cut-header", "duplicate-before-bad-hour", "bad-hour-before-overrun",
+            "order3-bad-hour-before-overrun", "repeat-before-trailing-bytes"])
+    def test_first_of_two_errors_matches_entry_by_entry_reader(self, contexts, tail, message,
+                                                               offset):
+        data = _HEADER.pack(b"LPRF", 1, 3, 60, 1, len(contexts)) + b"".join(contexts) + tail
+        for read in (deserialize_entries, deserialize_profile):
+            with pytest.raises(ProfileFormatError) as got:
+                read(data)
+            assert (str(got.value), got.value.offset) == (f"{message} (at byte {offset})", offset)
 
 
 # Counts whose context totals pass 2**64 (a uint64 sum wraps), zeros, and
@@ -760,6 +790,11 @@ class TestTraceCsv:
 def _loop_build_profile(trace, order=1):
     """build_profile as a per-record loop over dicts: test oracle for the
     array-counted version."""
+    return profile_from_counts(order, 1, _loop_counts(trace, order))
+
+
+def _loop_counts(trace, order):
+    """The per-context {cell: count} dicts that _loop_build_profile counts."""
     marginal, by_slot, by_slot_prev = {}, {}, {}
     prev_cell = None
     for i in range(len(trace.slots)):
@@ -776,7 +811,7 @@ def _loop_build_profile(trace, order=1):
     counts = {(): marginal} if marginal else {}
     counts.update(by_slot)
     counts.update(by_slot_prev)
-    return profile_from_counts(order, 1, counts)
+    return counts
 
 
 _INT32 = st.integers(-(2**31), 2**31 - 1)
@@ -817,6 +852,66 @@ class TestArrayCountedProfile:
             assert serialize_profile(got) == serialize_profile(expected)
 
 
+def _assert_key_table(profile, counts):
+    """The profile's key table, row ends and derived contexts hold the
+    per-context counts, in serialization order."""
+    order = sorted(counts, key=_context_sort_key)
+    rows = [_context_sort_key(key) for key in order]
+    assert profile.keys.dtype == np.int32 and profile.keys.shape == (len(rows), 4)
+    table = [tuple(row) for row in profile.keys.tolist()]
+    assert table == rows and all(a < b for a, b in zip(table, table[1:]))  # strictly rising
+    lengths = [len(counts[key]) for key in order]
+    assert np.diff(profile.ends, prepend=0).tolist() == lengths
+    assert len(profile.cells) == len(profile.counts) == sum(lengths)
+    assert list(profile.contexts) == order
+    assert list(profile.contexts.values()) == [
+        slice(end - n, end) for n, end in zip(lengths, profile.ends.tolist())]
+    assert counts_of(profile) == counts
+
+
+class TestKeyTable:
+    @settings(max_examples=200, deadline=None)
+    @given(trace=_traces(), order=st.sampled_from([0, 1, 3]))
+    def test_built_and_read_profiles_hold_the_counts(self, trace, order):
+        counts = _loop_counts(trace, order)
+        for p in (build_profile(trace, order=order),
+                  deserialize_profile(serialize_profile(build_profile(trace, order=order))),
+                  profile_from_counts(order, 1, counts)):
+            _assert_key_table(p, counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.dictionaries(
+        st.sampled_from([(), (0,), (5,), (167,), (5, A), (5, CellId(-(2**31), 2**31 - 1)),
+                         (6, B), (0, CellId(-1, 0)), (0, CellId(0, -1))]),
+        st.dictionaries(st.sampled_from([A, B, C, CellId(-1, 5)]), _WIDE_COUNTS, min_size=1),
+    ))
+    def test_contexts_of_any_key_set(self, counts):
+        p = profile_from_counts(3, 1, counts)
+        _assert_key_table(p, counts)
+        _assert_key_table(deserialize_profile(serialize_profile(p)), counts)
+
+    def test_only_a_queried_profile_builds_its_contexts(self):
+        traces = generate_trace(MobilityParams(n_users=2, n_weeks=2))
+        built = [build_profile(traces[0], order=order) for order in (0, 1, 3)]
+        read = [deserialize_profile(serialize_profile(p)) for p in built]
+        assert built == read
+        statistics = []  # the profiles the mobility statistics build
+
+        def build_and_keep(*args, **kwargs):
+            statistics.append(build_profile(*args, **kwargs))
+            return statistics[-1]
+
+        with mock.patch.object(mobility, "build_profile", build_and_keep):
+            mobility.empirical_regularity(traces)
+            mobility.empirical_success_after_k(traces, 3)
+        assert len(statistics) == 2 * len(traces)
+        for p in built + read + statistics:
+            assert p._contexts == {} and p._rankings == {}
+        top_k(read[2], 5, 2, CellId(*traces[0].cells[0].tolist()))
+        assert len(read[2]._contexts) == len(read[2].keys) > 0
+        assert all(p._contexts == {} for p in built + read[:2] + statistics)
+
+
 class TestPredictMemo:
     def profile(self):
         records = [(s, [A, B, C][s * 7 % 3]) for s in range(1, 400, 2)]
@@ -839,21 +934,24 @@ class TestPredictMemo:
         assert queried._rankings and not fresh._rankings
         assert queried == fresh
         assert repr(queried) == repr(fresh)
-        assert "_rankings" not in repr(queried)
+        assert queried._contexts and not fresh._contexts
+        assert "_rankings" not in repr(queried) and "_contexts" not in repr(queried)
         assert serialize_profile(queried) == serialize_profile(fresh)
 
     def test_replace_starts_with_an_empty_memo(self):
         p = self.profile()
         assert predict(p, 5) == predict_unmemoised(p, 5)
         other = profile_from_counts(3, 1, {(): {C: 1}, (5,): {B: 2, A: 1}})
+        assert p.contexts
         q = dataclasses.replace(
-            p, contexts=other.contexts, cells=other.cells, counts=other.counts
+            p, keys=other.keys, ends=other.ends, cells=other.cells, counts=other.counts
         )
-        assert q._rankings == {}
+        assert q._rankings == {} and q._contexts == {}
         assert predict(q, 5) == [(B, 2 / 3), (A, 1 / 3)]
         assert predict(q, 6) == [(C, 1.0)]
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(p, _rankings={})
+        for memo in ("_rankings", "_contexts"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(p, **{memo: {}})
 
     @settings(max_examples=200, deadline=None)
     @given(
