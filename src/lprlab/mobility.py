@@ -28,6 +28,7 @@ arbitrary traces, used to validate generated data against the models.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,10 @@ class MobilityParams:
                              f"takes the seed as one 32-bit word")
 
 
+@functools.cache
 def _slot_rank_cdf() -> np.ndarray:
-    """Cumulative conditional rank masses, one row per hour of week.
+    """Cumulative conditional rank masses, one row per hour of week,
+    built once and read-only.
 
     Row t holds the within-home-branch CDF over ranks 1..HOME_CELLS for
     hour t. The raw first-hit masses are taken at the floor-adjusted
@@ -116,6 +119,7 @@ def _slot_rank_cdf() -> np.ndarray:
         cum = np.minimum(np.cumsum(masses), 1.0)
         cum[-1] = 1.0
         table[t] = cum
+    table.flags.writeable = False
     return table
 
 

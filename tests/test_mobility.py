@@ -195,6 +195,12 @@ class TestGenerateTrace:
         write_trace_csv(traces, str(path))
         assert read_trace_csv(str(path)) == traces
 
+    def test_rank_table_is_built_once_and_read_only(self):
+        table = mobility._slot_rank_cdf()
+        assert mobility._slot_rank_cdf() is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, mobility._slot_rank_cdf.__wrapped__())
+
 
 class TestEmpiricalRegularity:
     def test_matches_model_at_scale(self):

@@ -2033,17 +2033,32 @@ def test_percentile_is_numpy_linear_method_bit_for_bit(values, q):
 # loads (only ghls homes hash). Together about 6 MiB of peak memory.
 _LEAN_RUN_UNIMPORTED = ("numpy.random", "secrets", "hashlib", "_hashlib")
 
+_LEAN_SCENARIO_INI = (
+    "[topology]\nn = 40\nfield_size = 800\nradio_range = 300\npool = 1\n"
+    "grid_cells = 6\n[traffic]\ntrials = 40\nn_candidates = 2\n"
+    "[strategy]\nkind = lpr\ngrouping = 1|1\n"
+)
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_child(code, **variables):
+    """Run code in a fresh interpreter on this checkout's lprlab, with none
+    of the BLAS thread variables but the given ones: this process may hold
+    lprlab's own setting (if it imported lprlab before numpy) or a user's."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
+    env.update(variables, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, timeout=120)
+
 
 def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
     # np.setdiff1d and np.percentile import numpy.ma, about 1.3 MiB of
     # peak memory; an lpr simulate leaves the lean-run modules out too.
     # Trials with 2 of 16 cells as candidates wander often.
     ini = tmp_path / "scenario.ini"
-    ini.write_text(
-        "[topology]\nn = 40\nfield_size = 800\nradio_range = 300\npool = 1\n"
-        "grid_cells = 6\n[traffic]\ntrials = 40\nn_candidates = 2\n"
-        "[strategy]\nkind = lpr\ngrouping = 1|1\n"
-    )
+    ini.write_text(_LEAN_SCENARIO_INI)
     code = (
         "import sys\n"
         "from lprlab.cli import main\n"
@@ -2052,11 +2067,7 @@ def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
         f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   capture_output=True, timeout=120)
+    _run_child(code)
     rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
     assert any(row.split(",")[2] == "0" for row in rows)  # some target wandered
 
@@ -2076,11 +2087,7 @@ def test_trace_and_curve_commands_leave_numpy_random_unimported(tmp_path, argv):
         f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   capture_output=True, timeout=120)
+    _run_child(code)
 
 
 def test_simulator_leaves_the_profile_layer_unimported():
@@ -2106,11 +2113,38 @@ def test_simulator_leaves_the_profile_layer_unimported():
         "loaded = [m for m in ('lprlab.profile', 'lprlab.mobility') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.dirname(scenario.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   capture_output=True, timeout=120)
+    _run_child(code)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for the thread count")
+def test_simulate_runs_on_one_thread(tmp_path):
+    # lprlab makes no BLAS call, so numpy starts no OpenBLAS workers.
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(_LEAN_SCENARIO_INI)
+    _run_child(
+        "from lprlab.cli import main\n"
+        f"assert main(['simulate', {str(ini)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "with open('/proc/self/status') as f:\n"
+        "    threads = [line.split()[1] for line in f if line.startswith('Threads:')]\n"
+        "assert threads == ['1'], threads\n"
+    )
+
+
+def test_user_blas_thread_setting_wins():
+    _run_child(
+        "import os, lprlab\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n",
+        OPENBLAS_NUM_THREADS="2",
+    )
+
+
+def test_numpy_imported_first_leaves_the_environment_alone():
+    # The setting could no longer take effect, so lprlab makes none.
+    _run_child(
+        "import os, numpy, lprlab\n"
+        "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
+    )
 
 
 def test_readme_library_quick_start_runs(capsys):
