@@ -35,15 +35,20 @@ Legs are routed in batches (route_legs). A batch's legs share a fixed
 number of slots, and every leg in a slot advances one greedy hop per
 lockstep numpy step, which scores the neighbours of all the slotted
 legs' current nodes at once through the topology's padded neighbour
-matrix. After each step the slots of the legs that finished take the
-next waiting legs, so every step but the last few runs full. A leg at a
+matrix. Each leg carries its distance to its destination: measured once
+at its source, then taken from the score of each greedy hop. A leg
+leaves its slot in the step whose hop reaches the acceptance radius or
+spends its hop budget, and a leg that starts within the radius or with
+no budget never takes one. The slots freed in a step take the next
+waiting legs, so every step but the last few runs full. A leg at a
 local minimum hands its node and remaining hop budget to the scalar
-perimeter walker, which hands it back to its slot once greedy
-forwarding resumes; GPSR carries no state out of greedy mode, so a leg
-takes the same route in any batch and any slot. gpsr_route is the batch
-of one, and records its path. The walker reads plain-float x and y lists
-(with math.atan2 for bearings), which the call's first local minimum
-takes from topology.positions with tolist: the same doubles.
+perimeter walker, which hands it back to its slot, with the distance of
+its new node, once greedy forwarding resumes; GPSR carries no state out
+of greedy mode, so a leg takes the same route in any batch and any slot.
+gpsr_route is the batch of one, and records its path. The walker reads
+plain-float x and y lists (with math.atan2 for bearings), which the
+call's first local minimum takes from topology.positions with tolist:
+the same doubles.
 
 Every distance, in the batch's numpy steps, in the walker and in
 Topology.distance_to, is sqrt(dx*dx + dy*dy). Each of its operations is
@@ -68,10 +73,12 @@ __all__ = ["RouteResult", "gpsr_route", "route_legs"]
 _EPS = 1e-9
 _TWO_PI = 2.0 * math.pi
 # Lockstep slots: they bound the (legs, max degree) temporaries of a
-# step. Refilling, not the slot count, sets the step count: slots freed
-# by finished legs take waiting legs at once, so steps run full until
-# the batch drains. 1024 slots raised a README-scenario run's peak RSS
-# by 2 MiB.
+# step. Refilling, not the slot count, sets the step count: a leg leaves
+# its slot in the step that reaches the radius or spends its budget, and
+# freed slots take waiting legs at once, so steps run full until the
+# batch drains. 1024 slots raised a README-scenario run's peak RSS by
+# 2 MiB; 512 routed its legs no faster than 256 and raised its peak RSS
+# by 0.6 MiB.
 _SLOTS = 256
 
 
@@ -122,16 +129,15 @@ def _next_ccw(xs: list[float], ys: list[float], x: int, row: list[int],
 def _perimeter(
     planar: np.ndarray, xs: list[float], ys: list[float], x: int, dx: float, dy: float,
     radius: float, budget: int, path: list[int] | None,
-) -> tuple[bool | None, int, int]:
+) -> tuple[bool | None, int, int, float]:
     """Perimeter mode from the local minimum x, for at most budget hops,
     on the planar matrix with node coordinates xs, ys.
 
-    Returns (outcome, node, hops): outcome True (arrived within radius)
-    or False (dropped) ends the leg at node; None hands node back to
-    greedy forwarding. path, when given, receives each node visited.
+    Returns (outcome, node, hops, distance), distance being node's from
+    the destination: outcome True (arrived within radius) or False
+    (dropped) ends the leg at node; None hands node back to greedy
+    forwarding. path, when given, receives each node visited.
     """
-    if planar[x, 0] < 0:
-        return False, x, 0
 
     def distance(at_x: float, at_y: float) -> float:
         # The routing distance of (at_x, at_y) from the destination.
@@ -140,6 +146,8 @@ def _perimeter(
 
     px, py = xs[x], ys[x]
     entry_dist = distance(px, py)
+    if planar[x, 0] < 0:
+        return False, x, 0, entry_dist
     nxt = _next_ccw(xs, ys, x, planar[x].tolist(), math.atan2(dy - py, dx - px))
     first_edge = (x, nxt)  # retraversing it closes the face tour
     hops = 0
@@ -151,22 +159,26 @@ def _perimeter(
         px, py = xs[x], ys[x]
         dist_x = distance(px, py)
         if dist_x <= radius:
-            return True, x, hops
+            return True, x, hops, dist_x
         if hops >= budget:
-            return False, x, hops
+            return False, x, hops, dist_x
         if dist_x < entry_dist - _EPS:
-            return None, x, hops
+            return None, x, hops, dist_x
         back = math.atan2(ys[arrival_from] - py, xs[arrival_from] - px)
         nxt = _next_ccw(xs, ys, x, planar[x].tolist(), back)
         if (x, nxt) == first_edge:
             # Completed a full face tour without progress: unreachable.
-            return False, x, hops
+            return False, x, hops, dist_x
 
 
 def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """sqrt(dx*dx + dy*dy) elementwise: the length of offsets (dx, dy),
-    bit for bit what the same formula gives on plain floats."""
-    return np.sqrt(dx * dx + dy * dy)
+    bit for bit what the same formula gives on plain floats. Computed in
+    place: it overwrites both arguments and returns dx."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 @np.errstate(over="ignore")  # far destinations: squares read inf
@@ -185,9 +197,9 @@ def route_legs(
     when given, holds one list per leg, and each hop appends its node.
     """
     src = np.asarray(src, dtype=np.intp)
-    dest = np.ascontiguousarray(dest, dtype=float).reshape(-1, 2)
+    dest = np.asarray(dest, dtype=float).reshape(-1, 2)
+    tx, ty = dest[:, 0].copy(), dest[:, 1].copy()
     n_legs = len(src)
-    success = np.zeros(n_legs, dtype=bool)
     end = src.copy()
     hops = np.zeros(n_legs, dtype=np.int64)
     perimeter = np.zeros(n_legs, dtype=np.int64)
@@ -199,37 +211,51 @@ def route_legs(
     radius = acceptance_radius
     walk = None  # the walker's [xs, ys] plain floats, made at the first local minimum
 
-    # Slots hold the legs active[i]; waiting is the first leg not yet slotted.
-    waiting = min(_SLOTS, n_legs)
-    active = np.arange(waiting)
+    # here[i] is leg i's distance to its destination from its current
+    # node. A leg that starts within the radius has arrived, and with no
+    # hop budget every other leg has failed: neither takes a slot.
+    here = _distance(xs.take(src) - tx, ys.take(src) - ty)
+    success = here <= radius
+    queue = np.flatnonzero(~success) if ttl > 0 else np.empty(0, dtype=np.intp)
+    # Slots hold the legs active[i]; queue[waiting:] have yet to take one.
+    active = queue[:_SLOTS]
+    waiting = len(active)
     while active.size:
-        x = end[active]
-        tx, ty = dest[active, 0], dest[active, 1]
+        x = end.take(active)
         row = nbr.take(x, axis=0)
-        dist = _distance(xs.take(x) - tx, ys.take(x) - ty)
-        d = _distance(xs.take(row) - tx[:, None], ys.take(row) - ty[:, None])
-        col = d.argmin(axis=1)
-        best = d[np.arange(len(d)), col]
+        ox = xs.take(row)
+        ox -= tx.take(active)[:, None]
+        oy = ys.take(row)
+        oy -= ty.take(active)[:, None]
+        d = _distance(ox, oy)
+        # Each leg's first closest neighbour, indexed into the raveled block.
+        flat = d.argmin(axis=1)
+        flat += np.arange(0, d.size, d.shape[1])
+        best = d.ravel().take(flat)
 
-        arrived = dist <= radius
-        going = ~arrived & (hops[active] < ttl)
-        moves = going & (best < dist - _EPS)
-        success[active[arrived]] = True
+        # A greedy hop sets the leg's distance; the leg leaves its slot
+        # in this step if it arrived or spent its budget.
+        moves = best < here.take(active) - _EPS
         moved = active[moves]
-        end[moved] = row[moves, col[moves]]
+        best = best[moves]
+        end[moved] = row.ravel().take(flat[moves])
         hops[moved] += 1
+        here[moved] = best
+        arrived = best <= radius
+        success[moved[arrived]] = True
         if paths is not None:
             for i, v in zip(moved.tolist(), end[moved].tolist()):
                 paths[i].append(v)
+        keep = moves.copy()
+        keep[moves] = ~arrived & (hops[moved] < ttl)
 
         # Local minima: walk the perimeter, then rejoin or finish.
-        keep = moves
-        for r in np.flatnonzero(going & ~moves).tolist():
+        for r in np.flatnonzero(~moves).tolist():
             i = int(active[r])
             if walk is None:
                 walk = topology.positions.T.tolist()
-            outcome, node, walked = _perimeter(
-                topology.planar, *walk, int(end[i]), float(dest[i, 0]), float(dest[i, 1]),
+            outcome, node, walked, dist = _perimeter(
+                topology.planar, *walk, int(end[i]), float(tx[i]), float(ty[i]),
                 radius, ttl - int(hops[i]),
                 None if paths is None else paths[i],
             )
@@ -237,14 +263,15 @@ def route_legs(
             hops[i] += walked
             perimeter[i] += walked
             if outcome is None:
+                here[i] = dist
                 keep[r] = True
             else:
                 success[i] = outcome
         active = active[keep]
-        if waiting < n_legs and active.size < _SLOTS:
-            refill = min(_SLOTS - active.size, n_legs - waiting)
-            active = np.concatenate([active, np.arange(waiting, waiting + refill)])
-            waiting += refill
+        if waiting < len(queue) and active.size < _SLOTS:
+            refill = queue[waiting:waiting + _SLOTS - active.size]
+            active = np.concatenate([active, refill])
+            waiting += len(refill)
     return success, end, hops, perimeter
 
 

@@ -53,7 +53,7 @@ from ..analytic import (
 from ..streams import Streams
 from .delivery import ghls_waves, hashed_home_index, lpr_waves, round_trips
 from .gpsr import _leg_ttl, route_legs
-from .topology import Topology, _disjoint_union, topology_from_positions
+from .topology import Topology, _disjoint_union, _planarized
 
 __all__ = [
     "GhlsComparison",
@@ -317,8 +317,9 @@ def build_pool(config: ScenarioConfig) -> Topology:
 
     def connected_layouts() -> Iterator[Topology]:
         for positions in _layout_attempts(config):
-            topo = topology_from_positions(positions, config.radio_range)
-            if topo.connected:
+            # Only connected attempts are planarized.
+            topo = _planarized(positions, config.radio_range, connected_only=True)
+            if topo is not None:
                 yield topo
         raise ValueError(
             f"no {config.pool_size} connected layouts in {_LAYOUT_ATTEMPTS} attempts at "

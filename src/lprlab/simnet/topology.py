@@ -16,7 +16,9 @@ matrices, rows ascending and filled with -1 past each node's degree:
 the planarization tests a chunk of edges at once, greedy routing scores
 a batch of legs' neighbours in one numpy step, and perimeter mode walks
 the Gabriel rows. Connectivity is not stored but asked: Topology.connected
-searches the unit-disk rows a whole frontier at a time on each call.
+searches the unit-disk rows a whole frontier at a time on each call. A
+pool (scenario.build_pool) runs the same search on each layout attempt
+before its Gabriel pass, so only connected attempts are planarized.
 The coordinates are kept once, in positions (gpsr.route_legs makes the
 walker's plain-float copy), and the radio range only in the matrices.
 """
@@ -58,19 +60,24 @@ class Topology:
 
     @property
     def connected(self) -> bool:
-        """Whether node 0 reaches every node, by a breadth-first search
-        over neighbors one frontier at a time; each call searches anew."""
-        nbr = self.neighbors
-        seen = np.zeros(len(nbr), dtype=bool)
-        frontier = seen.copy()
-        frontier[0] = True
-        while frontier.any():
-            seen |= frontier
-            reached = nbr[frontier].ravel()
-            frontier = np.zeros_like(seen)
-            frontier[reached[reached >= 0]] = True
-            frontier &= ~seen
-        return bool(seen.all())
+        """Whether node 0 reaches every node over neighbors; each call
+        searches anew."""
+        return _connected(self.neighbors)
+
+
+def _connected(nbr: np.ndarray) -> bool:
+    """Whether node 0 reaches every node of the padded neighbour matrix
+    nbr, by a breadth-first search one frontier at a time."""
+    seen = np.zeros(len(nbr), dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        reached = nbr[frontier].ravel()
+        frontier = np.zeros_like(seen)
+        frontier[reached[reached >= 0]] = True
+        frontier &= ~seen
+    return bool(seen.all())
 
 
 def _squared_distances(positions: np.ndarray) -> np.ndarray:
@@ -175,9 +182,20 @@ def topology_from_positions(positions, radio_range: float) -> Topology:
     if not 0 < radio_range < math.inf:
         raise ValueError(f"radio_range must be positive and finite, got {radio_range}")
 
+    return _planarized(positions, radio_range)
+
+
+def _planarized(
+    positions: np.ndarray, radio_range: float, connected_only: bool = False
+) -> Topology | None:
+    """The topology of checked positions. With connected_only, a layout
+    whose unit-disk graph is disconnected gives None, and its Gabriel
+    pass never runs."""
     within = _unit_disk(positions, radio_range)
     rows, cols = np.nonzero(within)
-    nbr = _neighbor_matrix(np.bincount(rows, minlength=n), cols)
+    nbr = _neighbor_matrix(np.bincount(rows, minlength=len(positions)), cols)
+    if connected_only and not _connected(nbr):
+        return None
     return Topology(
         positions=positions,
         neighbors=nbr,

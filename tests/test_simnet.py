@@ -35,6 +35,7 @@ from lprlab.analytic import (
     sequential_hit_pmf,
 )
 from lprlab.simnet import gpsr, scenario
+from lprlab.simnet import topology as topology_module
 from lprlab.simnet.delivery import (
     DeliveryOutcome,
     _within,
@@ -991,6 +992,64 @@ class TestGpsr:
                      for s, d in rng.integers(280, size=(1200, 2))]
             _assert_batch_matches_scalar(topo, backs, 0.0, 8 * topo.n, single_every=5)
 
+    def test_leg_ends_in_the_step_that_spends_its_budget(self):
+        # A leg the oracle delivers in h hops still arrives with a budget
+        # of exactly h, and with h - 1 fails after h - 1 hops; legs with
+        # no budget, or that start within the radius, make no hop. Legs
+        # are batched by h, so each ttl applies to a whole batch.
+        rng = np.random.default_rng(23)
+        readme = build_topology(280, 2500.0, 400.0, seed=[1, 101, 0])
+        cells = (rng.integers(1, 11, size=(400, 2)) + 0.5) * (2500.0 / 12)
+        cases = [(readme, [(int(s), tuple(c)) for s, c in
+                           zip(rng.integers(280, size=400), cells)], 2500.0 / 12)]
+        for side, reach in ((4, 1.0), (5, math.sqrt(2.0))):
+            lattice = _lattice(side, reach)
+            ties = [(s, d) for s in range(lattice.n) for d in _tie_destinations(lattice)]
+            cases += [(lattice, ties[::5], radius) for radius in (0.0, 0.5)]
+        perimeter_legs = 0
+        for topo, legs, radius in cases:
+            by_hops = {}
+            for leg in legs:
+                want, _, _ = _scalar_gpsr_route(topo, *leg, radius, 8 * topo.n)
+                if want.success:
+                    by_hops.setdefault(want.hops, []).append(leg)
+                    perimeter_legs += want.perimeter_hops > 0
+            assert by_hops.keys() - {0}
+            for h, batch in by_hops.items():
+                src, dest = [s for s, _ in batch], [d for _, d in batch]
+                for ttl, arrives in ((h, True), (h - 1, False)):
+                    if ttl < 0:
+                        continue
+                    success, _, hops, _ = route_legs(topo, src, dest, radius, ttl)
+                    assert success.tolist() == [arrives or h == 0] * len(batch)
+                    assert hops.tolist() == [min(h, ttl)] * len(batch)
+                    _assert_batch_matches_scalar(topo, batch, radius, ttl, single_every=29)
+            # No budget: every leg stays at its source, and succeeds
+            # only if that is within the radius.
+            src, dest = [s for s, _ in legs], [d for _, d in legs]
+            success, end, hops, perimeter = route_legs(topo, src, dest, radius, 0)
+            assert end.tolist() == src and not hops.any() and not perimeter.any()
+            assert success.tolist() == [topo.distance_to(s, d) <= radius for s, d in legs]
+            # Starting at the destination: arrived, whatever the budget.
+            at_home = [(s, topo.position(s)) for s, _ in legs[::7]]
+            for ttl in (0, 1, 8 * topo.n):
+                _assert_batch_matches_scalar(topo, at_home, radius, ttl, single_every=29)
+                success, _, hops, _ = route_legs(
+                    topo, *map(list, zip(*at_home)), radius, ttl)
+                assert success.all() and not hops.any()
+        assert perimeter_legs > 0
+
+    def test_batched_router_matches_scalar_oracle_on_sparse_layouts(self):
+        # Sparse layouts are full of voids: many legs rejoin greedy
+        # forwarding from a perimeter walk, often next to another void,
+        # where the next greedy step must measure from the rejoining node.
+        rng = np.random.default_rng(3)
+        for seed in range(4):
+            topo = build_topology(40, 1000.0, 200.0, seed=[seed, 101, 0])
+            legs = [(int(s), tuple(d)) for s, d in
+                    zip(rng.integers(40, size=150), rng.uniform(0.0, 1000.0, (150, 2)))]
+            _assert_batch_matches_scalar(topo, legs, 0.0, 8 * topo.n, single_every=11)
+
     @pytest.mark.parametrize("slots", [1, 2, 7])
     def test_refilled_slots_match_scalar_oracle(self, slots):
         # With few slots, most legs enter a refilled slot mid-batch, next
@@ -1625,6 +1684,14 @@ kind = oracle
             assert 0 < value < math.inf
 
 
+def _recorder(results, fn):
+    """fn, appending each call's result to results."""
+    def recorded(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return recorded
+
+
 class TestScenarioRuns:
     def test_empty_split(self):
         # An empty share of the trial indices is still a valid split.
@@ -1702,6 +1769,19 @@ class TestScenarioRuns:
         pool, oracle = build_pool(config), _disjoint_union(expected)
         for name in ("positions", "neighbors", "planar"):
             assert getattr(pool, name).tobytes() == getattr(oracle, name).tobytes()
+
+    def test_only_connected_attempts_are_planarized(self, monkeypatch):
+        # The sparse scenario discards some attempts as disconnected (see
+        # test_pool_layouts_are_build_topology_attempts); the Gabriel pass
+        # runs once per pool layout all the same.
+        config = replace(SMALL, radio_range=200.0, pool_size=4, seed=7)
+        gabriel, connected = [], []
+        for name, calls in (("_gabriel_subgraph", gabriel), ("_connected", connected)):
+            monkeypatch.setattr(topology_module, name,
+                                _recorder(calls, getattr(topology_module, name)))
+        build_pool(config)
+        assert len(gabriel) == config.pool_size
+        assert connected.count(False) > 0 and connected.count(True) == config.pool_size
 
     def test_layout_batches_double_from_pool_size_up_to_the_cap(self, monkeypatch):
         # A range no layout connects at runs every attempt: batches of 2,
