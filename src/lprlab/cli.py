@@ -23,10 +23,9 @@ import numpy as np
 
 from . import __version__, figures
 from .analytic import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3, RegularityModel, hourly_regularity
-from .mobility import MobilityParams, empirical_regularity, generate_trace
-from .profile import write_trace_csv
 
 if TYPE_CHECKING:
+    from .mobility import MobilityParams
     from .simnet.scenario import ScenarioConfig
 
 __all__ = ["build_parser", "main"]
@@ -115,6 +114,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _trace_params(args: argparse.Namespace) -> MobilityParams:
+    """The flags' MobilityParams: an unset flag takes the field's default,
+    and each resolved value is written back to args for the manifest."""
+    from .mobility import MobilityParams
+
+    defaults = MobilityParams()
+    for name, flag in _TRACE_FLAGS.items():
+        if vars(args)[flag[2:]] is None:
+            setattr(args, flag[2:], getattr(defaults, name))
     values = {name: vars(args)[flag[2:]] for name, flag in _TRACE_FLAGS.items()}
     try:
         return MobilityParams(**values)
@@ -124,6 +131,11 @@ def _trace_params(args: argparse.Namespace) -> MobilityParams:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
+    # Only gen-trace runs the trace generator and the CSV writer, so the
+    # other commands never load mobility and profile.
+    from .mobility import generate_trace
+    from .profile import write_trace_csv
+
     params = _trace_params(args)
     traces = generate_trace(params)
     out_dir = _make_out_dir(args.out_dir)
@@ -139,6 +151,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def _verify_trace(traces, params: MobilityParams) -> int:
     """Compare per-hour modal-cell frequency against the model curve."""
+    from .mobility import empirical_regularity
+
     expected = np.array(hourly_regularity())
     samples = params.n_users * params.n_weeks
     sigma = np.sqrt(expected * (1.0 - expected) / samples)
@@ -277,9 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-trace", help="generate synthetic mobility traces",
                          allow_abbrev=False)
-    defaults = MobilityParams()
-    for name, flag in _TRACE_FLAGS.items():
-        gen.add_argument(flag, type=int, default=getattr(defaults, name))
+    for flag in _TRACE_FLAGS.values():  # unset: _trace_params takes the default
+        gen.add_argument(flag, type=int, default=None)
     gen.add_argument(
         "--verify", action="store_true",
         help="check the trace's hourly regularity against the model curve",

@@ -34,18 +34,21 @@ tolerance _EPS escape this.
 Legs are routed in batches (route_legs). A batch's legs share a fixed
 number of slots, and every leg in a slot advances one greedy hop per
 lockstep numpy step, which scores the neighbours of all the slotted
-legs' current nodes at once through the topology's padded neighbour
-matrix. Each leg carries its distance to its destination: measured once
-at its source, then taken from the score of each greedy hop. A leg
-leaves its slot in the step whose hop reaches the acceptance radius or
-spends its hop budget, and a leg that starts within the radius or with
-no budget never takes one. The slots freed in a step take the next
-waiting legs, so every step but the last few runs full. A leg at a
-local minimum hands its node and remaining hop budget to the scalar
-perimeter walker, which hands it back to its slot, with the distance of
-its new node, once greedy forwarding resumes; GPSR carries no state out
-of greedy mode, so a leg takes the same route in any batch and any slot.
-gpsr_route is the batch of one, and records its path. The walker reads
+legs' current nodes at once: it gathers each current node's row of the
+topology's neighbour coordinates (Topology.neighbor_xy, +inf in the
+padding, so a padded entry is never the closest), and reads a
+neighbour's id only for the legs that hop. Each leg carries its
+distance to its destination: measured once at its source, then taken
+from the score of each greedy hop. A leg leaves its slot in the step
+whose hop reaches the acceptance radius or spends its hop budget, and a
+leg that starts within the radius or with no budget never takes one.
+The slots freed in a step take the next waiting legs, so every step but
+the last few runs full. A leg at a local minimum hands its node and
+remaining hop budget to the scalar perimeter walker, which hands it
+back to its slot, with the distance of its new node, once greedy
+forwarding resumes; GPSR carries no state out of greedy mode, so a leg
+takes the same route in any batch and any slot. gpsr_route is the batch
+of one, and records its path. The walker reads
 plain-float x and y lists (with math.atan2 for bearings), which the
 call's first local minimum takes from topology.positions with tolist:
 the same doubles.
@@ -76,10 +79,12 @@ _TWO_PI = 2.0 * math.pi
 # step. Refilling, not the slot count, sets the step count: a leg leaves
 # its slot in the step that reaches the radius or spends its budget, and
 # freed slots take waiting legs at once, so steps run full until the
-# batch drains. 1024 slots raised a README-scenario run's peak RSS by
-# 2 MiB; 512 routed its legs no faster than 256 and raised its peak RSS
-# by 0.6 MiB.
-_SLOTS = 256
+# batch drains. On the README scenario (run_trials + measure_baseline,
+# slot counts alternated within a process, medians of 6 processes), 384
+# slots took 42.0 ms, 512 took 42.7, 256 took 44.3, 768 took 45.5 and
+# 128 took 50.9; 384 also beat 512 in 8 of 10 further processes. Over
+# 256 slots, 384 raised the run's ru_maxrss by 0.1 MiB and 512 by 0.4.
+_SLOTS = 384
 
 
 @dataclass(frozen=True)
@@ -203,18 +208,18 @@ def route_legs(
     end = src.copy()
     hops = np.zeros(n_legs, dtype=np.int64)
     perimeter = np.zeros(n_legs, dtype=np.int64)
-    # Coordinates plus one node at infinity for the matrix's -1 padding
-    # to index: a padded slot is never the closest.
-    xs = np.append(topology.positions[:, 0], math.inf)
-    ys = np.append(topology.positions[:, 1], math.inf)
-    nbr = topology.neighbors
+    # Neighbour coordinates are +inf in the padding: never the closest.
+    nx, ny = topology.neighbor_xy
+    nbr = topology.neighbors.ravel()
+    width = nx.shape[1]
     radius = acceptance_radius
     walk = None  # the walker's [xs, ys] plain floats, made at the first local minimum
 
     # here[i] is leg i's distance to its destination from its current
     # node. A leg that starts within the radius has arrived, and with no
     # hop budget every other leg has failed: neither takes a slot.
-    here = _distance(xs.take(src) - tx, ys.take(src) - ty)
+    here = _distance(topology.positions[:, 0].take(src) - tx,
+                     topology.positions[:, 1].take(src) - ty)
     success = here <= radius
     queue = np.flatnonzero(~success) if ttl > 0 else np.empty(0, dtype=np.intp)
     # Slots hold the legs active[i]; queue[waiting:] have yet to take one.
@@ -222,23 +227,21 @@ def route_legs(
     waiting = len(active)
     while active.size:
         x = end.take(active)
-        row = nbr.take(x, axis=0)
-        ox = xs.take(row)
+        ox = nx.take(x, axis=0)
         ox -= tx.take(active)[:, None]
-        oy = ys.take(row)
+        oy = ny.take(x, axis=0)
         oy -= ty.take(active)[:, None]
         d = _distance(ox, oy)
-        # Each leg's first closest neighbour, indexed into the raveled block.
-        flat = d.argmin(axis=1)
-        flat += np.arange(0, d.size, d.shape[1])
-        best = d.ravel().take(flat)
+        # Each leg's first closest neighbour, by its column in the block.
+        col = d.argmin(axis=1)
+        best = d.ravel().take(col + np.arange(0, d.size, width))
 
         # A greedy hop sets the leg's distance; the leg leaves its slot
         # in this step if it arrived or spent its budget.
         moves = best < here.take(active) - _EPS
         moved = active[moves]
         best = best[moves]
-        end[moved] = row.ravel().take(flat[moves])
+        end[moved] = nbr.take(x[moves] * width + col[moves])
         hops[moved] += 1
         here[moved] = best
         arrived = best <= radius

@@ -11,22 +11,31 @@ keeps connected graphs connected. Perimeter mode relies on this rule,
 not on planarity alone: gpsr proves it needs no face change on the
 Gabriel subgraph or its subgraphs (such as the RNG), not any planar graph.
 
-Each topology keeps both graphs as padded (n, max degree) index
-matrices, rows ascending and filled with -1 past each node's degree:
-the planarization tests a chunk of edges at once, greedy routing scores
-a batch of legs' neighbours in one numpy step, and perimeter mode walks
-the Gabriel rows. Connectivity is not stored but asked: Topology.connected
-searches the unit-disk rows a whole frontier at a time on each call. A
-pool (scenario.build_pool) runs the same search on each layout attempt
-before its Gabriel pass, so only connected attempts are planarized.
-The coordinates are kept once, in positions (gpsr.route_legs makes the
-walker's plain-float copy), and the radio range only in the matrices.
+A topology is frozen: its fields cannot be reassigned, so nothing
+derived from them goes stale. It keeps the node coordinates (positions)
+and both graphs as padded (n, max degree) index matrices, rows ascending
+and filled with -1 past each node's degree; the radio range is kept only
+in the matrices. The planarization tests a chunk of edges at once, and
+perimeter mode walks the Gabriel rows. The rest is derived:
+- Topology.connected searches the unit-disk rows a whole frontier at a
+  time on each call. A pool (scenario.build_pool) runs the same search
+  on each layout attempt before its Gabriel pass, so only connected
+  attempts are planarized.
+- Topology.neighbor_xy, the unit-disk neighbours' coordinates shaped
+  like the neighbour matrix (+inf in its padding), lets greedy routing
+  score a batch of legs' neighbours in one numpy step. The first
+  gpsr.route_legs call on a topology builds it and the topology keeps
+  it: 16 bytes per matrix entry, four times the matrix, 1.6 MiB for the
+  README scenario's pool.
+- gpsr.route_legs copies the coordinates to plain floats for the
+  perimeter walker, in each call that meets a local minimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +43,7 @@ import numpy as np
 __all__ = ["Topology", "build_topology", "topology_from_positions"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Topology:
     positions: np.ndarray  # (n, 2) meters
     # unit-disk and Gabriel neighbours in ascending order, each an
@@ -45,6 +54,17 @@ class Topology:
     @property
     def n(self) -> int:
         return len(self.positions)
+
+    @cached_property
+    def neighbor_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y of each unit-disk neighbour, as two float64
+        matrices shaped like neighbors, +inf where it is -1: copies of
+        positions, made on the first call and kept."""
+        xs = np.append(self.positions[:, 0], math.inf)
+        ys = np.append(self.positions[:, 1], math.inf)
+        # Indexing casts the int32 ids in chunks; take would first copy
+        # them all to intp, a temporary as large as one matrix.
+        return xs[self.neighbors], ys[self.neighbors]
 
     def position(self, u: int) -> tuple[float, float]:
         return tuple(self.positions[u].tolist())

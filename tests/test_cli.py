@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from lprlab import cli
+from lprlab import cli, mobility, profile
 from lprlab.analytic import conditional_cdf, hourly_regularity
 from lprlab.cli import build_parser, main
 from lprlab.mobility import MobilityParams, empirical_regularity, generate_trace
@@ -260,9 +260,11 @@ class TestGenTrace:
         assert os.listdir(tmp_path) == []
 
     def test_flags_are_the_params_fields(self):
-        # Each MobilityParams field has one flag, whose default is the field's.
+        # Each MobilityParams field has one flag; an unset flag takes the
+        # field's default, which is written back for the manifest.
         assert set(cli._TRACE_FLAGS) == {f.name for f in fields(MobilityParams)}
         gen = build_parser().parse_args(["gen-trace"])
+        assert cli._trace_params(gen) == MobilityParams()
         assert MobilityParams(
             **{name: vars(gen)[flag[2:]] for name, flag in cli._TRACE_FLAGS.items()}
         ) == MobilityParams()
@@ -294,7 +296,7 @@ class TestGenTrace:
         def generate_trace(params):
             raise AssertionError("generate_trace ran")
 
-        monkeypatch.setattr(cli, "generate_trace", generate_trace)
+        monkeypatch.setattr(mobility, "generate_trace", generate_trace)
         for flags, message in (
             (["--weeks", "100000"], "--weeks 100000: n_weeks = 100000 is above 8000: "),
             (["--users", "201", "--weeks", "1000"],
@@ -352,7 +354,7 @@ class TestGenTrace:
                 fh.write("node_id,slot")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "write_trace_csv", torn_write)
+        monkeypatch.setattr(profile, "write_trace_csv", torn_write)
         assert main(args + ["--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert (tmp_path / "trace.csv").read_bytes() == before

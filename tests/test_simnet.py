@@ -18,7 +18,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -62,6 +62,7 @@ from lprlab.simnet.scenario import (
     run_trials,
 )
 from lprlab.simnet.topology import (
+    Topology,
     _disjoint_union,
     _squared_distances,
     build_topology,
@@ -457,6 +458,43 @@ class TestTopology:
         assert a != b
         assert len({a, b}) == 2
 
+    def test_topology_is_frozen(self):
+        topo = _void_topology()
+        with pytest.raises(FrozenInstanceError):
+            topo.positions = topo.positions * 2.0
+        assert "neighbor_xy" not in repr(topo)
+        assert "neighbor_xy" not in {f.name for f in fields(topo)}
+
+    def test_neighbor_coordinates_are_inf_exactly_in_the_padding(self):
+        # Lattice ties, random layouts and a union padded to the widest
+        # layout: every other entry is its neighbour's coordinate, bit
+        # for bit.
+        layouts = [_lattice(4, math.sqrt(2.0)), build_topology(60, 1000.0, 300.0, seed=2)]
+        for topo in layouts + [_disjoint_union(layouts)]:
+            padding = topo.neighbors < 0
+            for axis, coords in enumerate(topo.neighbor_xy):
+                assert coords.shape == topo.neighbors.shape and coords.dtype == np.float64
+                assert np.array_equal(np.isposinf(coords), padding)
+                want = topo.positions[topo.neighbors[~padding], axis]
+                assert coords[~padding].tobytes() == want.tobytes()
+
+    def test_neighbor_coordinates_are_built_once_by_routing(self):
+        # build_pool builds none; a run's first leg wave builds them and
+        # every later wave reads the same matrices. A replaced topology
+        # starts without them.
+        builds = []
+        build = Topology.neighbor_xy.func
+        with mock.patch.object(Topology.neighbor_xy, "func",
+                               lambda topo: builds.append(topo) or build(topo)):
+            pool = build_pool(SMALL)
+            assert builds == [] and "neighbor_xy" not in vars(pool)
+            rows = run_trials(SMALL, range(SMALL.trials), pool)
+            measure_baseline(SMALL, pool)
+            assert builds == [pool]
+            assert run_trials(SMALL, range(SMALL.trials), pool) == rows
+            assert builds == [pool]
+            assert "neighbor_xy" not in vars(replace(pool))
+
     def test_build_is_deterministic_per_seed(self):
         a = build_topology(40, 1000.0, 250.0, seed=3)
         b = build_topology(40, 1000.0, 250.0, seed=3)
@@ -650,22 +688,28 @@ def _scalar_gpsr_route(topology, src, dest_position, acceptance_radius, ttl):
         x = nxt
 
 
-def _assert_batch_matches_scalar(topo, legs, radius, ttl, single_every=1):
+def _assert_batch_matches_scalar(topo, legs, radius, ttl, single_every=1, slots=(None,)):
     """route_legs on all legs at once, and gpsr_route on every
     single_every-th leg, give the scalar oracle's route: the same
     success, end node, hops and perimeter hops, and for gpsr_route the
-    same path. The oracle never changes face."""
-    success, end, hops, perimeter = route_legs(
-        topo, [s for s, _ in legs], [d for _, d in legs], radius, ttl
-    )
-    for i, (s, dest) in enumerate(legs):
+    same path. The oracle never changes face. route_legs runs once for
+    each entry of slots, a _SLOTS value or None for the current one; the
+    last run's arrays are returned."""
+    wants = []
+    for s, dest in legs:
         want, _, face_changes = _scalar_gpsr_route(topo, s, dest, radius, ttl)
         assert face_changes == 0, (s, dest, radius, ttl)
-        got = (bool(success[i]), int(end[i]), int(hops[i]), int(perimeter[i]))
-        assert got == (want.success, want.path[-1], want.hops, want.perimeter_hops), (
-            s, dest, radius, ttl)
-        if i % single_every == 0:
-            assert gpsr_route(topo, s, dest, radius, ttl=ttl) == want
+        wants.append(want)
+    for n_slots in slots:
+        with mock.patch.object(gpsr, "_SLOTS", n_slots or gpsr._SLOTS):
+            result = route_legs(topo, [s for s, _ in legs], [d for _, d in legs], radius, ttl)
+        got = list(zip(*(column.tolist() for column in result)))
+        for leg, got_leg, want in zip(legs, got, wants):
+            assert got_leg == (want.success, want.path[-1], want.hops, want.perimeter_hops), (
+                *leg, radius, ttl, n_slots)
+    for (s, dest), want in list(zip(legs, wants))[::single_every]:
+        assert gpsr_route(topo, s, dest, radius, ttl=ttl) == want
+    return result
 
 
 def _nudged(point, dx, dy):
@@ -991,6 +1035,33 @@ class TestGpsr:
             backs = [(int(s), topo.position(int(d)))
                      for s, d in rng.integers(280, size=(1200, 2))]
             _assert_batch_matches_scalar(topo, backs, 0.0, 8 * topo.n, single_every=5)
+
+    def test_batched_router_matches_scalar_oracle_on_a_pool(self):
+        # A pool of two README-density layouts as one graph, so node ids
+        # and the padded neighbour width span layouts. Every node sends
+        # legs to every 25th of the scenario's places at a cell-side
+        # radius, and each arrived leg's response returns to its source's
+        # position at radius 0; both waves run in one slot, in seven and
+        # in the default number. Some legs of each wave recover by
+        # perimeter mode: 8 forward legs on the second layout and 2
+        # responses on the first.
+        config = ScenarioConfig(strategy="oracle")
+        pool = _disjoint_union(
+            build_topology(config.n, config.field_size, config.radio_range, seed=[s, 101, 0])
+            for s in (2, 3))
+        places = [tuple(p) for p in config.places().tolist()]
+        legs = [(u, places[(u + k) % len(places)])
+                for u in range(pool.n) for k in range(0, len(places), 25)]
+        ttl = _leg_ttl(config.n)
+        slots = (1, 7, None)
+        success, end, _, perimeter = _assert_batch_matches_scalar(
+            pool, legs, config.cell_size, ttl, single_every=97, slots=slots)
+        assert perimeter.any()
+        backs = [(e, pool.position(s))
+                 for (s, _), e, ok in zip(legs, end.tolist(), success.tolist()) if ok]
+        *_, perimeter = _assert_batch_matches_scalar(
+            pool, backs, 0.0, ttl, single_every=97, slots=slots)
+        assert perimeter.any()
 
     def test_leg_ends_in_the_step_that_spends_its_budget(self):
         # A leg the oracle delivers in h hops still arrives with a budget
@@ -2136,15 +2207,21 @@ def _run_child(code, **variables):
 def test_serial_simulate_leaves_numpy_ma_unimported(tmp_path):
     # np.setdiff1d and np.percentile import numpy.ma, about 1.3 MiB of
     # peak memory; an lpr simulate leaves the lean-run modules out too.
-    # Trials with 2 of 16 cells as candidates wander often.
+    # Trials with 2 of 16 cells as candidates wander often. Neither
+    # simulate nor compare-ghls loads the trace and profile layers, which
+    # only gen-trace runs.
     ini = tmp_path / "scenario.ini"
     ini.write_text(_LEAN_SCENARIO_INI)
+    trace_layers = ("lprlab.profile", "lprlab.mobility")
     code = (
         "import sys\n"
         "from lprlab.cli import main\n"
         f"assert main(['simulate', {str(ini)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
-        f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED!r} if m in sys.modules]\n"
+        f"loaded = [m for m in {_LEAN_RUN_UNIMPORTED + trace_layers!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        f"assert main(['compare-ghls', {str(ini)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        f"loaded = [m for m in {trace_layers!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     _run_child(code)
